@@ -182,6 +182,18 @@ def build_from_representation(m, n, residue_tol=1e-12):
     return RepresentationOperator(level=int(n), matrix=matrix)
 
 
+def _char_poly_coeffs(a, b, c, n):
+    """chi_2 or chi_4 coefficients (descending), for floats or exact rationals."""
+    s = a * a + b * b + c * c
+    abc = a * b * c
+    if n == 2:
+        return [1, 0, -4 * s, -16 * abc]
+    if n == 4:
+        quart = a ** 4 + b ** 4 + c ** 4 + 4 * (a * a * b * b + b * b * c * c + c * c * a * a)
+        return [1, 0, -20 * s, -80 * abc, 64 * quart, 768 * abc * s]
+    raise UnsupportedLevelError(f"characteristic polynomial in closed form only at n = 2, 4 (got {n})")
+
+
 def char_poly_small_n(m, n):
     """Coefficients (descending) of the shared characteristic polynomial of
     the unshifted level-2 or level-4 blocks.
@@ -189,15 +201,28 @@ def char_poly_small_n(m, n):
     chi_2(x) = x^3 - 4(a^2+b^2+c^2) x - 16 abc; chi_4 is the degree-5
     analogue.  Both blocks of a level have the same polynomial at n = 2, 4.
     """
-    a, b, c = m.triple()
+    return np.array(_char_poly_coeffs(*m.triple(), n), dtype=float)
+
+
+def _level1_eigs(a, b, c, C):
+    """The four level-1 eigenvalues, the first one mu, for floats or exact rationals."""
+    return [a + b + c - C, a - b - c - C, -a + b - c - C, -a - b + c - C]
+
+
+def _level3_radicals(a, b, c):
+    """Level-3 unshifted eigenvalues as pairs (p, R) for p -+ 2 sqrt(R).
+
+    Every R >= 0 when scal > 0: the third is half a sum of squares, each
+    other one is a^2+b^2+c^2 plus a positive scal factor.
+    """
     s = a * a + b * b + c * c
-    abc = a * b * c
-    if n == 2:
-        return np.array([1.0, 0.0, -4.0 * s, -16.0 * abc])
-    if n == 4:
-        quart = a ** 4 + b ** 4 + c ** 4 + 4.0 * (a * a * b * b + b * b * c * c + c * c * a * a)
-        return np.array([1.0, 0.0, -20.0 * s, -80.0 * abc, 64.0 * quart, 768.0 * abc * s])
-    raise UnsupportedLevelError(f"characteristic polynomial in closed form only at n = 2, 4 (got {n})")
+    ab, bc, ca = a * b, b * c, c * a
+    return [
+        (a + b - c, s - ab + bc + ca),
+        (a - b + c, s + ab + bc - ca),
+        (-a - b - c, s - ab - bc - ca),
+        (-a + b + c, s + ab - bc + ca),
+    ]
 
 
 def closed_form_eigs(m, n):
@@ -210,23 +235,11 @@ def closed_form_eigs(m, n):
     a, b, c = m.triple()
     C = m.C
     if n == 1:
-        return np.array([a + b + c - C, a - b - c - C, -a + b - c - C, -a - b + c - C])
+        return np.array(_level1_eigs(a, b, c, C))
     if n == 3:
-        s = a * a + b * b + c * c
-        ab, bc, ca = a * b, b * c, c * a
-        r1 = math.sqrt(max(s - ab + bc + ca, 0.0))
-        r2 = math.sqrt(max(s + ab + bc - ca, 0.0))
-        r3 = math.sqrt(max(s - ab - bc - ca, 0.0))
-        r4 = math.sqrt(max(s + ab - bc + ca, 0.0))
-        vals = [
-            a + b - c - 2.0 * r1,
-            a + b - c + 2.0 * r1,
-            a - b + c - 2.0 * r2,
-            a - b + c + 2.0 * r2,
-            -a - b - c - 2.0 * r3,
-            -a - b - c + 2.0 * r3,
-            -a + b + c - 2.0 * r4,
-            -a + b + c + 2.0 * r4,
-        ]
+        vals = []
+        for p, R in _level3_radicals(a, b, c):
+            r = math.sqrt(max(R, 0.0))
+            vals += [p - 2.0 * r, p + 2.0 * r]
         return np.array(vals) - C
     raise UnsupportedLevelError(f"closed-form eigenvalues only at n = 1, 3 (got {n})")

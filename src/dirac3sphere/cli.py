@@ -5,18 +5,14 @@ Subcommands map one-to-one onto the library operations: ``invariants``,
 harness ``verify``.  JSON is the canonical output (stable field order,
 floats at 17 significant digits, byte-identical for identical inputs);
 ``spectrum`` can emit CSV with one line per row.  Exit codes: 0 success,
-1 verification or computation failure, 2 usage error.
-
-The only environment variable honored is DIRAC3SPHERE_THREADS, the thread
-count for the verification grid sweep.
+1 verification or computation failure (including a result that is not
+finite), 2 usage error.
 """
 
 import argparse
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .blocks import build_block, build_from_representation
@@ -34,8 +30,7 @@ from .metric import (
 )
 from .spectrum import assemble, certify_fundamental_tone, counting_function, heat_trace, smallest
 
-SCHEMA_VERSION = 1
-THREADS_ENV = "DIRAC3SPHERE_THREADS"
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -44,7 +39,7 @@ EXIT_USAGE = 2
 
 def _format_float(x):
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
+        raise Dirac3SphereError(f"result is not finite ({x!r}); it cannot be serialized")
     return format(x, ".17g")
 
 
@@ -159,7 +154,6 @@ def _trace_payload(trace):
         "C": trace.C,
         "mu": trace.mu,
         "scal": trace.scal,
-        "horizon": trace.horizon,
         "passed": trace.passed,
         "checks": len(trace.steps),
         "min_margin": trace.min_margin,
@@ -220,7 +214,6 @@ def cmd_smallest(args):
         args.manifold,
         certify=certify,
         max_level=args.max_level,
-        horizon=args.horizon,
     )
     results = {
         "value": report.value,
@@ -264,14 +257,14 @@ def cmd_reconstruct(args):
     return results, EXIT_OK
 
 
-def _verify_point(metric, horizon, rep_level, details=False):
+def _verify_point(metric, rep_level, details=False):
     sign = scal_sign_classification(metric)
     point = {"metric": list(metric.triple()), "scal_sign": sign}
     if sign != "positive":
         point.update(status="skipped", reason="certification needs scal > 0", checks=0, min_margin=None)
         return point
     try:
-        trace = certify_fundamental_tone(metric, horizon=horizon)
+        trace = certify_fundamental_tone(metric)
         checks = len(trace.steps)
         min_margin = trace.min_margin
         for n in range(rep_level + 1):
@@ -285,7 +278,7 @@ def _verify_point(metric, horizon, rep_level, details=False):
                         f"representation block (n={n}, {tag}) deviates by {err:.3e}"
                     )
                 checks += 1
-        gershgorin_table(metric, min(horizon, 30))  # closed forms vs direct bounds
+        gershgorin_table(metric, 30)  # closed forms vs direct bounds
         checks += 1
         point.update(status="pass", reason=None, checks=checks, min_margin=min_margin)
         if details:
@@ -300,20 +293,12 @@ def _verify_point(metric, horizon, rep_level, details=False):
 def cmd_verify(args):
     axes = [_axis_values(*axis) for axis in args.grid]
     metrics = [Metric(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
-    threads = args.threads
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(
-                lambda m: _verify_point(m, args.horizon, args.rep_level, args.details), metrics
-            ))
-    else:
-        points = [_verify_point(m, args.horizon, args.rep_level, args.details) for m in metrics]
+    points = [_verify_point(m, args.rep_level, args.details) for m in metrics]
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for p in points:
         counts[p["status"]] += 1
     results = {
         "grid": [list(axis) for axis in args.grid],
-        "horizon": args.horizon,
         "rep_level": args.rep_level,
         "points": points,
         "summary": counts,
@@ -348,8 +333,7 @@ def _build_parser():
 
     p = sub.add_parser("smallest", help="smallest absolute eigenvalue, certified when scal > 0")
     add_common(p)
-    p.add_argument("--max-level", type=int, default=25, help="enumeration horizon when scal <= 0")
-    p.add_argument("--horizon", type=int, default=200, help="certification horizon")
+    p.add_argument("--max-level", type=int, default=25, help="enumeration level cutoff when scal <= 0")
     p.add_argument("--certify", default="auto", choices=["auto", "on", "off"])
     p.set_defaults(func=cmd_smallest)
 
@@ -372,9 +356,8 @@ def _build_parser():
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=cmd_reconstruct, metric=None)
 
-    p = sub.add_parser("verify", help="replay the verification chain over a metric grid")
+    p = sub.add_parser("verify", help="run the certificate and the cross-checks over a metric grid")
     p.add_argument("--grid", required=True, help="three axes lo:hi:count, comma separated")
-    p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--rep-level", type=int, default=8, help="top level for the representation cross-check")
     p.add_argument("--details", action="store_true", help="include every check's margin per grid point")
     p.add_argument("--timing", action="store_true")
@@ -393,6 +376,20 @@ def _spectrum_csv(results):
     return "\n".join(rows) + "\n"
 
 
+def _render(args, results, timing):
+    if args.format == "csv":
+        return _spectrum_csv(results)
+    options = {
+        k: v
+        for k, v in sorted(vars(args).items())
+        if k not in ("func", "metric", "manifold", "command", "timing")
+        and not k.startswith("_")
+        and (isinstance(v, (int, float, str, bool)) or v is None)
+    }
+    doc = _document(args.command, options, args.metric, args.manifold, results, timing)
+    return dumps(doc) + "\n"
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -407,34 +404,18 @@ def main(argv=None):
             args.grid = parse_grid(args.grid)
         except ValueError as exc:
             parser.error(str(exc))
-        try:
-            args.threads = max(1, int(os.environ.get(THREADS_ENV, "1")))
-        except ValueError:
-            parser.error(f"{THREADS_ENV} must be an integer")
     if args.format == "csv" and args.command != "spectrum":
         parser.error("csv output is only available for the spectrum command")
 
     started = time.perf_counter()
     try:
         results, code = args.func(args)
+        timing = time.perf_counter() - started if args.timing else None
+        text = _render(args, results, timing)  # refuses non-finite floats
     except Dirac3SphereError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    timing = time.perf_counter() - started if args.timing else None
-
-    if args.format == "csv":
-        sys.stdout.write(_spectrum_csv(results))
-        return code
-
-    options = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "metric", "manifold", "command", "timing", "threads")
-        and not k.startswith("_")
-        and (isinstance(v, (int, float, str, bool)) or v is None)
-    }
-    doc = _document(args.command, options, args.metric, args.manifold, results, timing)
-    sys.stdout.write(dumps(doc) + "\n")
+    sys.stdout.write(text)
     return code
 
 

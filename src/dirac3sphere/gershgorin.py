@@ -12,20 +12,21 @@ scalar curvature, which propagates the base-case inequalities
     G(n,0) > C^2  (n >= 6)  G(n,1) > C^2  (n >= 4)
     G(1,0) = mu^2           G(5,0) > mu^2
 
-to every level.  ``base_cases`` replays those inequalities numerically with
-margins; the closed forms sort the metric internally (an isometric
-relabeling) and record the permutation.
+to every level.  ``base_cases`` decides them for every n at once: each of
+the three families minus C^2 is a quadratic in n, and the increment is
+linear in n with slope 4c^2.  The decision is exact rational arithmetic on
+the stored doubles.  The closed forms sort the metric internally (an
+isometric relabeling) and record the permutation.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import CertificationError, ConsistencyError, UncertifiableError
-from .metric import POSITIVE, scal_sign_classification
-
-_EQ_RTOL = 1e-12
-_STRICT_RTOL = 1e-12
+from .metric import scal_factors, shift_C
 
 
 def squared_row_entries(m, n, tag, k):
@@ -79,8 +80,8 @@ def _G(a, b, c, C, n, k):
         (a * (n - 2 * k) - C) ** 2
         + (b - c) ** 2 * k * (n - k + 1)
         + (b + c) ** 2 * (n - k) * (k + 1)
-        - 2.0 * (b - c) * (C + a) * k
-        - 2.0 * (b + c) * (C - a) * (n - k)
+        - 2 * (b - c) * (C + a) * k
+        - 2 * (b + c) * (C - a) * (n - k)
         - (b * b - c * c) * (k * (k - 1) + (n - k) * (n - k - 1))
     )
 
@@ -137,42 +138,84 @@ def triangle_increment(m, n, k, rtol=1e-10):
     return closed
 
 
+def _families(a, b, c, C):
+    lead = a * a - b * b + c * c
+    return [
+        ("G(n,n)-C^2", 1, (lead, 2 * (a * C + b * b - b * c - b * C + c * C - a * b + c * a), 0)),
+        ("G(n,0)-C^2", 6, (lead, 2 * (-a * C + b * b + b * c - b * C - c * C + a * b + c * a), 0)),
+        (
+            "G(n,1)-C^2",
+            4,
+            (
+                lead,
+                -2 * (a + b + c) * C - 4 * a * a + 6 * b * b + 2 * (a * b + b * c + c * a),
+                4 * (a + c) * C + 4 * a * a - 4 * b * b - 4 * a * b - 4 * b * c,
+            ),
+        ),
+    ]
+
+
 def base_case_families(m):
     """The three base-case inequalities as quadratics in the level n.
 
     Returns records (name, n_min, (A, B, D)) with
     A n^2 + B n + D = G_family(n) - threshold and threshold C^2; positivity
-    of the quadratic for all n >= n_min is what the base cases claim.  Used
-    to certify the tail beyond any finite horizon: it suffices that A > 0
-    and that no real root reaches n_min.
+    of the quadratic for all n >= n_min is what the base cases claim.  It
+    holds when A > 0 and no real root reaches n_min.
     """
     ms, _ = m.sorted()
     a, b, c = ms.triple()
-    C = ms.C
-    lead = a * a - b * b + c * c
-    fam_diag = ("G(n,n)-C^2", 1, (lead, 2.0 * (a * C + b * b - b * c - b * C + c * C - a * b + c * a), 0.0))
-    fam_left = ("G(n,0)-C^2", 6, (lead, 2.0 * (-a * C + b * b + b * c - b * C - c * C + a * b + c * a), 0.0))
-    fam_second = (
-        "G(n,1)-C^2",
-        4,
-        (
-            lead,
-            -2.0 * (a + b + c) * C - 4.0 * a * a + 6.0 * b * b + 2.0 * (a * b + b * c + c * a),
-            4.0 * (a + c) * C + 4.0 * a * a - 4.0 * b * b - 4.0 * a * b - 4.0 * b * c,
-        ),
-    )
-    return [fam_diag, fam_left, fam_second]
+    return _families(a, b, c, ms.C)
 
 
 @dataclass(frozen=True)
-class BaseCaseCheck:
+class CertificationStep:
+    """One decided condition of the certificate.
+
+    Pass or fail is decided on exact rationals; ``margin`` is the exact
+    margin rounded to a double, for information only (None for notes).
+    """
+
     name: str
-    n: int
-    k: int
-    value: float
-    reference: float
+    detail: str
     margin: float
-    kind: str  # "eq" or "gt"
+    passed: bool
+    kind: str = "strict"  # "strict", "eq", or "note"
+
+
+def _approx(x):
+    """Nearest double of an exact value, +-inf beyond the double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def record_step(steps, name, detail, margin, kind="strict", holds=None):
+    """Append a step that holds, else raise :class:`CertificationError`.
+
+    A "strict" step holds when the exact ``margin`` is positive, an "eq"
+    step when it is zero; ``holds`` overrides that for margins with a square
+    root, which are then only a double estimate.
+    """
+    if holds is None:
+        holds = margin == 0 if kind == "eq" else margin > 0
+    if not holds:
+        raise CertificationError(f"{name} fails: margin {_approx(margin):.3e} ({detail})")
+    steps.append(CertificationStep(name, detail, _approx(margin), True, kind))
+
+
+def exact_sorted(m):
+    """(sorted metric, permutation, (a, b, c, C)): a >= b >= c and C as the
+    exact rationals of the stored doubles.
+
+    Raises :class:`UncertifiableError` unless scal > 0 exactly.
+    """
+    ms, perm = m.sorted()
+    a, b, c = (Fraction(x) for x in ms.triple())
+    if min(scal_factors(a, b, c)) <= 0:
+        raise UncertifiableError("certification requires positive scalar curvature; only enumerated minima exist")
+    return ms, perm, (a, b, c, shift_C(a, b, c))
 
 
 @dataclass(frozen=True)
@@ -180,64 +223,55 @@ class BaseCaseReport:
     metric: tuple
     sorted_triple: tuple
     permutation: tuple
-    horizon: int
     checks: tuple
 
     @property
     def min_strict_margin(self):
-        margins = [c.margin for c in self.checks if c.kind == "gt"]
+        margins = [c.margin for c in self.checks if c.kind == "strict"]
         return min(margins) if margins else float("inf")
 
 
-def base_cases(m, horizon=200, rtol=_STRICT_RTOL):
-    """Replay the base-case identities and inequalities up to ``horizon``.
+def base_cases(m):
+    """Decide the base cases and the triangle increment for every level.
 
-    Requires positive scalar curvature (factor test).  Equalities are held
-    to relative 1e-12; strict inequalities must clear a margin of
-    rtol * scale.  Any violation raises :class:`CertificationError` naming
-    the offending (n, k).
+    Exact rational arithmetic, no tolerance, a fixed list of checks:
+    G(0,0) = C^2, G(1,0) = mu^2, G(5,0) > mu^2; each family minus C^2, a
+    quadratic q(n) with leading coefficient A > 0, has no real root at or
+    beyond n_min (negative discriminant, or q(n_min) > 0 and q'(n_min) > 0);
+    the increment G(2,1) - G(0,0) is positive and grows by 4c^2 per level.
+    Raises :class:`UncertifiableError` unless scal > 0, and
+    :class:`CertificationError` naming a check that fails.
     """
-    if horizon < 6:
-        raise ValueError("horizon must be at least 6")
-    if scal_sign_classification(m) != POSITIVE:
-        raise UncertifiableError("base cases require positive scalar curvature")
-    ms, perm = m.sorted()
-    a, b, c = ms.triple()
-    C = ms.C
-    mu = ms.mu
-    C2, mu2 = C * C, mu * mu
-    checks = []
+    ms, perm, (a, b, c, C) = exact_sorted(m)
+    mu = a + b + c - C
+    steps = []
+    for name, n, reference, kind in (
+        ("base:G(0,0)=C^2", 0, C * C, "eq"),
+        ("base:G(1,0)=mu^2", 1, mu * mu, "eq"),
+        ("base:G(5,0)>mu^2", 5, mu * mu, "strict"),
+    ):
+        value = _G(a, b, c, C, n, 0)
+        detail = f"n={n}, k=0: value {_approx(value)!r} vs {_approx(reference)!r}"
+        record_step(steps, name, detail, value - reference, kind)
 
-    def check_eq(name, n, k, value, reference):
-        margin = abs(value - reference)
-        if margin > rtol * max(abs(value), abs(reference)):
-            raise CertificationError(f"{name} fails at (n={n}, k={k}): {value!r} != {reference!r}")
-        checks.append(BaseCaseCheck(name, n, k, value, reference, margin, "eq"))
+    for name, n_min, (A, B, D) in _families(a, b, c, C):
+        record_step(steps, f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A)
+        disc = B * B - 4 * A * D
+        # the largest root as vertex plus half-width, both free of the metric's scale
+        largest = -math.inf if disc < 0 else _approx(-B / (2 * A)) + math.sqrt(_approx(disc / (4 * A * A)))
+        record_step(steps, f"tail:{name}:root", f"n_min - largest real root (largest root {largest!r})",
+                    min(n_min - largest, n_min),
+                    holds=disc < 0 or ((A * n_min + B) * n_min + D > 0 and 2 * A * n_min + B > 0))
 
-    def check_gt(name, n, k, value, reference):
-        margin = value - reference
-        if margin <= rtol * max(1.0, abs(reference)):
-            raise CertificationError(
-                f"{name} fails at (n={n}, k={k}): {value!r} not above {reference!r} (margin {margin:.3e})"
-            )
-        checks.append(BaseCaseCheck(name, n, k, value, reference, margin, "gt"))
-
-    check_eq("G(0,0)=C^2", 0, 0, _G(a, b, c, C, 0, 0), C2)
-    for n in range(1, horizon + 1):
-        check_gt("G(n,n)>C^2", n, n, _G(a, b, c, C, n, n), C2)
-    for n in range(6, horizon + 1):
-        check_gt("G(n,0)>C^2", n, 0, _G(a, b, c, C, n, 0), C2)
-    for n in range(4, horizon + 1):
-        check_gt("G(n,1)>C^2", n, 1, _G(a, b, c, C, n, 1), C2)
-    check_eq("G(1,0)=mu^2", 1, 0, _G(a, b, c, C, 1, 0), mu2)
-    check_gt("G(5,0)>mu^2", 5, 0, _G(a, b, c, C, 5, 0), mu2)
+    increment = _G(a, b, c, C, 2, 1) - _G(a, b, c, C, 0, 0)
+    record_step(steps, "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment)
+    record_step(steps, "increment:slope", "4c^2, the growth of the increment per level", 4 * c * c)
 
     return BaseCaseReport(
         metric=m.triple(),
         sorted_triple=ms.triple(),
         permutation=perm,
-        horizon=horizon,
-        checks=tuple(checks),
+        checks=tuple(steps),
     )
 
 

@@ -44,6 +44,17 @@ def _volume_space(manifold):
     raise ValueError(f"unknown manifold {manifold!r}")
 
 
+def shift_C(a, b, c):
+    """The shift C = (ab/c + bc/a + ca/b)/2, for floats or exact rationals."""
+    return (a * b / c + b * c / a + c * a / b) / 2
+
+
+def scal_factors(a, b, c):
+    """ab+bc-ca, ab-bc+ca, -ab+bc+ca: scal > 0 exactly when all three are positive."""
+    ab, bc, ca = a * b, b * c, c * a
+    return ab + bc - ca, ab - bc + ca, -ab + bc + ca
+
+
 @dataclass(frozen=True)
 class Metric:
     """Positive triple (a, b, c) of inverse frame lengths."""
@@ -64,8 +75,7 @@ class Metric:
 
     @property
     def C(self):
-        a, b, c = self.a, self.b, self.c
-        return 0.5 * (a * b / c + b * c / a + c * a / b)
+        return shift_C(self.a, self.b, self.c)
 
     @property
     def mu(self):
@@ -156,11 +166,8 @@ def scal_product_form(m):
 
     Free of the cancellation that plagues 8*(sigma1 - C^2) near scal = 0.
     """
-    ab, bc, ca = m.a * m.b, m.b * m.c, m.c * m.a
-    f0 = ab + bc + ca
-    f1 = ab + bc - ca
-    f2 = ab - bc + ca
-    f3 = -ab + bc + ca
+    f0 = m.a * m.b + m.b * m.c + m.c * m.a
+    f1, f2, f3 = scal_factors(m.a, m.b, m.c)
     return 2.0 * f0 * f1 * f2 * f3 / (m.a * m.b * m.c) ** 2
 
 

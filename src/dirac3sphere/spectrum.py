@@ -7,10 +7,10 @@ multiplicity m contributes m*(n+1) to the total multiplicity.
 
 For positive scalar curvature the smallest absolute eigenvalue is mu on the
 sphere and on the nontrivial quotient structure, and C on the trivial one;
-``certify_fundamental_tone`` replays the complete chain of inequalities behind that
-statement for a concrete metric and records every margin.  Outside that
-regime only enumerated minima up to a level horizon are reported, clearly
-flagged as uncertified.
+``certify_fundamental_tone`` proves that statement for a concrete metric by
+deciding a fixed list of closed-form conditions exactly, and records every
+margin.  Outside that regime only enumerated minima up to a level cutoff are
+reported, clearly flagged as uncertified.
 """
 
 import math
@@ -19,16 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import TAG_A, TAG_B, build_block, char_poly_small_n, closed_form_eigs
+from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, build_block
 from .eigen import count_below, eigenvalues, min_abs_eigenvalue, symmetrize
-from .errors import CertificationError, TruncationWarning, UncertifiableError
-from .gershgorin import base_case_families, base_cases, min_row_bound, triangle_increment
+from .errors import TruncationWarning, UncertifiableError
+from .gershgorin import CertificationStep, _approx, base_cases, exact_sorted, min_row_bound, record_step
 from .metric import (
     POSITIVE,
     S3,
     SO3_NONTRIVIAL,
     SO3_TRIVIAL,
     SPECTRUM_MANIFOLDS,
+    scal_factors,
     scal_sign_classification,
     volume,
 )
@@ -188,15 +189,6 @@ def enumerated_min_abs(m, manifold, max_level=25, tol=None, rtol=COINCIDENCE_RTO
 
 
 @dataclass(frozen=True)
-class CertificationStep:
-    name: str
-    detail: str
-    margin: float
-    passed: bool
-    kind: str = "strict"  # "strict", "eq", or "note"
-
-
-@dataclass(frozen=True)
 class CertificationTrace:
     metric: tuple
     sorted_triple: tuple
@@ -204,7 +196,6 @@ class CertificationTrace:
     C: float
     mu: float
     scal: float
-    horizon: int
     steps: tuple
     passed: bool
 
@@ -215,119 +206,86 @@ class CertificationTrace:
         return min(margins) if margins else float("inf")
 
 
-def certify_fundamental_tone(m, horizon=200, margin_rtol=1e-12):
-    """Numerically replay, for one metric, the proof that the fundamental
-    tone is mu (sphere, odd quotient structure) and C (even structure).
+def _root_exceeds(u, R, t):
+    """Decide u * sqrt(R) > t exactly, for rationals u, t and R >= 0."""
+    if u >= 0:
+        return t < 0 or u * u * R > t * t
+    return t < 0 and u * u * R < t * t
 
-    Steps, on the metric sorted to a >= b >= c:
 
-    1. regime facts: positive factor test, C > max(a,b,c), C^2 < a^2+b^2+c^2;
-    2. explicit levels 0..4: eigenvalues of levels 1 and 3 keep their
-       distance, the level-2 polynomial is negative on [0, 2C], the level-4
-       polynomial is positive there (concavity reduces both to endpoint
-       checks);
-    3. the base-case identities and inequalities up to ``horizon``, plus the
-       quadratic-tail bounds that extend them to every level;
-    4. the triangle increment: positive at every n <= horizon, matching its
-       collapsed closed form, and increasing in n (so positive forever).
+def certify_fundamental_tone(m):
+    """Prove, for one metric, that the fundamental tone is mu (sphere, odd
+    quotient structure) and C (even structure).
 
-    Every inequality is recorded with its margin.  A failed step raises
-    :class:`CertificationError`; a metric without positive scalar curvature
-    raises :class:`UncertifiableError`.
+    A fixed list of closed-form conditions, the same for every metric with
+    scal > 0, each decided in exact rational arithmetic on the stored
+    doubles with no tolerance.  On the metric sorted to a >= b >= c:
+
+    1. regime facts: the three scal factors are positive, C > max(a,b,c),
+       C^2 < a^2+b^2+c^2, mu > 0;
+    2. explicit levels 1..4: eigenvalues of levels 1 and 3 keep their
+       distance (the level-3 radicals decided by squaring), the level-2
+       polynomial is negative on [0, 2C], the level-4 polynomial is
+       positive there (concavity reduces both to endpoint checks);
+    3. the base cases and the triangle increment for every level, from
+       :func:`base_cases`.
+
+    Every step records its margin rounded to a double.  A failed condition
+    raises :class:`CertificationError` naming it; a metric without positive
+    scalar curvature raises :class:`UncertifiableError`.
     """
-    if scal_sign_classification(m) != POSITIVE:
-        raise UncertifiableError(
-            "certification requires positive scalar curvature; spectra only admit enumerated minima here"
-        )
-    ms, perm = m.sorted()
-    a, b, c = ms.triple()
-    C, mu = ms.C, ms.mu
+    ms, perm, (a, b, c, C) = exact_sorted(m)
+    mu = a + b + c - C
     s1 = a + b + c
     steps = []
 
-    def strict(name, detail, margin, scale=1.0):
-        ok = margin > margin_rtol * max(1.0, scale)
-        steps.append(CertificationStep(name, detail, float(margin), ok, "strict"))
-        if not ok:
-            raise CertificationError(f"{name}: margin {margin:.3e} ({detail})")
-
-    def equal(name, detail, value, reference, scale=1.0):
-        err = abs(value - reference)
-        ok = err <= margin_rtol * max(1.0, scale, abs(reference))
-        steps.append(CertificationStep(name, detail, float(err), ok, "eq"))
-        if not ok:
-            raise CertificationError(f"{name}: |{value!r} - {reference!r}| = {err:.3e}")
-
-    def note(name, detail):
-        steps.append(CertificationStep(name, detail, None, True, "note"))
-
     # 1. regime
-    ab, bc, ca = a * b, b * c, c * a
-    strict("regime:scal>0", "minimal factor of the scal product form", min(ab + bc - ca, ab - bc + ca, -ab + bc + ca), scale=ab + bc + ca)
-    strict("regime:C>max", "C - max(a,b,c)", C - a, scale=C)
-    strict("regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C, scale=C * C)
-    strict("regime:mu>0", "mu", mu, scale=C)
-    note("level0", f"sole eigenvalue -C = {-C!r} with multiplicity 2")
+    for i, factor in enumerate(scal_factors(a, b, c), start=1):
+        record_step(steps, f"regime:scal>0:{i}", "factor of the scal product form", factor)
+    record_step(steps, "regime:C>max", "C - max(a,b,c)", C - a)
+    record_step(steps, "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C)
+    record_step(steps, "regime:mu>0", "mu", mu)
+
+    steps.append(CertificationStep("level0", f"sole eigenvalue -C = {-ms.C!r} with multiplicity 2", None, True, "note"))
 
     # 2. explicit small levels
-    e1 = closed_form_eigs(ms, 1)
-    equal("level1:mu", "first closed-form eigenvalue equals mu", float(e1[0]), mu, scale=C)
+    e1 = _level1_eigs(a, b, c, C)
+    record_step(steps, "level1:mu", "first closed-form eigenvalue equals mu", e1[0] - mu, "eq")
     for i, v in enumerate(e1[1:], start=1):
-        strict(f"level1:gap:{i}", f"|eigenvalue {i}| - mu", abs(float(v)) - mu, scale=C)
+        record_step(steps, f"level1:gap:{i}", f"|eigenvalue {i}| - mu", abs(v) - mu)
 
-    chi2 = char_poly_small_n(ms, 2)
-    for x, label in ((0.0, "0"), (2.0 * C, "2C")):
-        strict(f"level2:chi2({label})<0", "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)",
-               -float(np.polyval(chi2, x)), scale=16.0 * a * b * c)
+    chi2 = np.array(_char_poly_coeffs(a, b, c, 2), dtype=object)
+    for x, label in ((0, "0"), (2 * C, "2C")):
+        record_step(steps, f"level2:chi2({label})<0",
+                    "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)", -np.polyval(chi2, x))
 
-    e3 = closed_form_eigs(ms, 3) + C  # unshifted values, to compare with [2C - s1, s1]
-    for i, v in enumerate(e3, start=1):
-        strict(f"level3:outside:{i}", "distance of unshifted eigenvalue to [2C-s1, s1]",
-               max(2.0 * C - s1 - float(v), float(v) - s1), scale=s1)
+    lo = 2 * C - s1
+    for i, (p, R) in enumerate(_level3_radicals(a, b, c)):
+        for j, sign in enumerate((-1, 1)):
+            v = _approx(p) + 2 * sign * math.sqrt(_approx(R))
+            record_step(steps, f"level3:outside:{2 * i + j + 1}", "distance of unshifted eigenvalue to [2C-s1, s1]",
+                        max(_approx(lo) - v, v - _approx(s1)),
+                        holds=_root_exceeds(2 * sign, R, s1 - p) or _root_exceeds(-2 * sign, R, p - lo))
 
-    chi4 = char_poly_small_n(ms, 4)
+    chi4 = np.array(_char_poly_coeffs(a, b, c, 4), dtype=object)
     chi4dd = np.polyder(chi4, 2)
-    for x, label in ((0.0, "0"), (2.0 * C, "2C")):
-        strict(f"level4:chi4''({label})<0", "second derivative negative on [0, 2C] (convex, endpoints suffice)",
-               -float(np.polyval(chi4dd, x)), scale=160.0 * a * b * c)
-    for x, label in ((0.0, "0"), (2.0 * C, "2C")):
-        strict(f"level4:chi4({label})>0", "level-4 polynomial positive on [0, 2C] (concave there, endpoints suffice)",
-               float(np.polyval(chi4, x)), scale=768.0 * a * b * c * (a * a + b * b + c * c))
+    for x, label in ((0, "0"), (2 * C, "2C")):
+        record_step(steps, f"level4:chi4''({label})<0",
+                    "second derivative negative on [0, 2C] (convex, endpoints suffice)", -np.polyval(chi4dd, x))
+    for x, label in ((0, "0"), (2 * C, "2C")):
+        record_step(steps, f"level4:chi4({label})>0",
+                    "level-4 polynomial positive on [0, 2C] (concave there, endpoints suffice)", np.polyval(chi4, x))
 
-    # 3. base cases with horizon and quadratic tails
-    report = base_cases(ms, horizon=horizon, rtol=margin_rtol)
-    for chk in report.checks:
-        steps.append(CertificationStep(
-            f"base:{chk.name}",
-            f"n={chk.n}, k={chk.k}: value {chk.value!r} vs {chk.reference!r}",
-            float(chk.margin),
-            True,
-            "strict" if chk.kind == "gt" else "eq",
-        ))
-    for name, n_min, (A, B, D) in base_case_families(ms):
-        strict(f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A, scale=a * a)
-        disc = B * B - 4.0 * A * D
-        largest = -math.inf if disc < 0.0 else (-B + math.sqrt(disc)) / (2.0 * A)
-        strict(f"tail:{name}:root", f"n_min - largest real root (largest root {largest!r})",
-               min(n_min - largest, float(n_min)), scale=float(n_min))
-
-    # 4. triangle increments
-    inc0 = triangle_increment(ms, 0, 0)
-    strict("increment:n=0", "4*(c^2 n - bC + ac + b^2 + c^2) at n = 0", inc0, scale=4.0 * b * C)
-    note("increment:tail", f"increment grows linearly in n with slope 4c^2 = {4.0 * c * c!r} > 0")
-    for n in range(1, horizon + 1):
-        inc = triangle_increment(ms, n, 0)
-        strict(f"increment:n={n}", "collapsed increment, cross-checked against the G difference at k=0",
-               inc, scale=4.0 * (c * c * n + b * C + a * c + b * b + c * c))
+    # 3. base cases, quadratic tails and triangle increments
+    steps.extend(base_cases(ms).checks)
 
     return CertificationTrace(
         metric=m.triple(),
         sorted_triple=ms.triple(),
         permutation=perm,
-        C=C,
-        mu=mu,
+        C=ms.C,
+        mu=ms.mu,
         scal=ms.scal,
-        horizon=horizon,
         steps=tuple(steps),
         passed=True,
     )
@@ -339,7 +297,7 @@ class SmallestEigenvalueReport:
 
     ``certified`` is True only when the full verification chain ran and
     passed, which requires positive scalar curvature.  ``max_level`` is the
-    enumeration horizon when the value is numerical, None for closed forms.
+    enumeration level cutoff when the value is numerical, None for closed forms.
     """
 
     manifold: str
@@ -352,7 +310,7 @@ class SmallestEigenvalueReport:
     max_level: object
 
 
-def smallest(m, manifold, certify=None, max_level=25, horizon=200, round_rtol=1e-12):
+def smallest(m, manifold, certify=None, max_level=25, round_rtol=1e-12):
     """Smallest absolute eigenvalue of the chosen operator.
 
     With positive scalar curvature the value is mu (sphere and odd
@@ -372,7 +330,7 @@ def smallest(m, manifold, certify=None, max_level=25, horizon=200, round_rtol=1e
         mult = 4 if manifold == S3 and m.is_round(round_rtol) else 2
         trace = None
         if certify is None or certify:
-            trace = certify_fundamental_tone(m, horizon=horizon)
+            trace = certify_fundamental_tone(m)
         return SmallestEigenvalueReport(
             manifold=manifold,
             metric=m.triple(),

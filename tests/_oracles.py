@@ -65,3 +65,32 @@ def scal_zero_metrics(rng, count, lo=0.3, hi=2.0):
         if d3s.scal_sign_classification(m) == d3s.ZERO:
             out.append(m)
     return out
+
+
+def replay_fundamental_tone(m, horizon=200, rtol=1e-12):
+    """Float replay of the base cases and triangle increments up to ``horizon``.
+
+    The reference for the exact certificate: on the sorted metric,
+    G(0,0) = C^2, G(1,0) = mu^2 and G(5,0) > mu^2, then G(n,n) > C^2 (n >= 1),
+    G(n,0) > C^2 (n >= 6), G(n,1) > C^2 (n >= 4) and a positive triangle
+    increment for every n <= horizon, strict inequalities clearing a margin
+    of rtol * max(1, reference).  True when all of them hold.
+    """
+    ms, _ = m.sorted()
+    C2, mu2 = ms.C ** 2, ms.mu ** 2
+
+    def G(n, k):
+        return d3s.closed_form_G(ms, n, k)
+
+    def above(value, reference):
+        return value - reference > rtol * max(1.0, abs(reference))
+
+    def equal(value, reference):
+        return abs(value - reference) <= rtol * max(abs(value), abs(reference))
+
+    checks = [equal(G(0, 0), C2), equal(G(1, 0), mu2), above(G(5, 0), mu2)]
+    checks += [above(G(n, n), C2) for n in range(1, horizon + 1)]
+    checks += [above(G(n, 0), C2) for n in range(6, horizon + 1)]
+    checks += [above(G(n, 1), C2) for n in range(4, horizon + 1)]
+    checks += [d3s.triangle_increment(ms, n, 0) > 0 for n in range(horizon + 1)]
+    return all(checks)

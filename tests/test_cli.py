@@ -36,7 +36,7 @@ def test_spectrum_json_document(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["command"] == "spectrum"
     assert doc["metric"] == [1, 1, 1]
     assert doc["timing_seconds"] is None
@@ -66,7 +66,7 @@ def test_spectrum_csv(capsys):
 
 
 def test_byte_identical_output(capsys):
-    args = ("smallest", "--metric", "1.1,0.9,0.7", "--manifold", "s3", "--horizon", "40")
+    args = ("smallest", "--metric", "1.1,0.9,0.7", "--manifold", "s3")
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
@@ -85,10 +85,23 @@ def test_usage_error_bad_flags(capsys):
     with pytest.raises(SystemExit) as exc2:
         main(["invariants", "--metric", "1,1,1", "--format", "csv"])
     assert exc2.value.code == 2
+    with pytest.raises(SystemExit) as exc3:
+        main(["smallest", "--metric", "1,1,1", "--manifold", "s3", "--horizon", "30"])
+    assert exc3.value.code == 2
+
+
+def test_non_finite_result_is_an_error(capsys):
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run_cli(
+            capsys, "spectrum", "--metric", "1e300,1e300,1e300", "--manifold", "s3", "--max-level", "2"
+        )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
 
 
 def test_smallest_round(capsys):
-    code, out, _ = run_cli(capsys, "smallest", "--metric", "1,1,1", "--manifold", "s3", "--horizon", "30")
+    code, out, _ = run_cli(capsys, "smallest", "--metric", "1,1,1", "--manifold", "s3")
     assert code == 0
     res = json.loads(out)["results"]
     assert res["value"] == pytest.approx(1.5)
@@ -166,10 +179,9 @@ def test_heat_trace_with_counting(capsys):
     assert res["counting"]["count"] == 42640
 
 
-def test_verify_grid(capsys, monkeypatch):
-    monkeypatch.setenv("DIRAC3SPHERE_THREADS", "2")
+def test_verify_grid(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--grid", "0.8:1.6:2,0.8:1.6:2,0.8:1.6:2", "--horizon", "30", "--rep-level", "4"
+        capsys, "verify", "--grid", "0.8:1.6:2,0.8:1.6:2,0.8:1.6:2", "--rep-level", "4"
     )
     assert code == 0
     res = json.loads(out)["results"]
@@ -182,11 +194,9 @@ def test_verify_grid(capsys, monkeypatch):
             assert point["reason"]
 
 
-def test_verify_byte_identical_with_threads(capsys, monkeypatch):
-    args = ("verify", "--grid", "0.9:1.5:2,0.9:1.5:2,1:1:1", "--horizon", "20", "--rep-level", "2")
-    monkeypatch.setenv("DIRAC3SPHERE_THREADS", "1")
+def test_verify_byte_identical(capsys):
+    args = ("verify", "--grid", "0.9:1.5:2,0.9:1.5:2,1:1:1", "--rep-level", "2")
     _, out1, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("DIRAC3SPHERE_THREADS", "3")
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
 

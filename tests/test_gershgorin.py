@@ -126,29 +126,37 @@ def test_triangle_increment_positive_for_positive_scal():
 
 
 def test_base_cases_round_and_generic():
-    report = d3s.base_cases(Metric(1, 1, 1), horizon=50)
-    eq0 = [c for c in report.checks if c.name == "G(0,0)=C^2"][0]
-    assert eq0.value == pytest.approx(9 / 4, abs=1e-14)
-    mu_eq = [c for c in report.checks if c.name == "G(1,0)=mu^2"][0]
-    assert mu_eq.value == pytest.approx(9 / 4, abs=1e-14)
+    report = d3s.base_cases(Metric(1, 1, 1))
+    named = {c.name: c for c in report.checks}
+    assert named["base:G(0,0)=C^2"].kind == "eq"
+    assert "value 2.25 vs 2.25" in named["base:G(0,0)=C^2"].detail
+    assert "value 2.25 vs 2.25" in named["base:G(1,0)=mu^2"].detail
+    assert {"increment:n=0", "increment:slope", "tail:G(n,1)-C^2:root"} <= set(named)
     assert report.min_strict_margin > 0
 
-    report2 = d3s.base_cases(Metric(2, 1, 1), horizon=100)
+    report2 = d3s.base_cases(Metric(1, 2, 1))
     assert report2.min_strict_margin > 0
     assert report2.sorted_triple == (2.0, 1.0, 1.0)
+    assert report2.permutation == (1, 0, 2)
+    assert [c.name for c in report2.checks] == [c.name for c in report.checks]
 
 
 def test_base_cases_requires_positive_scal():
-    with pytest.raises(d3s.UncertifiableError):
-        d3s.base_cases(Metric(1, 1, 0.5))
-    with pytest.raises(ValueError):
-        d3s.base_cases(Metric(1, 1, 1), horizon=3)
+    for t in ((1, 1, 0.5), (1, 1, 0.4999999999999), (3, 1, 0.3)):
+        with pytest.raises(d3s.UncertifiableError):
+            d3s.base_cases(Metric(*t))
 
 
-def test_base_cases_margin_rule_can_fail():
-    # an absurd margin requirement exercises the failure path end to end
-    with pytest.raises(d3s.CertificationError):
-        d3s.base_cases(Metric(1, 1, 1), horizon=20, rtol=1e6)
+def test_base_cases_margin_rule_can_fail(monkeypatch):
+    # a family whose largest root reaches n_min must fail, by name
+    from dirac3sphere import gershgorin
+
+    def families(a, b, c, C):
+        return [("G(n,n)-C^2", 1, (a, -4 * a, 0))]  # roots 0 and 4 >= 1
+
+    monkeypatch.setattr(gershgorin, "_families", families)
+    with pytest.raises(d3s.CertificationError, match=r"tail:G\(n,n\)-C\^2:root"):
+        d3s.base_cases(Metric(1, 1, 1))
 
 
 def test_family_quadratics_match_direct_values():

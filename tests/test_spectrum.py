@@ -6,7 +6,7 @@ import pytest
 import dirac3sphere as d3s
 from dirac3sphere import Metric
 
-from _oracles import random_metrics_with_sign
+from _oracles import random_metrics_with_sign, replay_fundamental_tone
 
 ROUND = Metric(1, 1, 1)
 
@@ -164,8 +164,49 @@ def test_certify_round_and_near_boundary():
 
 
 def test_certify_rejects_boundary_point():
-    with pytest.raises(d3s.UncertifiableError):
-        d3s.certify_fundamental_tone(Metric(1, 1, 0.5))
+    for t in ((1, 1, 0.5), (1, 1, 0.4999999999999)):
+        with pytest.raises(d3s.UncertifiableError):
+            d3s.certify_fundamental_tone(Metric(*t))
+
+
+def test_certify_decides_next_to_the_wall():
+    # the float sign screen calls this metric "zero"; the exact test proves scal > 0
+    m = Metric(1, 1, 0.5000000000001)
+    assert d3s.scal_sign_classification(m) == d3s.ZERO
+    trace = d3s.certify_fundamental_tone(m)
+    assert trace.passed
+    assert 0 < trace.min_margin < 1e-12
+
+
+def test_certify_agrees_with_float_replay():
+    rng = np.random.default_rng(2022)
+    for m in random_metrics_with_sign(rng, 40, d3s.POSITIVE) + [ROUND, Metric(1, 1, 0.55)]:
+        assert replay_fundamental_tone(m), m.triple()
+        assert d3s.certify_fundamental_tone(m).passed, m.triple()
+
+
+def test_certify_step_list_is_fixed():
+    rng = np.random.default_rng(5)
+    metrics = random_metrics_with_sign(rng, 20, d3s.POSITIVE) + [
+        ROUND, Metric(2, 1, 1), Metric(1, 1, 0.5000000000001), Metric(0.6, 1.3, 0.8),
+        Metric(1e62, 1e62, 1e62),  # level-4 margins beyond the double range are reported as inf
+    ]
+    names = {tuple(s.name for s in d3s.certify_fundamental_tone(m).steps) for m in metrics}
+    assert len(names) == 1
+
+
+def test_certify_names_the_failing_condition(monkeypatch):
+    from dirac3sphere import spectrum
+
+    real = spectrum._char_poly_coeffs
+
+    def positive_chi2(a, b, c, n):
+        # chi_2 shifted up so that it is positive at 0
+        return [1, 0, 0, 16 * a * b * c] if n == 2 else real(a, b, c, n)
+
+    monkeypatch.setattr(spectrum, "_char_poly_coeffs", positive_chi2)
+    with pytest.raises(d3s.CertificationError, match=r"level2:chi2\(0\)<0"):
+        d3s.certify_fundamental_tone(ROUND)
 
 
 def test_certified_minimum_matches_enumeration_sample():
