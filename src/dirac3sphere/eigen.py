@@ -1,26 +1,34 @@
 """Eigenvalues of symmetrizable real tridiagonal matrices.
 
 The level blocks are diagonally similar to symmetric tridiagonal matrices
-because paired off-diagonal entries always share their sign.  Eigenvalues
-are located by Sturm-count bisection inside Gershgorin brackets: for a
-shift x the number of negative pivots of the LDL^T recurrence
+because paired off-diagonal entries always share their sign.  For a shift x
+the number of negative pivots of the LDL^T recurrence
 
     q_0 = d_0 - x,   q_i = d_i - x - e_{i-1}^2 / q_{i-1}
 
-equals the number of eigenvalues below x.  Bisection on these counts is
-deterministic, certified by construction, and immune to clustering.
+equals the number of eigenvalues below x (the Sturm count).
 
-Sizes one and two short-circuit to exact closed forms; everything larger
-runs the vectorized bisection (all brackets of one irreducible sub-block
-advance together).
+Full spectra are solved by LAPACK (``numpy.linalg.eigvalsh``) and then
+proved by Sturm counts: the i-th of the sorted values lam_0 <= lam_1 <= ...
+lies within tol of the i-th eigenvalue when count(lam_i - tol) <= i and
+count(lam_i + tol) >= i + 1.  ``eigenvalues_batch`` runs that check for
+every value of every block in one vectorized pass.  A block that fails it
+is solved again by Sturm-count bisection inside its Gershgorin bracket,
+which is certified by construction.  Either way every returned value lies
+within tol of the truth.
+
+Bracket queries (``count_below``, ``min_abs_eigenvalue``) need one or two
+shifts at a time; for them the recurrence runs as a plain-float loop, which
+beats numpy at that width.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, Dirac3SphereError
 
 _SAFMIN = float(np.finfo(float).tiny)
 _MAX_BISECTIONS = 200
@@ -89,29 +97,45 @@ def symmetrize(block):
     )
 
 
+def _tolerance(norm):
+    return 1e-12 * (1.0 + norm)
+
+
 def default_tolerance(t):
     """Scale-aware absolute tolerance 1e-12 * (1 + max-norm)."""
-    return 1e-12 * (1.0 + t.infnorm())
+    return _tolerance(t.infnorm())
 
 
 def _pivmin(e2):
     return _SAFMIN * max(1.0, float(e2.max()) if len(e2) else 1.0)
 
 
-def _counts_vec(d, e2, xs, pivmin):
-    """Number of eigenvalues below each shift in ``xs`` (vectorized)."""
-    q = d[0] - xs
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
+def _sturm_counts(D, E2, X, sizes):
+    """Sturm counts of many blocks at many shifts in one pass.
+
+    Row b of ``D`` (diagonals) and ``E2`` (squared couplings) holds block b,
+    padded past its size ``sizes[b]``; row b of ``X`` holds its shifts.
+    ``sizes`` must be non-increasing, so the blocks still running at pivot i
+    are a leading slice and padding is never read.  Returns the number of
+    eigenvalues of block b below each of its shifts.
+    """
+    pivmin = _SAFMIN * np.maximum(1.0, E2.max(axis=1, initial=0.0))[:, None]
+    active = (np.asarray(sizes)[:, None] > np.arange(D.shape[1])).sum(axis=0)
+    q = D[:, :1] - X
+    np.copyto(q, -pivmin, where=np.abs(q) < pivmin)
     count = (q < 0.0).astype(np.int64)
-    for i in range(1, len(d)):
-        q = d[i] - xs - e2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0.0
+    for i in range(1, D.shape[1]):
+        a = active[i]
+        qa = q[:a]
+        np.divide(E2[:a, i - 1:i], qa, out=qa)
+        np.subtract(D[:a, i:i + 1] - X[:a], qa, out=qa)
+        np.copyto(qa, -pivmin[:a], where=np.abs(qa) < pivmin[:a])
+        count[:a] += qa < 0.0
     return count
 
 
 def _count_scalar(d, e2, x, pivmin):
-    # plain-float loop; hot path of the level sweeps
+    # plain-float loop for bracket queries, one shift at a time
     q = d[0] - x
     if abs(q) < pivmin:
         q = -pivmin
@@ -132,9 +156,8 @@ def _eig_two(d0, d1, e):
 
 
 def _bisect_range(d, e, tol):
+    """All eigenvalues of the tridiagonal (d, e) by Sturm-count bisection."""
     m = len(d)
-    e2 = e * e
-    pivmin = _pivmin(e2)
     radius = np.zeros(m)
     radius[1:] += e
     radius[:-1] += e
@@ -146,35 +169,85 @@ def _bisect_range(d, e, tol):
     los = np.full(m, lo)
     his = np.full(m, hi)
     idx = np.arange(m)
+    D, E2 = d[None, :], (e * e)[None, :]
     for _ in range(steps):
         mids = 0.5 * (los + his)
-        below = _counts_vec(d, e2, mids, pivmin) > idx
+        below = _sturm_counts(D, E2, mids[None, :], [m])[0] > idx
         his = np.where(below, mids, his)
         los = np.where(below, los, mids)
     return 0.5 * (los + his)
 
 
+def _solve(D, E, sizes):
+    """LAPACK eigenvalues of the padded blocks, ascending in each row.
+
+    Runs of equal size (adjacent, as ``sizes`` is sorted) share one stacked
+    ``eigvalsh`` call; the entries past each block's size stay zero.
+    """
+    V = np.zeros(D.shape)
+    b0 = 0
+    for s, run in itertools.groupby(sizes):
+        b1 = b0 + len(list(run))
+        M = np.zeros((b1 - b0, s * s))
+        M[:, ::s + 1] = D[b0:b1, :s]
+        M[:, s::s + 1] = E[b0:b1, :s - 1]   # subdiagonal; eigvalsh reads the lower triangle
+        V[b0:b1, :s] = np.linalg.eigvalsh(M.reshape(-1, s, s))
+        b0 = b1
+    return V
+
+
+def eigenvalues_batch(ts, tol=None):
+    """All eigenvalues of each block in ``ts``, ascending, each within tol.
+
+    ``tol`` defaults to :func:`default_tolerance` of each block.  The values
+    come from LAPACK and are proved by one Sturm-count pass over all blocks
+    (see the module docstring); a block whose values fail the check is
+    solved by bisection instead.  Degenerate clusters come out as repeated
+    values.  A block with a non-finite entry raises
+    :class:`Dirac3SphereError`.
+    """
+    if tol is not None and tol <= 0:
+        raise ValueError("tolerance must be positive")
+    ts = list(ts)
+    if not ts:
+        return []
+    # blocks sorted by size, largest first, and padded; the Sturm pass and
+    # the LAPACK calls never read the padding
+    order = sorted(range(len(ts)), key=lambda j: -ts[j].size)
+    sizes = [ts[j].size for j in order]
+    B, N = len(ts), sizes[0]
+    pad = np.arange(N) >= np.array(sizes)[:, None]
+    D = np.zeros((B, N))
+    E = np.zeros((B, N - 1))
+    D[~pad] = np.concatenate([ts[j].diag for j in order])
+    E[~pad[:, 1:]] = np.concatenate([ts[j].offdiag for j in order])
+
+    R = np.abs(D)
+    R[:, 1:] += E
+    R[:, :-1] += E
+    norms = R.max(axis=1)           # SymmetrizedTridiagonal.infnorm of each block
+    if not np.isfinite(norms).all():
+        raise Dirac3SphereError("block entries are not finite; the spectrum cannot be computed")
+    tols = _tolerance(norms) if tol is None else np.full(B, float(tol))
+
+    V = _solve(D, E, sizes)
+    X = np.concatenate([V - tols[:, None], V + tols[:, None]], axis=1)
+    counts = _sturm_counts(D, E * E, X, sizes)
+    i = np.arange(N)
+    proved = (((counts[:, :N] <= i) & (counts[:, N:] >= i + 1)) | pad).all(axis=1)
+
+    out = [None] * B
+    for b, (j, s) in enumerate(zip(order, sizes)):
+        out[j] = V[b, :s].copy() if proved[b] else _bisect_range(D[b, :s], E[b, :s - 1], tols[b])
+    return out
+
+
 def eigenvalues(t, tol=None):
     """All eigenvalues of ``t``, ascending, each within ``tol`` of the truth.
 
-    Degenerate clusters come out as repeated values; multiplicities are the
-    caller's business (the Sturm counts guarantee the right number of values
-    in every bracket).
+    The batch of one of :func:`eigenvalues_batch`.
     """
-    if tol is None:
-        tol = default_tolerance(t)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    out = []
-    for s, e in t.irreducible_ranges():
-        d = t.diag[s:e]
-        if e - s == 1:
-            out.append([float(d[0])])
-        elif e - s == 2:
-            out.append(_eig_two(d[0], d[1], t.offdiag[s]))
-        else:
-            out.append(_bisect_range(d, t.offdiag[s:e - 1], tol))
-    return np.sort(np.concatenate([np.asarray(v, dtype=float) for v in out]))
+    return eigenvalues_batch([t], tol)[0]
 
 
 def count_below(t, x):

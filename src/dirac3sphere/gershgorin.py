@@ -29,6 +29,25 @@ from .errors import CertificationError, ConsistencyError, UncertifiableError
 from .metric import scal_factors, shift_C
 
 
+def _row_entries(a, b, c, C, n, k, square=lambda x: x ** 2):
+    """Entries (k, k-2) .. (k, k+2) of the squared level-n block at row k.
+
+    ``k`` is an int or a float array of rows; ``square`` must then square
+    arrays the way ``**`` squares a Python float (libm ``pow``), so both
+    forms give the same bits.
+    """
+    em2 = (c - b) * (c + b) * k * (k - 1)
+    em1 = -2.0 * (c - b) * (C + a) * k
+    e0 = (
+        (c - b) ** 2 * k * (n - k + 1)
+        + square(a * (n - 2 * k) - C)
+        + (c + b) ** 2 * (n - k) * (k + 1)
+    )
+    ep1 = -2.0 * (c + b) * (C - a) * (n - k)
+    ep2 = (c + b) * (c - b) * (n - k) * (n - k - 1)
+    return em2, em1, e0, ep1, ep2
+
+
 def squared_row_entries(m, n, tag, k):
     """Row k of the squared level-n block: entries (k, k-2) .. (k, k+2).
 
@@ -39,40 +58,36 @@ def squared_row_entries(m, n, tag, k):
     if not 0 <= k <= n:
         raise ValueError(f"row index {k} outside 0..{n}")
     a, b, c = m.triple()
-    C = m.C
     if (k % 2 == 0) != (tag == "A"):
         a, b = -a, -b
-    em2 = (c - b) * (c + b) * k * (k - 1)
-    em1 = -2.0 * (c - b) * (C + a) * k
-    e0 = (
-        (c - b) ** 2 * k * (n - k + 1)
-        + (a * (n - 2 * k) - C) ** 2
-        + (c + b) ** 2 * (n - k) * (k + 1)
-    )
-    ep1 = -2.0 * (c + b) * (C - a) * (n - k)
-    ep2 = (c + b) * (c - b) * (n - k) * (n - k - 1)
-    return em2, em1, e0, ep1, ep2
+    return _row_entries(a, b, c, m.C, n, k)
+
+
+def _left_endpoint(em2, em1, e0, ep1, ep2):
+    return e0 - (abs(em2) + abs(em1) + abs(ep1) + abs(ep2))
 
 
 def row_bound(m, n, tag, k):
     """Left Gershgorin endpoint of row k of the squared block."""
-    em2, em1, e0, ep1, ep2 = squared_row_entries(m, n, tag, k)
-    return e0 - (abs(em2) + abs(em1) + abs(ep1) + abs(ep2))
+    return _left_endpoint(*squared_row_entries(m, n, tag, k))
 
 
 def min_row_bound(m, n):
     """Smallest left endpoint over both blocks of level n.
 
     A certified lower bound for every eigenvalue of the squared level
-    operator, at any metric.
+    operator, at any metric.  Each row k appears once with the signs of a
+    and b kept (block A at even k, block B at odd k) and once with them
+    flipped, so the minimum runs over all rows under both sign choices; it
+    equals the minimum of :func:`row_bound` bit for bit.
     """
-    best = None
-    for tag in ("A", "B"):
-        for k in range(n + 1):
-            v = row_bound(m, n, tag, k)
-            if best is None or v < best:
-                best = v
-    return best
+    a, b, c = m.triple()
+    C = m.C
+    k = np.arange(n + 1, dtype=float)
+    square = lambda x: np.float_power(x, 2)
+    return float(min(
+        _left_endpoint(*_row_entries(s * a, s * b, c, C, n, k, square)).min() for s in (1.0, -1.0)
+    ))
 
 
 def _G(a, b, c, C, n, k):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, build_block
-from .eigen import count_below, eigenvalues, min_abs_eigenvalue, symmetrize
+from .eigen import count_below, eigenvalues_batch, min_abs_eigenvalue, symmetrize
 from .errors import TruncationWarning, UncertifiableError
 from .gershgorin import CertificationStep, _approx, base_cases, exact_sorted, min_row_bound, record_step
 from .metric import (
@@ -89,60 +89,63 @@ class Spectrum:
         """
         if tol is None:
             tol = self.merge_tolerance
-        merged = []
-        for line in sorted(self.lines, key=lambda l: l.eigenvalue):
-            if merged and _coincide(merged[-1][0], line.eigenvalue, tol):
-                v, mult = merged[-1]
-                w = line.total_multiplicity
-                merged[-1] = ((v * mult + line.eigenvalue * w) / (mult + w), mult + w)
-            else:
-                merged.append((line.eigenvalue, line.total_multiplicity))
-        return merged
+        lines = sorted(self.lines, key=lambda l: l.eigenvalue)
+        merged = _merge_coincident([(l.eigenvalue, l.total_multiplicity, l.tag) for l in lines], tol)
+        return [(value, weight) for value, weight, _ in merged]
 
 
-def _coincide(x, y, rtol):
-    return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
+def _merge_coincident(entries, rtol):
+    """Collapse coincident values into weighted means.
+
+    ``entries`` are (value, weight, tag) triples sorted by value.  An entry
+    joins the current group when it lies within relative ``rtol`` of the
+    group's running weighted mean.  Returns one (mean, total weight, set of
+    tags) triple per group.
+    """
+    groups = []  # [weighted sum, weight, tags]
+    for v, w, tag in entries:
+        if groups:
+            g = groups[-1]
+            mean = g[0] / g[1]
+            if abs(mean - v) <= rtol * max(1.0, abs(mean), abs(v)):
+                g[0] += v * w
+                g[1] += w
+                g[2].add(tag)
+                continue
+        groups.append([v * w, w, {tag}])
+    return [(total / weight, weight, tags) for total, weight, tags in groups]
 
 
-def _cluster(values, rtol):
-    """Group a sorted 1-d array into (mean, count) clusters."""
-    groups = []
-    for v in values:
-        if groups and _coincide(groups[-1][0] / groups[-1][1], v, rtol):
-            groups[-1][0] += v
-            groups[-1][1] += 1
-        else:
-            groups.append([v, 1])
-    return [(s / c, c) for s, c in groups]
+def _lines_of_level(n, values, rtol):
+    """Spectral lines of level n from the eigenvalues of its two blocks."""
+    entries = sorted((v, 1, tag) for tag, vals in zip((TAG_A, TAG_B), values) for v in vals.tolist())
+    return [
+        SpectralLine(mean, n, "AB" if len(tags) == 2 else tags.pop(), weight, weight * (n + 1))
+        for mean, weight, tags in _merge_coincident(entries, rtol)
+    ]
+
+
+def _level_blocks(m, n):
+    return [symmetrize(build_block(m, n, tag)) for tag in (TAG_A, TAG_B)]
 
 
 def level_lines(m, n, tol=None, rtol=COINCIDENCE_RTOL):
     """Spectral lines of one level, blocks merged where eigenvalues coincide."""
-    entries = []
-    for tag in (TAG_A, TAG_B):
-        vals = eigenvalues(symmetrize(build_block(m, n, tag)), tol)
-        entries.extend((v, cnt, tag) for v, cnt in _cluster(vals, rtol))
-    entries.sort()
-    lines = []
-    for v, cnt, tag in entries:
-        if lines and _coincide(lines[-1][0] / lines[-1][1], v, rtol):
-            lines[-1][0] += v * cnt
-            lines[-1][1] += cnt
-            lines[-1][2].add(tag)
-        else:
-            lines.append([v * cnt, cnt, {tag}])
-    out = []
-    for total, cnt, tags in lines:
-        tag = "AB" if len(tags) == 2 else tags.pop()
-        out.append(SpectralLine(float(total / cnt), int(n), tag, cnt, cnt * (n + 1)))
-    return out
+    return _lines_of_level(int(n), eigenvalues_batch(_level_blocks(m, n), tol), rtol)
 
 
 def assemble(m, manifold, max_level, merge_tolerance=COINCIDENCE_RTOL, tol=None):
-    """Assemble the spectrum of the chosen operator up to ``max_level``."""
+    """Assemble the spectrum of the chosen operator up to ``max_level``.
+
+    Every block of every admissible level goes through one
+    :func:`eigenvalues_batch` call; each level's values then merge at
+    relative ``merge_tolerance``.
+    """
+    levels = admissible_levels(manifold, max_level)
+    values = eigenvalues_batch([t for n in levels for t in _level_blocks(m, n)], tol)
     lines = []
-    for n in admissible_levels(manifold, max_level):
-        lines.extend(level_lines(m, n, tol=tol))
+    for j, n in enumerate(levels):
+        lines.extend(_lines_of_level(n, values[2 * j:2 * j + 2], merge_tolerance))
     lines.sort(key=lambda line: (line.eigenvalue, line.level, line.tag))
     return Spectrum(
         manifold=manifold,

@@ -1,9 +1,11 @@
 """Independent reference computations for the test suite.
 
-Everything here deliberately avoids the library's own algorithms: block
-eigenvalues come from brute-force characteristic polynomials (principal
-minor recurrence plus companion-matrix root finding) or from LAPACK's dense
-symmetric solver, never from the Sturm bisection under test.
+Block eigenvalues come from brute-force characteristic polynomials
+(principal minor recurrence plus companion-matrix root finding).  The
+library itself solves full spectra with LAPACK's dense symmetric solver, so
+``lapack_eigs`` is no longer independent of it; the independent checks are
+``brute_force_eigs`` and the Sturm-bisection reference
+(``eigen._bisect_range``, see ``tests/test_spectrum.py``).
 """
 
 import numpy as np

@@ -220,3 +220,13 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["mu"] == pytest.approx(1.75)
+
+
+def test_merge_tol_coarsens_lines(capsys):
+    argv = ("spectrum", "--metric", "1.3,0.8,0.6", "--manifold", "s3", "--max-level", "6")
+    _, out_fine, _ = run_cli(capsys, *argv)
+    _, out_coarse, _ = run_cli(capsys, *argv, "--merge-tol", "0.1")
+    fine, coarse = json.loads(out_fine)["results"], json.loads(out_coarse)["results"]
+    assert coarse["merge_tolerance"] == 0.1
+    assert len(coarse["lines"]) < len(fine["lines"])
+    assert coarse["count"] == fine["count"] == sum(2 * (n + 1) ** 2 for n in range(7))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dirac3sphere as d3s
-from dirac3sphere import Metric
+from dirac3sphere import Metric, eigen
 from dirac3sphere.eigen import SymmetrizedTridiagonal, default_tolerance
 
 from _oracles import brute_force_eigs, lapack_eigs, random_metrics
@@ -137,3 +137,52 @@ def test_degenerate_clusters_reported_repeated():
     vals = d3s.eigenvalues(d3s.symmetrize(d3s.build_block(Metric(1, 1, 1), 2, "A")))
     assert vals[0] == pytest.approx(vals[1], abs=1e-11)
     assert math.isfinite(vals[2])
+
+
+def _assert_within(t, vals, tol):
+    # the Sturm certificate, on the scalar count: the j-th value lies within tol
+    for j, v in enumerate(vals):
+        assert d3s.count_below(t, v - tol) <= j
+        assert d3s.count_below(t, v + tol) >= j + 1
+
+
+def test_failed_check_falls_back_to_bisection(monkeypatch):
+    tol = 1e-9
+    ts = [d3s.symmetrize(d3s.build_block(Metric(1.4, 0.9, 0.6), n, tag)) for n in (0, 1, 7, 30) for tag in "AB"]
+    solve = eigen._solve
+    monkeypatch.setattr(eigen, "_solve", lambda D, E, sizes: solve(D, E, sizes) + 10 * tol)
+    bisected = []
+    bisect = eigen._bisect_range
+
+    def spy(d, e, tol):
+        bisected.append(len(d))
+        return bisect(d, e, tol)
+
+    monkeypatch.setattr(eigen, "_bisect_range", spy)
+    for t, vals in zip(ts, d3s.eigenvalues_batch(ts, tol)):
+        _assert_within(t, vals, tol)
+    assert sorted(bisected) == sorted(t.size for t in ts)
+
+
+def test_batch_of_mixed_sizes_equals_single_blocks():
+    # sizes 1, 2 and 120, with reducible blocks (b = c splits every B block)
+    ts = [
+        d3s.symmetrize(d3s.build_block(m, n, tag))
+        for m in (Metric(1.3, 0.9, 0.9), Metric(0.7, 1.6, 1.1))
+        for n in (0, 1, 119)
+        for tag in "AB"
+    ]
+    assert any(t.boundaries for t in ts)
+    batch = d3s.eigenvalues_batch(ts)
+    for t, vals in zip(ts, batch):
+        single = d3s.eigenvalues(t)
+        assert np.array_equal(vals, single)
+        tol = default_tolerance(t)
+        assert np.abs(vals - eigen._bisect_range(t.diag, t.offdiag, tol)).max() <= 2 * tol
+    assert d3s.eigenvalues_batch([]) == []
+
+
+def test_non_finite_block_is_a_package_error():
+    t = SymmetrizedTridiagonal(diag=np.array([1.0, 2.0]), offdiag=np.array([np.inf]), boundaries=())
+    with pytest.raises(d3s.Dirac3SphereError, match="not finite"):
+        d3s.eigenvalues(t)

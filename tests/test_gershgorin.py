@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,14 @@ def test_family_quadratics_match_direct_values():
                 else:
                     direct = d3s.closed_form_G(ms, n, 1) - thr
                 assert poly == pytest.approx(direct, rel=1e-10, abs=1e-9 * max(1.0, thr))
+
+
+def test_min_row_bound_is_the_exact_minimum_of_row_bounds():
+    # bit for bit: enumeration prunes levels by comparing against this bound
+    rng = np.random.default_rng(200)
+    for t in rng.uniform(0.25, 4.0, size=(4, 3)):
+        for perm in itertools.permutations(t):
+            m = Metric(*perm)
+            for n in (0, 1, 2, 5, 24, 77, 200):
+                rows = min(d3s.row_bound(m, n, tag, k) for tag in "AB" for k in range(n + 1))
+                assert d3s.min_row_bound(m, n) == rows

@@ -5,6 +5,7 @@ import pytest
 
 import dirac3sphere as d3s
 from dirac3sphere import Metric
+from dirac3sphere.eigen import _bisect_range, default_tolerance
 
 from _oracles import random_metrics_with_sign, replay_fundamental_tone
 
@@ -50,6 +51,13 @@ def test_line_multiplicity_consistency():
     for line in spec.lines:
         per_level[line.level] = per_level.get(line.level, 0) + line.total_multiplicity
     assert per_level == {n: 2 * (n + 1) ** 2 for n in range(10)}
+
+
+def test_level_lines_match_the_assembled_level():
+    m = Metric(1.3, 0.8, 0.6)
+    spec = d3s.assemble(m, d3s.S3, 9)
+    for n in (0, 4, 9):
+        assert d3s.level_lines(m, n) == [l for l in spec.lines if l.level == n]
 
 
 def test_spin_structure_partition():
@@ -298,3 +306,40 @@ def test_spectrum_permutation_invariance():
         other = d3s.assemble(Metric(*perm), d3s.S3, 6)
         vals = np.array([l.eigenvalue for l in other.lines for _ in range(l.total_multiplicity)])
         assert np.abs(np.sort(base_vals) - np.sort(vals)).max() <= 1e-9
+
+
+def _level_blocks(m, n):
+    return [d3s.symmetrize(d3s.build_block(m, n, tag)) for tag in "AB"]
+
+
+# Merging at a positive tolerance averages distinct eigenvalues that lie
+# closer than it (high levels carry pairs split by less than 1e-9), so the
+# two tests below read the solver's values unmerged: merge tolerance 0 joins
+# only equal doubles.
+
+
+def test_assemble_agrees_with_bisection_reference():
+    # the pure Sturm-bisection solve, level by level, as a multiset
+    rng = np.random.default_rng(606)
+    metrics = random_metrics_with_sign(rng, 2, d3s.POSITIVE) + random_metrics_with_sign(rng, 1, d3s.NEGATIVE)
+    for m, manifold in zip(metrics, (d3s.S3, d3s.SO3_TRIVIAL, d3s.SO3_NONTRIVIAL)):
+        spec = d3s.assemble(m, manifold, 60, merge_tolerance=0.0)
+        for n in d3s.admissible_levels(manifold, 60):
+            ts = _level_blocks(m, n)
+            tol = max(default_tolerance(t) for t in ts)
+            ref = np.sort(np.concatenate([_bisect_range(t.diag, t.offdiag, default_tolerance(t)) for t in ts]))
+            got = np.sort([l.eigenvalue for l in spec.lines if l.level == n for _ in range(l.block_multiplicity)])
+            assert np.abs(got - ref).max() <= 2 * tol
+
+
+def test_assembled_values_pass_the_sturm_certificate():
+    for m in (ROUND, Metric(1.3, 0.8, 0.6), Metric(1.4, 0.7, 0.7), Metric(3, 1, 0.3)):
+        spec = d3s.assemble(m, d3s.S3, 40, merge_tolerance=0.0)
+        for n in range(41):
+            ts = _level_blocks(m, n)
+            tol = max(default_tolerance(t) for t in ts)
+            below = 0
+            for line in sorted((l for l in spec.lines if l.level == n), key=lambda l: l.eigenvalue):
+                assert sum(d3s.count_below(t, line.eigenvalue - tol) for t in ts) <= below
+                below += line.block_multiplicity
+                assert sum(d3s.count_below(t, line.eigenvalue + tol) for t in ts) >= below
