@@ -8,18 +8,24 @@ the number of negative pivots of the LDL^T recurrence
 
 equals the number of eigenvalues below x (the Sturm count).
 
-Full spectra are solved by LAPACK (``numpy.linalg.eigvalsh``) and then
-proved by Sturm counts: the i-th of the sorted values lam_0 <= lam_1 <= ...
-lies within tol of the i-th eigenvalue when count(lam_i - tol) <= i and
-count(lam_i + tol) >= i + 1.  ``eigenvalues_batch`` runs that check for
-every value of every block in one vectorized pass.  A block that fails it
-is solved again by Sturm-count bisection inside its Gershgorin bracket,
-which is certified by construction.  Either way every returned value lies
-within tol of the truth.
+Every query runs that recurrence in one batched kernel, ``_sturm_counts``,
+over many blocks and many shifts at once; the blocks are sorted by size and
+padded (``_pack``), and the pass stops visiting a block after its last row.
+The kernel serves three ways:
 
-Bracket queries (``count_below``, ``min_abs_eigenvalue``) need one or two
-shifts at a time; for them the recurrence runs as a plain-float loop, which
-beats numpy at that width.
+1. Full spectra are solved by LAPACK (``numpy.linalg.eigvalsh``) and then
+   proved: the i-th of the sorted values lam_0 <= lam_1 <= ... lies within
+   tol of the i-th eigenvalue when count(lam_i - tol) <= i and
+   count(lam_i + tol) >= i + 1 (``eigenvalues_batch``).
+2. Bracket queries: counts at given shifts (``count_below_batch``), and the
+   smallest |eigenvalue| of each block, solved by LAPACK and proved with
+   four shifts (``min_abs_batch``).  ``count_below``, ``eigenvalues`` and
+   ``min_abs_eigenvalue`` are their batches of one.
+3. A block whose LAPACK values fail the proof is solved again by
+   Sturm-count bisection inside its Gershgorin bracket (``_bisect_range``),
+   which is certified by construction.
+
+Either way every returned value lies within tol of the truth.
 """
 
 import itertools
@@ -106,10 +112,6 @@ def default_tolerance(t):
     return _tolerance(t.infnorm())
 
 
-def _pivmin(e2):
-    return _SAFMIN * max(1.0, float(e2.max()) if len(e2) else 1.0)
-
-
 def _sturm_counts(D, E2, X, sizes):
     """Sturm counts of many blocks at many shifts in one pass.
 
@@ -132,27 +134,6 @@ def _sturm_counts(D, E2, X, sizes):
         np.copyto(qa, -pivmin[:a], where=np.abs(qa) < pivmin[:a])
         count[:a] += qa < 0.0
     return count
-
-
-def _count_scalar(d, e2, x, pivmin):
-    # plain-float loop for bracket queries, one shift at a time
-    q = d[0] - x
-    if abs(q) < pivmin:
-        q = -pivmin
-    count = 1 if q < 0.0 else 0
-    for i in range(1, len(d)):
-        q = d[i] - x - e2[i - 1] / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            count += 1
-    return count
-
-
-def _eig_two(d0, d1, e):
-    mid = 0.5 * (d0 + d1)
-    rad = math.hypot(0.5 * (d0 - d1), e)
-    return mid - rad, mid + rad
 
 
 def _bisect_range(d, e, tol):
@@ -196,6 +177,46 @@ def _solve(D, E, sizes):
     return V
 
 
+def _pack(ts):
+    """Blocks sorted by size, largest first, and padded to a common size.
+
+    Returns (order, sizes, D, E, norms): row b of the diagonals ``D`` and
+    couplings ``E`` holds block ``ts[order[b]]`` of size ``sizes[b]``, zero
+    past it; ``norms[b]`` is its :meth:`SymmetrizedTridiagonal.infnorm`.
+    The Sturm pass and the LAPACK calls never read the padding.  A block with
+    a non-finite entry raises :class:`Dirac3SphereError`.
+    """
+    order = sorted(range(len(ts)), key=lambda j: -ts[j].size)
+    sizes = [ts[j].size for j in order]
+    B, N = len(ts), sizes[0]
+    pad = np.arange(N) >= np.array(sizes)[:, None]
+    D = np.zeros((B, N))
+    E = np.zeros((B, N - 1))
+    D[~pad] = np.concatenate([ts[j].diag for j in order])
+    E[~pad[:, 1:]] = np.concatenate([ts[j].offdiag for j in order])
+    R = np.abs(D)
+    R[:, 1:] += E
+    R[:, :-1] += E
+    norms = R.max(axis=1)
+    if not np.isfinite(norms).all():
+        raise Dirac3SphereError("block entries are not finite; the spectrum cannot be computed")
+    return order, sizes, D, E, norms
+
+
+def _tolerances(norms, tol):
+    if tol is None:
+        return _tolerance(norms)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return np.full(len(norms), float(tol))
+
+
+def _unsort(order, rows):
+    out = np.empty_like(rows)
+    out[order] = rows
+    return out
+
+
 def eigenvalues_batch(ts, tol=None):
     """All eigenvalues of each block in ``ts``, ascending, each within tol.
 
@@ -206,37 +227,20 @@ def eigenvalues_batch(ts, tol=None):
     values.  A block with a non-finite entry raises
     :class:`Dirac3SphereError`.
     """
-    if tol is not None and tol <= 0:
-        raise ValueError("tolerance must be positive")
     ts = list(ts)
     if not ts:
         return []
-    # blocks sorted by size, largest first, and padded; the Sturm pass and
-    # the LAPACK calls never read the padding
-    order = sorted(range(len(ts)), key=lambda j: -ts[j].size)
-    sizes = [ts[j].size for j in order]
-    B, N = len(ts), sizes[0]
-    pad = np.arange(N) >= np.array(sizes)[:, None]
-    D = np.zeros((B, N))
-    E = np.zeros((B, N - 1))
-    D[~pad] = np.concatenate([ts[j].diag for j in order])
-    E[~pad[:, 1:]] = np.concatenate([ts[j].offdiag for j in order])
-
-    R = np.abs(D)
-    R[:, 1:] += E
-    R[:, :-1] += E
-    norms = R.max(axis=1)           # SymmetrizedTridiagonal.infnorm of each block
-    if not np.isfinite(norms).all():
-        raise Dirac3SphereError("block entries are not finite; the spectrum cannot be computed")
-    tols = _tolerance(norms) if tol is None else np.full(B, float(tol))
-
+    order, sizes, D, E, norms = _pack(ts)
+    tols = _tolerances(norms, tol)
+    N = sizes[0]
     V = _solve(D, E, sizes)
     X = np.concatenate([V - tols[:, None], V + tols[:, None]], axis=1)
     counts = _sturm_counts(D, E * E, X, sizes)
     i = np.arange(N)
+    pad = i >= np.array(sizes)[:, None]
     proved = (((counts[:, :N] <= i) & (counts[:, N:] >= i + 1)) | pad).all(axis=1)
 
-    out = [None] * B
+    out = [None] * len(ts)
     for b, (j, s) in enumerate(zip(order, sizes)):
         out[j] = V[b, :s].copy() if proved[b] else _bisect_range(D[b, :s], E[b, :s - 1], tols[b])
     return out
@@ -250,54 +254,61 @@ def eigenvalues(t, tol=None):
     return eigenvalues_batch([t], tol)[0]
 
 
+def count_below_batch(ts, shifts):
+    """Sturm counts of every block in ``ts`` at every shift, in one pass.
+
+    Entry (j, i) is the number of eigenvalues of ``ts[j]`` strictly below
+    ``shifts[i]``.  A block with a non-finite entry raises
+    :class:`Dirac3SphereError`.
+    """
+    ts = list(ts)
+    shifts = np.asarray(shifts, dtype=float)
+    if not ts:
+        return np.zeros((0, len(shifts)), dtype=np.int64)
+    order, sizes, D, E, _ = _pack(ts)
+    X = np.broadcast_to(shifts, (len(ts), len(shifts)))
+    return _unsort(order, _sturm_counts(D, E * E, X, sizes))
+
+
 def count_below(t, x):
-    """Number of eigenvalues of ``t`` strictly below the shift ``x``."""
-    total = 0
-    for s, e in t.irreducible_ranges():
-        d = t.diag[s:e]
-        if e - s == 1:
-            total += 1 if d[0] < x else 0
-            continue
-        e2 = t.offdiag[s:e - 1] ** 2
-        total += _count_scalar(d.tolist(), e2.tolist(), x, _pivmin(e2))
-    return total
+    """Number of eigenvalues of ``t`` strictly below the shift ``x``.
+
+    The batch of one of :func:`count_below_batch`.
+    """
+    return int(count_below_batch([t], [x])[0, 0])
 
 
-def _min_abs_range(d, e, tol):
-    m = len(d)
-    if m == 1:
-        return abs(float(d[0]))
-    if m == 2:
-        lo2, hi2 = _eig_two(d[0], d[1], e[0])
-        return min(abs(lo2), abs(hi2))
-    e2 = (e * e).tolist()
-    dl = d.tolist()
-    pivmin = _pivmin(e * e)
-    hi = float(np.abs(d).max() + 2.0 * np.abs(e).max()) + tol
-    lo = 0.0
-    steps = max(1, min(_MAX_BISECTIONS, int(math.ceil(math.log2(max(hi / tol, 2.0)))) + 1))
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        inside = _count_scalar(dl, e2, mid, pivmin) - _count_scalar(dl, e2, -mid, pivmin)
-        if inside >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def min_abs_batch(ts, tol=None):
+    """Smallest absolute eigenvalue of every block in ``ts``, each within tol.
+
+    ``tol`` defaults to :func:`default_tolerance` of each block.  LAPACK
+    gives the candidate v = min |lambda| of each block, and one Sturm pass at
+    four shifts proves it: the count in [-(v+tol), v+tol) is at least one,
+    so some |lambda| <= v + tol, and the count in [-(v-tol), v-tol) is zero
+    (or the interval is empty), so every |lambda| >= v - tol.  A block that
+    fails takes the smallest |value| of its bisected spectrum, each value of
+    which lies within tol.  A block with a non-finite entry raises
+    :class:`Dirac3SphereError`.
+    """
+    ts = list(ts)
+    if not ts:
+        return np.zeros(0)
+    order, sizes, D, E, norms = _pack(ts)
+    tols = _tolerances(norms, tol)
+    pad = np.arange(sizes[0]) >= np.array(sizes)[:, None]
+    v = np.where(pad, np.inf, np.abs(_solve(D, E, sizes))).min(axis=1)
+    hi, lo = v + tols, v - tols
+    counts = _sturm_counts(D, E * E, np.stack([-hi, hi, -lo, lo], axis=1), sizes)
+    proved = (counts[:, 1] - counts[:, 0] >= 1) & (counts[:, 3] - counts[:, 2] <= 0)
+    for b in np.flatnonzero(~proved):
+        s = sizes[b]
+        v[b] = np.abs(_bisect_range(D[b, :s], E[b, :s - 1], tols[b])).min()
+    return _unsort(order, v)
 
 
 def min_abs_eigenvalue(block, tol=None):
     """Smallest absolute eigenvalue of a block, within ``tol``.
 
-    Works on the Sturm counts directly (number of eigenvalues in (-s, s)),
-    so no full spectrum is computed.
+    The batch of one of :func:`min_abs_batch`.
     """
-    t = symmetrize(block)
-    if tol is None:
-        tol = default_tolerance(t)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    best = math.inf
-    for s, e in t.irreducible_ranges():
-        best = min(best, _min_abs_range(t.diag[s:e], t.offdiag[s:e - 1], tol))
-    return best
+    return float(min_abs_batch([symmetrize(block)], tol)[0])

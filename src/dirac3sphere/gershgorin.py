@@ -29,19 +29,19 @@ from .errors import CertificationError, ConsistencyError, UncertifiableError
 from .metric import scal_factors, shift_C
 
 
-def _row_entries(a, b, c, C, n, k, square=lambda x: x ** 2):
+def _row_entries(a, b, c, C, n, k):
     """Entries (k, k-2) .. (k, k+2) of the squared level-n block at row k.
 
-    ``k`` is an int or a float array of rows; ``square`` must then square
-    arrays the way ``**`` squares a Python float (libm ``pow``), so both
-    forms give the same bits.
+    ``n`` and ``k`` are ints or float arrays of rows; squares are products,
+    so both forms give the same bits.
     """
     em2 = (c - b) * (c + b) * k * (k - 1)
     em1 = -2.0 * (c - b) * (C + a) * k
+    x = a * (n - 2 * k) - C
     e0 = (
-        (c - b) ** 2 * k * (n - k + 1)
-        + square(a * (n - 2 * k) - C)
-        + (c + b) ** 2 * (n - k) * (k + 1)
+        (c - b) * (c - b) * k * (n - k + 1)
+        + x * x
+        + (c + b) * (c + b) * (n - k) * (k + 1)
     )
     ep1 = -2.0 * (c + b) * (C - a) * (n - k)
     ep2 = (c + b) * (c - b) * (n - k) * (n - k - 1)
@@ -72,22 +72,38 @@ def row_bound(m, n, tag, k):
     return _left_endpoint(*squared_row_entries(m, n, tag, k))
 
 
-def min_row_bound(m, n):
-    """Smallest left endpoint over both blocks of level n.
+def level_bounds(m, levels):
+    """Smallest left endpoint over both blocks of each level, in one pass.
 
-    A certified lower bound for every eigenvalue of the squared level
-    operator, at any metric.  Each row k appears once with the signs of a
+    A certified lower bound for every eigenvalue of the squared level-n
+    operator, at any metric, for each n in ``levels``.  The row formulas run
+    once over all (n, k) rows of all levels: each row with the signs of a
     and b kept (block A at even k, block B at odd k) and once with them
-    flipped, so the minimum runs over all rows under both sign choices; it
-    equals the minimum of :func:`row_bound` bit for bit.
+    flipped, so the minimum over a level's segment runs over all its rows
+    under both sign choices and equals the minimum of :func:`row_bound` bit
+    for bit.  Where a row overflows the double range the level's bound is
+    inf or nan, silently; callers must not prune on a non-finite bound.
     """
     a, b, c = m.triple()
     C = m.C
-    k = np.arange(n + 1, dtype=float)
-    square = lambda x: np.float_power(x, 2)
-    return float(min(
-        _left_endpoint(*_row_entries(s * a, s * b, c, C, n, k, square)).min() for s in (1.0, -1.0)
-    ))
+    ns = np.asarray(levels, dtype=np.int64)
+    if not len(ns):
+        return np.zeros(0)
+    sizes = ns + 1
+    starts = np.cumsum(sizes) - sizes
+    n = np.repeat(ns, sizes).astype(float)
+    k = np.arange(int(sizes.sum()), dtype=float) - np.repeat(starts, sizes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = [_left_endpoint(*_row_entries(s * a, s * b, c, C, n, k)) for s in (1.0, -1.0)]
+        return np.minimum.reduceat(np.minimum(*ends), starts)
+
+
+def min_row_bound(m, n):
+    """Smallest left endpoint over both blocks of level n.
+
+    The one-level case of :func:`level_bounds`.
+    """
+    return float(level_bounds(m, [n])[0])
 
 
 def _G(a, b, c, C, n, k):

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, build_block
-from .eigen import count_below, eigenvalues_batch, min_abs_eigenvalue, symmetrize
+from .eigen import count_below_batch, eigenvalues_batch, min_abs_batch, symmetrize
 from .errors import TruncationWarning, UncertifiableError
-from .gershgorin import CertificationStep, _approx, base_cases, exact_sorted, min_row_bound, record_step
+from .gershgorin import CertificationStep, _approx, base_cases, exact_sorted, level_bounds, record_step
 from .metric import (
     POSITIVE,
     S3,
@@ -101,6 +101,13 @@ def _merge_coincident(entries, rtol):
     joins the current group when it lies within relative ``rtol`` of the
     group's running weighted mean.  Returns one (mean, total weight, set of
     tags) triple per group.
+
+    A mean can lie up to ``rtol`` max(1, |lambda|) from the values it stands
+    for, |lambda| the largest magnitude in its group: as the entries come
+    sorted, each one lies at most that far above the running mean, which
+    never exceeds the previous entry, so a group of two spans at most that
+    and a chain of g values at most g - 1 times that.  Merging therefore
+    trades the solve tolerance for the merge tolerance.
     """
     groups = []  # [weighted sum, weight, tags]
     for v, w, tag in entries:
@@ -138,8 +145,13 @@ def assemble(m, manifold, max_level, merge_tolerance=COINCIDENCE_RTOL, tol=None)
     """Assemble the spectrum of the chosen operator up to ``max_level``.
 
     Every block of every admissible level goes through one
-    :func:`eigenvalues_batch` call; each level's values then merge at
-    relative ``merge_tolerance``.
+    :func:`eigenvalues_batch` call, so each value lies within ``tol`` of an
+    eigenvalue; each level's values then merge at relative
+    ``merge_tolerance``.  A merged line is the mean of the values it stands
+    for and can lie up to ``merge_tolerance`` max(1, |lambda|) from each of
+    two merged eigenvalues (g - 1 times that for a chain of g values; see
+    :func:`_merge_coincident`), which is more than ``tol``.  Pass
+    ``merge_tolerance=0.0`` to keep every line within ``tol``.
     """
     levels = admissible_levels(manifold, max_level)
     values = eigenvalues_batch([t for n in levels for t in _level_blocks(m, n)], tol)
@@ -159,36 +171,81 @@ def assemble(m, manifold, max_level, merge_tolerance=COINCIDENCE_RTOL, tol=None)
 def enumerated_min_abs(m, manifold, max_level=25, tol=None, rtol=COINCIDENCE_RTOL):
     """Numerically smallest |eigenvalue| over the admissible levels.
 
-    Returns (value, multiplicity of the squared operator, levels examined).
-    Levels whose Gershgorin row bounds already exceed the running minimum
-    are skipped; the bounds are certified, so skipping is lossless.
+    Returns (value, multiplicity of the squared operator, levels solved or
+    screened, ascending); the value lies within ``tol`` (default: each block's
+    :func:`~dirac3sphere.eigen.default_tolerance`) of the true minimum over
+    the levels up to ``max_level``.
+
+    1. The metric is replaced by its sorted form a >= b >= c.  A permutation
+       of (a, b, c) is an inner automorphism of SU(2): an orientation-keeping
+       isometry that commutes with -1, so it keeps both spin structures of
+       SO(3) and every level spectrum, and it makes the row bounds tight.
+    2. :func:`~dirac3sphere.gershgorin.level_bounds` bounds lambda^2 from
+       below on every admissible level in one pass.
+    3. The level with the lowest bound is solved first, giving ``best``.
+       One batched Sturm count at -best and best then screens the blocks of
+       every other level whose bound is <= best^2 (1 + 1e-9); only blocks
+       with an eigenvalue in [-best, best) are solved, and the smallest
+       value wins.  A level whose bound is not finite is always screened.
+    4. The multiplicity is one batched count in [-u, u), u = value +
+       ``rtol`` max(1, value), over the levels whose bound is <= u^2
+       (1 + 1e-9), each block weighted by the level's n + 1.
+
+    Solves are :func:`~dirac3sphere.eigen.min_abs_batch`: LAPACK, proved
+    within tol by four Sturm shifts, with bisection as the fallback.  At an
+    even level n only block A is solved and counted, with weight 2, because
+    the symmetrized B_n is A_n reversed (J A_n J), bit for bit: its diagonal
+    is +-a(n-2k) - C with the sign (-1)^k for A and -(-1)^k for B, and
+    diag_A[n-k] = (-1)^(n-k) a(2k-n) - C = diag_B[k] because n - k has the
+    parity of k; its coupling at index j is |f(j)| sqrt((j+1)(n-j)) with
+    f = c+b at even j of A and odd j of B, else c-b, and index n-1-k has the
+    opposite parity to k while (n-k)(k+1) is symmetric under the reversal.
+
+    Within tol.  The screen is exact: a block it passes over has no
+    eigenvalue in [-best, best), so nothing in it beats the returned value.
+    Pruning rests on float bounds: a pruned level's computed bound exceeds
+    best^2 (1 + 1e-9), and its exact Gershgorin bound is lower by at most
+    the rounding error delta of a few row entries, so its eigenvalues satisfy
+    lambda^2 > best^2 (1 + 1e-9) - delta.  The slack is there to absorb
+    delta: with delta <= 1e-9 best^2 + 2 best tol, lambda^2 > (best - tol)^2,
+    so a level left unscreened in spite of the slack can only hold a value
+    above best - tol, within tol of the returned one.  A block with a
+    non-finite entry raises :class:`Dirac3SphereError`.
     """
-    levels = list(admissible_levels(manifold, max_level))
-    if not levels:
+    levels = np.array(admissible_levels(manifold, max_level))
+    if not len(levels):
         raise ValueError("no admissible levels below the requested cutoff")
-    bounds = {n: min_row_bound(m, n) for n in levels}
-    best = math.inf
-    examined = []
-    for n in levels:
-        if best < math.inf and bounds[n] > (best * best) * (1.0 + 1e-9):
-            continue
-        examined.append(n)
-        for tag in (TAG_A, TAG_B):
-            v = min_abs_eigenvalue(build_block(m, n, tag), tol)
-            if v < best:
-                best = v
-    # multiplicity of best^2 as an eigenvalue of the squared operator
+    ms, _ = m.sorted()
+    bounds = level_bounds(ms, levels)
+    unbounded = ~np.isfinite(bounds)
+    blocks = {}
+
+    def level_blocks(n):
+        if n not in blocks:
+            tags = (TAG_A,) if n % 2 == 0 else (TAG_A, TAG_B)
+            blocks[n] = [symmetrize(build_block(ms, n, tag)) for tag in tags]
+        return blocks[n]
+
+    def within(x):
+        # levels that may hold an eigenvalue with |lambda| <= x
+        return [int(n) for n in levels[unbounded | (bounds <= x * x * (1.0 + 1e-9))]]
+
+    first = int(levels[np.argmin(np.where(unbounded, np.inf, bounds))])
+    best = float(min_abs_batch(level_blocks(first), tol).min())
+    screened = [n for n in within(best) if n != first]
+    ts = [t for n in screened for t in level_blocks(n)]
+    counts = count_below_batch(ts, [-best, best])
+    inside = [t for t, (lo, hi) in zip(ts, counts) if hi > lo]
+    if inside:
+        best = min(best, float(min_abs_batch(inside, tol).min()))
+
     u = best + rtol * max(1.0, best)
-    mult = 0
-    for n in levels:
-        if bounds[n] > u * u * (1.0 + 1e-9):
-            continue
-        level_count = 0
-        for tag in (TAG_A, TAG_B):
-            t = symmetrize(build_block(m, n, tag))
-            level_count += count_below(t, u) - count_below(t, -u)
-        mult += level_count * (n + 1)
-    return best, mult, examined
+    counted = within(u)
+    ts = [t for n in counted for t in level_blocks(n)]
+    weights = [(n + 1) * (2 if n % 2 == 0 else 1) for n in counted for _ in level_blocks(n)]
+    counts = count_below_batch(ts, [-u, u])
+    mult = int(np.dot(counts[:, 1] - counts[:, 0], weights))
+    return best, mult, sorted([first] + screened)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ library itself solves full spectra with LAPACK's dense symmetric solver, so
 import numpy as np
 
 import dirac3sphere as d3s
+from dirac3sphere.eigen import default_tolerance
 
 
 def char_poly_coeffs(diag, sub, sup):
@@ -38,6 +39,26 @@ def brute_force_eigs(block):
 def lapack_eigs(block):
     """Eigenvalues via LAPACK on the symmetrized dense matrix."""
     return np.sort(np.linalg.eigvalsh(d3s.symmetrize(block).to_dense()))
+
+
+def dense_min_abs(m, manifold, max_level, rtol=1e-9):
+    """Exhaustive enumerated minimum: every block of every admissible level
+    solved densely, with no pruning and no sorting of the metric.
+
+    Returns (min |eigenvalue|, multiplicity of the squared operator counted
+    as in the library, in [-u, u) with u = value + rtol max(1, value), and
+    the largest default tolerance of the blocks).
+    """
+    solved = {}
+    tol = 0.0
+    for n in d3s.admissible_levels(manifold, max_level):
+        blocks = [d3s.build_block(m, n, tag) for tag in "AB"]
+        solved[n] = np.concatenate([lapack_eigs(blk) for blk in blocks])
+        tol = max([tol] + [default_tolerance(d3s.symmetrize(blk)) for blk in blocks])
+    best = min(float(np.abs(v).min()) for v in solved.values())
+    u = best + rtol * max(1.0, best)
+    mult = sum((n + 1) * int(np.count_nonzero((v >= -u) & (v < u))) for n, v in solved.items())
+    return best, mult, tol
 
 
 def random_triples(rng, count, lo=0.3, hi=2.5):

@@ -1,9 +1,14 @@
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from dirac3sphere import Metric
 from dirac3sphere.cli import main, parse_grid, parse_metric
+
+from _oracles import dense_min_abs
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +103,30 @@ def test_non_finite_result_is_an_error(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "not finite" in err
+
+
+def test_smallest_overflowing_enumeration_is_an_error(capsys):
+    # scal < 0 at the scale 2^600: C overflows, so the level blocks are not finite
+    metric = ",".join(repr(2.0 ** 600 * x) for x in (1.3, 0.8, 0.3))
+    for manifold in ("s3", "so3-trivial", "so3-nontrivial"):
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(capsys, "smallest", "--metric", metric, "--manifold", manifold)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+
+
+def test_smallest_huge_entry_answers_without_warnings(capsys):
+    # the level bounds overflow at even levels; those levels are examined, not pruned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "smallest", "--metric", "1e200,1,1", "--manifold", "s3")
+    assert code == 0
+    assert err == ""
+    res = json.loads(out)["results"]
+    assert res["value"] == 2.0
+    assert res["multiplicity_d_squared"] == 4
+    assert dense_min_abs(Metric(1e200, 1, 1), "s3", 25)[:2] == (2.0, 4)
 
 
 def test_smallest_round(capsys):

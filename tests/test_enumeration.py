@@ -1,0 +1,131 @@
+"""Enumerated minima: the sorted metric, level bounds, the Sturm screen and
+the proved min-|eigenvalue| solves."""
+
+import itertools
+import warnings
+
+import numpy as np
+import pytest
+
+import dirac3sphere as d3s
+from dirac3sphere import Metric, eigen
+from dirac3sphere.eigen import default_tolerance
+
+from _oracles import dense_min_abs, random_metrics, random_metrics_with_sign, scal_zero_metrics
+
+MANIFOLDS = (d3s.S3, d3s.SO3_TRIVIAL, d3s.SO3_NONTRIVIAL)
+
+
+def _lead(t, position):
+    # the triple with its largest entry at ``position``
+    return Metric(*np.roll(np.sort(t)[::-1], position))
+
+
+def test_enumeration_matches_exhaustive_dense_reference():
+    rng = np.random.default_rng(31)
+    triples = [m.triple() for m in random_metrics_with_sign(rng, 4, d3s.NEGATIVE) + scal_zero_metrics(rng, 2)]
+    for i, t in enumerate(triples):
+        for position in range(3):
+            m = _lead(t, position)
+            for manifold, max_level in zip(MANIFOLDS, (20, 40, 60) if i % 2 else (60, 25, 40)):
+                value, mult, examined = d3s.enumerated_min_abs(m, manifold, max_level)
+                want, want_mult, tol = dense_min_abs(m, manifold, max_level)
+                assert abs(value - want) <= 2 * tol, (m.triple(), manifold, value, want)
+                assert mult == want_mult, (m.triple(), manifold)
+                assert set(examined) <= set(d3s.admissible_levels(manifold, max_level))
+
+
+def test_enumeration_is_the_same_in_every_order():
+    rng = np.random.default_rng(32)
+    for t in [m.triple() for m in random_metrics(rng, 3)] + [(3, 1, 0.3), (1, 1, 0.5)]:
+        for manifold in MANIFOLDS:
+            results = {d3s.enumerated_min_abs(Metric(*p), manifold, 40)[:2] for p in itertools.permutations(t)}
+            assert len(results) == 1, (t, manifold, results)
+
+
+def test_even_level_b_block_is_a_reversed():
+    rng = np.random.default_rng(33)
+    for m in random_metrics(rng, 40):
+        for n in range(0, 201, 2):
+            A, B = (d3s.symmetrize(d3s.build_block(m, n, tag)) for tag in "AB")
+            assert np.array_equal(B.diag, A.diag[::-1])
+            assert np.array_equal(B.offdiag, A.offdiag[::-1])
+
+
+def test_level_bounds_equal_min_row_bound():
+    rng = np.random.default_rng(34)
+    for t in rng.uniform(0.25, 4.0, size=(3, 3)):
+        for perm in itertools.permutations(t):
+            m = Metric(*perm)
+            levels = list(range(0, 61)) + [77, 200]
+            bounds = d3s.level_bounds(m, levels)
+            assert bounds.tolist() == [d3s.min_row_bound(m, n) for n in levels]
+            for n in (0, 1, 2, 7, 60):
+                rows = min(d3s.row_bound(m, n, tag, k) for tag in "AB" for k in range(n + 1))
+                assert bounds[levels.index(n)] == rows
+
+
+def test_level_bounds_of_an_overflowing_metric_are_not_finite():
+    with np.errstate(all="raise"):
+        bounds = d3s.level_bounds(Metric(1e200, 1, 1), range(6))
+    assert not np.isfinite(bounds[0]) and not np.isfinite(bounds[2])
+
+
+def test_non_finite_bound_never_prunes():
+    # every row bound of (1e155, 1e153, 1) is inf - inf = nan, yet its blocks
+    # are finite and all their eigenvalues round to -C
+    m = Metric(1e155, 1e153, 1.0)
+    assert np.isnan(d3s.level_bounds(m, range(11))).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, mult, examined = d3s.enumerated_min_abs(m, d3s.S3, 10)
+    assert examined == list(range(11))
+    assert (value, mult) == dense_min_abs(m, d3s.S3, 10)[:2] == (m.C, 1012)
+
+
+def test_batched_queries_equal_batches_of_one():
+    m = Metric(1.3, 0.9, 0.9)  # b = c: reducible B blocks
+    ts = [d3s.symmetrize(d3s.build_block(m, n, tag)) for n in (0, 1, 2, 9, 50) for tag in "AB"]
+    shifts = [-3.0, -0.5, 0.0, 0.7, 12.0]
+    counts = d3s.count_below_batch(ts, shifts)
+    assert counts.tolist() == [[d3s.count_below(t, x) for x in shifts] for t in ts]
+    mins = d3s.min_abs_batch(ts)
+    for t, v in zip(ts, mins):
+        assert v == pytest.approx(np.abs(d3s.eigenvalues(t)).min(), abs=2 * default_tolerance(t))
+    assert d3s.count_below_batch([], [0.0]).shape == (0, 1)
+    assert len(d3s.min_abs_batch([])) == 0
+
+
+def test_min_abs_falls_back_when_the_solve_is_wrong(monkeypatch):
+    m = Metric(1.2, 1.1, 0.3)
+    ts = [d3s.symmetrize(d3s.build_block(m, n, tag)) for n in (0, 1, 8, 31) for tag in "AB"]
+    honest = d3s.min_abs_batch(ts)
+    enumerated = d3s.enumerated_min_abs(m, d3s.S3, 40)
+    solve = eigen._solve
+    monkeypatch.setattr(eigen, "_solve", lambda D, E, sizes: solve(D, E, sizes) + 1e-6)
+    bisected = []
+    bisect = eigen._bisect_range
+
+    def spy(d, e, tol):
+        bisected.append(len(d))
+        return bisect(d, e, tol)
+
+    monkeypatch.setattr(eigen, "_bisect_range", spy)
+    for t, v, w in zip(ts, d3s.min_abs_batch(ts), honest):
+        tol = default_tolerance(t)
+        assert abs(v - w) <= 2 * tol
+        # the Sturm certificate of the fallback value
+        assert d3s.count_below(t, v + tol) - d3s.count_below(t, -(v + tol)) >= 1
+        assert d3s.count_below(t, v - tol) - d3s.count_below(t, -(v - tol)) <= 0
+    assert sorted(bisected) == sorted(t.size for t in ts)
+    value, mult, _ = d3s.enumerated_min_abs(m, d3s.S3, 40)
+    want, want_mult, tol = dense_min_abs(m, d3s.S3, 40)
+    assert abs(value - enumerated[0]) <= 2 * tol and abs(value - want) <= 2 * tol
+    assert mult == enumerated[1] == want_mult
+
+
+def test_non_finite_block_is_a_package_error():
+    m = Metric(*(2.0 ** 600 * x for x in (1.3, 0.8, 0.3)))
+    for manifold in MANIFOLDS:
+        with np.errstate(over="ignore"), pytest.raises(d3s.Dirac3SphereError, match="not finite"):
+            d3s.enumerated_min_abs(m, manifold, 40)

@@ -343,3 +343,34 @@ def test_assembled_values_pass_the_sturm_certificate():
                 assert sum(d3s.count_below(t, line.eigenvalue - tol) for t in ts) <= below
                 below += line.block_multiplicity
                 assert sum(d3s.count_below(t, line.eigenvalue + tol) for t in ts) >= below
+
+
+def test_merged_line_lies_within_the_merge_tolerance():
+    from dirac3sphere.spectrum import COINCIDENCE_RTOL as rtol, _merge_coincident
+
+    x = 12.8
+    r = rtol * x
+    # a pair just inside the tolerance merges, its mean r/2 from each value
+    (mean, weight, tags), = _merge_coincident([(x, 1, "A"), (x + 0.999 * r, 1, "B")], rtol)
+    assert weight == 2 and tags == {"A", "B"}
+    assert max(abs(mean - x), abs(mean - x - 0.999 * r)) <= rtol * max(1.0, x + r)
+    assert len(_merge_coincident([(x, 1, "A"), (x + 1.001 * r, 1, "B")], rtol)) == 2
+    # a chain of four reaches beyond one tolerance but not beyond three
+    chain, mean = [x], x
+    for _ in range(3):
+        chain.append(mean + 0.999 * r)
+        mean = sum(chain) / len(chain)
+    (merged, weight, _), = _merge_coincident([(v, 1, "A") for v in chain], rtol)
+    assert weight == 4
+    assert rtol * max(1.0, chain[-1]) < merged - chain[0] <= 3 * rtol * max(1.0, chain[-1])
+    # assembled lines: the pair at level 11 sits 5e-9 from each of its two
+    # eigenvalues, far beyond the solve tolerance but inside the merge bound
+    m = Metric(1.2593, 0.5123, 0.3979)
+    raw = [l.eigenvalue for l in d3s.level_lines(m, 11, rtol=0.0)]
+    pairs = [l for l in d3s.level_lines(m, 11) if l.block_multiplicity == 2]
+    assert pairs
+    for line in pairs:
+        members = [v for v in raw if abs(v - line.eigenvalue) <= rtol * max(1.0, abs(v))]
+        assert len(members) == 2
+    farthest = max(abs(v - l.eigenvalue) for l in pairs for v in raw if abs(v - l.eigenvalue) < 1e-6)
+    assert farthest > 100 * default_tolerance(d3s.symmetrize(d3s.build_block(m, 11, "A")))
