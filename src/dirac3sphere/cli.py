@@ -345,23 +345,20 @@ def _build_parser():
     p.set_defaults(func=cmd_heat_trace)
 
     p = sub.add_parser("reconstruct", help="recover the metric from spectral data")
-    p.add_argument("--manifold", required=True, choices=list(SPECTRUM_MANIFOLDS))
+    add_common(p, metric=False)
     p.add_argument("--volume", type=float, required=True)
     p.add_argument("--scal", type=float, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mu", type=float, default=None)
     group.add_argument("--c", type=float, default=None)
     group.add_argument("--a2tilde", type=float, default=None)
-    p.add_argument("--timing", action="store_true")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=cmd_reconstruct, metric=None)
 
     p = sub.add_parser("verify", help="run the certificate and the cross-checks over a metric grid")
+    add_common(p, metric=False, manifold=False)
     p.add_argument("--grid", required=True, help="three axes lo:hi:count, comma separated")
     p.add_argument("--rep-level", type=int, default=8, help="top level for the representation cross-check")
     p.add_argument("--details", action="store_true", help="include every check's margin per grid point")
-    p.add_argument("--timing", action="store_true")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=cmd_verify, metric=None, manifold=None)
 
     return parser

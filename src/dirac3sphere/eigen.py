@@ -45,23 +45,17 @@ class SymmetrizedTridiagonal:
     """Symmetric tridiagonal carrier of a block's spectrum.
 
     ``offdiag[k]`` is sqrt(sub[k] * sup[k]) of the source block; diagonal
-    similarity leaves the spectrum untouched.  ``boundaries`` lists the
-    indices with vanishing off-diagonal, where the matrix decouples into
-    irreducible sub-blocks.
+    similarity leaves the spectrum untouched.  A zero coupling, where the
+    matrix decouples, needs no special case: the Sturm kernel and LAPACK
+    both take it as it is.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
-    boundaries: tuple
 
     @property
     def size(self):
         return len(self.diag)
-
-    def irreducible_ranges(self):
-        starts = [0] + [i + 1 for i in self.boundaries]
-        ends = [i + 1 for i in self.boundaries] + [self.size]
-        return list(zip(starts, ends))
 
     def infnorm(self):
         r = np.abs(self.diag).copy()
@@ -82,11 +76,13 @@ def symmetrize(block):
 
     Requires sub[k]*sup[k] >= 0 with joint vanishing; a violation means the
     block was not produced by the level recurrences and raises
-    :class:`ConsistencyError`.
+    :class:`ConsistencyError`.  A product that overflows stays inf, silently;
+    the solvers refuse the non-finite block.
     """
     sub = np.asarray(block.sub, dtype=float)
     sup = np.asarray(block.sup, dtype=float)
-    prod = sub * sup
+    with np.errstate(over="ignore"):
+        prod = sub * sup
     if np.any(prod < 0.0):
         k = int(np.argmin(prod))
         raise ConsistencyError(
@@ -94,13 +90,7 @@ def symmetrize(block):
         )
     if np.any((sub == 0.0) != (sup == 0.0)):
         raise ConsistencyError("off-diagonal entries do not vanish jointly")
-    off = np.sqrt(prod)
-    boundaries = tuple(int(i) for i in np.nonzero(off == 0.0)[0])
-    return SymmetrizedTridiagonal(
-        diag=np.asarray(block.diag, dtype=float).copy(),
-        offdiag=off,
-        boundaries=boundaries,
-    )
+    return SymmetrizedTridiagonal(diag=np.asarray(block.diag, dtype=float).copy(), offdiag=np.sqrt(prod))
 
 
 def _tolerance(norm):

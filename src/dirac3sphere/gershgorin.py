@@ -72,20 +72,26 @@ def row_bound(m, n, tag, k):
     return _left_endpoint(*squared_row_entries(m, n, tag, k))
 
 
+def _row_endpoints(a, b, c, C, n, k):
+    """Left endpoints of rows (n, k), with the signs of a and b kept and
+    with them flipped: block A at even k and block B at odd k take the
+    first, the other rows the second.  Bit for bit :func:`row_bound`."""
+    return [_left_endpoint(*_row_entries(s * a, s * b, c, C, n, k)) for s in (1.0, -1.0)]
+
+
 def level_bounds(m, levels):
     """Smallest left endpoint over both blocks of each level, in one pass.
 
     A certified lower bound for every eigenvalue of the squared level-n
-    operator, at any metric, for each n in ``levels``.  The row formulas run
-    once over all (n, k) rows of all levels: each row with the signs of a
-    and b kept (block A at even k, block B at odd k) and once with them
-    flipped, so the minimum over a level's segment runs over all its rows
-    under both sign choices and equals the minimum of :func:`row_bound` bit
-    for bit.  Where a row overflows the double range the level's bound is
-    inf or nan, silently; callers must not prune on a non-finite bound.
+    operator, at any metric, for each n in ``levels``.  The row endpoints
+    run once over all (n, k) rows of all levels under both sign choices
+    (:func:`_row_endpoints`), so the minimum over a level's segment runs
+    over all rows of both blocks and equals the minimum of
+    :func:`row_bound` bit for bit.  Where a row overflows the double range
+    the level's bound is inf or nan, silently; callers must not prune on a
+    non-finite bound.
     """
     a, b, c = m.triple()
-    C = m.C
     ns = np.asarray(levels, dtype=np.int64)
     if not len(ns):
         return np.zeros(0)
@@ -94,8 +100,7 @@ def level_bounds(m, levels):
     n = np.repeat(ns, sizes).astype(float)
     k = np.arange(int(sizes.sum()), dtype=float) - np.repeat(starts, sizes)
     with np.errstate(over="ignore", invalid="ignore"):
-        ends = [_left_endpoint(*_row_entries(s * a, s * b, c, C, n, k)) for s in (1.0, -1.0)]
-        return np.minimum.reduceat(np.minimum(*ends), starts)
+        return np.minimum.reduceat(np.minimum(*_row_endpoints(a, b, c, m.C, n, k)), starts)
 
 
 def min_row_bound(m, n):
@@ -107,6 +112,8 @@ def min_row_bound(m, n):
 
 
 def _G(a, b, c, C, n, k):
+    """The closed-form left endpoint G(n, k) on a sorted metric; G~(n, k)
+    is G(n, n-k).  Exact on rationals and ints."""
     return (
         (a * (n - 2 * k) - C) ** 2
         + (b - c) ** 2 * k * (n - k + 1)
@@ -117,59 +124,38 @@ def _G(a, b, c, C, n, k):
     )
 
 
-def _Gt(a, b, c, C, n, k):
-    return (
-        (a * (n - 2 * k) + C) ** 2
-        + (b + c) ** 2 * k * (n - k + 1)
-        + (b - c) ** 2 * (n - k) * (k + 1)
-        - 2.0 * (b + c) * (C - a) * k
-        - 2.0 * (b - c) * (C + a) * (n - k)
-        - (b * b - c * c) * (k * (k - 1) + (n - k) * (n - k - 1))
-    )
-
-
 def closed_form_G(m, n, k, variant="G"):
-    """Polynomial left endpoint G(n, k) or G~(n, k).
+    """Polynomial left endpoint G(n, k) or G~(n, k) = G(n, n-k).
 
     The metric is permuted internally to a >= b >= c (the sign resolutions
-    assume b >= c); the values satisfy G(n, k) = G~(n, n-k).
+    assume b >= c).
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"index {k} outside 0..{n}")
+    if variant not in ("G", "Gtilde"):
+        raise ValueError(f"unknown variant {variant!r}")
+    ms, _ = m.sorted()
+    a, b, c = ms.triple()
+    return _G(a, b, c, ms.C, n, k if variant == "G" else n - k)
+
+
+def triangle_increment(m, n, k):
+    """G(n+2, k+1) - G(n, k) in its collapsed form 4*(c^2 n - bC + ac + b^2 + c^2).
+
+    The difference of the two polynomials is independent of k (metric
+    sorted internally); ``tests/test_gershgorin.py`` proves the collapse in
+    rational arithmetic.
     """
     if not 0 <= k <= n:
         raise ValueError(f"index {k} outside 0..{n}")
     ms, _ = m.sorted()
     a, b, c = ms.triple()
-    C = ms.C
-    if variant == "G":
-        return _G(a, b, c, C, n, k)
-    if variant == "Gtilde":
-        return _Gt(a, b, c, C, n, k)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def triangle_increment(m, n, k, rtol=1e-10):
-    """G(n+2, k+1) - G(n, k), evaluated and cross-checked.
-
-    The difference collapses to 4*(c^2 n - b C + a c + b^2 + c^2), a value
-    independent of k (metric sorted internally).  Disagreement between the
-    collapsed form and the direct difference beyond ``rtol`` raises
-    :class:`ConsistencyError`.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"index {k} outside 0..{n}")
-    ms, _ = m.sorted()
-    a, b, c = ms.triple()
-    C = ms.C
-    closed = 4.0 * (c * c * n - b * C + a * c + b * b + c * c)
-    direct = _G(a, b, c, C, n + 2, k + 1) - _G(a, b, c, C, n, k)
-    scale = max(1.0, abs(closed), abs(direct))
-    if abs(closed - direct) > rtol * scale:
-        raise ConsistencyError(
-            f"triangle increment mismatch at (n={n}, k={k}): closed {closed!r} vs direct {direct!r}"
-        )
-    return closed
+    return 4.0 * (c * c * n - b * ms.C + a * c + b * b + c * c)
 
 
 def _families(a, b, c, C):
+    """The base-case families minus C^2 as records (name, n_min, (A, B, D)):
+    A n^2 + B n + D must stay positive for every level n >= n_min."""
     lead = a * a - b * b + c * c
     return [
         ("G(n,n)-C^2", 1, (lead, 2 * (a * C + b * b - b * c - b * C + c * C - a * b + c * a), 0)),
@@ -184,19 +170,6 @@ def _families(a, b, c, C):
             ),
         ),
     ]
-
-
-def base_case_families(m):
-    """The three base-case inequalities as quadratics in the level n.
-
-    Returns records (name, n_min, (A, B, D)) with
-    A n^2 + B n + D = G_family(n) - threshold and threshold C^2; positivity
-    of the quadratic for all n >= n_min is what the base cases claim.  It
-    holds when A > 0 and no real root reaches n_min.
-    """
-    ms, _ = m.sorted()
-    a, b, c = ms.triple()
-    return _families(a, b, c, ms.C)
 
 
 @dataclass(frozen=True)
@@ -306,6 +279,9 @@ def base_cases(m):
     )
 
 
+_TABLE_RTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class GershgorinTable:
     """Closed-form and direct left endpoints of one level.
@@ -324,33 +300,32 @@ class GershgorinTable:
     row_bounds_A: np.ndarray
     row_bounds_B: np.ndarray
 
-    @property
-    def min_bound(self):
-        return float(min(self.row_bounds_A.min(), self.row_bounds_B.min()))
 
-
-def gershgorin_table(m, n, rtol=1e-10):
+def gershgorin_table(m, n):
     """Tabulate G, G~ and the direct row bounds of level n.
 
     The closed forms must reproduce the direct pentadiagonal bounds to
-    relative ``rtol``; a mismatch raises :class:`ConsistencyError`.
+    relative 1e-10; a mismatch raises :class:`ConsistencyError` naming the
+    row and the block.
     """
     ms, perm = m.sorted()
     a, b, c = ms.triple()
     C = ms.C
-    ks = range(n + 1)
-    G = np.array([_G(a, b, c, C, n, k) for k in ks])
-    Gt = np.array([_Gt(a, b, c, C, n, k) for k in ks])
-    bounds_a = np.array([row_bound(ms, n, "A", k) for k in ks])
-    bounds_b = np.array([row_bound(ms, n, "B", k) for k in ks])
-    for k in ks:
-        expect_a = G[k] if k % 2 == 0 else Gt[k]
-        expect_b = Gt[k] if k % 2 == 0 else G[k]
-        for got, want, tag in ((bounds_a[k], expect_a, "A"), (bounds_b[k], expect_b, "B")):
-            if abs(got - want) > rtol * max(1.0, abs(got), abs(want)):
-                raise ConsistencyError(
-                    f"closed form disagrees with direct row bound at (n={n}, k={k}, {tag}): {want!r} vs {got!r}"
-                )
+    k = np.arange(n + 1, dtype=float)
+    G = _G(a, b, c, C, n, k)
+    Gt = _G(a, b, c, C, n, n - k)
+    even = k % 2 == 0
+    kept, flipped = _row_endpoints(a, b, c, C, n, k)
+    bounds_a = np.where(even, kept, flipped)
+    bounds_b = np.where(even, flipped, kept)
+    for tag, got, want in (("A", bounds_a, np.where(even, G, Gt)), ("B", bounds_b, np.where(even, Gt, G))):
+        bad = np.abs(got - want) > _TABLE_RTOL * np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ConsistencyError(
+                f"closed form disagrees with direct row bound at (n={n}, k={j}, {tag}): "
+                f"{float(want[j])!r} vs {float(got[j])!r}"
+            )
     return GershgorinTable(
         metric=m.triple(),
         sorted_triple=ms.triple(),

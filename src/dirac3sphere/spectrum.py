@@ -370,7 +370,7 @@ class SmallestEigenvalueReport:
     max_level: object
 
 
-def smallest(m, manifold, certify=None, max_level=25, round_rtol=1e-12):
+def smallest(m, manifold, certify=None, max_level=25):
     """Smallest absolute eigenvalue of the chosen operator.
 
     With positive scalar curvature the value is mu (sphere and odd
@@ -387,7 +387,7 @@ def smallest(m, manifold, certify=None, max_level=25, round_rtol=1e-12):
     classification = scal_sign_classification(m)
     if classification == POSITIVE:
         value = m.C if manifold == SO3_TRIVIAL else m.mu
-        mult = 4 if manifold == S3 and m.is_round(round_rtol) else 2
+        mult = 4 if manifold == S3 and m.is_round() else 2
         trace = None
         if certify is None or certify:
             trace = certify_fundamental_tone(m)

@@ -117,3 +117,16 @@ def replay_fundamental_tone(m, horizon=200, rtol=1e-12):
     checks += [above(G(n, 1), C2) for n in range(4, horizon + 1)]
     checks += [d3s.triangle_increment(ms, n, 0) > 0 for n in range(horizon + 1)]
     return all(checks)
+
+
+def paper_Gtilde(a, b, c, C, n, k):
+    """The paper's second left-endpoint polynomial G~(n, k), written out on
+    its own (the library derives it as G(n, n-k)); exact on rationals."""
+    return (
+        (a * (n - 2 * k) + C) ** 2
+        + (b + c) ** 2 * k * (n - k + 1)
+        + (b - c) ** 2 * (n - k) * (k + 1)
+        - 2 * (b + c) * (C - a) * k
+        - 2 * (b - c) * (C + a) * (n - k)
+        - (b * b - c * c) * (k * (k - 1) + (n - k) * (n - k - 1))
+    )

@@ -2,7 +2,6 @@ import json
 import math
 import warnings
 
-import numpy as np
 import pytest
 
 from dirac3sphere import Metric
@@ -96,20 +95,24 @@ def test_usage_error_bad_flags(capsys):
 
 
 def test_non_finite_result_is_an_error(capsys):
-    with pytest.warns(RuntimeWarning):
+    # the couplings overflow in symmetrize: an error line, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(
             capsys, "spectrum", "--metric", "1e300,1e300,1e300", "--manifold", "s3", "--max-level", "2"
         )
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "not finite" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_smallest_overflowing_enumeration_is_an_error(capsys):
     # scal < 0 at the scale 2^600: C overflows, so the level blocks are not finite
     metric = ",".join(repr(2.0 ** 600 * x) for x in (1.3, 0.8, 0.3))
     for manifold in ("s3", "so3-trivial", "so3-nontrivial"):
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "smallest", "--metric", metric, "--manifold", manifold)
         assert code == 1
         assert out == ""

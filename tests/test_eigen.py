@@ -15,15 +15,13 @@ def test_symmetrize_already_symmetric():
     t = d3s.symmetrize(d3s.build_block(m, 1, "A"))
     assert np.allclose(t.diag, m.a - m.C)
     assert t.offdiag[0] == pytest.approx(m.c + m.b, rel=1e-15)
-    assert t.boundaries == ()
 
 
 def test_symmetrize_splits_at_zero_offdiagonal():
     # B block at b = c decouples; level 1 gives two 1x1 pieces of value -a-C
     m = Metric(1.3, 0.9, 0.9)
     t = d3s.symmetrize(d3s.build_block(m, 1, "B"))
-    assert t.boundaries == (0,)
-    assert t.irreducible_ranges() == [(0, 1), (1, 2)]
+    assert t.offdiag.tolist() == [0.0]
     eigs = d3s.eigenvalues(t)
     assert eigs == pytest.approx([-m.a - m.C, -m.a - m.C], rel=1e-14)
 
@@ -38,7 +36,7 @@ def test_symmetrize_rejects_sign_violation():
 
 
 def test_two_by_two_closed_form():
-    t = SymmetrizedTridiagonal(diag=np.array([1.1, 1.1]), offdiag=np.array([0.7]), boundaries=())
+    t = SymmetrizedTridiagonal(diag=np.array([1.1, 1.1]), offdiag=np.array([0.7]))
     assert d3s.eigenvalues(t) == pytest.approx([0.4, 1.8], abs=1e-15)
 
 
@@ -172,7 +170,7 @@ def test_batch_of_mixed_sizes_equals_single_blocks():
         for n in (0, 1, 119)
         for tag in "AB"
     ]
-    assert any(t.boundaries for t in ts)
+    assert any((t.offdiag == 0.0).any() for t in ts)
     batch = d3s.eigenvalues_batch(ts)
     for t, vals in zip(ts, batch):
         single = d3s.eigenvalues(t)
@@ -183,6 +181,6 @@ def test_batch_of_mixed_sizes_equals_single_blocks():
 
 
 def test_non_finite_block_is_a_package_error():
-    t = SymmetrizedTridiagonal(diag=np.array([1.0, 2.0]), offdiag=np.array([np.inf]), boundaries=())
+    t = SymmetrizedTridiagonal(diag=np.array([1.0, 2.0]), offdiag=np.array([np.inf]))
     with pytest.raises(d3s.Dirac3SphereError, match="not finite"):
         d3s.eigenvalues(t)

@@ -127,5 +127,5 @@ def test_min_abs_falls_back_when_the_solve_is_wrong(monkeypatch):
 def test_non_finite_block_is_a_package_error():
     m = Metric(*(2.0 ** 600 * x for x in (1.3, 0.8, 0.3)))
     for manifold in MANIFOLDS:
-        with np.errstate(over="ignore"), pytest.raises(d3s.Dirac3SphereError, match="not finite"):
+        with np.errstate(all="raise"), pytest.raises(d3s.Dirac3SphereError, match="not finite"):
             d3s.enumerated_min_abs(m, manifold, 40)

@@ -1,12 +1,14 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import dirac3sphere as d3s
-from dirac3sphere import Metric
+from dirac3sphere import Metric, gershgorin
+from dirac3sphere.metric import shift_C
 
-from _oracles import random_metrics, random_metrics_with_sign
+from _oracles import paper_Gtilde, random_metrics, random_metrics_with_sign
 
 
 def test_out_of_range_entries_vanish_by_formula():
@@ -163,12 +165,10 @@ def test_base_cases_margin_rule_can_fail(monkeypatch):
 
 def test_family_quadratics_match_direct_values():
     rng = np.random.default_rng(64)
-    from dirac3sphere.gershgorin import base_case_families
-
     for m in random_metrics(rng, 10):
         ms, _ = m.sorted()
         thr = ms.C ** 2
-        for name, n_min, (A, B, D) in base_case_families(ms):
+        for name, n_min, (A, B, D) in gershgorin._families(*ms.triple(), ms.C):
             for n in (n_min, n_min + 3, n_min + 11):
                 poly = A * n * n + B * n + D
                 if name.startswith("G(n,n)"):
@@ -178,6 +178,41 @@ def test_family_quadratics_match_direct_values():
                 else:
                     direct = d3s.closed_form_G(ms, n, 1) - thr
                 assert poly == pytest.approx(direct, rel=1e-10, abs=1e-9 * max(1.0, thr))
+
+
+def test_reflection_and_increment_are_exact_identities():
+    # rational arithmetic: G~ is G reflected, and the increment is the
+    # collapsed k-independent form that triangle_increment returns
+    rng = np.random.default_rng(71)
+    for _ in range(12):
+        a, b, c = sorted((Fraction(int(p), int(q)) for p, q in rng.integers(1, 60, size=(3, 2))), reverse=True)
+        C = shift_C(a, b, c)
+        for n in range(0, 23, 3):
+            collapsed = 4 * (c * c * n - b * C + a * c + b * b + c * c)
+            for k in range(n + 1):
+                assert gershgorin._G(a, b, c, C, n, n - k) == paper_Gtilde(a, b, c, C, n, k)
+                assert gershgorin._G(a, b, c, C, n + 2, k + 1) - gershgorin._G(a, b, c, C, n, k) == collapsed
+            m = Metric(float(a), float(b), float(c))
+            assert d3s.triangle_increment(m, n, n // 2) == pytest.approx(float(collapsed), rel=1e-12, abs=1e-12)
+
+
+def test_table_rows_are_the_row_bounds_bit_for_bit():
+    rng = np.random.default_rng(202)
+    for t in rng.uniform(0.25, 4.0, size=(3, 3)):
+        for perm in itertools.permutations(t):
+            m = Metric(*perm)
+            ms, _ = m.sorted()
+            for n in (0, 1, 2, 7, 30):
+                table = d3s.gershgorin_table(m, n)
+                for tag, rows in (("A", table.row_bounds_A), ("B", table.row_bounds_B)):
+                    assert rows.tolist() == [d3s.row_bound(ms, n, tag, k) for k in range(n + 1)]
+
+
+def test_table_refuses_a_closed_form_off_by_one_part_per_million(monkeypatch):
+    exact = gershgorin._G
+    monkeypatch.setattr(gershgorin, "_G", lambda *args: exact(*args) * (1 + 1e-6))
+    with pytest.raises(d3s.ConsistencyError, match=r"at \(n=5, k=0, A\)"):
+        d3s.gershgorin_table(Metric(1.7, 0.9, 0.4), 5)
 
 
 def test_min_row_bound_is_the_exact_minimum_of_row_bounds():
