@@ -125,17 +125,17 @@ class RepresentationOperator:
     level: int
     matrix: np.ndarray
 
-    def blocks(self, tol=1e-12):
+    def blocks(self):
         """Split into the two real tridiagonal blocks.
 
         Raises :class:`ConsistencyError` if the matrix fails to be
-        block-diagonal up to ``tol`` times its magnitude.
+        block-diagonal up to 1e-12 times its magnitude.
         """
         dim = self.level + 1
         M = self.matrix
         scale = max(1.0, float(np.abs(M).max()))
         off = max(float(np.abs(M[:dim, dim:]).max()), float(np.abs(M[dim:, :dim]).max()))
-        if off > tol * scale:
+        if off > 1e-12 * scale:
             raise ConsistencyError(
                 f"level {self.level}: operator is not block-diagonal in the A/B basis (residue {off:.3e})"
             )
@@ -151,12 +151,12 @@ def _basis_positions(n):
     return rows, cols
 
 
-def build_from_representation(m, n, residue_tol=1e-12):
+def build_from_representation(m, n):
     """Level-n operator assembled from the representation matrices.
 
     Applies f -> -sum_l E_l f M_l - C f to every basis matrix unit and
-    expresses the images in the A/B basis.  Imaginary parts above
-    ``residue_tol`` (relative to the matrix magnitude) raise
+    expresses the images in the A/B basis.  Imaginary parts above 1e-12
+    (relative to the matrix magnitude) raise
     :class:`ConsistencyError` instead of being discarded.
     """
     M1, M2, M3 = representation_matrices(m, n)
@@ -175,7 +175,7 @@ def build_from_representation(m, n, residue_tol=1e-12):
     matrix = image[:, rows, cols].T.copy()
     scale = max(1.0, float(np.abs(matrix).max()))
     residue = float(np.abs(matrix.imag).max())
-    if residue > residue_tol * scale:
+    if residue > 1e-12 * scale:
         raise ConsistencyError(
             f"level {n}: imaginary residue {residue:.3e} after reordering into the A/B basis"
         )

@@ -3,13 +3,15 @@
 Subcommands map one-to-one onto the library operations: ``invariants``,
 ``spectrum``, ``smallest``, ``heat-trace``, ``reconstruct``, and the grid
 harness ``verify``.  JSON is the canonical output (stable field order,
-floats at 17 significant digits, byte-identical for identical inputs);
-``spectrum`` can emit CSV with one line per row.  Exit codes: 0 success,
-1 verification or computation failure (including a result that is not
-finite), 2 usage error.
+every float as the shortest text that reads back as the same double
+(Python's ``repr``), byte-identical for identical inputs); ``spectrum`` can
+emit CSV with one line per row.  Exit codes: 0 success, 1 verification or
+computation failure (including a result that is not finite), 2 usage error
+(an argument out of its range included).
 """
 
 import argparse
+import json
 import math
 import sys
 import time
@@ -40,47 +42,22 @@ EXIT_USAGE = 2
 def _format_float(x):
     if not math.isfinite(x):
         raise Dirac3SphereError(f"result is not finite ({x!r}); it cannot be serialized")
-    return format(x, ".17g")
+    return repr(x)
 
 
-def dumps(obj):
-    """Deterministic JSON: insertion order kept, floats at 17 significant digits."""
-    pieces = []
-    _write_json(obj, pieces)
-    return "".join(pieces)
+def _checked(convert, ok, what):
+    def parse(text):  # an argparse type: ``convert``, then refuse values failing ``ok``
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid <type> value"
+    return parse
 
 
-def _write_json(obj, out):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_format_float(obj))
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            _write_json(str(k), out)
-            out.append(": ")
-            _write_json(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _write_json(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+_LEVEL = _checked(int, lambda n: n >= 0, "a nonnegative integer")
+_POSITIVE = _checked(float, lambda x: math.isfinite(x) and x > 0, "finite and positive")
+_NONNEGATIVE = _checked(float, lambda x: math.isfinite(x) and x >= 0, "finite and >= 0")
 
 
 def parse_metric(text):
@@ -119,18 +96,6 @@ def _axis_values(lo, hi, count):
     if count == 1:
         return [lo]
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-
-
-def _document(command, options, metric, manifold, results, timing):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "options": options,
-        "metric": list(metric.triple()) if metric is not None else None,
-        "manifold": manifold,
-        "results": results,
-        "timing_seconds": timing,
-    }
 
 
 def _spectrum_rows(spec):
@@ -327,21 +292,21 @@ def _build_parser():
 
     p = sub.add_parser("spectrum", help="assembled spectrum up to a level cutoff")
     add_common(p)
-    p.add_argument("--max-level", type=int, required=True)
-    p.add_argument("--merge-tol", type=float, default=1e-9)
+    p.add_argument("--max-level", type=_LEVEL, required=True)
+    p.add_argument("--merge-tol", type=_NONNEGATIVE, default=1e-9)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("smallest", help="smallest absolute eigenvalue, certified when scal > 0")
     add_common(p)
-    p.add_argument("--max-level", type=int, default=25, help="enumeration level cutoff when scal <= 0")
+    p.add_argument("--max-level", type=_LEVEL, default=25, help="enumeration level cutoff when scal <= 0")
     p.add_argument("--certify", default="auto", choices=["auto", "on", "off"])
     p.set_defaults(func=cmd_smallest)
 
     p = sub.add_parser("heat-trace", help="truncated heat trace with tail estimate")
     add_common(p)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--max-level", type=int, required=True)
-    p.add_argument("--lam", type=float, default=None, help="also count eigenvalues with |lambda| <= lam")
+    p.add_argument("--t", type=_POSITIVE, required=True)
+    p.add_argument("--max-level", type=_LEVEL, required=True)
+    p.add_argument("--lam", type=_POSITIVE, default=None, help="also count eigenvalues with |lambda| <= lam")
     p.set_defaults(func=cmd_heat_trace)
 
     p = sub.add_parser("reconstruct", help="recover the metric from spectral data")
@@ -383,8 +348,19 @@ def _render(args, results, timing):
         and not k.startswith("_")
         and (isinstance(v, (int, float, str, bool)) or v is None)
     }
-    doc = _document(args.command, options, args.metric, args.manifold, results, timing)
-    return dumps(doc) + "\n"
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "options": options,
+        "metric": list(args.metric.triple()) if args.metric is not None else None,
+        "manifold": args.manifold,
+        "results": results,
+        "timing_seconds": timing,
+    }
+    try:
+        return json.dumps(doc, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise Dirac3SphereError("result is not finite; it cannot be serialized") from exc
 
 
 def main(argv=None):

@@ -29,6 +29,7 @@ from .metric import S3, SO3_NONTRIVIAL, SO3_TRIVIAL, Metric, invariants, volume
 
 _PI2 = math.pi ** 2
 _EPS = 2.220446049250313e-16
+_ROOT_RTOL = 1e-9  # relative slack within which the cubic's roots count as real and positive
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,9 @@ def _cubic_eval(t, s1, s2, s3):
     return ((t - s1) * t + s2) * t - s3
 
 
-def cubic_positive_roots(s1, s2, s3, rtol=1e-9):
+def cubic_positive_roots(s1, s2, s3):
     """The three roots of t^3 - s1 t^2 + s2 t - s3, all required real and
-    positive within relative ``rtol``; returned descending.
+    positive within relative ``_ROOT_RTOL``; returned descending.
 
     Trigonometric evaluation on the depressed cubic locates the roots; the
     best-separated one is Newton-polished and the remaining pair is read off
@@ -64,7 +65,7 @@ def cubic_positive_roots(s1, s2, s3, rtol=1e-9):
     shift = s1 / 3.0
     p = s2 - s1 * s1 / 3.0
     q = -2.0 * s1 ** 3 / 27.0 + s1 * s2 / 3.0 - s3
-    if p > rtol * shift * shift:
+    if p > _ROOT_RTOL * shift * shift:
         raise InconsistentInputError("cubic has a complex conjugate pair, no metric matches the data")
     if p >= 0.0 or math.sqrt(-p / 3.0) <= 4.0 * _EPS * shift:
         # (near-)triple root at the centroid
@@ -92,14 +93,14 @@ def cubic_positive_roots(s1, s2, s3, rtol=1e-9):
         pair_sum = s1 - t
         pair_mid = 0.5 * pair_sum
         disc4 = pair_mid * pair_mid - s3 / t if t != 0.0 else -1.0
-        if disc4 < -rtol * max(pair_mid * pair_mid, abs(s3 / t) if t else 1.0):
+        if disc4 < -_ROOT_RTOL * max(pair_mid * pair_mid, abs(s3 / t) if t else 1.0):
             raise InconsistentInputError("cubic has a complex conjugate pair, no metric matches the data")
         gap = math.sqrt(max(disc4, 0.0))
         roots = [t, pair_mid + gap, pair_mid - gap]
         s2_back = t * pair_sum + s3 / t
         if abs(s2_back - s2) > 1e-6 * max(s2, shift * shift):
             raise InconsistentInputError("no real positive triple reproduces the symmetric polynomials")
-    if min(roots) <= rtol * shift:
+    if min(roots) <= _ROOT_RTOL * shift:
         raise InconsistentInputError(f"cubic root {min(roots)!r} is not positive")
     return tuple(sorted(roots, reverse=True))
 

@@ -98,10 +98,10 @@ class Metric:
         order = sorted(range(3), key=lambda i: -t[i])
         return Metric(t[order[0]], t[order[1]], t[order[2]]), tuple(order)
 
-    def is_round(self, rtol=1e-12):
-        """True when a = b = c up to relative tolerance."""
+    def is_round(self):
+        """True when a = b = c up to relative tolerance 1e-12."""
         lo, hi = min(self.triple()), max(self.triple())
-        return hi - lo <= rtol * hi
+        return hi - lo <= 1e-12 * hi
 
 
 @dataclass(frozen=True)
@@ -171,34 +171,34 @@ def scal_product_form(m):
     return 2.0 * f0 * f1 * f2 * f3 / (m.a * m.b * m.c) ** 2
 
 
-def scal_sign_classification(m, rtol=1e-12):
+def scal_sign_classification(m):
     """Classify the sign of the scalar curvature without cancellation.
 
     scal > 0 exactly when ab+bc-ca, ab-bc+ca and -ab+bc+ca are all positive;
     at most one of them can be negative.  "zero" is declared when the minimal
-    factor is below rtol*(ab+bc+ca) in absolute value.
+    factor is below 1e-12 (ab+bc+ca) in absolute value.
     """
     ab, bc, ca = m.a * m.b, m.b * m.c, m.c * m.a
     fmin = min(ab + bc - ca, ab - bc + ca, -ab + bc + ca)
-    if abs(fmin) < rtol * (ab + bc + ca):
+    if abs(fmin) < 1e-12 * (ab + bc + ca):
         return ZERO
     return POSITIVE if fmin > 0 else NEGATIVE
 
 
-def _check_agreement(x, y, rtol, scale, what):
+def _check_agreement(x, y, scale, what):
     # scale covers the magnitude of the summed terms: both routes cancel
     # internally, so relative-to-result agreement is not attainable in
     # double precision for strongly anisotropic triples
-    if abs(x - y) > rtol * max(abs(x), abs(y), scale):
+    if abs(x - y) > 1e-12 * max(abs(x), abs(y), scale):
         raise ConsistencyError(f"{what}: curvature routes disagree ({x!r} vs {y!r})")
 
 
-def invariants(m, rtol=1e-12):
+def invariants(m):
     """Compute the full :class:`MetricInvariants` bundle.
 
     The squared norms of the Ricci and curvature tensors are evaluated both
     from the sectional curvatures and from the polynomials sigma_i; the two
-    routes must agree to relative ``rtol``.
+    routes must agree to relative 1e-12.
     """
     a, b, c = m.triple()
     C = m.C
@@ -217,8 +217,8 @@ def invariants(m, rtol=1e-12):
     ric_sigma = 64.0 * sigma1 ** 2 - 64.0 * sigma1 * r + 12.0 * r ** 2 + 64.0 * sigma2
     riem_sigma = 192.0 * sigma1 ** 2 - 224.0 * sigma1 * r + 44.0 * r ** 2 + 256.0 * sigma2
     term_scale = 192.0 * sigma1 ** 2 + 224.0 * sigma1 * r + 44.0 * r ** 2 + 256.0 * sigma2
-    _check_agreement(ric, ric_sigma, rtol, term_scale, "|Ric|^2")
-    _check_agreement(riem, riem_sigma, rtol, term_scale, "|Riem|^2")
+    _check_agreement(ric, ric_sigma, term_scale, "|Ric|^2")
+    _check_agreement(riem, riem_sigma, term_scale, "|Riem|^2")
 
     return MetricInvariants(
         C=C,

@@ -13,6 +13,7 @@ margin.  Outside that regime only enumerated minima up to a level cutoff are
 reported, clearly flagged as uncertified.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, build_block
 from .eigen import count_below_batch, eigenvalues_batch, min_abs_batch, symmetrize
-from .errors import TruncationWarning, UncertifiableError
+from .errors import DomainError, TruncationWarning, UncertifiableError
 from .gershgorin import CertificationStep, _approx, base_cases, exact_sorted, level_bounds, record_step
 from .metric import (
     POSITIVE,
@@ -42,9 +43,9 @@ COINCIDENCE_RTOL = 1e-9
 def admissible_levels(manifold, max_level):
     """Levels contributing to the spectrum of the chosen operator."""
     if manifold not in SPECTRUM_MANIFOLDS:
-        raise ValueError(f"unknown manifold {manifold!r}; expected one of {SPECTRUM_MANIFOLDS}")
+        raise DomainError(f"unknown manifold {manifold!r}; expected one of {SPECTRUM_MANIFOLDS}")
     if max_level < 0:
-        raise ValueError("max_level must be nonnegative")
+        raise DomainError("max_level must be nonnegative")
     start = {S3: 0, SO3_TRIVIAL: 0, SO3_NONTRIVIAL: 1}[manifold]
     step = 1 if manifold == S3 else 2
     return range(start, max_level + 1, step)
@@ -76,22 +77,15 @@ class Spectrum:
     def total_count(self):
         return sum(line.total_multiplicity for line in self.lines)
 
-    def min_abs_line(self):
-        if not self.lines:
-            return None
-        return min(self.lines, key=lambda line: abs(line.eigenvalue))
-
-    def merged_lines(self, tol=None):
+    def merged_lines(self):
         """Across-level merged view: (eigenvalue, total multiplicity) pairs.
 
-        Lines within relative ``tol`` of each other collapse to their
-        multiplicity-weighted mean.  Raw lines are never altered.
+        Lines within relative ``merge_tolerance`` of each other collapse to
+        their multiplicity-weighted mean.  Raw lines are never altered.
         """
-        if tol is None:
-            tol = self.merge_tolerance
         lines = sorted(self.lines, key=lambda l: l.eigenvalue)
-        merged = _merge_coincident([(l.eigenvalue, l.total_multiplicity, l.tag) for l in lines], tol)
-        return [(value, weight) for value, weight, _ in merged]
+        entries = [(l.eigenvalue, l.total_multiplicity, l.tag) for l in lines]
+        return [(value, weight) for value, weight, _ in _merge_coincident(entries, self.merge_tolerance)]
 
 
 def _merge_coincident(entries, rtol):
@@ -123,41 +117,58 @@ def _merge_coincident(entries, rtol):
     return [(total / weight, weight, tags) for total, weight, tags in groups]
 
 
-def _lines_of_level(n, values, rtol):
-    """Spectral lines of level n from the eigenvalues of its two blocks."""
-    entries = sorted((v, 1, tag) for tag, vals in zip((TAG_A, TAG_B), values) for v in vals.tolist())
+def _level_blocks(m, n):
+    """The blocks that carry level n, as (tag, symmetrized block, block
+    multiplicity) triples: ``[("AB", A_n, 2)]`` at an even level,
+    ``[("A", A_n, 1), ("B", B_n, 1)]`` at an odd one.
+
+    At an even level the two blocks are isospectral, because the symmetrized
+    B_n is A_n reversed (J A_n J), bit for bit: its diagonal is +-a(n-2k) - C
+    with the sign (-1)^k for A and -(-1)^k for B, and diag_A[n-k] =
+    (-1)^(n-k) a(2k-n) - C = diag_B[k] because n - k has the parity of k; its
+    coupling at index j is |f(j)| sqrt((j+1)(n-j)) with f = c+b at even j of
+    A and odd j of B, else c-b, and index n-1-k has the opposite parity to k
+    while (n-k)(k+1) is symmetric under the reversal.
+    """
+    if n % 2 == 0:
+        return [("AB", symmetrize(build_block(m, n, TAG_A)), 2)]
+    return [(tag, symmetrize(build_block(m, n, tag)), 1) for tag in (TAG_A, TAG_B)]
+
+
+def _lines_of_level(n, blocks, values, rtol):
+    """Spectral lines of level n from its ``_level_blocks`` triples and their values."""
+    entries = sorted((v, w, tag) for (tag, _, w), vals in zip(blocks, values) for v in vals.tolist())
     return [
-        SpectralLine(mean, n, "AB" if len(tags) == 2 else tags.pop(), weight, weight * (n + 1))
+        SpectralLine(mean, n, "AB" if len(tags) > 1 else tags.pop(), weight, weight * (n + 1))
         for mean, weight, tags in _merge_coincident(entries, rtol)
     ]
 
 
-def _level_blocks(m, n):
-    return [symmetrize(build_block(m, n, tag)) for tag in (TAG_A, TAG_B)]
+def level_lines(m, n, rtol=COINCIDENCE_RTOL):
+    """Spectral lines of one level (an even one solved once, from A), merged where values coincide."""
+    blocks = _level_blocks(m, int(n))
+    return _lines_of_level(int(n), blocks, eigenvalues_batch([t for _, t, _ in blocks]), rtol)
 
 
-def level_lines(m, n, tol=None, rtol=COINCIDENCE_RTOL):
-    """Spectral lines of one level, blocks merged where eigenvalues coincide."""
-    return _lines_of_level(int(n), eigenvalues_batch(_level_blocks(m, n), tol), rtol)
-
-
-def assemble(m, manifold, max_level, merge_tolerance=COINCIDENCE_RTOL, tol=None):
+def assemble(m, manifold, max_level, merge_tolerance=COINCIDENCE_RTOL):
     """Assemble the spectrum of the chosen operator up to ``max_level``.
 
-    Every block of every admissible level goes through one
-    :func:`eigenvalues_batch` call, so each value lies within ``tol`` of an
+    Every block of every admissible level, an even level once from A (see
+    :func:`_level_blocks`), goes through one :func:`eigenvalues_batch` call,
+    so each value lies within tol, the block's default tolerance, of an
     eigenvalue; each level's values then merge at relative
     ``merge_tolerance``.  A merged line is the mean of the values it stands
     for and can lie up to ``merge_tolerance`` max(1, |lambda|) from each of
     two merged eigenvalues (g - 1 times that for a chain of g values; see
-    :func:`_merge_coincident`), which is more than ``tol``.  Pass
-    ``merge_tolerance=0.0`` to keep every line within ``tol``.
+    :func:`_merge_coincident`), which is more than tol.  Pass
+    ``merge_tolerance=0.0`` to keep every line within tol.
     """
     levels = admissible_levels(manifold, max_level)
-    values = eigenvalues_batch([t for n in levels for t in _level_blocks(m, n)], tol)
+    blocks = [_level_blocks(m, n) for n in levels]
+    values = iter(eigenvalues_batch([t for level in blocks for _, t, _ in level]))
     lines = []
-    for j, n in enumerate(levels):
-        lines.extend(_lines_of_level(n, values[2 * j:2 * j + 2], merge_tolerance))
+    for n, level in zip(levels, blocks):
+        lines.extend(_lines_of_level(n, level, [next(values) for _ in level], merge_tolerance))
     lines.sort(key=lambda line: (line.eigenvalue, line.level, line.tag))
     return Spectrum(
         manifold=manifold,
@@ -168,12 +179,12 @@ def assemble(m, manifold, max_level, merge_tolerance=COINCIDENCE_RTOL, tol=None)
     )
 
 
-def enumerated_min_abs(m, manifold, max_level=25, tol=None, rtol=COINCIDENCE_RTOL):
+def enumerated_min_abs(m, manifold, max_level=25):
     """Numerically smallest |eigenvalue| over the admissible levels.
 
     Returns (value, multiplicity of the squared operator, levels solved or
-    screened, ascending); the value lies within ``tol`` (default: each block's
-    :func:`~dirac3sphere.eigen.default_tolerance`) of the true minimum over
+    screened, ascending); the value lies within tol, each block's
+    :func:`~dirac3sphere.eigen.default_tolerance`, of the true minimum over
     the levels up to ``max_level``.
 
     1. The metric is replaced by its sorted form a >= b >= c.  A permutation
@@ -188,18 +199,13 @@ def enumerated_min_abs(m, manifold, max_level=25, tol=None, rtol=COINCIDENCE_RTO
        with an eigenvalue in [-best, best) are solved, and the smallest
        value wins.  A level whose bound is not finite is always screened.
     4. The multiplicity is one batched count in [-u, u), u = value +
-       ``rtol`` max(1, value), over the levels whose bound is <= u^2
-       (1 + 1e-9), each block weighted by the level's n + 1.
+       ``COINCIDENCE_RTOL`` max(1, value), over the levels whose bound is
+       <= u^2 (1 + 1e-9), each block weighted by n + 1 times its multiplicity.
 
     Solves are :func:`~dirac3sphere.eigen.min_abs_batch`: LAPACK, proved
-    within tol by four Sturm shifts, with bisection as the fallback.  At an
-    even level n only block A is solved and counted, with weight 2, because
-    the symmetrized B_n is A_n reversed (J A_n J), bit for bit: its diagonal
-    is +-a(n-2k) - C with the sign (-1)^k for A and -(-1)^k for B, and
-    diag_A[n-k] = (-1)^(n-k) a(2k-n) - C = diag_B[k] because n - k has the
-    parity of k; its coupling at index j is |f(j)| sqrt((j+1)(n-j)) with
-    f = c+b at even j of A and odd j of B, else c-b, and index n-1-k has the
-    opposite parity to k while (n-k)(k+1) is symmetric under the reversal.
+    within tol by four Sturm shifts, with bisection as the fallback.  The
+    blocks come from :func:`_level_blocks`, so an even level is solved and
+    counted once, from A, with weight 2.
 
     Within tol.  The screen is exact: a block it passes over has no
     eigenvalue in [-best, best), so nothing in it beats the returned value.
@@ -214,37 +220,29 @@ def enumerated_min_abs(m, manifold, max_level=25, tol=None, rtol=COINCIDENCE_RTO
     """
     levels = np.array(admissible_levels(manifold, max_level))
     if not len(levels):
-        raise ValueError("no admissible levels below the requested cutoff")
+        raise DomainError("no admissible levels below the requested cutoff")
     ms, _ = m.sorted()
     bounds = level_bounds(ms, levels)
     unbounded = ~np.isfinite(bounds)
-    blocks = {}
-
-    def level_blocks(n):
-        if n not in blocks:
-            tags = (TAG_A,) if n % 2 == 0 else (TAG_A, TAG_B)
-            blocks[n] = [symmetrize(build_block(ms, n, tag)) for tag in tags]
-        return blocks[n]
+    level_blocks = functools.cache(functools.partial(_level_blocks, ms))
 
     def within(x):
         # levels that may hold an eigenvalue with |lambda| <= x
         return [int(n) for n in levels[unbounded | (bounds <= x * x * (1.0 + 1e-9))]]
 
     first = int(levels[np.argmin(np.where(unbounded, np.inf, bounds))])
-    best = float(min_abs_batch(level_blocks(first), tol).min())
+    best = float(min_abs_batch([t for _, t, _ in level_blocks(first)]).min())
     screened = [n for n in within(best) if n != first]
-    ts = [t for n in screened for t in level_blocks(n)]
+    ts = [t for n in screened for _, t, _ in level_blocks(n)]
     counts = count_below_batch(ts, [-best, best])
     inside = [t for t, (lo, hi) in zip(ts, counts) if hi > lo]
     if inside:
-        best = min(best, float(min_abs_batch(inside, tol).min()))
+        best = min(best, float(min_abs_batch(inside).min()))
 
-    u = best + rtol * max(1.0, best)
-    counted = within(u)
-    ts = [t for n in counted for t in level_blocks(n)]
-    weights = [(n + 1) * (2 if n % 2 == 0 else 1) for n in counted for _ in level_blocks(n)]
-    counts = count_below_batch(ts, [-u, u])
-    mult = int(np.dot(counts[:, 1] - counts[:, 0], weights))
+    u = best + COINCIDENCE_RTOL * max(1.0, best)
+    counted = [(n, t, w) for n in within(u) for _, t, w in level_blocks(n)]
+    counts = count_below_batch([t for _, t, _ in counted], [-u, u])
+    mult = int(np.dot(counts[:, 1] - counts[:, 0], [(n + 1) * w for n, _, w in counted]))
     return best, mult, sorted([first] + screened)
 
 
@@ -441,8 +439,8 @@ def heat_trace(m, manifold, t, max_level, spectrum=None):
     computed |eigenvalue|; a heuristic order-of-magnitude figure, not a
     certified bound.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not t > 0:
+        raise DomainError("t must be positive")
     spec = spectrum if spectrum is not None else assemble(m, manifold, max_level)
     value = 0.0
     lam_max = 0.0
@@ -470,8 +468,8 @@ def counting_function(m, manifold, lam, max_level, spectrum=None):
     lies entirely at or below lam, in which case higher levels would
     certainly contribute as well.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not lam > 0:
+        raise DomainError("lam must be positive")
     spec = spectrum if spectrum is not None else assemble(m, manifold, max_level)
     include = lam + 1e-9 * (1.0 + lam)
     count = sum(line.total_multiplicity for line in spec.lines if abs(line.eigenvalue) <= include)

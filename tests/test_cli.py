@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import dirac3sphere as d3s
 from dirac3sphere import Metric
 from dirac3sphere.cli import main, parse_grid, parse_metric
 
@@ -69,6 +70,15 @@ def test_spectrum_csv(capsys):
     assert len(rows) == 4
 
 
+def test_json_eigenvalues_read_back_as_the_library_values(capsys):
+    m = Metric(1.2593, 0.5123, 0.3979)
+    code, out, _ = run_cli(capsys, "spectrum", "--metric", "1.2593,0.5123,0.3979", "--manifold", "s3",
+                           "--max-level", "30")
+    assert code == 0
+    got = [line["eigenvalue"] for line in json.loads(out)["results"]["lines"]]
+    assert got == [line.eigenvalue for line in d3s.assemble(m, d3s.S3, 30).lines]
+
+
 def test_byte_identical_output(capsys):
     args = ("smallest", "--metric", "1.1,0.9,0.7", "--manifold", "s3")
     _, out1, _ = run_cli(capsys, *args)
@@ -105,6 +115,40 @@ def test_non_finite_result_is_an_error(capsys):
     assert out == ""
     assert err.startswith("error:") and "not finite" in err
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_non_finite_document_is_an_error(capsys):
+    # certification margins beyond the double range reach the encoder as inf
+    code, out, err = run_cli(capsys, "smallest", "--metric", "1e62,1e62,1e62", "--manifold", "s3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("spectrum --metric 1,1,1 --manifold s3 --max-level -1", 2),
+    ("smallest --metric 1,1,0.3 --manifold s3 --max-level -1", 2),
+    ("heat-trace --metric 1,1,1 --manifold s3 --t 0 --max-level 4", 2),
+    ("heat-trace --metric 1,1,1 --manifold s3 --t nan --max-level 4", 2),
+    ("heat-trace --metric 1,1,1 --manifold s3 --t 0.1 --max-level 4 --lam -1", 2),
+    ("heat-trace --metric 1,1,1 --manifold s3 --t 0.1 --max-level 4 --lam inf", 2),
+    ("spectrum --metric 1,1,1 --manifold s3 --max-level 2 --merge-tol -1", 2),
+    ("spectrum --metric 1,1,1 --manifold s3 --max-level 2 --merge-tol nan", 2),
+    ("smallest --metric 1,1,0.3 --manifold so3-nontrivial --max-level 0", 1),
+])
+def test_out_of_range_arguments_are_refused(capsys, argv, want):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == want
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error:" in err.splitlines()[-1]
+    if want == 1:
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_smallest_overflowing_enumeration_is_an_error(capsys):

@@ -18,6 +18,8 @@ def test_admissible_levels():
     assert list(d3s.admissible_levels(d3s.SO3_NONTRIVIAL, 5)) == [1, 3, 5]
     with pytest.raises(ValueError):
         d3s.admissible_levels("sphere", 3)
+    with pytest.raises(d3s.DomainError):
+        d3s.admissible_levels(d3s.S3, -1)
 
 
 def test_assemble_so3_trivial_level0_single_line():
@@ -58,6 +60,32 @@ def test_level_lines_match_the_assembled_level():
     spec = d3s.assemble(m, d3s.S3, 9)
     for n in (0, 4, 9):
         assert d3s.level_lines(m, n) == [l for l in spec.lines if l.level == n]
+
+
+def test_even_levels_never_build_block_b(monkeypatch):
+    from dirac3sphere import spectrum
+
+    built = []
+
+    def counting(m, n, tag):
+        built.append((n, tag))
+        return d3s.build_block(m, n, tag)
+
+    monkeypatch.setattr(spectrum, "build_block", counting)
+    for m in (Metric(1.3, 0.8, 0.6), Metric(3, 1, 0.3)):
+        for manifold in (d3s.S3, d3s.SO3_TRIVIAL):
+            d3s.assemble(m, manifold, 12)
+            d3s.enumerated_min_abs(m, manifold, 40)
+        d3s.level_lines(m, 4)
+    assert not [(n, tag) for n, tag in built if n % 2 == 0 and tag == "B"]
+    assert {tag for n, tag in built if n % 2 == 1} == {"A", "B"}
+
+
+def test_even_levels_carry_only_paired_lines():
+    spec = d3s.assemble(Metric(1.3, 0.8, 0.6), d3s.SO3_TRIVIAL, 40, merge_tolerance=0.0)
+    assert {l.tag for l in spec.lines} == {"AB"}
+    assert all(l.block_multiplicity % 2 == 0 for l in spec.lines)
+    assert spec.total_count() == sum(2 * (n + 1) ** 2 for n in range(0, 41, 2))
 
 
 def test_spin_structure_partition():
@@ -226,7 +254,7 @@ def test_certified_minimum_matches_enumeration_sample():
             assert mult == 2
         # C >= mu > 0, strict unless a = b = c
         assert m.C >= m.mu > 0
-        if not m.is_round(1e-9):
+        if not m.is_round():
             assert m.C > m.mu
     assert Metric(1, 1, 1).C == Metric(1, 1, 1).mu
 
