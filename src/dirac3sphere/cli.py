@@ -32,7 +32,7 @@ from .metric import (
 )
 from .spectrum import assemble, certify_fundamental_tone, counting_function, heat_trace, smallest
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -57,7 +57,7 @@ def _checked(convert, ok, what):
 
 _LEVEL = _checked(int, lambda n: n >= 0, "a nonnegative integer")
 _POSITIVE = _checked(float, lambda x: math.isfinite(x) and x > 0, "finite and positive")
-_NONNEGATIVE = _checked(float, lambda x: math.isfinite(x) and x >= 0, "finite and >= 0")
+_FINITE = _checked(float, math.isfinite, "finite")
 
 
 def parse_metric(text):
@@ -162,10 +162,10 @@ def cmd_invariants(args):
 
 
 def cmd_spectrum(args):
-    spec = assemble(args.metric, args.manifold, args.max_level, merge_tolerance=args.merge_tol)
+    spec = assemble(args.metric, args.manifold, args.max_level)
     results = {
         "max_level": spec.max_level,
-        "merge_tolerance": spec.merge_tolerance,
+        "max_radius": max((line.radius for line in spec.lines), default=0.0),
         "count": spec.total_count(),
         "lines": _spectrum_rows(spec),
     }
@@ -293,7 +293,6 @@ def _build_parser():
     p = sub.add_parser("spectrum", help="assembled spectrum up to a level cutoff")
     add_common(p)
     p.add_argument("--max-level", type=_LEVEL, required=True)
-    p.add_argument("--merge-tol", type=_NONNEGATIVE, default=1e-9)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("smallest", help="smallest absolute eigenvalue, certified when scal > 0")
@@ -311,18 +310,18 @@ def _build_parser():
 
     p = sub.add_parser("reconstruct", help="recover the metric from spectral data")
     add_common(p, metric=False)
-    p.add_argument("--volume", type=float, required=True)
-    p.add_argument("--scal", type=float, required=True)
+    p.add_argument("--volume", type=_POSITIVE, required=True)
+    p.add_argument("--scal", type=_FINITE, required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mu", type=float, default=None)
-    group.add_argument("--c", type=float, default=None)
-    group.add_argument("--a2tilde", type=float, default=None)
+    group.add_argument("--mu", type=_FINITE, default=None)
+    group.add_argument("--c", type=_FINITE, default=None)
+    group.add_argument("--a2tilde", type=_FINITE, default=None)
     p.set_defaults(func=cmd_reconstruct, metric=None)
 
     p = sub.add_parser("verify", help="run the certificate and the cross-checks over a metric grid")
     add_common(p, metric=False, manifold=False)
     p.add_argument("--grid", required=True, help="three axes lo:hi:count, comma separated")
-    p.add_argument("--rep-level", type=int, default=8, help="top level for the representation cross-check")
+    p.add_argument("--rep-level", type=_LEVEL, default=8, help="top level for the representation cross-check")
     p.add_argument("--details", action="store_true", help="include every check's margin per grid point")
     p.set_defaults(func=cmd_verify, metric=None, manifold=None)
 
@@ -387,6 +386,9 @@ def main(argv=None):
         text = _render(args, results, timing)  # refuses non-finite floats
     except Dirac3SphereError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except ArithmeticError as exc:  # float overflow or underflow to a zero divisor
+        print(f"error: the computation left the double range ({exc!r})", file=sys.stderr)
         return EXIT_FAILURE
     sys.stdout.write(text)
     return code

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, build_block
-from .eigen import count_below_batch, eigenvalues_batch, min_abs_batch, symmetrize
+from .eigen import count_below_batch, default_tolerance, eigenvalues_batch, min_abs_batch, symmetrize
 from .errors import DomainError, TruncationWarning, UncertifiableError
 from .gershgorin import CertificationStep, _approx, base_cases, exact_sorted, level_bounds, record_step
 from .metric import (
@@ -35,8 +35,8 @@ from .metric import (
     volume,
 )
 
-#: relative tolerance at which numerically coincident eigenvalues are
-#: reported as one line with a multiplicity
+#: relative slack of the multiplicity count in :func:`enumerated_min_abs`:
+#: eigenvalues within it of the minimum count towards its multiplicity
 COINCIDENCE_RTOL = 1e-9
 
 
@@ -53,13 +53,23 @@ def admissible_levels(manifold, max_level):
 
 @dataclass(frozen=True)
 class SpectralLine:
-    """One eigenvalue of one level, with multiplicities.
+    """One line of one level: ``block_multiplicity`` eigenvalues of the
+    level's blocks, proved to lie in [eigenvalue - radius, eigenvalue + radius];
+    ``tag`` is "A", "B", or "AB" when both blocks carry the line, and
+    ``total_multiplicity`` is block multiplicity times (level + 1).
 
-    ``tag`` is "A", "B", or "AB" when both blocks of the level carry the
-    value; ``total_multiplicity`` is block multiplicity times (level + 1).
+    Proof: :func:`~dirac3sphere.eigen.eigenvalues_batch` keeps the i-th
+    sorted value v_i of a block only when count(v_i - tol) <= i and
+    count(v_i + tol) >= i + 1 (its bisection fallback is within tol too), so
+    eigenvalue i lies in [v_i - tol, v_i + tol].  With tol widened to tol_n,
+    the largest default tolerance of the level's blocks, a line is a maximal
+    run of sorted values each at most 2 tol_n above the previous one, so its
+    interval [v_first - tol_n, v_last + tol_n] is disjoint from the level's
+    other lines and holds exactly its members' eigenvalues.
     """
 
     eigenvalue: float
+    radius: float
     level: int
     tag: str
     block_multiplicity: int
@@ -71,7 +81,6 @@ class Spectrum:
     manifold: str
     metric: tuple
     max_level: int
-    merge_tolerance: float
     lines: tuple
 
     def total_count(self):
@@ -80,41 +89,39 @@ class Spectrum:
     def merged_lines(self):
         """Across-level merged view: (eigenvalue, total multiplicity) pairs.
 
-        Lines within relative ``merge_tolerance`` of each other collapse to
-        their multiplicity-weighted mean.  Raw lines are never altered.
+        Lines whose intervals overlap once widened to the largest radius
+        collapse into one (:func:`_overlap_lines`, one segment).  Raw lines
+        are never altered.
         """
-        lines = sorted(self.lines, key=lambda l: l.eigenvalue)
-        entries = [(l.eigenvalue, l.total_multiplicity, l.tag) for l in lines]
-        return [(value, weight) for value, weight, _ in _merge_coincident(entries, self.merge_tolerance)]
+        values = np.array([line.eigenvalue for line in self.lines])
+        weights = np.array([line.total_multiplicity for line in self.lines])
+        zeros = np.zeros(len(values), dtype=int)
+        halfwidths = np.full(len(values), max((line.radius for line in self.lines), default=0.0))
+        _, centres, _, weights, _ = _overlap_lines(values, zeros, halfwidths, weights, zeros)
+        return list(zip(centres.tolist(), weights.tolist()))
 
 
-def _merge_coincident(entries, rtol):
-    """Collapse coincident values into weighted means.
+#: the tag of each tag code; a tag's code is its index, A = 1 and B = 2 bits
+_TAGS = ("", TAG_A, TAG_B, "AB")
 
-    ``entries`` are (value, weight, tag) triples sorted by value.  An entry
-    joins the current group when it lies within relative ``rtol`` of the
-    group's running weighted mean.  Returns one (mean, total weight, set of
-    tags) triple per group.
 
-    A mean can lie up to ``rtol`` max(1, |lambda|) from the values it stands
-    for, |lambda| the largest magnitude in its group: as the entries come
-    sorted, each one lies at most that far above the running mean, which
-    never exceeds the previous entry, so a group of two spans at most that
-    and a chain of g values at most g - 1 times that.  Merging therefore
-    trades the solve tolerance for the merge tolerance.
+def _overlap_lines(values, segments, halfwidths, weights, tags):
+    """Lines of values whose intervals [v - h, v + h] overlap, h the same
+    within a segment: sorted by (segment, value), a line starts at a new
+    segment or a gap above 2h (see :class:`SpectralLine`).  Returns, per
+    line in that order: segment, centre v_last - (v_last - v_first)/2 (a
+    single value as it came), radius (v_last - v_first)/2 + h, summed weight
+    and bitwise OR of the tag codes.
     """
-    groups = []  # [weighted sum, weight, tags]
-    for v, w, tag in entries:
-        if groups:
-            g = groups[-1]
-            mean = g[0] / g[1]
-            if abs(mean - v) <= rtol * max(1.0, abs(mean), abs(v)):
-                g[0] += v * w
-                g[1] += w
-                g[2].add(tag)
-                continue
-        groups.append([v * w, w, {tag}])
-    return [(total / weight, weight, tags) for total, weight, tags in groups]
+    order = np.lexsort((values, segments))
+    v, s, h = values[order], segments[order], halfwidths[order]
+    start = np.ones(len(v), dtype=bool)
+    start[1:] = (s[1:] != s[:-1]) | (v[1:] - v[:-1] > 2.0 * h[1:])
+    edges = np.flatnonzero(np.append(start, True))  # each line's first value, then len(v)
+    first, last = edges[:-1], edges[1:] - 1
+    half = (v[last] - v[first]) / 2.0
+    return (s[first], v[last] - half, half + h[first],
+            np.add.reduceat(weights[order], first), np.bitwise_or.reduceat(tags[order], first))
 
 
 def _level_blocks(m, n):
@@ -135,48 +142,38 @@ def _level_blocks(m, n):
     return [(tag, symmetrize(build_block(m, n, tag)), 1) for tag in (TAG_A, TAG_B)]
 
 
-def _lines_of_level(n, blocks, values, rtol):
-    """Spectral lines of level n from its ``_level_blocks`` triples and their values."""
-    entries = sorted((v, w, tag) for (tag, _, w), vals in zip(blocks, values) for v in vals.tolist())
-    return [
-        SpectralLine(mean, n, "AB" if len(tags) > 1 else tags.pop(), weight, weight * (n + 1))
-        for mean, weight, tags in _merge_coincident(entries, rtol)
-    ]
+def _lines_of_levels(m, levels):
+    """Spectral lines of ``levels``, sorted by (eigenvalue, level); see :func:`assemble`."""
+    blocks = {n: _level_blocks(m, n) for n in levels}
+    tols = {n: max(default_tolerance(t) for _, t, _ in level) for n, level in blocks.items()}
+    rows = [(n, tols[n], w, _TAGS.index(tag), t, t.size) for n, level in blocks.items() for tag, t, w in level]
+    if not rows:
+        return []
+    ns, tols, weights, codes, ts, sizes = zip(*rows)
+    level, centre, radius, weight, code = _overlap_lines(
+        np.concatenate(eigenvalues_batch(ts)), *(np.repeat(x, sizes) for x in (ns, tols, weights, codes)))
+    order = np.lexsort((level, centre))
+    return [SpectralLine(c, r, n, _TAGS[g], w, w * (n + 1))
+            for c, r, n, w, g in zip(*(x[order].tolist() for x in (centre, radius, level, weight, code)))]
 
 
-def level_lines(m, n, rtol=COINCIDENCE_RTOL):
-    """Spectral lines of one level (an even one solved once, from A), merged where values coincide."""
-    blocks = _level_blocks(m, int(n))
-    return _lines_of_level(int(n), blocks, eigenvalues_batch([t for _, t, _ in blocks]), rtol)
+def level_lines(m, n):
+    """Spectral lines of one level (an even one solved once, from A); see :func:`assemble`."""
+    return _lines_of_levels(m, [int(n)])
 
 
-def assemble(m, manifold, max_level, merge_tolerance=COINCIDENCE_RTOL):
+def assemble(m, manifold, max_level):
     """Assemble the spectrum of the chosen operator up to ``max_level``.
 
     Every block of every admissible level, an even level once from A (see
     :func:`_level_blocks`), goes through one :func:`eigenvalues_batch` call,
-    so each value lies within tol, the block's default tolerance, of an
-    eigenvalue; each level's values then merge at relative
-    ``merge_tolerance``.  A merged line is the mean of the values it stands
-    for and can lie up to ``merge_tolerance`` max(1, |lambda|) from each of
-    two merged eigenvalues (g - 1 times that for a chain of g values; see
-    :func:`_merge_coincident`), which is more than tol.  Pass
-    ``merge_tolerance=0.0`` to keep every line within tol.
+    and one pass over all values groups them into lines: the values of a
+    level whose proved intervals overlap form one line, with a proved radius
+    and count (see :class:`SpectralLine` for the proof).  No two lines of a
+    level overlap, and a line of one value carries that value unchanged.
     """
-    levels = admissible_levels(manifold, max_level)
-    blocks = [_level_blocks(m, n) for n in levels]
-    values = iter(eigenvalues_batch([t for level in blocks for _, t, _ in level]))
-    lines = []
-    for n, level in zip(levels, blocks):
-        lines.extend(_lines_of_level(n, level, [next(values) for _ in level], merge_tolerance))
-    lines.sort(key=lambda line: (line.eigenvalue, line.level, line.tag))
-    return Spectrum(
-        manifold=manifold,
-        metric=m.triple(),
-        max_level=int(max_level),
-        merge_tolerance=merge_tolerance,
-        lines=tuple(lines),
-    )
+    lines = _lines_of_levels(m, list(admissible_levels(manifold, max_level)))
+    return Spectrum(manifold=manifold, metric=m.triple(), max_level=int(max_level), lines=tuple(lines))
 
 
 def enumerated_min_abs(m, manifold, max_level=25):

@@ -41,7 +41,7 @@ def test_spectrum_json_document(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["command"] == "spectrum"
     assert doc["metric"] == [1, 1, 1]
     assert doc["timing_seconds"] is None
@@ -117,6 +117,16 @@ def test_non_finite_result_is_an_error(capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("metric", ["1e160,1e160,1e160", "1e-160,1e-160,1e-160"])
+def test_float_range_errors_are_reported(capsys, metric):
+    # an OverflowError and a ZeroDivisionError deep in the invariants
+    code, out, err = run_cli(capsys, "invariants", "--metric", metric)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "double range" in err
+    assert err.count("\n") == 1
+
+
 def test_non_finite_document_is_an_error(capsys):
     # certification margins beyond the double range reach the encoder as inf
     code, out, err = run_cli(capsys, "smallest", "--metric", "1e62,1e62,1e62", "--manifold", "s3")
@@ -133,8 +143,13 @@ def test_non_finite_document_is_an_error(capsys):
     ("heat-trace --metric 1,1,1 --manifold s3 --t nan --max-level 4", 2),
     ("heat-trace --metric 1,1,1 --manifold s3 --t 0.1 --max-level 4 --lam -1", 2),
     ("heat-trace --metric 1,1,1 --manifold s3 --t 0.1 --max-level 4 --lam inf", 2),
-    ("spectrum --metric 1,1,1 --manifold s3 --max-level 2 --merge-tol -1", 2),
-    ("spectrum --metric 1,1,1 --manifold s3 --max-level 2 --merge-tol nan", 2),
+    ("verify --grid 1:1:1,1:1:1,1:1:1 --rep-level -1", 2),
+    ("reconstruct --manifold s3 --volume 0 --scal 6 --mu 1.5", 2),
+    ("reconstruct --manifold s3 --volume inf --scal 6 --mu 1.5", 2),
+    ("reconstruct --manifold s3 --volume 19.74 --scal inf --mu 1.5", 2),
+    ("reconstruct --manifold s3 --volume 19.74 --scal 6 --mu nan", 2),
+    ("reconstruct --manifold s3 --volume 19.74 --scal 6 --c -inf", 2),
+    ("reconstruct --manifold s3 --volume 19.74 --scal -6 --a2tilde nan", 2),
     ("smallest --metric 1,1,0.3 --manifold so3-nontrivial --max-level 0", 1),
 ])
 def test_out_of_range_arguments_are_refused(capsys, argv, want):
@@ -296,13 +311,3 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["mu"] == pytest.approx(1.75)
-
-
-def test_merge_tol_coarsens_lines(capsys):
-    argv = ("spectrum", "--metric", "1.3,0.8,0.6", "--manifold", "s3", "--max-level", "6")
-    _, out_fine, _ = run_cli(capsys, *argv)
-    _, out_coarse, _ = run_cli(capsys, *argv, "--merge-tol", "0.1")
-    fine, coarse = json.loads(out_fine)["results"], json.loads(out_coarse)["results"]
-    assert coarse["merge_tolerance"] == 0.1
-    assert len(coarse["lines"]) < len(fine["lines"])
-    assert coarse["count"] == fine["count"] == sum(2 * (n + 1) ** 2 for n in range(7))

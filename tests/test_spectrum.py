@@ -82,7 +82,7 @@ def test_even_levels_never_build_block_b(monkeypatch):
 
 
 def test_even_levels_carry_only_paired_lines():
-    spec = d3s.assemble(Metric(1.3, 0.8, 0.6), d3s.SO3_TRIVIAL, 40, merge_tolerance=0.0)
+    spec = d3s.assemble(Metric(1.3, 0.8, 0.6), d3s.SO3_TRIVIAL, 40)
     assert {l.tag for l in spec.lines} == {"AB"}
     assert all(l.block_multiplicity % 2 == 0 for l in spec.lines)
     assert spec.total_count() == sum(2 * (n + 1) ** 2 for n in range(0, 41, 2))
@@ -340,18 +340,12 @@ def _level_blocks(m, n):
     return [d3s.symmetrize(d3s.build_block(m, n, tag)) for tag in "AB"]
 
 
-# Merging at a positive tolerance averages distinct eigenvalues that lie
-# closer than it (high levels carry pairs split by less than 1e-9), so the
-# two tests below read the solver's values unmerged: merge tolerance 0 joins
-# only equal doubles.
-
-
 def test_assemble_agrees_with_bisection_reference():
     # the pure Sturm-bisection solve, level by level, as a multiset
     rng = np.random.default_rng(606)
     metrics = random_metrics_with_sign(rng, 2, d3s.POSITIVE) + random_metrics_with_sign(rng, 1, d3s.NEGATIVE)
     for m, manifold in zip(metrics, (d3s.S3, d3s.SO3_TRIVIAL, d3s.SO3_NONTRIVIAL)):
-        spec = d3s.assemble(m, manifold, 60, merge_tolerance=0.0)
+        spec = d3s.assemble(m, manifold, 60)
         for n in d3s.admissible_levels(manifold, 60):
             ts = _level_blocks(m, n)
             tol = max(default_tolerance(t) for t in ts)
@@ -362,7 +356,7 @@ def test_assemble_agrees_with_bisection_reference():
 
 def test_assembled_values_pass_the_sturm_certificate():
     for m in (ROUND, Metric(1.3, 0.8, 0.6), Metric(1.4, 0.7, 0.7), Metric(3, 1, 0.3)):
-        spec = d3s.assemble(m, d3s.S3, 40, merge_tolerance=0.0)
+        spec = d3s.assemble(m, d3s.S3, 40)
         for n in range(41):
             ts = _level_blocks(m, n)
             tol = max(default_tolerance(t) for t in ts)
@@ -373,32 +367,30 @@ def test_assembled_values_pass_the_sturm_certificate():
                 assert sum(d3s.count_below(t, line.eigenvalue + tol) for t in ts) >= below
 
 
-def test_merged_line_lies_within_the_merge_tolerance():
-    from dirac3sphere.spectrum import COINCIDENCE_RTOL as rtol, _merge_coincident
+def test_line_intervals_are_disjoint_and_hold_their_counts():
+    # each line's interval [c - r, c + r] holds exactly its block multiplicity
+    # of the level's eigenvalues, by Sturm counts over both blocks
+    rng = np.random.default_rng(1212)
+    metrics = random_metrics_with_sign(rng, 2, d3s.POSITIVE) + random_metrics_with_sign(rng, 1, d3s.NEGATIVE)
+    for m in metrics:
+        for manifold in (d3s.S3, d3s.SO3_TRIVIAL, d3s.SO3_NONTRIVIAL):
+            spec = d3s.assemble(m, manifold, 60)
+            for n in d3s.admissible_levels(manifold, 60):
+                lines = [l for l in spec.lines if l.level == n]
+                lo = np.array([l.eigenvalue - l.radius for l in lines])
+                hi = np.array([l.eigenvalue + l.radius for l in lines])
+                assert np.all(hi[:-1] < lo[1:])
+                counts = d3s.count_below_batch(_level_blocks(m, n), np.concatenate([lo, np.nextafter(hi, np.inf)]))
+                inside = counts.sum(axis=0)
+                assert list(inside[len(lines):] - inside[:len(lines)]) == [l.block_multiplicity for l in lines]
+                assert sum(l.total_multiplicity for l in lines) == 2 * (n + 1) ** 2
 
-    x = 12.8
-    r = rtol * x
-    # a pair just inside the tolerance merges, its mean r/2 from each value
-    (mean, weight, tags), = _merge_coincident([(x, 1, "A"), (x + 0.999 * r, 1, "B")], rtol)
-    assert weight == 2 and tags == {"A", "B"}
-    assert max(abs(mean - x), abs(mean - x - 0.999 * r)) <= rtol * max(1.0, x + r)
-    assert len(_merge_coincident([(x, 1, "A"), (x + 1.001 * r, 1, "B")], rtol)) == 2
-    # a chain of four reaches beyond one tolerance but not beyond three
-    chain, mean = [x], x
-    for _ in range(3):
-        chain.append(mean + 0.999 * r)
-        mean = sum(chain) / len(chain)
-    (merged, weight, _), = _merge_coincident([(v, 1, "A") for v in chain], rtol)
-    assert weight == 4
-    assert rtol * max(1.0, chain[-1]) < merged - chain[0] <= 3 * rtol * max(1.0, chain[-1])
-    # assembled lines: the pair at level 11 sits 5e-9 from each of its two
-    # eigenvalues, far beyond the solve tolerance but inside the merge bound
+
+def test_close_distinct_eigenvalues_stay_separate_lines():
+    # two values of block A at level 11 lie 1e-8 apart, far beyond the solve
+    # tolerance: two lines, each a single value with radius tol
     m = Metric(1.2593, 0.5123, 0.3979)
-    raw = [l.eigenvalue for l in d3s.level_lines(m, 11, rtol=0.0)]
-    pairs = [l for l in d3s.level_lines(m, 11) if l.block_multiplicity == 2]
-    assert pairs
-    for line in pairs:
-        members = [v for v in raw if abs(v - line.eigenvalue) <= rtol * max(1.0, abs(v))]
-        assert len(members) == 2
-    farthest = max(abs(v - l.eigenvalue) for l in pairs for v in raw if abs(v - l.eigenvalue) < 1e-6)
-    assert farthest > 100 * default_tolerance(d3s.symmetrize(d3s.build_block(m, 11, "A")))
+    tol = max(default_tolerance(t) for t in _level_blocks(m, 11))
+    near = [l for l in d3s.level_lines(m, 11) if abs(l.eigenvalue - 12.8294) < 1e-3]
+    assert [(l.tag, l.block_multiplicity) for l in near] == [("A", 1), ("A", 1)]
+    assert all(l.radius <= tol for l in near)
