@@ -11,6 +11,7 @@ computation failure (including a result that is not finite), 2 usage error
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ import time
 from fractions import Fraction
 
 from .blocks import build_block, build_from_representation
-from .errors import CertificationError, Dirac3SphereError, DomainError
+from .errors import CertificationError, Dirac3SphereError, DomainError, UncertifiableError
 from .gershgorin import gershgorin_table
 from .inverse import reconstruct
 from .metric import (
@@ -223,13 +224,13 @@ def cmd_reconstruct(args):
 
 
 def _verify_point(metric, rep_level, details=False):
-    sign = scal_sign_classification(metric)
-    point = {"metric": list(metric.triple()), "scal_sign": sign}
-    if sign != "positive":
-        point.update(status="skipped", reason="certification needs scal > 0", checks=0, min_margin=None)
-        return point
+    """One grid point: the certificate decides whether it runs (exact scal > 0)
+    or is skipped; ``scal_sign`` reports the float sign screen."""
+    point = {"metric": list(metric.triple()), "scal_sign": scal_sign_classification(metric)}
     try:
         trace = certify_fundamental_tone(metric)
+        if not math.isfinite(metric.C):  # the exact certificate holds; the float blocks overflow
+            raise Dirac3SphereError(f"C = {metric.C!r} is not finite; the cross-checks need finite blocks")
         checks = len(trace.steps)
         min_margin = trace.min_margin
         for n in range(rep_level + 1):
@@ -250,6 +251,8 @@ def _verify_point(metric, rep_level, details=False):
             point["steps"] = [
                 {"name": s.name, "margin": s.margin, "kind": s.kind} for s in trace.steps
             ]
+    except UncertifiableError:
+        point.update(status="skipped", reason="certification needs scal > 0", checks=0, min_margin=None)
     except Dirac3SphereError as exc:
         point.update(status="fail", reason=str(exc), checks=None, min_margin=None)
     return point
@@ -271,7 +274,11 @@ def cmd_verify(args):
     return results, EXIT_OK if counts["fail"] == 0 else EXIT_FAILURE
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared by every call of
+    :func:`main`: ``parse_args`` returns a fresh namespace and nothing
+    mutates the parser."""
     parser = argparse.ArgumentParser(
         prog="dirac3sphere",
         description="Dirac spectra of homogeneous metrics on the 3-sphere and its quotient",

@@ -14,19 +14,19 @@ scalar curvature, which propagates the base-case inequalities
 
 to every level.  ``base_cases`` decides them for every n at once: each of
 the three families minus C^2 is a quadratic in n, and the increment is
-linear in n with slope 4c^2.  The decision is exact rational arithmetic on
-the stored doubles.  The closed forms sort the metric internally (an
-isometric relabeling) and record the permutation.
+linear in n with slope 4c^2.  The decision is exact integer arithmetic on
+the stored doubles, scaled by one positive integer (:func:`exact_sorted`).
+The closed forms sort the metric internally (an isometric relabeling) and
+record the permutation.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import CertificationError, ConsistencyError, UncertifiableError
-from .metric import scal_factors, shift_C
+from .metric import scal_factors
 
 
 def _row_entries(a, b, c, C, n, k):
@@ -176,8 +176,9 @@ def _families(a, b, c, C):
 class CertificationStep:
     """One decided condition of the certificate.
 
-    Pass or fail is decided on exact rationals; ``margin`` is the exact
-    margin rounded to a double, for information only (None for notes).
+    Pass or fail is decided exactly, on integers that are a positive
+    multiple of the condition (see :func:`exact_sorted`); ``margin`` is the
+    exact margin rounded to a double, for information only (None for notes).
     """
 
     name: str
@@ -187,39 +188,57 @@ class CertificationStep:
     kind: str = "strict"  # "strict", "eq", or "note"
 
 
-def _approx(x):
-    """Nearest double of an exact value, +-inf beyond the double range."""
+def _approx(value, scale=1):
+    """Nearest double of value / scale, +-inf beyond the double range.
+
+    For ints, Python's true division rounds the exact quotient correctly,
+    so an exact margin is rounded once.
+    """
     try:
-        return float(x)
+        return value / scale
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf if value > 0 else -math.inf
 
 
-def record_step(steps, name, detail, margin, kind="strict", holds=None):
+def record_step(steps, name, detail, value, scale=1, kind="strict", holds=None):
     """Append a step that holds, else raise :class:`CertificationError`.
 
-    A "strict" step holds when the exact ``margin`` is positive, an "eq"
-    step when it is zero; ``holds`` overrides that for margins with a square
-    root, which are then only a double estimate.
+    The margin is value / scale, with scale > 0 (L^d for a condition of
+    degree d, see :func:`exact_sorted`).  A "strict" step holds when the
+    exact ``value`` is positive, an "eq" step when it is zero; ``holds``
+    overrides that for margins with a square root, which are then only a
+    double estimate.
     """
     if holds is None:
-        holds = margin == 0 if kind == "eq" else margin > 0
+        holds = value == 0 if kind == "eq" else value > 0
+    margin = _approx(value, scale)
     if not holds:
-        raise CertificationError(f"{name} fails: margin {_approx(margin):.3e} ({detail})")
-    steps.append(CertificationStep(name, detail, _approx(margin), True, kind))
+        raise CertificationError(f"{name} fails: margin {margin:.3e} ({detail})")
+    steps.append(CertificationStep(name, detail, margin, True, kind))
 
 
 def exact_sorted(m):
-    """(sorted metric, permutation, (a, b, c, C)): a >= b >= c and C as the
-    exact rationals of the stored doubles.
+    """(sorted metric, permutation, (a, b, c, C), L): a >= b >= c and C as
+    integers, L times the exact values of the stored doubles, for one L > 0.
+
+    Every double is p / 2^q.  With Q the largest q of the three, a' = a 2^Q,
+    b' = b 2^Q and c' = c 2^Q are integers; with D = 2a'b'c',
+    (a'D, b'D, c'D, a'^2 b'^2 + b'^2 c'^2 + c'^2 a'^2) = L (a, b, c, C) for
+    L = 2^Q D.  A condition homogeneous of degree d in (a, b, c, C) is
+    L^d > 0 times its value on these integers, so the integers decide its
+    sign exactly and its margin is the integer value over L^d.
 
     Raises :class:`UncertifiableError` unless scal > 0 exactly.
     """
     ms, perm = m.sorted()
-    a, b, c = (Fraction(x) for x in ms.triple())
+    ratios = [x.as_integer_ratio() for x in ms.triple()]
+    den = max(q for _, q in ratios)  # 2^Q: every denominator is a power of two
+    a, b, c = (p * (den // q) for p, q in ratios)
     if min(scal_factors(a, b, c)) <= 0:
         raise UncertifiableError("certification requires positive scalar curvature; only enumerated minima exist")
-    return ms, perm, (a, b, c, shift_C(a, b, c))
+    d = 2 * a * b * c
+    C = a * a * b * b + b * b * c * c + c * c * a * a
+    return ms, perm, (a * d, b * d, c * d, C), den * d
 
 
 @dataclass(frozen=True)
@@ -238,15 +257,18 @@ class BaseCaseReport:
 def base_cases(m):
     """Decide the base cases and the triangle increment for every level.
 
-    Exact rational arithmetic, no tolerance, a fixed list of checks:
-    G(0,0) = C^2, G(1,0) = mu^2, G(5,0) > mu^2; each family minus C^2, a
-    quadratic q(n) with leading coefficient A > 0, has no real root at or
-    beyond n_min (negative discriminant, or q(n_min) > 0 and q'(n_min) > 0);
-    the increment G(2,1) - G(0,0) is positive and grows by 4c^2 per level.
+    Exact integer arithmetic (:func:`exact_sorted`), no tolerance, a fixed
+    list of checks: G(0,0) = C^2, G(1,0) = mu^2, G(5,0) > mu^2; each family
+    minus C^2, a quadratic q(n) with leading coefficient A > 0, has no real
+    root at or beyond n_min (negative discriminant, or q(n_min) > 0 and
+    q'(n_min) > 0); the increment G(2,1) - G(0,0) is positive and grows by
+    4c^2 per level.  Every quantity is of degree 2 in (a, b, c, C), so each
+    margin is its integer over L^2, and a root position is a ratio of two.
     Raises :class:`UncertifiableError` unless scal > 0, and
     :class:`CertificationError` naming a check that fails.
     """
-    ms, perm, (a, b, c, C) = exact_sorted(m)
+    ms, perm, (a, b, c, C), L = exact_sorted(m)
+    L2 = L * L
     mu = a + b + c - C
     steps = []
     for name, n, reference, kind in (
@@ -255,21 +277,21 @@ def base_cases(m):
         ("base:G(5,0)>mu^2", 5, mu * mu, "strict"),
     ):
         value = _G(a, b, c, C, n, 0)
-        detail = f"n={n}, k=0: value {_approx(value)!r} vs {_approx(reference)!r}"
-        record_step(steps, name, detail, value - reference, kind)
+        detail = f"n={n}, k=0: value {_approx(value, L2)!r} vs {_approx(reference, L2)!r}"
+        record_step(steps, name, detail, value - reference, L2, kind)
 
     for name, n_min, (A, B, D) in _families(a, b, c, C):
-        record_step(steps, f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A)
+        record_step(steps, f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A, L2)
         disc = B * B - 4 * A * D
         # the largest root as vertex plus half-width, both free of the metric's scale
-        largest = -math.inf if disc < 0 else _approx(-B / (2 * A)) + math.sqrt(_approx(disc / (4 * A * A)))
+        largest = -math.inf if disc < 0 else _approx(-B, 2 * A) + math.sqrt(_approx(disc, 4 * A * A))
         record_step(steps, f"tail:{name}:root", f"n_min - largest real root (largest root {largest!r})",
                     min(n_min - largest, n_min),
                     holds=disc < 0 or ((A * n_min + B) * n_min + D > 0 and 2 * A * n_min + B > 0))
 
     increment = _G(a, b, c, C, 2, 1) - _G(a, b, c, C, 0, 0)
-    record_step(steps, "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment)
-    record_step(steps, "increment:slope", "4c^2, the growth of the increment per level", 4 * c * c)
+    record_step(steps, "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment, L2)
+    record_step(steps, "increment:slope", "4c^2, the growth of the increment per level", 4 * c * c, L2)
 
     return BaseCaseReport(
         metric=m.triple(),

@@ -5,13 +5,21 @@ Block eigenvalues come from brute-force characteristic polynomials
 library itself solves full spectra with LAPACK's dense symmetric solver, so
 ``lapack_eigs`` is no longer independent of it; the independent checks are
 ``brute_force_eigs`` and the Sturm-bisection reference
-(``eigen._bisect_range``, see ``tests/test_spectrum.py``).
+(``eigen._bisect_range``, see ``tests/test_spectrum.py``).  The certificate's
+reference is ``fraction_certificate``: the same conditions decided in
+``Fraction`` arithmetic on the stored doubles, with no integer scaling.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
 import dirac3sphere as d3s
+from dirac3sphere.blocks import _char_poly_coeffs, _level1_eigs, _level3_radicals
 from dirac3sphere.eigen import default_tolerance
+from dirac3sphere.gershgorin import CertificationStep, _families, _G
+from dirac3sphere.metric import scal_factors, shift_C
 
 
 def char_poly_coeffs(diag, sub, sup):
@@ -130,3 +138,95 @@ def paper_Gtilde(a, b, c, C, n, k):
         - 2 * (b - c) * (C + a) * (n - k)
         - (b * b - c * c) * (k * (k - 1) + (n - k) * (n - k - 1))
     )
+
+
+def _fraction_float(x):
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _fraction_step(steps, name, detail, margin, kind="strict", holds=None):
+    if holds is None:
+        holds = margin == 0 if kind == "eq" else margin > 0
+    if not holds:
+        raise d3s.CertificationError(f"{name} fails: margin {_fraction_float(margin):.3e} ({detail})")
+    steps.append(CertificationStep(name, detail, _fraction_float(margin), True, kind))
+
+
+def _fraction_root_exceeds(u, R, t):
+    if u >= 0:
+        return t < 0 or u * u * R > t * t
+    return t < 0 and u * u * R < t * t
+
+
+def fraction_certificate(m):
+    """The steps of ``certify_fundamental_tone(m)``, each condition decided
+    on the exact rationals of the stored doubles (``Fraction``) and each
+    margin the exact rational rounded to a double; raises the library's
+    errors with the library's messages."""
+    ms, _ = m.sorted()
+    a, b, c = (Fraction(x) for x in ms.triple())
+    if min(scal_factors(a, b, c)) <= 0:
+        raise d3s.UncertifiableError("certification requires positive scalar curvature; only enumerated minima exist")
+    C = shift_C(a, b, c)
+    mu = a + b + c - C
+    s1 = a + b + c
+    steps = []
+    for i, factor in enumerate(scal_factors(a, b, c), start=1):
+        _fraction_step(steps, f"regime:scal>0:{i}", "factor of the scal product form", factor)
+    _fraction_step(steps, "regime:C>max", "C - max(a,b,c)", C - a)
+    _fraction_step(steps, "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C)
+    _fraction_step(steps, "regime:mu>0", "mu", mu)
+    steps.append(CertificationStep("level0", f"sole eigenvalue -C = {-ms.C!r} with multiplicity 2", None, True, "note"))
+
+    e1 = _level1_eigs(a, b, c, C)
+    _fraction_step(steps, "level1:mu", "first closed-form eigenvalue equals mu", e1[0] - mu, "eq")
+    for i, v in enumerate(e1[1:], start=1):
+        _fraction_step(steps, f"level1:gap:{i}", f"|eigenvalue {i}| - mu", abs(v) - mu)
+
+    chi2 = np.array(_char_poly_coeffs(a, b, c, 2), dtype=object)
+    for x, label in ((0, "0"), (2 * C, "2C")):
+        _fraction_step(steps, f"level2:chi2({label})<0",
+                       "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)", -np.polyval(chi2, x))
+
+    lo = 2 * C - s1
+    for i, (p, R) in enumerate(_level3_radicals(a, b, c)):
+        for j, sign in enumerate((-1, 1)):
+            v = _fraction_float(p) + 2 * sign * math.sqrt(_fraction_float(R))
+            _fraction_step(steps, f"level3:outside:{2 * i + j + 1}", "distance of unshifted eigenvalue to [2C-s1, s1]",
+                           max(_fraction_float(lo) - v, v - _fraction_float(s1)),
+                           holds=_fraction_root_exceeds(2 * sign, R, s1 - p)
+                           or _fraction_root_exceeds(-2 * sign, R, p - lo))
+
+    chi4 = np.array(_char_poly_coeffs(a, b, c, 4), dtype=object)
+    chi4dd = np.polyder(chi4, 2)
+    for x, label in ((0, "0"), (2 * C, "2C")):
+        _fraction_step(steps, f"level4:chi4''({label})<0",
+                       "second derivative negative on [0, 2C] (convex, endpoints suffice)", -np.polyval(chi4dd, x))
+    for x, label in ((0, "0"), (2 * C, "2C")):
+        _fraction_step(steps, f"level4:chi4({label})>0",
+                       "level-4 polynomial positive on [0, 2C] (concave there, endpoints suffice)",
+                       np.polyval(chi4, x))
+
+    for name, n, reference, kind in (
+        ("base:G(0,0)=C^2", 0, C * C, "eq"),
+        ("base:G(1,0)=mu^2", 1, mu * mu, "eq"),
+        ("base:G(5,0)>mu^2", 5, mu * mu, "strict"),
+    ):
+        value = _G(a, b, c, C, n, 0)
+        detail = f"n={n}, k=0: value {_fraction_float(value)!r} vs {_fraction_float(reference)!r}"
+        _fraction_step(steps, name, detail, value - reference, kind)
+    for name, n_min, (A, B, D) in _families(a, b, c, C):
+        _fraction_step(steps, f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A)
+        disc = B * B - 4 * A * D
+        largest = (-math.inf if disc < 0
+                   else _fraction_float(-B / (2 * A)) + math.sqrt(_fraction_float(disc / (4 * A * A))))
+        _fraction_step(steps, f"tail:{name}:root", f"n_min - largest real root (largest root {largest!r})",
+                       min(n_min - largest, n_min),
+                       holds=disc < 0 or ((A * n_min + B) * n_min + D > 0 and 2 * A * n_min + B > 0))
+    increment = _G(a, b, c, C, 2, 1) - _G(a, b, c, C, 0, 0)
+    _fraction_step(steps, "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment)
+    _fraction_step(steps, "increment:slope", "4c^2, the growth of the increment per level", 4 * c * c)
+    return tuple(steps)

@@ -292,6 +292,57 @@ def test_verify_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_verify_routes_by_the_certificate(capsys):
+    # the float sign screen calls both points "zero"; the exact certificate
+    # proves the first and refuses the second
+    for c, status in (("0.5000000000001", "pass"), ("0.5", "skipped")):
+        code, out, _ = run_cli(capsys, "verify", "--grid", f"1:1:1,1:1:1,{c}:{c}:1", "--rep-level", "1")
+        assert code == 0
+        (point,) = json.loads(out)["results"]["points"]
+        assert point["scal_sign"] == "zero"
+        assert point["status"] == status
+
+
+def test_verify_point_beyond_the_double_range_fails_cleanly(capsys):
+    # certified exactly, but C overflows, so the float cross-checks cannot run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", "--grid", "1e200:1e200:1,1e200:1e200:1,1e200:1e200:1")
+    assert code == 1
+    assert err == ""
+    (point,) = json.loads(out)["results"]["points"]
+    assert point["status"] == "fail" and "not finite" in point["reason"]
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    calls = [
+        ("invariants", "--metric", "1.3,0.8,0.6"),
+        ("spectrum", "--metric", "1.3,0.8,0.6", "--manifold", "s3", "--max-level", "3"),
+        ("smallest", "--metric", "1.3,0.8,0.9", "--manifold", "so3-trivial"),
+        ("heat-trace", "--metric", "1,1,1", "--manifold", "s3", "--t", "0.5", "--max-level", "6", "--lam", "3"),
+        ("reconstruct", "--manifold", "s3", "--volume", "19.739208802178716", "--scal", "6", "--mu", "1.5"),
+        ("verify", "--grid", "0.9:1.5:2,1:1:1,0.8:0.8:1", "--rep-level", "2", "--details"),
+        ("spectrum", "--metric", "1,1,1", "--manifold", "s3"),  # usage error: no --max-level
+    ]
+
+    def one_round():
+        results = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    first = one_round()
+    assert [code for code, _, _ in first] == [0] * 6 + [2]
+    assert one_round() == first
+    from dirac3sphere import cli
+
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_timing_flag(capsys):
     code, out, _ = run_cli(
         capsys, "spectrum", "--metric", "1,1,1", "--manifold", "s3", "--max-level", "0", "--timing"

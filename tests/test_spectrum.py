@@ -180,6 +180,11 @@ def test_smallest_negative_scal_uncertified():
         d3s.smallest(m, d3s.S3, certify=True)
 
 
+def test_smallest_refuses_an_unknown_manifold():
+    with pytest.raises(d3s.DomainError, match="unknown manifold 'so3'"):
+        d3s.smallest(ROUND, "so3")
+
+
 def test_smallest_certify_off_skips_trace():
     report = d3s.smallest(ROUND, d3s.S3, certify=False)
     assert not report.certified
