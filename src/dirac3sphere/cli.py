@@ -100,14 +100,10 @@ def _axis_values(lo, hi, count):
 
 
 def _spectrum_rows(spec):
+    columns = (spec.eigenvalue.tolist(), spec.level.tolist(), spec.tags, spec.total_multiplicity.tolist())
     return [
-        {
-            "eigenvalue": line.eigenvalue,
-            "level": line.level,
-            "block": line.tag,
-            "multiplicity": line.total_multiplicity,
-        }
-        for line in spec.lines
+        {"eigenvalue": value, "level": level, "block": tag, "multiplicity": mult}
+        for value, level, tag, mult in zip(*columns)
     ]
 
 
@@ -166,7 +162,7 @@ def cmd_spectrum(args):
     spec = assemble(args.metric, args.manifold, args.max_level)
     results = {
         "max_level": spec.max_level,
-        "max_radius": max((line.radius for line in spec.lines), default=0.0),
+        "max_radius": float(spec.radius.max(initial=0.0)),
         "count": spec.total_count(),
         "lines": _spectrum_rows(spec),
     }

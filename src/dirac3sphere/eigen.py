@@ -16,7 +16,10 @@ The kernel serves three ways:
 1. Full spectra are solved by LAPACK (``numpy.linalg.eigvalsh``) and then
    proved: the i-th of the sorted values lam_0 <= lam_1 <= ... lies within
    tol of the i-th eigenvalue when count(lam_i - tol) <= i and
-   count(lam_i + tol) >= i + 1 (``eigenvalues_batch``).
+   count(lam_i + tol) >= i + 1 (``_proved_values``).  It takes packed rows
+   with a tol per row: those of ``_pack`` (``eigenvalues_batch``), or rows
+   written straight into that layout, as ``spectrum._level_rows`` writes
+   every level of an assembled spectrum.
 2. Bracket queries: counts at given shifts (``count_below_batch``), and the
    smallest |eigenvalue| of each block, solved by LAPACK and proved with
    four shifts (``min_abs_batch``).  ``count_below``, ``eigenvalues`` and
@@ -221,19 +224,34 @@ def eigenvalues_batch(ts, tol=None):
     if not ts:
         return []
     order, sizes, D, E, norms = _pack(ts)
-    tols = _tolerances(norms, tol)
+    V = _proved_values(D, E, sizes, _tolerances(norms, tol))
+    out = [None] * len(ts)
+    for b, (j, s) in enumerate(zip(order, sizes)):
+        out[j] = V[b, :s].copy()
+    return out
+
+
+def _proved_values(D, E, sizes, tols):
+    """All eigenvalues of packed blocks, ascending in each row, each within
+    its row's tol.
+
+    Row b of ``D`` and ``E`` holds a block of size ``sizes[b]`` as
+    :func:`_pack` lays it out (sizes non-increasing, zero past each size).
+    LAPACK gives the values and one Sturm pass proves them (see the module
+    docstring); a row whose values fail the check is solved by bisection
+    instead.  Entries past a row's size are zero.
+    """
     N = sizes[0]
     V = _solve(D, E, sizes)
     X = np.concatenate([V - tols[:, None], V + tols[:, None]], axis=1)
     counts = _sturm_counts(D, E * E, X, sizes)
     i = np.arange(N)
-    pad = i >= np.array(sizes)[:, None]
+    pad = i >= np.asarray(sizes)[:, None]
     proved = (((counts[:, :N] <= i) & (counts[:, N:] >= i + 1)) | pad).all(axis=1)
-
-    out = [None] * len(ts)
-    for b, (j, s) in enumerate(zip(order, sizes)):
-        out[j] = V[b, :s].copy() if proved[b] else _bisect_range(D[b, :s], E[b, :s - 1], tols[b])
-    return out
+    for b in np.flatnonzero(~proved):
+        s = sizes[b]
+        V[b, :s] = _bisect_range(D[b, :s], E[b, :s - 1], tols[b])
+    return V
 
 
 def eigenvalues(t, tol=None):

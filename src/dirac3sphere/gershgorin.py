@@ -328,24 +328,29 @@ def gershgorin_table(m, n):
 
     The closed forms must reproduce the direct pentadiagonal bounds to
     relative 1e-10; a mismatch raises :class:`ConsistencyError` naming the
-    row and the block.
+    row and the block.  So does a row that leaves the double range: a
+    comparison with inf or nan proves nothing.
     """
     ms, perm = m.sorted()
     a, b, c = ms.triple()
     C = ms.C
     k = np.arange(n + 1, dtype=float)
-    G = _G(a, b, c, C, n, k)
-    Gt = _G(a, b, c, C, n, n - k)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are refused below
+        G = _G(a, b, c, C, n, k)
+        Gt = _G(a, b, c, C, n, n - k)
+        kept, flipped = _row_endpoints(a, b, c, C, n, k)
     even = k % 2 == 0
-    kept, flipped = _row_endpoints(a, b, c, C, n, k)
     bounds_a = np.where(even, kept, flipped)
     bounds_b = np.where(even, flipped, kept)
     for tag, got, want in (("A", bounds_a, np.where(even, G, Gt)), ("B", bounds_b, np.where(even, Gt, G))):
-        bad = np.abs(got - want) > _TABLE_RTOL * np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
+        scale = _TABLE_RTOL * np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            bad = ~(np.abs(got - want) <= scale) | ~np.isfinite(scale)
         if bad.any():
             j = int(np.argmax(bad))
+            problem = "disagrees with direct row bound" if np.isfinite(scale[j]) else "or direct row bound is not finite"
             raise ConsistencyError(
-                f"closed form disagrees with direct row bound at (n={n}, k={j}, {tag}): "
+                f"closed form {problem} at (n={n}, k={j}, {tag}): "
                 f"{float(want[j])!r} vs {float(got[j])!r}"
             )
     return GershgorinTable(

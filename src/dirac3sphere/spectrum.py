@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, build_block
-from .eigen import count_below_batch, default_tolerance, eigenvalues_batch, min_abs_batch, symmetrize
-from .errors import DomainError, TruncationWarning, UncertifiableError
+from .eigen import _proved_values, _tolerance, count_below_batch, min_abs_batch, symmetrize
+from .errors import Dirac3SphereError, DomainError, TruncationWarning, UncertifiableError
 from .gershgorin import CertificationStep, _approx, base_cases, exact_sorted, level_bounds, record_step
 from .metric import (
     POSITIVE,
@@ -58,14 +58,16 @@ class SpectralLine:
     ``tag`` is "A", "B", or "AB" when both blocks carry the line, and
     ``total_multiplicity`` is block multiplicity times (level + 1).
 
-    Proof: :func:`~dirac3sphere.eigen.eigenvalues_batch` keeps the i-th
-    sorted value v_i of a block only when count(v_i - tol) <= i and
+    Proof: :func:`~dirac3sphere.eigen._proved_values` keeps the i-th sorted
+    value v_i of a row only when count(v_i - tol) <= i and
     count(v_i + tol) >= i + 1 (its bisection fallback is within tol too), so
-    eigenvalue i lies in [v_i - tol, v_i + tol].  With tol widened to tol_n,
-    the largest default tolerance of the level's blocks, a line is a maximal
-    run of sorted values each at most 2 tol_n above the previous one, so its
-    interval [v_first - tol_n, v_last + tol_n] is disjoint from the level's
-    other lines and holds exactly its members' eigenvalues.
+    eigenvalue i lies in [v_i - tol, v_i + tol].  Every row of a level is
+    proved with tol_n, the largest default tolerance of the level's full
+    blocks; an odd level's rows are persymmetric halves, whose spectra
+    together are the block's (:func:`_level_rows`).  A line is a maximal run
+    of a level's sorted values each at most 2 tol_n above the previous one,
+    so its interval [v_first - tol_n, v_last + tol_n] is disjoint from the
+    level's other lines and holds exactly its members' eigenvalues.
     """
 
     eigenvalue: float
@@ -76,15 +78,41 @@ class SpectralLine:
     total_multiplicity: int
 
 
-@dataclass(frozen=True)
+#: the tag of each tag code; a tag's code is its index, A = 1 and B = 2 bits
+_TAGS = ("", TAG_A, TAG_B, "AB")
+
+
+@dataclass(frozen=True, eq=False)
 class Spectrum:
+    """Spectral lines as columns, sorted by (eigenvalue, level): line i has
+    ``eigenvalue[i]``, ``radius[i]``, ``level[i]``, tag ``_TAGS[tag_code[i]]``
+    and ``block_multiplicity[i]`` (see :class:`SpectralLine`).  Two spectra
+    compare by identity, not by their arrays."""
+
     manifold: str
     metric: tuple
     max_level: int
-    lines: tuple
+    eigenvalue: np.ndarray
+    radius: np.ndarray
+    level: np.ndarray
+    tag_code: np.ndarray
+    block_multiplicity: np.ndarray
+
+    @property
+    def total_multiplicity(self):
+        return self.block_multiplicity * (self.level + 1)
+
+    @property
+    def tags(self):
+        return [_TAGS[g] for g in self.tag_code.tolist()]
+
+    @functools.cached_property
+    def lines(self):
+        """The lines as :class:`SpectralLine` objects, built on first use."""
+        return tuple(_line_objects(self.eigenvalue, self.radius, self.level, self.tag_code, self.block_multiplicity))
 
     def total_count(self):
-        return sum(line.total_multiplicity for line in self.lines)
+        return int(self.total_multiplicity.sum())
 
     def merged_lines(self):
         """Across-level merged view: (eigenvalue, total multiplicity) pairs.
@@ -93,16 +121,15 @@ class Spectrum:
         collapse into one (:func:`_overlap_lines`, one segment).  Raw lines
         are never altered.
         """
-        values = np.array([line.eigenvalue for line in self.lines])
-        weights = np.array([line.total_multiplicity for line in self.lines])
-        zeros = np.zeros(len(values), dtype=int)
-        halfwidths = np.full(len(values), max((line.radius for line in self.lines), default=0.0))
-        _, centres, _, weights, _ = _overlap_lines(values, zeros, halfwidths, weights, zeros)
+        zeros = np.zeros(len(self.eigenvalue), dtype=int)
+        halfwidths = np.full(len(zeros), self.radius.max(initial=0.0))
+        _, centres, _, weights, _ = _overlap_lines(self.eigenvalue, zeros, halfwidths, self.total_multiplicity, zeros)
         return list(zip(centres.tolist(), weights.tolist()))
 
 
-#: the tag of each tag code; a tag's code is its index, A = 1 and B = 2 bits
-_TAGS = ("", TAG_A, TAG_B, "AB")
+def _line_objects(centre, radius, level, code, weight):
+    return [SpectralLine(c, r, n, _TAGS[g], w, w * (n + 1))
+            for c, r, n, g, w in zip(*(x.tolist() for x in (centre, radius, level, code, weight)))]
 
 
 def _overlap_lines(values, segments, halfwidths, weights, tags):
@@ -142,38 +169,120 @@ def _level_blocks(m, n):
     return [(tag, symmetrize(build_block(m, n, tag)), 1) for tag in (TAG_A, TAG_B)]
 
 
+def _block_rows(m, n, flip, sizes):
+    """Leading entries of symmetrized blocks in padded rows.
+
+    Row r holds the first ``sizes[r]`` diagonal entries of the level-``n[r]``
+    block (B where ``flip[r]``, else A) in ``D``, and its couplings of index
+    j < min(sizes[r], n[r]) in ``E``; every other entry is zero.  The entries
+    are computed by the float operations of :func:`build_block` followed by
+    :func:`symmetrize`, so a full row equals that block bit for bit.
+    Overflow gives inf or nan silently; callers check the norms.
+    """
+    a, b, c = m.triple()
+    k = np.arange(int(sizes.max()))
+    nn = n[:, None]
+    kept = (k % 2 == 0) != flip[:, None]  # A's sign and c+b at even k; B swaps the parities
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = np.where(k < sizes[:, None], np.where(kept, 1.0, -1.0) * (a * (nn - 2 * k)) - m.C, 0.0)
+        f = np.where(kept, c + b, c - b)
+        E = np.where(k < np.minimum(sizes, n)[:, None], np.sqrt((f * (k + 1)) * (f * (nn - k))), 0.0)
+    return D, E
+
+
+def _level_rows(m, levels):
+    """Every block of ``levels`` written straight into padded solver rows.
+
+    Returns (D, E, sizes, level, weight, tag code, tol) per row, the rows
+    sorted by size, largest first, in the layout of
+    :func:`~dirac3sphere.eigen._pack`.  An even level is one row, A_n with
+    weight 2 and tag "AB" (B_n is A_n reversed, see :func:`_level_blocks`).
+    An odd level is four rows of size h = (n+1)/2, weight 1 each: the two
+    halves of A_n, then of B_n.  A level's tol is 1e-12 (1 + norm) with the
+    largest infinity norm of its full blocks, bit for bit
+    :func:`~dirac3sphere.eigen.default_tolerance`.
+
+    Split lemma.  At odd n both symmetrized blocks are persymmetric, bit
+    for bit: the diagonal term (-1)^(n-k) a(2k-n) equals (-1)^k a(n-2k),
+    and coupling index n-1-j has the parity of j, with the two factors of
+    (j+1)(n-j) swapped.  A symmetric
+    persymmetric tridiagonal of even order 2h has eigenvectors (x, +-Jx), so
+    its spectrum is the union of the spectra of its leading h x h block with
+    +e_{h-1} and with -e_{h-1} added to the last diagonal entry, e_{h-1} the
+    middle coupling (Cantoni & Butler 1976).  The addition is rounded once,
+    an error of at most eps ||T||, far below tol = 1e-12 (1 + ||T||).  A
+    half's norm is at most the block's (|d +- e| <= |d| + e), so every half
+    value proved within the level's tol is an eigenvalue of the block within
+    that tol, and a line's radius keeps its meaning.
+
+    A block entry that is not finite raises :class:`Dirac3SphereError`.
+    """
+    ns = np.asarray(levels, dtype=np.int64)
+    even, odd = ns[ns % 2 == 0], ns[ns % 2 == 1]
+    n = np.concatenate([even, np.repeat(odd, 4)])
+    fold = np.concatenate([np.zeros(len(even), dtype=np.int64), np.tile([1, -1, 1, -1], len(odd))])
+    flip = np.concatenate([np.zeros(len(even), dtype=bool), np.tile([False, False, True, True], len(odd))])
+    sizes = np.where(fold == 0, n + 1, (n + 1) // 2)
+    order = np.argsort(-sizes, kind="stable")
+    n, fold, flip, sizes = n[order], fold[order], flip[order], sizes[order]
+    D, E = _block_rows(m, n, flip, sizes)
+
+    R = np.abs(D)
+    R[:, 1:] += E[:, :-1]
+    norms = (R + E).max(axis=1)  # rows k < size of the block, summed as in eigen._pack
+    R = np.abs(D) + E
+    R[:, 1:] += E[:, :-1]  # rows n-k of an odd block: the same terms, in that row's order
+    norms = np.where(fold == 0, norms, np.maximum(norms, R.max(axis=1)))
+    if not np.isfinite(norms).all():
+        raise Dirac3SphereError("block entries are not finite; the spectrum cannot be computed")
+    level_norm = np.zeros(int(n.max()) + 1)
+    np.maximum.at(level_norm, n, norms)
+
+    half = np.flatnonzero(fold)
+    mid = sizes[half] - 1
+    D[half, mid] += fold[half] * E[half, mid]
+    E[half, mid] = 0.0
+    weight = np.where(fold == 0, 2, 1)
+    code = np.where(fold == 0, 3, np.where(flip, 2, 1))
+    return D, E[:, :-1], sizes, n, weight, code, _tolerance(level_norm[n])
+
+
 def _lines_of_levels(m, levels):
-    """Spectral lines of ``levels``, sorted by (eigenvalue, level); see :func:`assemble`."""
-    blocks = {n: _level_blocks(m, n) for n in levels}
-    tols = {n: max(default_tolerance(t) for _, t, _ in level) for n, level in blocks.items()}
-    rows = [(n, tols[n], w, _TAGS.index(tag), t, t.size) for n, level in blocks.items() for tag, t, w in level]
-    if not rows:
-        return []
-    ns, tols, weights, codes, ts, sizes = zip(*rows)
+    """Spectral lines of ``levels`` as columns (eigenvalue, radius, level,
+    tag code, block multiplicity), sorted by (eigenvalue, level); see
+    :func:`assemble`."""
+    if not len(levels):
+        return np.zeros(0), np.zeros(0), *(np.zeros(0, dtype=np.int64) for _ in range(3))
+    D, E, sizes, level, weight, code, tol = _level_rows(m, levels)
+    V = _proved_values(D, E, sizes, tol)
+    values = V[np.arange(V.shape[1]) < sizes[:, None]]
     level, centre, radius, weight, code = _overlap_lines(
-        np.concatenate(eigenvalues_batch(ts)), *(np.repeat(x, sizes) for x in (ns, tols, weights, codes)))
+        values, *(np.repeat(x, sizes) for x in (level, tol, weight, code)))
     order = np.lexsort((level, centre))
-    return [SpectralLine(c, r, n, _TAGS[g], w, w * (n + 1))
-            for c, r, n, w, g in zip(*(x[order].tolist() for x in (centre, radius, level, weight, code)))]
+    return tuple(x[order] for x in (centre, radius, level, code, weight))
 
 
 def level_lines(m, n):
     """Spectral lines of one level (an even one solved once, from A); see :func:`assemble`."""
-    return _lines_of_levels(m, [int(n)])
+    return _line_objects(*_lines_of_levels(m, [int(n)]))
 
 
 def assemble(m, manifold, max_level):
     """Assemble the spectrum of the chosen operator up to ``max_level``.
 
-    Every block of every admissible level, an even level once from A (see
-    :func:`_level_blocks`), goes through one :func:`eigenvalues_batch` call,
-    and one pass over all values groups them into lines: the values of a
-    level whose proved intervals overlap form one line, with a proved radius
-    and count (see :class:`SpectralLine` for the proof).  No two lines of a
-    level overlap, and a line of one value carries that value unchanged.
+    Every block of every admissible level is written straight into padded
+    rows (:func:`_level_rows`): an even level once, from A, and an odd level
+    as the persymmetric halves of both blocks, proved within the tol of the
+    level's full blocks.  One :func:`~dirac3sphere.eigen._proved_values`
+    call solves them all, and one pass over all values groups them into
+    lines: the values of a level whose proved intervals overlap form one
+    line, with a proved radius and count (see :class:`SpectralLine` for the
+    proof).  No two lines of a level overlap, and a line of one value
+    carries that value unchanged.  The lines stay columns of the
+    :class:`Spectrum`.
     """
-    lines = _lines_of_levels(m, list(admissible_levels(manifold, max_level)))
-    return Spectrum(manifold=manifold, metric=m.triple(), max_level=int(max_level), lines=tuple(lines))
+    columns = _lines_of_levels(m, list(admissible_levels(manifold, max_level)))
+    return Spectrum(manifold, m.triple(), int(max_level), *columns)
 
 
 def enumerated_min_abs(m, manifold, max_level=25):
@@ -454,13 +563,11 @@ def heat_trace(m, manifold, t, max_level, spectrum=None):
     if not t > 0:
         raise DomainError("t must be positive")
     spec = spectrum if spectrum is not None else assemble(m, manifold, max_level)
-    value = 0.0
-    lam_max = 0.0
-    computed = 0
-    for line in spec.lines:
-        value += line.total_multiplicity * math.exp(-t * line.eigenvalue ** 2)
-        lam_max = max(lam_max, abs(line.eigenvalue))
-        computed += line.total_multiplicity
+    mult = spec.total_multiplicity
+    with np.errstate(over="raise"):  # a square beyond the double range is an ArithmeticError, as in floats
+        value = float(np.dot(mult, np.exp(-t * spec.eigenvalue ** 2)))
+    lam_max = float(np.abs(spec.eigenvalue).max(initial=0.0))
+    computed = int(mult.sum())
     missed = max(weyl_count_estimate(m, manifold, lam_max) - computed, 0.0)
     tail = math.exp(-t * lam_max ** 2) * missed
     return HeatTraceResult(
@@ -484,10 +591,11 @@ def counting_function(m, manifold, lam, max_level, spectrum=None):
         raise DomainError("lam must be positive")
     spec = spectrum if spectrum is not None else assemble(m, manifold, max_level)
     include = lam + 1e-9 * (1.0 + lam)
-    count = sum(line.total_multiplicity for line in spec.lines if abs(line.eigenvalue) <= include)
-    levels = list(admissible_levels(manifold, max_level))
+    modulus = np.abs(spec.eigenvalue)
+    count = int(spec.total_multiplicity[modulus <= include].sum())
+    levels = admissible_levels(manifold, max_level)
     top = levels[-1] if levels else None
-    top_max = max((abs(l.eigenvalue) for l in spec.lines if l.level == top), default=0.0)
+    top_max = float(modulus[spec.level == top].max(initial=0.0))
     if top is None or top_max <= lam:
         warnings.warn(
             f"level cutoff {max_level} is insufficient for lam = {lam}: "

@@ -314,6 +314,24 @@ def test_verify_point_beyond_the_double_range_fails_cleanly(capsys):
     assert point["status"] == "fail" and "not finite" in point["reason"]
 
 
+def test_verify_point_with_overflowing_bounds_fails_cleanly(capsys):
+    # certified exactly and C is finite, but the level-30 Gershgorin rows overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", "--grid", "1e153:1e153:1,1e153:1e153:1,1e153:1e153:1")
+    assert code == 1
+    assert err == ""
+    (point,) = json.loads(out)["results"]["points"]
+    assert point["status"] == "fail" and "not finite" in point["reason"]
+
+
+def test_spectrum_without_admissible_levels_is_empty(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--metric", "1,1,1", "--manifold", "so3-nontrivial", "--max-level", "0")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results == {"max_level": 0, "max_radius": 0.0, "count": 0, "lines": []}
+
+
 def test_parser_is_built_once_and_reused(capsys):
     calls = [
         ("invariants", "--metric", "1.3,0.8,0.6"),

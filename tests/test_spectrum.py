@@ -63,6 +63,8 @@ def test_level_lines_match_the_assembled_level():
 
 
 def test_even_levels_never_build_block_b(monkeypatch):
+    # assemble writes its rows with _level_rows and never calls build_block,
+    # so this covers the enumeration's level source, _level_blocks
     from dirac3sphere import spectrum
 
     built = []
@@ -360,16 +362,19 @@ def test_assemble_agrees_with_bisection_reference():
 
 
 def test_assembled_values_pass_the_sturm_certificate():
+    # per line, in ascending order: count(v - tol) <= lines below it and
+    # count(v + tol) >= lines up to it, both blocks counted in one batch
     for m in (ROUND, Metric(1.3, 0.8, 0.6), Metric(1.4, 0.7, 0.7), Metric(3, 1, 0.3)):
         spec = d3s.assemble(m, d3s.S3, 40)
         for n in range(41):
             ts = _level_blocks(m, n)
             tol = max(default_tolerance(t) for t in ts)
-            below = 0
-            for line in sorted((l for l in spec.lines if l.level == n), key=lambda l: l.eigenvalue):
-                assert sum(d3s.count_below(t, line.eigenvalue - tol) for t in ts) <= below
-                below += line.block_multiplicity
-                assert sum(d3s.count_below(t, line.eigenvalue + tol) for t in ts) >= below
+            at = spec.level == n
+            values, mult = spec.eigenvalue[at], spec.block_multiplicity[at]
+            counts = d3s.count_below_batch(ts, np.concatenate([values - tol, values + tol])).sum(axis=0)
+            up_to = np.cumsum(mult)
+            assert np.all(counts[:len(values)] <= up_to - mult)
+            assert np.all(counts[len(values):] >= up_to)
 
 
 def test_line_intervals_are_disjoint_and_hold_their_counts():
@@ -399,3 +404,100 @@ def test_close_distinct_eigenvalues_stay_separate_lines():
     near = [l for l in d3s.level_lines(m, 11) if abs(l.eigenvalue - 12.8294) < 1e-3]
     assert [(l.tag, l.block_multiplicity) for l in near] == [("A", 1), ("A", 1)]
     assert all(l.radius <= tol for l in near)
+
+
+def _lead_positions(rng, count):
+    """Seeded metrics of both scal signs, each with its largest entry at
+    position 0, 1 and 2."""
+    out = []
+    for t in rng.uniform(0.25, 4.0, size=(count, 3)):
+        rest = sorted(t)[:2]
+        out += [Metric(*np.insert(rest, lead, t.max())) for lead in range(3)]
+    return out
+
+
+def test_level_rows_are_the_reference_blocks_bit_for_bit():
+    from dirac3sphere.spectrum import _block_rows, _level_rows
+
+    levels = np.arange(82)
+    for m in _lead_positions(np.random.default_rng(2020), 20):
+        for flip, tag in ((False, "A"), (True, "B")):
+            D, E = _block_rows(m, levels, np.full(len(levels), flip), levels + 1)
+            for n in levels:
+                t = d3s.symmetrize(d3s.build_block(m, n, tag))
+                assert np.array_equal(D[n, :n + 1], t.diag) and not D[n, n + 1:].any()
+                assert np.array_equal(E[n, :n], t.offdiag) and not E[n, n:].any()
+
+        D, E, sizes, level, weight, code, tol = _level_rows(m, levels)
+        assert list(sizes) == sorted(sizes, reverse=True)
+        for r, s in enumerate(sizes):
+            assert not D[r, s:].any() and not E[r, s - 1:].any()
+        for n in levels:
+            a, b = (d3s.symmetrize(d3s.build_block(m, n, tag)) for tag in "AB")
+            rows = np.flatnonzero(level == n)
+            assert set(tol[rows]) == {max(default_tolerance(a), default_tolerance(b) if n % 2 else 0.0)}
+            if n % 2 == 0:  # one A row of weight 2
+                (r,) = rows
+                assert (sizes[r], weight[r], code[r]) == (n + 1, 2, 3)
+                assert np.array_equal(D[r, :n + 1], a.diag) and np.array_equal(E[r, :n], a.offdiag)
+                continue
+            # two halves of each block: the leading h entries, with +e_{h-1}
+            # and -e_{h-1} folded into the last diagonal entry
+            h = (n + 1) // 2
+            assert list(sizes[rows]) == [h] * 4 and list(weight[rows]) == [1] * 4
+            for g, t in ((1, a), (2, b)):
+                pair = rows[code[rows] == g]
+                assert len(pair) == 2
+                assert all(np.array_equal(D[q, :h - 1], t.diag[:h - 1]) for q in pair)
+                assert all(np.array_equal(E[q, :h - 1], t.offdiag[:h - 1]) for q in pair)
+                d, e = t.diag[h - 1], t.offdiag[h - 1]
+                assert sorted(D[pair, h - 1]) == sorted([d + e, d - e])
+
+
+def _half_spectra_mismatch(m, D, E, sizes, level, code, tol):
+    """Largest distance, in units of the level's tol, between the union of
+    the half spectra of each odd block and its dense full spectrum."""
+    worst = 0.0
+    for n in np.unique(level):
+        for g, tag in ((1, "A"), (2, "B")):
+            rows = np.flatnonzero((level == n) & (code == g))
+            halves = []
+            for r in rows:
+                s = sizes[r]
+                T = np.diag(D[r, :s]) + np.diag(E[r, :s - 1], -1) + np.diag(E[r, :s - 1], 1)
+                halves.append(np.linalg.eigvalsh(T))
+            full = np.linalg.eigvalsh(d3s.symmetrize(d3s.build_block(m, n, tag)).to_dense())
+            worst = max(worst, np.abs(np.sort(np.concatenate(halves)) - full).max() / tol[rows[0]])
+    return worst
+
+
+def test_half_spectra_are_the_odd_block_spectrum():
+    from dirac3sphere.spectrum import _level_rows
+
+    odd = np.arange(1, 202, 2)
+    for m in (Metric(1.3, 0.8, 0.6), Metric(3, 1, 0.3), Metric(0.7, 2.9, 1.1)):
+        D, E, sizes, level, _, code, tol = _level_rows(m, odd)
+        assert _half_spectra_mismatch(m, D, E, sizes, level, code, tol) <= 2.0
+        # mutation: the middle coupling enters the second half of each block
+        # with the first half's sign, so both halves are the same matrix
+        mutated = D.copy()
+        for r in range(1, len(level)):
+            if (level[r], code[r]) == (level[r - 1], code[r - 1]):
+                mutated[r, sizes[r] - 1] = mutated[r - 1, sizes[r] - 1]
+        assert _half_spectra_mismatch(m, mutated, E, sizes, level, code, tol) > 1e6
+
+
+def test_spectrum_columns_agree_with_the_line_objects():
+    m = Metric(1.3, 0.8, 0.6)
+    spec = d3s.assemble(m, d3s.SO3_NONTRIVIAL, 31)
+    lines = spec.lines
+    assert lines is spec.lines  # built once
+    assert [l.eigenvalue for l in lines] == spec.eigenvalue.tolist()
+    assert [l.tag for l in lines] == spec.tags
+    assert spec.total_count() == sum(l.total_multiplicity for l in lines)
+    t = 0.05
+    want = math.fsum(l.total_multiplicity * math.exp(-t * l.eigenvalue ** 2) for l in lines)
+    assert d3s.heat_trace(m, d3s.SO3_NONTRIVIAL, t, 31, spectrum=spec).value == pytest.approx(want, rel=1e-14)
+    for lam in (2.0, 10.0, 30.0):
+        want = sum(l.total_multiplicity for l in lines if abs(l.eigenvalue) <= lam + 1e-9 * (1 + lam))
+        assert d3s.counting_function(m, d3s.SO3_NONTRIVIAL, lam, 31, spectrum=spec) == want
