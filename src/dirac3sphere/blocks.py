@@ -5,12 +5,25 @@ invariant space of equivariant spinor maps.  In the parity-adapted basis
 {A_0..A_n, B_0..B_n} the restriction splits into two real tridiagonal
 (n+1)x(n+1) blocks, both shifted by -C on the diagonal.
 
-Two independent constructions are provided and cross-validated in the test
-suite: ``build_block`` evaluates the closed entry recurrences directly, while
-``build_from_representation`` assembles the operator from the su(2)
-representation matrices and the Clifford multiplication, then reads off the
-blocks.  Closed forms for the small levels (characteristic polynomials at
-n = 2, 4 and explicit eigenvalues at n = 1, 3) round out the module.
+Two independent constructions are provided and cross-validated:
+``build_block`` (and its padded many-row form ``_raw_rows``) evaluates the
+closed entry recurrences, while the representation construction applies
+f -> -sum_l E_l f X_l - C f, with the su(2) representation matrices X_l and
+the Clifford multiplication E_l, to the matrix units.  A_k is the unit at
+spinor row r = k mod 2 and column k, B_k the one in the other row, so entry
+(i, j) of the level operator is
+
+    -sum_l E_l[r_i, r_j] X_l[k_j, k_i] - C delta_ij,
+
+and every entry with |k_i - k_j| > 1 is exactly zero: X_1 is diagonal and
+X_2, X_3 couple k only to k +- 1.  ``_band`` builds that nonzero band for
+many levels at once, ``build_from_representation`` scatters one level of it
+into the dense matrix, and ``representation_cross_check`` compares every
+level up to a cutoff with the recurrences in one pass, in O(cutoff^2)
+memory; ``verify`` caps the cutoff (``--rep-level``) at
+``cli.MAX_REP_LEVEL`` = 300 for that reason.  Closed forms for the small
+levels (characteristic polynomials at n = 2, 4 and explicit eigenvalues at
+n = 1, 3) round out the module.
 """
 
 import math
@@ -18,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, UnsupportedLevelError
+from .errors import CertificationError, ConsistencyError, UnsupportedLevelError
 
 TAG_A = "A"
 TAG_B = "B"
@@ -32,6 +45,7 @@ CLIFFORD = (
     np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex),
     np.array([[0.0, 1j], [1j, 0.0]]),
 )
+_CLIFFORD = np.array(CLIFFORD)
 
 
 @dataclass(frozen=True)
@@ -69,12 +83,34 @@ class DiracBlock:
         return float(r.max())
 
 
+def _raw_rows(m, n, flip, sizes):
+    """Leading entries of level blocks in padded rows, before symmetrization.
+
+    Row r holds the first ``sizes[r]`` diagonal entries of the level-``n[r]``
+    block (B where ``flip[r]``, else A) in ``D``, and its sub- and
+    superdiagonal entries of index j < min(sizes[r], n[r]) in ``S`` and
+    ``P``; every other entry is zero.  A full row is :func:`build_block`'s
+    ``diag``, ``sub`` and ``sup``, bit for bit.  Overflow gives inf or nan
+    silently; callers check.
+    """
+    a, b, c = m.triple()
+    k = np.arange(int(sizes.max()))
+    nn = n[:, None]
+    kept = (k % 2 == 0) != flip[:, None]  # A's sign and c+b at even k; B swaps the parities
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = np.where(k < sizes[:, None], np.where(kept, 1.0, -1.0) * (a * (nn - 2 * k)) - m.C, 0.0)
+        f = np.where(k < np.minimum(sizes, n)[:, None], np.where(kept, c + b, c - b), 0.0)
+        return D, f * (k + 1), f * (nn - k)
+
+
 def build_block(m, n, tag):
     """Level-n block from the closed entry recurrences.
 
     The diagonal alternates +-a(n-2k) by parity of k and carries the shift
     -C; the off-diagonal couplings alternate between (c+b) and (c-b) weights.
-    Tag "B" is tag "A" with the parities swapped.
+    Tag "B" is tag "A" with the parities swapped.  The entries are those of
+    one full row of :func:`_raw_rows`, bit for bit; this one-row form skips
+    the padding and masks.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
@@ -97,6 +133,20 @@ def build_block(m, n, tag):
     return DiracBlock(level=int(n), tag=tag, diag=diag, sub=sub, sup=sup)
 
 
+def _rep_entries(m, n, k):
+    """The entries X_l[k, k+d] of the representation matrices at level n,
+    as an array indexed [l - 1, d + 1] over the broadcast shape of n and k;
+    X_1 is diagonal and X_2, X_3 only couple k to k +- 1, so these are all
+    the entries that can be nonzero (see :func:`representation_matrices`)."""
+    a, b, c = m.triple()
+    up, down = k + 1, n - k + 1  # X_2 and X_3 at d = +1 and d = -1
+    X = np.zeros((3, 3) + np.broadcast(n, k).shape, dtype=complex)
+    X[0, 1] = 1j * a * (n - 2 * k)
+    X[1, 0], X[1, 2] = -b * down, b * up
+    X[2, 0], X[2, 2] = 1j * c * down, 1j * c * up
+    return X
+
+
 def representation_matrices(m, n):
     """Matrices of the derived irreducible su(2) action at level n.
 
@@ -104,18 +154,16 @@ def representation_matrices(m, n):
         X1 . P_k = i a (n - 2k) P_k
         X2 . P_k = b k P_{k-1} - b (n - k) P_{k+1}
         X3 . P_k = i c k P_{k-1} + i c (n - k) P_{k+1}
+    The entries come from :func:`_rep_entries`, scattered into dense
+    complex matrices.
     """
-    a, b, c = m.triple()
     k = np.arange(n + 1)
-    M1 = np.diag(1j * a * (n - 2 * k))
-    if n == 0:
-        zero = np.zeros((1, 1), dtype=complex)
-        return M1, zero.copy(), zero.copy()
-    up = k[1:]          # column k, entry at row k-1
-    down = n - k[:-1]   # column k, entry at row k+1
-    M2 = np.diag(b * up.astype(float), 1) + np.diag(-b * down.astype(float), -1)
-    M3 = np.diag(1j * c * up, 1) + np.diag(1j * c * down, -1)
-    return M1, M2, M3
+    X = _rep_entries(m, n, k)
+    M = np.zeros((3, n + 1, n + 1), dtype=complex)
+    for d in (-1, 0, 1):
+        j = k[max(0, -d):n + 1 - max(0, d)]  # columns whose k + d is a level index
+        M[:, j, j + d] = X[:, d + 1, j]
+    return tuple(M)
 
 
 @dataclass(frozen=True)
@@ -136,50 +184,111 @@ class RepresentationOperator:
         scale = max(1.0, float(np.abs(M).max()))
         off = max(float(np.abs(M[:dim, dim:]).max()), float(np.abs(M[dim:, :dim]).max()))
         if off > 1e-12 * scale:
-            raise ConsistencyError(
-                f"level {self.level}: operator is not block-diagonal in the A/B basis (residue {off:.3e})"
-            )
+            raise _coupling_error(self.level, off)
         return M[:dim, :dim].real.copy(), M[dim:, dim:].real.copy()
 
 
-def _basis_positions(n):
-    # A_k occupies spinor row k mod 2, B_k the other row, both in column k.
-    dim = n + 1
-    k = np.arange(dim)
-    rows = np.concatenate([k % 2, 1 - k % 2])
-    cols = np.concatenate([k, k])
-    return rows, cols
+def _imaginary_error(n, residue):
+    return ConsistencyError(f"level {n}: imaginary residue {residue:.3e} after reordering into the A/B basis")
+
+
+def _coupling_error(n, off):
+    return ConsistencyError(f"level {n}: operator is not block-diagonal in the A/B basis (residue {off:.3e})")
+
+
+def _band(m, levels):
+    """The band of the unshifted operators of ``levels`` (see the module
+    docstring), as a complex array indexed [s, t, d + 1, i, k]: the
+    coordinate of basis element (s, k + d) in the image of (t, k) at level
+    ``levels[i]``, tag 0 being A and 1 being B, so
+
+        band[s, t, d + 1, i, k] = -sum_l E_l[(s + k + d) % 2, (t + k) % 2] X_l[k, k + d]
+
+    with E_l = CLIFFORD[l - 1], and zero where k or k + d leaves 0..n.
+    Every E_l entry is 0, +-1 or +-i, so each product is exact, and at most
+    two are nonzero: each entry is rounded once, as in a dense evaluation.
+    """
+    n = np.asarray(levels)[:, None]
+    k = np.arange(int(n.max()) + 1)
+    d = np.arange(-1, 2)[:, None]
+    s, t = np.arange(2)[:, None, None, None], np.arange(2)[:, None, None]
+    E = _CLIFFORD[:, (s + k + d) % 2, (t + k) % 2]  # [l - 1, s, t, d + 1, k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = -np.einsum("lstdk,ldik->stdik", E, _rep_entries(m, n, k))
+    band[:, :, (k > n) | (k + d[..., None] < 0) | (k + d[..., None] > n)] = 0.0
+    return band
 
 
 def build_from_representation(m, n):
-    """Level-n operator assembled from the representation matrices.
+    """Level-n operator assembled from the representation matrices: the
+    level-n slice of :func:`_band`, scattered into the dense matrix on the
+    basis {A_0..A_n, B_0..B_n}, minus C times the identity.
 
-    Applies f -> -sum_l E_l f M_l - C f to every basis matrix unit and
-    expresses the images in the A/B basis.  Imaginary parts above 1e-12
-    (relative to the matrix magnitude) raise
-    :class:`ConsistencyError` instead of being discarded.
+    Entry (i, j) is -sum_l E_l[r_i, r_j] X_l[k_j, k_i] - C delta_ij for the
+    basis element i at spinor row r_i and column k_i.  It is exactly zero
+    unless |k_i - k_j| <= 1, because X_1 is diagonal and X_2, X_3 couple k
+    only to k +- 1.  Imaginary parts above 1e-12 (relative to the matrix
+    magnitude) raise :class:`ConsistencyError` instead of being discarded.
     """
-    M1, M2, M3 = representation_matrices(m, n)
-    rows, cols = _basis_positions(n)
-    nbasis = 2 * (n + 1)
-    basis = np.zeros((nbasis, 2, n + 1), dtype=complex)
-    basis[np.arange(nbasis), rows, cols] = 1.0
-
-    image = -sum(
-        np.einsum("ij,bjk,kl->bil", E, basis, M)
-        for E, M in zip(CLIFFORD, (M1, M2, M3))
-    )
-    image -= m.C * basis
-
-    # image[j] expressed in the A/B coordinates gives column j
-    matrix = image[:, rows, cols].T.copy()
+    if n < 0:
+        raise ValueError("level must be nonnegative")
+    band = _band(m, [n])
+    dim = n + 1
+    k, tags = np.arange(dim), np.arange(2)
+    matrix = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    for d in (-1, 0, 1):
+        j = k[max(0, -d):dim - max(0, d)]  # columns whose k + d is a level index
+        matrix[tags[:, None, None] * dim + j + d, tags[:, None] * dim + j] = band[:, :, d + 1, 0, j]
+    matrix -= m.C * np.eye(2 * dim, dtype=complex)
     scale = max(1.0, float(np.abs(matrix).max()))
     residue = float(np.abs(matrix.imag).max())
     if residue > 1e-12 * scale:
-        raise ConsistencyError(
-            f"level {n}: imaginary residue {residue:.3e} after reordering into the A/B basis"
-        )
+        raise _imaginary_error(n, residue)
     return RepresentationOperator(level=int(n), matrix=matrix)
+
+
+def representation_cross_check(m, top):
+    """Check the representation construction against the recurrences at
+    every level 0..``top`` in one pass over the band; returns the number of
+    checks, two per level.
+
+    Per level, at the 1e-12 relative thresholds of
+    :func:`build_from_representation` and
+    :meth:`RepresentationOperator.blocks`: the imaginary residue, the A/B
+    couplings, and the largest deviation of the A-A and then the B-B
+    tridiagonal from :func:`_raw_rows` (the entries of
+    :func:`build_block`).  The first failure, by level and then in that
+    order, raises :class:`ConsistencyError` (residue, couplings) or
+    :class:`CertificationError` (a block deviates).  Memory is O(top^2).
+    """
+    n = np.arange(top + 1)
+    rows = np.concatenate([n, n])  # A then B
+    D, S, P = _raw_rows(m, rows, np.arange(rows.size) > top, rows + 1)
+    rec = np.zeros((3,) + D.shape)  # the recurrence band [d + 1, row, k]
+    rec[0, :, 1:], rec[1], rec[2] = P[:, :-1], D, S
+    rec = rec.reshape(3, 2, top + 1, -1).swapaxes(0, 1)  # [tag, d + 1, level, k]
+
+    band = _band(m, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan entries; a nan fails no check
+        band[[0, 1], [0, 1], 1] -= m.C * (n <= n[:, None])
+        err = np.abs(band[[0, 1], [0, 1]].real - rec).max(axis=(1, 3))
+    mag = np.abs(band)
+    scale = np.fmax(1.0, mag.max(axis=(0, 1, 2, 4)))
+    residue = np.abs(band.imag).max(axis=(0, 1, 2, 4))
+    off = mag[[0, 1], [1, 0]].max(axis=(0, 1, 3))
+    rec_scale = np.fmax(1.0, np.abs(rec).max(axis=(1, 3)))
+
+    fails = np.stack([residue > 1e-12 * scale, off > 1e-12 * scale, *(err > 1e-12 * rec_scale)], axis=1)
+    if fails.any():
+        level, check = divmod(int(np.argmax(fails)), 4)
+        if check == 0:
+            raise _imaginary_error(level, residue[level])
+        if check == 1:
+            raise _coupling_error(level, off[level])
+        raise CertificationError(
+            f"representation block (n={level}, {TAGS[check - 2]}) deviates by {err[check - 2, level]:.3e}"
+        )
+    return 2 * (top + 1)
 
 
 def _char_poly_coeffs(a, b, c, n):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, build_block
+from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, _raw_rows, build_block
 from .eigen import _proved_values, _tolerance, count_below_batch, min_abs_batch, symmetrize
 from .errors import Dirac3SphereError, DomainError, TruncationWarning, UncertifiableError
 from .gershgorin import CertificationStep, _approx, base_cases, exact_sorted, level_bounds, record_step
@@ -175,19 +175,15 @@ def _block_rows(m, n, flip, sizes):
     Row r holds the first ``sizes[r]`` diagonal entries of the level-``n[r]``
     block (B where ``flip[r]``, else A) in ``D``, and its couplings of index
     j < min(sizes[r], n[r]) in ``E``; every other entry is zero.  The entries
-    are computed by the float operations of :func:`build_block` followed by
+    are the raw rows of :func:`~dirac3sphere.blocks._raw_rows` (those of
+    :func:`build_block`) followed by the float operations of
     :func:`symmetrize`, so a full row equals that block bit for bit.
     Overflow gives inf or nan silently; callers check the norms.
     """
-    a, b, c = m.triple()
-    k = np.arange(int(sizes.max()))
-    nn = n[:, None]
-    kept = (k % 2 == 0) != flip[:, None]  # A's sign and c+b at even k; B swaps the parities
+    D, S, P = _raw_rows(m, n, flip, sizes)
     with np.errstate(over="ignore", invalid="ignore"):
-        D = np.where(k < sizes[:, None], np.where(kept, 1.0, -1.0) * (a * (nn - 2 * k)) - m.C, 0.0)
-        f = np.where(kept, c + b, c - b)
-        E = np.where(k < np.minimum(sizes, n)[:, None], np.sqrt((f * (k + 1)) * (f * (nn - k))), 0.0)
-    return D, E
+        S *= P
+        return D, np.sqrt(S, out=S)
 
 
 def _level_rows(m, levels):

@@ -8,6 +8,10 @@ library itself solves full spectra with LAPACK's dense symmetric solver, so
 (``eigen._bisect_range``, see ``tests/test_spectrum.py``).  The certificate's
 reference is ``fraction_certificate``: the same conditions decided in
 ``Fraction`` arithmetic on the stored doubles, with no integer scaling.
+The representation construction's reference is ``einsum_representation``:
+the operator applied to every basis matrix unit as a dense einsum, with the
+representation matrices built by ``np.diag``; ``reference_verify_point``
+is the per-level ``verify`` cross-check on top of it.
 """
 
 import math
@@ -16,8 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 import dirac3sphere as d3s
-from dirac3sphere.blocks import _char_poly_coeffs, _level1_eigs, _level3_radicals
+from dirac3sphere.blocks import CLIFFORD, RepresentationOperator, _char_poly_coeffs, _level1_eigs, _level3_radicals
 from dirac3sphere.eigen import default_tolerance
+from dirac3sphere.errors import ConsistencyError
 from dirac3sphere.gershgorin import CertificationStep, _families, _G
 from dirac3sphere.metric import scal_factors, shift_C
 
@@ -230,3 +235,84 @@ def fraction_certificate(m):
     _fraction_step(steps, "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment)
     _fraction_step(steps, "increment:slope", "4c^2, the growth of the increment per level", 4 * c * c)
     return tuple(steps)
+
+
+def diag_representation_matrices(m, n):
+    """X_1, X_2, X_3 at level n on the monomial basis, each built from
+    ``np.diag`` of its closed-form entries."""
+    a, b, c = m.triple()
+    k = np.arange(n + 1)
+    M1 = np.diag(1j * a * (n - 2 * k))
+    if n == 0:
+        zero = np.zeros((1, 1), dtype=complex)
+        return M1, zero.copy(), zero.copy()
+    up = k[1:]          # column k, entry at row k-1
+    down = n - k[:-1]   # column k, entry at row k+1
+    M2 = np.diag(b * up.astype(float), 1) + np.diag(-b * down.astype(float), -1)
+    M3 = np.diag(1j * c * up, 1) + np.diag(1j * c * down, -1)
+    return M1, M2, M3
+
+
+def einsum_representation(m, n):
+    """The level-n operator f -> -sum_l E_l f X_l - C f applied to every
+    basis matrix unit {A_0..A_n, B_0..B_n} by one dense einsum, with the
+    library's imaginary-residue check and message."""
+    M1, M2, M3 = diag_representation_matrices(m, n)
+    dim = n + 1
+    k = np.arange(dim)
+    rows = np.concatenate([k % 2, 1 - k % 2])  # A_k in spinor row k mod 2, B_k in the other
+    cols = np.concatenate([k, k])
+    nbasis = 2 * dim
+    basis = np.zeros((nbasis, 2, dim), dtype=complex)
+    basis[np.arange(nbasis), rows, cols] = 1.0
+
+    image = -sum(
+        np.einsum("ij,bjk,kl->bil", E, basis, M)
+        for E, M in zip(CLIFFORD, (M1, M2, M3))
+    )
+    image -= m.C * basis
+
+    matrix = image[:, rows, cols].T.copy()  # image[j] in the A/B coordinates is column j
+    scale = max(1.0, float(np.abs(matrix).max()))
+    residue = float(np.abs(matrix.imag).max())
+    if residue > 1e-12 * scale:
+        raise ConsistencyError(
+            f"level {n}: imaginary residue {residue:.3e} after reordering into the A/B basis"
+        )
+    return RepresentationOperator(level=int(n), matrix=matrix)
+
+
+def reference_verify_point(metric, rep_level, details=False, construct=einsum_representation):
+    """``cli._verify_point`` with the cross-check as a per-level loop: the
+    blocks of ``construct(metric, n)`` (the einsum operator by default)
+    against ``build_block``, one level and one block at a time."""
+    point = {"metric": list(metric.triple()), "scal_sign": d3s.scal_sign_classification(metric)}
+    try:
+        trace = d3s.certify_fundamental_tone(metric)
+        if not math.isfinite(metric.C):
+            raise d3s.Dirac3SphereError(f"C = {metric.C!r} is not finite; the cross-checks need finite blocks")
+        checks = len(trace.steps)
+        min_margin = trace.min_margin
+        for n in range(rep_level + 1):
+            rep_a, rep_b = construct(metric, n).blocks()
+            for tag, rep in (("A", rep_a), ("B", rep_b)):
+                dense = d3s.build_block(metric, n, tag).to_dense()
+                scale = max(1.0, float(abs(dense).max()))
+                err = float(abs(rep - dense).max())
+                if err > 1e-12 * scale:
+                    raise d3s.CertificationError(
+                        f"representation block (n={n}, {tag}) deviates by {err:.3e}"
+                    )
+                checks += 1
+        d3s.gershgorin_table(metric, 30)
+        checks += 1
+        point.update(status="pass", reason=None, checks=checks, min_margin=min_margin)
+        if details:
+            point["steps"] = [
+                {"name": s.name, "margin": s.margin, "kind": s.kind} for s in trace.steps
+            ]
+    except d3s.UncertifiableError:
+        point.update(status="skipped", reason="certification needs scal > 0", checks=0, min_margin=None)
+    except d3s.Dirac3SphereError as exc:
+        point.update(status="fail", reason=str(exc), checks=None, min_margin=None)
+    return point

@@ -6,7 +6,8 @@ import pytest
 
 import dirac3sphere as d3s
 from dirac3sphere import Metric
-from dirac3sphere.cli import main, parse_grid, parse_metric
+from dirac3sphere import blocks, cli
+from dirac3sphere.cli import MAX_REP_LEVEL, main, parse_grid, parse_metric
 
 from _oracles import dense_min_abs
 
@@ -323,6 +324,28 @@ def test_verify_point_with_overflowing_bounds_fails_cleanly(capsys):
     assert err == ""
     (point,) = json.loads(out)["results"]["points"]
     assert point["status"] == "fail" and "not finite" in point["reason"]
+
+
+def test_rep_level_above_the_cap_is_refused_before_any_work(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the cross-check ran")
+
+    monkeypatch.setattr(cli, "representation_cross_check", refuse)
+    monkeypatch.setattr(blocks, "_band", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--grid", "1:1:1,1:1:1,1:1:1", "--rep-level", str(MAX_REP_LEVEL + 1)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(f"must be an integer from 0 to {MAX_REP_LEVEL}, got '{MAX_REP_LEVEL + 1}'")
+
+
+@pytest.mark.parametrize("rep_level", [100, MAX_REP_LEVEL])
+def test_one_point_verify_at_a_high_rep_level_passes(capsys, rep_level):
+    code, out, _ = run_cli(capsys, "verify", "--grid", "1.3:1.3:1,0.8:0.8:1,0.9:0.9:1", "--rep-level", str(rep_level))
+    assert code == 0
+    (point,) = json.loads(out)["results"]["points"]
+    assert point["status"] == "pass"
 
 
 def test_spectrum_without_admissible_levels_is_empty(capsys):
