@@ -20,10 +20,13 @@ The kernel serves three ways:
    with a tol per row: those of ``_pack`` (``eigenvalues_batch``), or rows
    written straight into that layout, as ``spectrum._level_rows`` writes
    every level of an assembled spectrum.
-2. Bracket queries: counts at given shifts (``count_below_batch``), and the
-   smallest |eigenvalue| of each block, solved by LAPACK and proved with
-   four shifts (``min_abs_batch``).  ``count_below``, ``eigenvalues`` and
-   ``min_abs_eigenvalue`` are their batches of one.
+2. Bracket queries: counts at given shifts (``_sturm_counts`` itself), and
+   the smallest |eigenvalue| of each row, solved by LAPACK and proved with
+   four shifts (``_min_abs_rows``).  Both are row kernels: they take packed
+   rows, so ``spectrum.enumerated_min_abs`` calls them on rows it writes
+   straight into that layout.  On block objects ``count_below_batch`` and
+   ``min_abs_batch`` pack first; ``count_below``, ``eigenvalues`` and
+   ``min_abs_eigenvalue`` are batches of one.
 3. A block whose LAPACK values fail the proof is solved again by
    Sturm-count bisection inside its Gershgorin bracket (``_bisect_range``),
    which is certified by construction.
@@ -187,13 +190,20 @@ def _pack(ts):
     E = np.zeros((B, N - 1))
     D[~pad] = np.concatenate([ts[j].diag for j in order])
     E[~pad[:, 1:]] = np.concatenate([ts[j].offdiag for j in order])
+    return order, sizes, D, E, _row_norms(D, E)
+
+
+def _row_norms(D, E):
+    """Infinity norm of every packed row, each row summed as
+    :meth:`SymmetrizedTridiagonal.infnorm` sums it; a row with a non-finite
+    entry raises :class:`Dirac3SphereError`."""
     R = np.abs(D)
     R[:, 1:] += E
     R[:, :-1] += E
     norms = R.max(axis=1)
     if not np.isfinite(norms).all():
         raise Dirac3SphereError("block entries are not finite; the spectrum cannot be computed")
-    return order, sizes, D, E, norms
+    return norms
 
 
 def _tolerances(norms, tol):
@@ -289,21 +299,29 @@ def count_below(t, x):
 def min_abs_batch(ts, tol=None):
     """Smallest absolute eigenvalue of every block in ``ts``, each within tol.
 
-    ``tol`` defaults to :func:`default_tolerance` of each block.  LAPACK
-    gives the candidate v = min |lambda| of each block, and one Sturm pass at
-    four shifts proves it: the count in [-(v+tol), v+tol) is at least one,
-    so some |lambda| <= v + tol, and the count in [-(v-tol), v-tol) is zero
-    (or the interval is empty), so every |lambda| >= v - tol.  A block that
-    fails takes the smallest |value| of its bisected spectrum, each value of
-    which lies within tol.  A block with a non-finite entry raises
-    :class:`Dirac3SphereError`.
+    ``tol`` defaults to :func:`default_tolerance` of each block.  The blocks
+    are packed (:func:`_pack`) and solved by :func:`_min_abs_rows`.  A block
+    with a non-finite entry raises :class:`Dirac3SphereError`.
     """
     ts = list(ts)
     if not ts:
         return np.zeros(0)
     order, sizes, D, E, norms = _pack(ts)
-    tols = _tolerances(norms, tol)
-    pad = np.arange(sizes[0]) >= np.array(sizes)[:, None]
+    return _unsort(order, _min_abs_rows(D, E, sizes, _tolerances(norms, tol)))
+
+
+def _min_abs_rows(D, E, sizes, tols):
+    """Smallest absolute eigenvalue of every packed row, each within its tol.
+
+    Rows as :func:`_pack` lays them out, ``D.shape[1] == sizes[0]``.  LAPACK
+    gives the candidate v = min |lambda| of each row, and one Sturm pass at
+    four shifts proves it: the count in [-(v+tol), v+tol) is at least one,
+    so some |lambda| <= v + tol, and the count in [-(v-tol), v-tol) is zero
+    (or the interval is empty), so every |lambda| >= v - tol.  A row that
+    fails takes the smallest |value| of its bisected spectrum, each value of
+    which lies within tol.
+    """
+    pad = np.arange(sizes[0]) >= np.asarray(sizes)[:, None]
     v = np.where(pad, np.inf, np.abs(_solve(D, E, sizes))).min(axis=1)
     hi, lo = v + tols, v - tols
     counts = _sturm_counts(D, E * E, np.stack([-hi, hi, -lo, lo], axis=1), sizes)
@@ -311,7 +329,7 @@ def min_abs_batch(ts, tol=None):
     for b in np.flatnonzero(~proved):
         s = sizes[b]
         v[b] = np.abs(_bisect_range(D[b, :s], E[b, :s - 1], tols[b])).min()
-    return _unsort(order, v)
+    return v
 
 
 def min_abs_eigenvalue(block, tol=None):

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, _raw_rows, build_block
-from .eigen import _proved_values, _tolerance, count_below_batch, min_abs_batch, symmetrize
+from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, _raw_rows
+from .eigen import _min_abs_rows, _proved_values, _row_norms, _sturm_counts, _tolerance
 from .errors import Dirac3SphereError, DomainError, TruncationWarning, UncertifiableError
 from .gershgorin import CertificationStep, _approx, base_cases, exact_sorted, level_bounds, record_step
 from .metric import (
@@ -151,24 +151,6 @@ def _overlap_lines(values, segments, halfwidths, weights, tags):
             np.add.reduceat(weights[order], first), np.bitwise_or.reduceat(tags[order], first))
 
 
-def _level_blocks(m, n):
-    """The blocks that carry level n, as (tag, symmetrized block, block
-    multiplicity) triples: ``[("AB", A_n, 2)]`` at an even level,
-    ``[("A", A_n, 1), ("B", B_n, 1)]`` at an odd one.
-
-    At an even level the two blocks are isospectral, because the symmetrized
-    B_n is A_n reversed (J A_n J), bit for bit: its diagonal is +-a(n-2k) - C
-    with the sign (-1)^k for A and -(-1)^k for B, and diag_A[n-k] =
-    (-1)^(n-k) a(2k-n) - C = diag_B[k] because n - k has the parity of k; its
-    coupling at index j is |f(j)| sqrt((j+1)(n-j)) with f = c+b at even j of
-    A and odd j of B, else c-b, and index n-1-k has the opposite parity to k
-    while (n-k)(k+1) is symmetric under the reversal.
-    """
-    if n % 2 == 0:
-        return [("AB", symmetrize(build_block(m, n, TAG_A)), 2)]
-    return [(tag, symmetrize(build_block(m, n, tag)), 1) for tag in (TAG_A, TAG_B)]
-
-
 def _block_rows(m, n, flip, sizes):
     """Leading entries of symmetrized blocks in padded rows.
 
@@ -281,6 +263,64 @@ def assemble(m, manifold, max_level):
     return Spectrum(manifold, m.triple(), int(max_level), *columns)
 
 
+def _full_rows(m, levels):
+    """The full blocks of ``levels`` (ascending) in padded solver rows.
+
+    Returns (D, E, sizes, tol, level) per row, the rows sorted by size,
+    largest first, in the layout of :func:`~dirac3sphere.eigen._pack`.  An
+    even level is one row, A_n, which stands for both blocks; an odd level
+    is two rows, A_n then B_n.  A row is its symmetrized block bit for bit
+    (:func:`_block_rows`), and its tol is that block's
+    :func:`~dirac3sphere.eigen.default_tolerance`.
+
+    An even level's B block is A reversed (J A_n J), bit for bit, so the two
+    are isospectral: the diagonal is +-a(n-2k) - C with the sign (-1)^k for
+    A and -(-1)^k for B, and diag_A[n-k] = (-1)^(n-k) a(2k-n) - C = diag_B[k]
+    because n - k has the parity of k; the coupling at index j is
+    |f(j)| sqrt((j+1)(n-j)) with f = c+b at even j of A and odd j of B, else
+    c-b, and index n-1-k has the opposite parity to k while (n-k)(k+1) is
+    symmetric under the reversal.
+
+    A block entry that is not finite raises :class:`Dirac3SphereError`.
+    """
+    ns = np.asarray(levels, dtype=np.int64)[::-1]
+    n = np.repeat(ns, 1 + ns % 2)
+    flip = np.zeros(len(n), dtype=bool)
+    flip[1:] = n[1:] == n[:-1]  # the second row of an odd level is B
+    D, E = _block_rows(m, n, flip, n + 1)
+    E = E[:, :-1]
+    return D, E, n + 1, _tolerance(_row_norms(D, E)), n
+
+
+def _rows_at(rows, idx):
+    """Rows ``idx`` (ascending) of :func:`_full_rows` as (D, E, sizes, tol),
+    trimmed to their largest size."""
+    D, E, sizes, tol, _ = rows
+    width = sizes[idx[0]]
+    return D[idx, :width], E[idx, :width - 1], sizes[idx], tol[idx]
+
+
+def _counts(rows, idx, x):
+    """Sturm counts of rows ``idx`` at -x and x, one row each."""
+    D, E, sizes, _ = _rows_at(rows, idx)
+    return _sturm_counts(D, E * E, np.broadcast_to([-x, x], (len(idx), 2)), sizes)
+
+
+def _weighted_count(rows, idx, u):
+    """Eigenvalues in [-u, u) of rows ``idx``, each weighted by n + 1 and
+    twice at an even level; no Sturm pass over no rows."""
+    if not len(idx):
+        return 0
+    counts = _counts(rows, idx, u)
+    n = rows[4][idx]
+    return int(np.dot(counts[:, 1] - counts[:, 0], (n + 1) * (2 - n % 2)))
+
+
+#: :func:`enumerated_min_abs` seeds with the lowest-bound level among this
+#: many first admissible levels
+_SEED_LEVELS = 12
+
+
 def enumerated_min_abs(m, manifold, max_level=25):
     """Numerically smallest |eigenvalue| over the admissible levels.
 
@@ -295,19 +335,31 @@ def enumerated_min_abs(m, manifold, max_level=25):
        SO(3) and every level spectrum, and it makes the row bounds tight.
     2. :func:`~dirac3sphere.gershgorin.level_bounds` bounds lambda^2 from
        below on every admissible level in one pass.
-    3. The level with the lowest bound is solved first, giving ``best``.
-       One batched Sturm count at -best and best then screens the blocks of
-       every other level whose bound is <= best^2 (1 + 1e-9); only blocks
-       with an eigenvalue in [-best, best) are solved, and the smallest
-       value wins.  A level whose bound is not finite is always screened.
+    3. The seed, the level with the lowest finite bound among the first 12
+       admissible ones (the lowest finite bound of all when none of those
+       is finite, the first level when none is), is solved first, giving
+       ``best`` (once bounds turn negative the lowest bound of all is often
+       at the highest level, a poor seed).  One batched Sturm count at
+       -best and best then screens the blocks of every other level whose
+       bound is <= best^2 (1 + 1e-9); only blocks with an eigenvalue in
+       [-best, best) are solved, and the smallest value wins.  A level
+       whose bound is not finite is always screened.
+       The seed sets only the screening threshold: the screen and the proof
+       below hold for any seed, so the result does not depend on it.  A
+       lower threshold screens fewer levels, so the third return value
+       shrinks, but keeps its meaning.
     4. The multiplicity is one batched count in [-u, u), u = value +
        ``COINCIDENCE_RTOL`` max(1, value), over the levels whose bound is
        <= u^2 (1 + 1e-9), each block weighted by n + 1 times its multiplicity.
 
-    Solves are :func:`~dirac3sphere.eigen.min_abs_batch`: LAPACK, proved
-    within tol by four Sturm shifts, with bisection as the fallback.  The
-    blocks come from :func:`_level_blocks`, so an even level is solved and
-    counted once, from A, with weight 2.
+    The seed's blocks are written once into solver rows (:func:`_full_rows`:
+    an even level is solved and counted once, from A, with weight 2).  The
+    other levels whose bound is <= u^2 (1 + 1e-9) for the seed's u, all
+    that the search can need since the value only falls, go into one more
+    row set, built only when there is such a level; every screen, solve and
+    count runs on index slices of these rows.  Solves are
+    :func:`~dirac3sphere.eigen._min_abs_rows`: LAPACK, proved within tol by
+    four Sturm shifts, with bisection as the fallback.
 
     Within tol.  The screen is exact: a block it passes over has no
     eigenvalue in [-best, best), so nothing in it beats the returned value.
@@ -326,26 +378,38 @@ def enumerated_min_abs(m, manifold, max_level=25):
     ms, _ = m.sorted()
     bounds = level_bounds(ms, levels)
     unbounded = ~np.isfinite(bounds)
-    level_blocks = functools.cache(functools.partial(_level_blocks, ms))
 
     def within(x):
-        # levels that may hold an eigenvalue with |lambda| <= x
-        return [int(n) for n in levels[unbounded | (bounds <= x * x * (1.0 + 1e-9))]]
+        # mask of the levels that may hold an eigenvalue with |lambda| <= x
+        return unbounded | (bounds <= x * x * (1.0 + 1e-9))
 
-    first = int(levels[np.argmin(np.where(unbounded, np.inf, bounds))])
-    best = float(min_abs_batch([t for _, t, _ in level_blocks(first)]).min())
-    screened = [n for n in within(best) if n != first]
-    ts = [t for n in screened for _, t, _ in level_blocks(n)]
-    counts = count_below_batch(ts, [-best, best])
-    inside = [t for t, (lo, hi) in zip(ts, counts) if hi > lo]
-    if inside:
-        best = min(best, float(min_abs_batch(inside).min()))
+    def margin(x):
+        return x + COINCIDENCE_RTOL * max(1.0, x)
 
-    u = best + COINCIDENCE_RTOL * max(1.0, best)
-    counted = [(n, t, w) for n in within(u) for _, t, w in level_blocks(n)]
-    counts = count_below_batch([t for _, t, _ in counted], [-u, u])
-    mult = int(np.dot(counts[:, 1] - counts[:, 0], [(n + 1) * w for n, _, w in counted]))
-    return best, mult, sorted([first] + screened)
+    finite = np.where(unbounded, np.inf, bounds)
+    lead = finite[:_SEED_LEVELS]
+    first = int(np.argmin(lead if np.isfinite(lead).any() else finite))
+    seed = _full_rows(ms, levels[first:first + 1])
+    best = float(_min_abs_rows(*seed[:4]).min())
+    row_sets = [(seed, np.full(len(seed[2]), first))]  # rows and the index of each row's level
+    others, screened = within(margin(best)), within(best)
+    others[first] = screened[first] = False
+    if others.any():
+        rest = _full_rows(ms, levels[others])
+        at = np.searchsorted(levels, rest[4])
+        row_sets.append((rest, at))
+        idx = np.flatnonzero(screened[at])
+        if len(idx):
+            counts = _counts(rest, idx, best)
+            inside = idx[counts[:, 1] > counts[:, 0]]
+            if len(inside):
+                best = min(best, float(_min_abs_rows(*_rows_at(rest, inside)).min()))
+
+    u = margin(best)
+    counted = within(u)
+    mult = sum(_weighted_count(rows, np.flatnonzero(counted[at]), u) for rows, at in row_sets)
+    screened[first] = True
+    return best, mult, levels[screened].tolist()
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,14 @@ reference is ``fraction_certificate``: the same conditions decided in
 The representation construction's reference is ``einsum_representation``:
 the operator applied to every basis matrix unit as a dense einsum, with the
 representation matrices built by ``np.diag``; ``reference_verify_point``
-is the per-level ``verify`` cross-check on top of it.
+is the per-level ``verify`` cross-check on top of it.  The enumeration's
+reference is ``reference_enumerated_min_abs``: the search on block objects
+(``_level_blocks``) seeded with the globally lowest level bound.  The Berger
+metrics b = c have every eigenvalue in closed form (``berger_spectrum``),
+with no solver at all.
 """
+
+import functools
 
 import math
 from fractions import Fraction
@@ -21,10 +27,11 @@ import numpy as np
 
 import dirac3sphere as d3s
 from dirac3sphere.blocks import CLIFFORD, RepresentationOperator, _char_poly_coeffs, _level1_eigs, _level3_radicals
-from dirac3sphere.eigen import default_tolerance
+from dirac3sphere.eigen import count_below_batch, default_tolerance, min_abs_batch
 from dirac3sphere.errors import ConsistencyError
 from dirac3sphere.gershgorin import CertificationStep, _families, _G
 from dirac3sphere.metric import scal_factors, shift_C
+from dirac3sphere.spectrum import COINCIDENCE_RTOL
 
 
 def char_poly_coeffs(diag, sub, sup):
@@ -72,6 +79,78 @@ def dense_min_abs(m, manifold, max_level, rtol=1e-9):
     u = best + rtol * max(1.0, best)
     mult = sum((n + 1) * int(np.count_nonzero((v >= -u) & (v < u))) for n, v in solved.items())
     return best, mult, tol
+
+
+def _level_blocks(m, n):
+    """The blocks that carry level n, as (tag, symmetrized block, block
+    multiplicity) triples: ``[("AB", A_n, 2)]`` at an even level, where B_n
+    is A_n reversed (see ``spectrum._full_rows``), and
+    ``[("A", A_n, 1), ("B", B_n, 1)]`` at an odd one."""
+    if n % 2 == 0:
+        return [("AB", d3s.symmetrize(d3s.build_block(m, n, "A")), 2)]
+    return [(tag, d3s.symmetrize(d3s.build_block(m, n, tag)), 1) for tag in "AB"]
+
+
+def reference_enumerated_min_abs(m, manifold, max_level=25):
+    """``enumerated_min_abs`` on block objects, seeded with the level of
+    lowest finite bound over all admissible levels: the seed solved with
+    ``min_abs_batch``, every other level its bound cannot rule out screened
+    by one ``count_below_batch`` at -best and best, the blocks with an
+    eigenvalue inside solved, and the multiplicity one count in [-u, u)."""
+    levels = np.array(d3s.admissible_levels(manifold, max_level))
+    if not len(levels):
+        raise d3s.DomainError("no admissible levels below the requested cutoff")
+    ms, _ = m.sorted()
+    bounds = d3s.level_bounds(ms, levels)
+    unbounded = ~np.isfinite(bounds)
+    level_blocks = functools.cache(functools.partial(_level_blocks, ms))
+
+    def within(x):
+        return [int(n) for n in levels[unbounded | (bounds <= x * x * (1.0 + 1e-9))]]
+
+    first = int(levels[np.argmin(np.where(unbounded, np.inf, bounds))])
+    best = float(min_abs_batch([t for _, t, _ in level_blocks(first)]).min())
+    screened = [n for n in within(best) if n != first]
+    ts = [t for n in screened for _, t, _ in level_blocks(n)]
+    counts = count_below_batch(ts, [-best, best])
+    inside = [t for t, (lo, hi) in zip(ts, counts) if hi > lo]
+    if inside:
+        best = min(best, float(min_abs_batch(inside).min()))
+
+    u = best + COINCIDENCE_RTOL * max(1.0, best)
+    counted = [(n, t, w) for n in within(u) for _, t, w in level_blocks(n)]
+    counts = count_below_batch([t for _, t, _ in counted], [-u, u])
+    mult = int(np.dot(counts[:, 1] - counts[:, 0], [(n + 1) * w for n, _, w in counted]))
+    return best, mult, sorted([first] + screened)
+
+
+def berger_spectrum(a, b, n):
+    """All 2(n+1) eigenvalues of level n of the Berger metric (a, b, b),
+    ascending, in closed form (Hitchin, Adv. Math. 14, 1974).
+
+    At b = c every coupling weighted by c - b vanishes, so each block is a
+    direct sum of 2x2 blocks on the rows (k, k+1), k even in A and odd in B,
+    and of 1x1 blocks on the rows left over.  Row k carries the diagonal
+    s a(n-2k) - C with s = (-1)^k in A and -(-1)^k in B, so a paired row k
+    has s = +1 and its partner s = -1; the pair's coupling squared is
+    (2b)^2 (k+1)(n-k).  The 2x2 block has mean a - C and half-difference
+    a(n-2k-1), so its eigenvalues are
+
+        a - C +- sqrt(a^2 (n-2k-1)^2 + 4 b^2 (k+1)(n-k)),
+
+    and an unpaired row keeps its diagonal s a(n-2k) - C: row n of A at even
+    n, row 0 of B, and row n of B at odd n, each -an - C.  C is
+    (ab/c + bc/a + ca/b)/2 at c = b, that is a + b^2/(2a).
+    """
+    C = a + b * b / (2 * a)
+    values = []
+    for first in (0, 1):  # the first paired row of A, then of B
+        k = np.arange(first, n, 2)
+        root = np.sqrt(a * a * (n - 2 * k - 1) ** 2 + 4 * b * b * (k + 1) * (n - k))
+        values += [a - C - root, a - C + root]
+        unpaired = (n + 1) - 2 * len(k)
+        values.append(np.full(unpaired, -a * n - C))
+    return np.sort(np.concatenate(values))
 
 
 def random_triples(rng, count, lo=0.3, hi=2.5):

@@ -3,6 +3,7 @@ the proved min-|eigenvalue| solves."""
 
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ import dirac3sphere as d3s
 from dirac3sphere import Metric, eigen
 from dirac3sphere.eigen import default_tolerance
 
-from _oracles import dense_min_abs, random_metrics, random_metrics_with_sign, scal_zero_metrics
+from _oracles import (
+    berger_spectrum,
+    dense_min_abs,
+    random_metrics,
+    random_metrics_with_sign,
+    reference_enumerated_min_abs,
+    scal_zero_metrics,
+)
 
 MANIFOLDS = (d3s.S3, d3s.SO3_TRIVIAL, d3s.SO3_NONTRIVIAL)
 
@@ -129,3 +137,75 @@ def test_non_finite_block_is_a_package_error():
     for manifold in MANIFOLDS:
         with np.errstate(all="raise"), pytest.raises(d3s.Dirac3SphereError, match="not finite"):
             d3s.enumerated_min_abs(m, manifold, 40)
+
+
+def _wall_metrics(rng, count):
+    # exact-wall rationals (p, q, pq/(p+q)), scal = 0, in a random order
+    out = []
+    for _ in range(count):
+        p, q = rng.integers(1, 10, size=2)
+        out.append(Metric(*rng.permutation([p, q, Fraction(int(p * q), int(p + q))]).astype(float)))
+    return out
+
+
+def _outcome(enumerate_min_abs, m, manifold, max_level):
+    # (value, multiplicity), or the error type and message
+    try:
+        return enumerate_min_abs(m, manifold, max_level)[:2]
+    except d3s.Dirac3SphereError as exc:
+        return type(exc), str(exc)
+
+
+def test_enumeration_equals_the_object_path_reference():
+    # the packed rows and the low-level seed return the reference's value and
+    # multiplicity exactly: on scal < 0, exact-wall and Berger metrics, on
+    # every manifold, up to level 200; and on a metric whose bounds are all
+    # nan, whose blocks overflow above level 25 (the same error either way)
+    rng = np.random.default_rng(35)
+    metrics = (random_metrics_with_sign(rng, 6, d3s.NEGATIVE, 0.25, 4.0) + _wall_metrics(rng, 6)
+               + [Metric(a, b, b) for a, b in ((1.3, 0.9), (0.4, 2.0), (3.0, 0.2), (0.3, 1.7))]
+               + [Metric(4, 3.5, 0.25)])
+    cases = [(m, manifold, (200, 120, 60, 25)[(i + j) % 4])
+             for i, m in enumerate(metrics) for j, manifold in enumerate(MANIFOLDS)]
+    cases += [(Metric(1e155, 1e153, 1.0), manifold, max_level) for manifold in MANIFOLDS for max_level in (10, 25, 200)]
+    raised = []
+    for m, manifold, max_level in cases:
+        got = _outcome(d3s.enumerated_min_abs, m, manifold, max_level)
+        assert got == _outcome(reference_enumerated_min_abs, m, manifold, max_level), (m.triple(), manifold, max_level)
+        if isinstance(got[0], type):
+            raised.append(max_level)
+    assert raised == [200] * 3
+
+
+def test_seed_is_a_low_level(monkeypatch):
+    # the lowest bound of (4, 3.5, 0.25) is at level 200, where every other
+    # block has an eigenvalue inside the seed's value; a low seed solves few rows
+    m = Metric(4, 3.5, 0.25)
+    want = reference_enumerated_min_abs(m, d3s.S3, 200)[:2]
+    rows = []
+    solve = eigen._solve
+
+    def spy(D, E, sizes):
+        rows.append(len(sizes))
+        return solve(D, E, sizes)
+
+    monkeypatch.setattr(eigen, "_solve", spy)
+    assert d3s.enumerated_min_abs(m, d3s.S3, 200)[:2] == want
+    assert sum(rows) <= 40, rows
+
+
+def test_enumeration_matches_the_berger_closed_form():
+    # at b = c every eigenvalue is known in closed form; the multiplicity
+    # counts the closed-form values in [-u, u), weighted by n + 1
+    for a, b in ((1.3, 0.9), (0.4, 2.0), (3.0, 0.2)):
+        m = Metric(a, b, b)
+        for manifold in MANIFOLDS:
+            levels = d3s.admissible_levels(manifold, 200)
+            spectra = {n: berger_spectrum(a, b, n) for n in levels}
+            want = min(float(np.abs(v).min()) for v in spectra.values())
+            u = want + d3s.spectrum.COINCIDENCE_RTOL * max(1.0, want)
+            want_mult = sum((n + 1) * int(np.count_nonzero((v >= -u) & (v < u))) for n, v in spectra.items())
+            tol = max(default_tolerance(d3s.symmetrize(d3s.build_block(m, n, "A"))) for n in levels)
+            value, mult, _ = d3s.enumerated_min_abs(m, manifold, 200)
+            assert abs(value - want) <= tol, ((a, b), manifold, value, want)
+            assert mult == want_mult, ((a, b), manifold)

@@ -7,7 +7,7 @@ import dirac3sphere as d3s
 from dirac3sphere import Metric
 from dirac3sphere.eigen import _bisect_range, default_tolerance
 
-from _oracles import random_metrics_with_sign, replay_fundamental_tone
+from _oracles import berger_spectrum, random_metrics_with_sign, replay_fundamental_tone
 
 ROUND = Metric(1, 1, 1)
 
@@ -63,24 +63,30 @@ def test_level_lines_match_the_assembled_level():
 
 
 def test_even_levels_never_build_block_b(monkeypatch):
-    # assemble writes its rows with _level_rows and never calls build_block,
-    # so this covers the enumeration's level source, _level_blocks
+    # every level source writes its rows with _block_rows: assemble and
+    # level_lines through _level_rows, the enumeration through _full_rows
     from dirac3sphere import spectrum
 
-    built = []
+    calls = []
+    block_rows = spectrum._block_rows
 
-    def counting(m, n, tag):
-        built.append((n, tag))
-        return d3s.build_block(m, n, tag)
+    def spy(m, n, flip, sizes):
+        calls.append(list(zip(n.tolist(), flip.tolist())))
+        return block_rows(m, n, flip, sizes)
 
-    monkeypatch.setattr(spectrum, "build_block", counting)
+    monkeypatch.setattr(spectrum, "_block_rows", spy)
     for m in (Metric(1.3, 0.8, 0.6), Metric(3, 1, 0.3)):
         for manifold in (d3s.S3, d3s.SO3_TRIVIAL):
-            d3s.assemble(m, manifold, 12)
-            d3s.enumerated_min_abs(m, manifold, 40)
+            for run in (d3s.assemble, d3s.enumerated_min_abs):
+                before = len(calls)
+                run(m, manifold, 40 if run is d3s.enumerated_min_abs else 12)
+                assert len(calls) > before
         d3s.level_lines(m, 4)
-    assert not [(n, tag) for n, tag in built if n % 2 == 0 and tag == "B"]
-    assert {tag for n, tag in built if n % 2 == 1} == {"A", "B"}
+    for rows in calls:
+        assert not [n for n, flip in rows if n % 2 == 0 and flip]
+        odd = {n for n, _ in rows if n % 2 == 1}
+        assert {(n, flip) for n, flip in rows if n % 2 == 1} == {(n, flip) for n in odd for flip in (False, True)}
+    assert any(n % 2 == 1 for rows in calls for n, _ in rows)
 
 
 def test_even_levels_carry_only_paired_lines():
@@ -343,7 +349,7 @@ def test_spectrum_permutation_invariance():
         assert np.abs(np.sort(base_vals) - np.sort(vals)).max() <= 1e-9
 
 
-def _level_blocks(m, n):
+def _both_blocks(m, n):
     return [d3s.symmetrize(d3s.build_block(m, n, tag)) for tag in "AB"]
 
 
@@ -354,7 +360,7 @@ def test_assemble_agrees_with_bisection_reference():
     for m, manifold in zip(metrics, (d3s.S3, d3s.SO3_TRIVIAL, d3s.SO3_NONTRIVIAL)):
         spec = d3s.assemble(m, manifold, 60)
         for n in d3s.admissible_levels(manifold, 60):
-            ts = _level_blocks(m, n)
+            ts = _both_blocks(m, n)
             tol = max(default_tolerance(t) for t in ts)
             ref = np.sort(np.concatenate([_bisect_range(t.diag, t.offdiag, default_tolerance(t)) for t in ts]))
             got = np.sort([l.eigenvalue for l in spec.lines if l.level == n for _ in range(l.block_multiplicity)])
@@ -367,7 +373,7 @@ def test_assembled_values_pass_the_sturm_certificate():
     for m in (ROUND, Metric(1.3, 0.8, 0.6), Metric(1.4, 0.7, 0.7), Metric(3, 1, 0.3)):
         spec = d3s.assemble(m, d3s.S3, 40)
         for n in range(41):
-            ts = _level_blocks(m, n)
+            ts = _both_blocks(m, n)
             tol = max(default_tolerance(t) for t in ts)
             at = spec.level == n
             values, mult = spec.eigenvalue[at], spec.block_multiplicity[at]
@@ -390,7 +396,7 @@ def test_line_intervals_are_disjoint_and_hold_their_counts():
                 lo = np.array([l.eigenvalue - l.radius for l in lines])
                 hi = np.array([l.eigenvalue + l.radius for l in lines])
                 assert np.all(hi[:-1] < lo[1:])
-                counts = d3s.count_below_batch(_level_blocks(m, n), np.concatenate([lo, np.nextafter(hi, np.inf)]))
+                counts = d3s.count_below_batch(_both_blocks(m, n), np.concatenate([lo, np.nextafter(hi, np.inf)]))
                 inside = counts.sum(axis=0)
                 assert list(inside[len(lines):] - inside[:len(lines)]) == [l.block_multiplicity for l in lines]
                 assert sum(l.total_multiplicity for l in lines) == 2 * (n + 1) ** 2
@@ -400,7 +406,7 @@ def test_close_distinct_eigenvalues_stay_separate_lines():
     # two values of block A at level 11 lie 1e-8 apart, far beyond the solve
     # tolerance: two lines, each a single value with radius tol
     m = Metric(1.2593, 0.5123, 0.3979)
-    tol = max(default_tolerance(t) for t in _level_blocks(m, 11))
+    tol = max(default_tolerance(t) for t in _both_blocks(m, 11))
     near = [l for l in d3s.level_lines(m, 11) if abs(l.eigenvalue - 12.8294) < 1e-3]
     assert [(l.tag, l.block_multiplicity) for l in near] == [("A", 1), ("A", 1)]
     assert all(l.radius <= tol for l in near)
@@ -501,3 +507,21 @@ def test_spectrum_columns_agree_with_the_line_objects():
     for lam in (2.0, 10.0, 30.0):
         want = sum(l.total_multiplicity for l in lines if abs(l.eigenvalue) <= lam + 1e-9 * (1 + lam))
         assert d3s.counting_function(m, d3s.SO3_NONTRIVIAL, lam, 31, spectrum=spec) == want
+
+
+BERGER = ((1.3, 0.9), (0.4, 2.0), (3.0, 0.2))
+
+
+def test_assemble_matches_the_berger_closed_form():
+    # at b = c every eigenvalue is known in closed form, with no solver: the
+    # k-th sorted one of a level lies in the interval of the line that holds
+    # the k-th slot of the level's lines, counted by block multiplicity
+    for a, b in BERGER:
+        m = Metric(a, b, b)
+        for manifold in (d3s.S3, d3s.SO3_TRIVIAL, d3s.SO3_NONTRIVIAL):
+            spec = d3s.assemble(m, manifold, 120)
+            for n in d3s.admissible_levels(manifold, 120):
+                at = spec.level == n
+                slots = np.repeat(np.flatnonzero(at), spec.block_multiplicity[at])
+                err = np.abs(berger_spectrum(a, b, n) - spec.eigenvalue[slots])
+                assert np.all(err <= spec.radius[slots]), ((a, b), manifold, n, (err - spec.radius[slots]).max())
