@@ -5,13 +5,14 @@ invariant space of equivariant spinor maps.  In the parity-adapted basis
 {A_0..A_n, B_0..B_n} the restriction splits into two real tridiagonal
 (n+1)x(n+1) blocks, both shifted by -C on the diagonal.
 
-Two independent constructions are provided and cross-validated:
-``build_block`` (and its padded many-row form ``_raw_rows``) evaluates the
-closed entry recurrences, while the representation construction applies
-f -> -sum_l E_l f X_l - C f, with the su(2) representation matrices X_l and
-the Clifford multiplication E_l, to the matrix units.  A_k is the unit at
-spinor row r = k mod 2 and column k, B_k the one in the other row, so entry
-(i, j) of the level operator is
+Two independent constructions are provided and cross-validated.  The
+closed entry recurrences are evaluated by ``build_block`` for one block and
+by ``_raw_rows`` for whole blocks of many levels in padded rows, the entries
+``spectrum._full_rows`` symmetrizes into solver rows.  The representation
+construction applies f -> -sum_l E_l f X_l - C f, with the su(2)
+representation matrices X_l and the Clifford multiplication E_l, to the
+matrix units.  A_k is the unit at spinor row r = k mod 2 and column k, B_k
+the one in the other row, so entry (i, j) of the level operator is
 
     -sum_l E_l[r_i, r_j] X_l[k_j, k_i] - C delta_ij,
 
@@ -83,23 +84,22 @@ class DiracBlock:
         return float(r.max())
 
 
-def _raw_rows(m, n, flip, sizes):
-    """Leading entries of level blocks in padded rows, before symmetrization.
+def _raw_rows(m, n, flip):
+    """Level blocks in padded rows, before symmetrization.
 
-    Row r holds the first ``sizes[r]`` diagonal entries of the level-``n[r]``
-    block (B where ``flip[r]``, else A) in ``D``, and its sub- and
-    superdiagonal entries of index j < min(sizes[r], n[r]) in ``S`` and
-    ``P``; every other entry is zero.  A full row is :func:`build_block`'s
-    ``diag``, ``sub`` and ``sup``, bit for bit.  Overflow gives inf or nan
-    silently; callers check.
+    Row r holds the level-``n[r]`` block (B where ``flip[r]``, else A): its
+    n[r] + 1 diagonal entries in ``D`` and its sub- and superdiagonal entries
+    of index j < n[r] in ``S`` and ``P``; every other entry is zero.  A row
+    is :func:`build_block`'s ``diag``, ``sub`` and ``sup``, bit for bit.
+    Overflow gives inf or nan silently; callers check.
     """
     a, b, c = m.triple()
-    k = np.arange(int(sizes.max()))
+    k = np.arange(int(n.max()) + 1)
     nn = n[:, None]
     kept = (k % 2 == 0) != flip[:, None]  # A's sign and c+b at even k; B swaps the parities
     with np.errstate(over="ignore", invalid="ignore"):
-        D = np.where(k < sizes[:, None], np.where(kept, 1.0, -1.0) * (a * (nn - 2 * k)) - m.C, 0.0)
-        f = np.where(k < np.minimum(sizes, n)[:, None], np.where(kept, c + b, c - b), 0.0)
+        D = np.where(k <= nn, np.where(kept, 1.0, -1.0) * (a * (nn - 2 * k)) - m.C, 0.0)
+        f = np.where(k < nn, np.where(kept, c + b, c - b), 0.0)
         return D, f * (k + 1), f * (nn - k)
 
 
@@ -109,8 +109,8 @@ def build_block(m, n, tag):
     The diagonal alternates +-a(n-2k) by parity of k and carries the shift
     -C; the off-diagonal couplings alternate between (c+b) and (c-b) weights.
     Tag "B" is tag "A" with the parities swapped.  The entries are those of
-    one full row of :func:`_raw_rows`, bit for bit; this one-row form skips
-    the padding and masks.
+    one row of :func:`_raw_rows`, bit for bit; this one-row form skips the
+    padding and masks.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
@@ -228,10 +228,14 @@ def build_from_representation(m, n):
     basis element i at spinor row r_i and column k_i.  It is exactly zero
     unless |k_i - k_j| <= 1, because X_1 is diagonal and X_2, X_3 couple k
     only to k +- 1.  Imaginary parts above 1e-12 (relative to the matrix
-    magnitude) raise :class:`ConsistencyError` instead of being discarded.
+    magnitude) raise :class:`ConsistencyError` instead of being discarded,
+    and so does a C that is not finite, before anything is built (the shift
+    -C I would leave no entry finite).
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
+    if not math.isfinite(m.C):
+        raise ConsistencyError(f"level {n}: C = {m.C!r} is not finite; the operator cannot be built")
     band = _band(m, [n])
     dim = n + 1
     k, tags = np.arange(dim), np.arange(2)
@@ -263,7 +267,7 @@ def representation_cross_check(m, top):
     """
     n = np.arange(top + 1)
     rows = np.concatenate([n, n])  # A then B
-    D, S, P = _raw_rows(m, rows, np.arange(rows.size) > top, rows + 1)
+    D, S, P = _raw_rows(m, rows, np.arange(rows.size) > top)
     rec = np.zeros((3,) + D.shape)  # the recurrence band [d + 1, row, k]
     rec[0, :, 1:], rec[1], rec[2] = P[:, :-1], D, S
     rec = rec.reshape(3, 2, top + 1, -1).swapaxes(0, 1)  # [tag, d + 1, level, k]

@@ -17,14 +17,14 @@ The kernel serves three ways:
    proved: the i-th of the sorted values lam_0 <= lam_1 <= ... lies within
    tol of the i-th eigenvalue when count(lam_i - tol) <= i and
    count(lam_i + tol) >= i + 1 (``_proved_values``).  It takes packed rows
-   with a tol per row: those of ``_pack`` (``eigenvalues_batch``), or rows
-   written straight into that layout, as ``spectrum._level_rows`` writes
-   every level of an assembled spectrum.
+   with a tol per row: those of ``_pack`` (``eigenvalues_batch``), or the
+   rows ``spectrum._full_rows`` writes straight from a metric, from which
+   ``spectrum._level_rows`` cuts every level of an assembled spectrum.
 2. Bracket queries: counts at given shifts (``_sturm_counts`` itself), and
    the smallest |eigenvalue| of each row, solved by LAPACK and proved with
    four shifts (``_min_abs_rows``).  Both are row kernels: they take packed
-   rows, so ``spectrum.enumerated_min_abs`` calls them on rows it writes
-   straight into that layout.  On block objects ``count_below_batch`` and
+   rows, so ``spectrum.enumerated_min_abs`` calls them on the rows of
+   ``spectrum._full_rows``.  On block objects ``count_below_batch`` and
    ``min_abs_batch`` pack first; ``count_below``, ``eigenvalues`` and
    ``min_abs_eigenvalue`` are batches of one.
 3. A block whose LAPACK values fail the proof is solved again by

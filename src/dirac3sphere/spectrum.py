@@ -22,7 +22,7 @@ import numpy as np
 
 from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, _raw_rows
 from .eigen import _min_abs_rows, _proved_values, _row_norms, _sturm_counts, _tolerance
-from .errors import Dirac3SphereError, DomainError, TruncationWarning, UncertifiableError
+from .errors import DomainError, TruncationWarning, UncertifiableError
 from .gershgorin import CertificationStep, _approx, base_cases, exact_sorted, level_bounds, record_step
 from .metric import (
     POSITIVE,
@@ -151,78 +151,95 @@ def _overlap_lines(values, segments, halfwidths, weights, tags):
             np.add.reduceat(weights[order], first), np.bitwise_or.reduceat(tags[order], first))
 
 
-def _block_rows(m, n, flip, sizes):
-    """Leading entries of symmetrized blocks in padded rows.
+def _full_rows(m, levels):
+    """The full blocks of ``levels`` (ascending) in padded solver rows: the
+    one writer of solver rows from a metric.
 
-    Row r holds the first ``sizes[r]`` diagonal entries of the level-``n[r]``
-    block (B where ``flip[r]``, else A) in ``D``, and its couplings of index
-    j < min(sizes[r], n[r]) in ``E``; every other entry is zero.  The entries
-    are the raw rows of :func:`~dirac3sphere.blocks._raw_rows` (those of
-    :func:`build_block`) followed by the float operations of
-    :func:`symmetrize`, so a full row equals that block bit for bit.
-    Overflow gives inf or nan silently; callers check the norms.
+    Returns (D, E, sizes, tol, level) per row, the rows sorted by size,
+    largest first: row r holds the diagonal of its symmetrized block in
+    ``D[r]`` and the couplings in ``E[r]``, zero past its size ``sizes[r]``,
+    as :func:`~dirac3sphere.eigen._sturm_counts` and LAPACK read them.  An
+    even level is one row, A_n, which stands for both blocks; an odd level
+    is two rows, A_n then B_n.  The entries are
+    :func:`~dirac3sphere.blocks._raw_rows` followed by the float operations
+    of :func:`~dirac3sphere.eigen.symmetrize`, so a row is
+    ``symmetrize(build_block(m, n, tag))`` bit for bit, and its tol is that
+    block's :func:`~dirac3sphere.eigen.default_tolerance`.
+
+    An even level's B block is A reversed (J A_n J), bit for bit, so the two
+    are isospectral: the diagonal is +-a(n-2k) - C with the sign (-1)^k for
+    A and -(-1)^k for B, and diag_A[n-k] = (-1)^(n-k) a(2k-n) - C = diag_B[k]
+    because n - k has the parity of k; the coupling at index j is
+    |f(j)| sqrt((j+1)(n-j)) with f = c+b at even j of A and odd j of B, else
+    c-b, and index n-1-k has the opposite parity to k while (n-k)(k+1) is
+    symmetric under the reversal.
+
+    A block entry that is not finite raises
+    :class:`~dirac3sphere.errors.Dirac3SphereError`.
     """
-    D, S, P = _raw_rows(m, n, flip, sizes)
-    with np.errstate(over="ignore", invalid="ignore"):
+    ns = np.asarray(levels, dtype=np.int64)[::-1]
+    n = np.repeat(ns, 1 + ns % 2)
+    flip = np.zeros(len(n), dtype=bool)
+    flip[1:] = n[1:] == n[:-1]  # the second row of an odd level is B
+    D, S, P = _raw_rows(m, n, flip)
+    with np.errstate(over="ignore", invalid="ignore"):  # _row_norms refuses what overflows
         S *= P
-        return D, np.sqrt(S, out=S)
+        E = np.sqrt(S[:, :-1])
+    return D, E, n + 1, _tolerance(_row_norms(D, E)), n
 
 
 def _level_rows(m, levels):
-    """Every block of ``levels`` written straight into padded solver rows.
+    """Every block of ``levels`` (ascending) as the solver rows of
+    :func:`assemble`, cut from :func:`_full_rows`.
 
     Returns (D, E, sizes, level, weight, tag code, tol) per row, the rows
-    sorted by size, largest first, in the layout of
-    :func:`~dirac3sphere.eigen._pack`.  An even level is one row, A_n with
-    weight 2 and tag "AB" (B_n is A_n reversed, see :func:`_level_blocks`).
-    An odd level is four rows of size h = (n+1)/2, weight 1 each: the two
-    halves of A_n, then of B_n.  A level's tol is 1e-12 (1 + norm) with the
-    largest infinity norm of its full blocks, bit for bit
-    :func:`~dirac3sphere.eigen.default_tolerance`.
+    sorted stably by size, largest first.  An even level keeps its A row,
+    with weight 2 and tag "AB" (B_n is A_n reversed, see :func:`_full_rows`).
+    Each row of an odd level, A_n then B_n, becomes its two halves of size
+    h = (n+1)/2, weight 1 and tag "A" or "B": the leading h entries, with
+    +e_{h-1} and then -e_{h-1} added to the last diagonal entry.  A level's
+    tol is the largest tol of its full rows; as 1e-12 (1 + norm) is monotone
+    in the norm, that is bit for bit the tol of the level's largest norm.
 
     Split lemma.  At odd n both symmetrized blocks are persymmetric, bit
     for bit: the diagonal term (-1)^(n-k) a(2k-n) equals (-1)^k a(n-2k),
     and coupling index n-1-j has the parity of j, with the two factors of
-    (j+1)(n-j) swapped.  A symmetric
-    persymmetric tridiagonal of even order 2h has eigenvectors (x, +-Jx), so
-    its spectrum is the union of the spectra of its leading h x h block with
-    +e_{h-1} and with -e_{h-1} added to the last diagonal entry, e_{h-1} the
-    middle coupling (Cantoni & Butler 1976).  The addition is rounded once,
-    an error of at most eps ||T||, far below tol = 1e-12 (1 + ||T||).  A
-    half's norm is at most the block's (|d +- e| <= |d| + e), so every half
-    value proved within the level's tol is an eigenvalue of the block within
-    that tol, and a line's radius keeps its meaning.
+    (j+1)(n-j) swapped.  A symmetric persymmetric tridiagonal of even order
+    2h has eigenvectors (x, +-Jx), so its spectrum is the union of the
+    spectra of its leading h x h block with +e_{h-1} and with -e_{h-1} added
+    to the last diagonal entry, e_{h-1} the middle coupling (Cantoni &
+    Butler 1976).  The addition is rounded once, an error of at most
+    eps ||T||, far below tol = 1e-12 (1 + ||T||).  A half's norm is at most
+    the block's (|d +- e| <= |d| + e), so every half value proved within the
+    level's tol is an eigenvalue of the block within that tol, and a line's
+    radius keeps its meaning.
 
-    A block entry that is not finite raises :class:`Dirac3SphereError`.
+    A block entry that is not finite raises
+    :class:`~dirac3sphere.errors.Dirac3SphereError`.
     """
-    ns = np.asarray(levels, dtype=np.int64)
-    even, odd = ns[ns % 2 == 0], ns[ns % 2 == 1]
-    n = np.concatenate([even, np.repeat(odd, 4)])
-    fold = np.concatenate([np.zeros(len(even), dtype=np.int64), np.tile([1, -1, 1, -1], len(odd))])
-    flip = np.concatenate([np.zeros(len(even), dtype=bool), np.tile([False, False, True, True], len(odd))])
-    sizes = np.where(fold == 0, n + 1, (n + 1) // 2)
-    order = np.argsort(-sizes, kind="stable")
-    n, fold, flip, sizes = n[order], fold[order], flip[order], sizes[order]
-    D, E = _block_rows(m, n, flip, sizes)
+    D, E, sizes, tol, n = _full_rows(m, levels)
+    level_tol = np.zeros(int(n.max()) + 1)
+    np.maximum.at(level_tol, n, tol)
+    odd = n % 2 == 1
+    second = np.zeros(len(n), dtype=bool)
+    second[1:] = n[1:] == n[:-1]  # B, the second row of an odd level
+    src = np.repeat(np.arange(len(n)), 1 + odd)  # the full row each new row is cut from
+    fold = np.zeros(len(src), dtype=np.int64)
+    fold[odd[src]] = np.tile([1, -1], int(odd.sum()))
+    size = np.where(fold == 0, sizes[src], sizes[src] // 2)
+    order = np.argsort(-size, kind="stable")
+    src, fold, size = src[order], fold[order], size[order]
 
-    R = np.abs(D)
-    R[:, 1:] += E[:, :-1]
-    norms = (R + E).max(axis=1)  # rows k < size of the block, summed as in eigen._pack
-    R = np.abs(D) + E
-    R[:, 1:] += E[:, :-1]  # rows n-k of an odd block: the same terms, in that row's order
-    norms = np.where(fold == 0, norms, np.maximum(norms, R.max(axis=1)))
-    if not np.isfinite(norms).all():
-        raise Dirac3SphereError("block entries are not finite; the spectrum cannot be computed")
-    level_norm = np.zeros(int(n.max()) + 1)
-    np.maximum.at(level_norm, n, norms)
-
+    width = size[0]
+    Dh, Eh = D[src, :width], E[src, :width - 1]
+    k = np.arange(width)
+    Dh[k >= size[:, None]] = 0.0
+    Eh[k[:-1] >= size[:, None] - 1] = 0.0
     half = np.flatnonzero(fold)
-    mid = sizes[half] - 1
-    D[half, mid] += fold[half] * E[half, mid]
-    E[half, mid] = 0.0
-    weight = np.where(fold == 0, 2, 1)
-    code = np.where(fold == 0, 3, np.where(flip, 2, 1))
-    return D, E[:, :-1], sizes, n, weight, code, _tolerance(level_norm[n])
+    mid = size[half] - 1
+    Dh[half, mid] += fold[half] * E[src[half], mid]
+    code = np.where(fold == 0, 3, 1 + second[src])
+    return Dh, Eh, size, n[src], np.where(fold == 0, 2, 1), code, level_tol[n[src]]
 
 
 def _lines_of_levels(m, levels):
@@ -261,35 +278,6 @@ def assemble(m, manifold, max_level):
     """
     columns = _lines_of_levels(m, list(admissible_levels(manifold, max_level)))
     return Spectrum(manifold, m.triple(), int(max_level), *columns)
-
-
-def _full_rows(m, levels):
-    """The full blocks of ``levels`` (ascending) in padded solver rows.
-
-    Returns (D, E, sizes, tol, level) per row, the rows sorted by size,
-    largest first, in the layout of :func:`~dirac3sphere.eigen._pack`.  An
-    even level is one row, A_n, which stands for both blocks; an odd level
-    is two rows, A_n then B_n.  A row is its symmetrized block bit for bit
-    (:func:`_block_rows`), and its tol is that block's
-    :func:`~dirac3sphere.eigen.default_tolerance`.
-
-    An even level's B block is A reversed (J A_n J), bit for bit, so the two
-    are isospectral: the diagonal is +-a(n-2k) - C with the sign (-1)^k for
-    A and -(-1)^k for B, and diag_A[n-k] = (-1)^(n-k) a(2k-n) - C = diag_B[k]
-    because n - k has the parity of k; the coupling at index j is
-    |f(j)| sqrt((j+1)(n-j)) with f = c+b at even j of A and odd j of B, else
-    c-b, and index n-1-k has the opposite parity to k while (n-k)(k+1) is
-    symmetric under the reversal.
-
-    A block entry that is not finite raises :class:`Dirac3SphereError`.
-    """
-    ns = np.asarray(levels, dtype=np.int64)[::-1]
-    n = np.repeat(ns, 1 + ns % 2)
-    flip = np.zeros(len(n), dtype=bool)
-    flip[1:] = n[1:] == n[:-1]  # the second row of an odd level is B
-    D, E = _block_rows(m, n, flip, n + 1)
-    E = E[:, :-1]
-    return D, E, n + 1, _tolerance(_row_norms(D, E)), n
 
 
 def _rows_at(rows, idx):
@@ -370,7 +358,7 @@ def enumerated_min_abs(m, manifold, max_level=25):
     delta: with delta <= 1e-9 best^2 + 2 best tol, lambda^2 > (best - tol)^2,
     so a level left unscreened in spite of the slack can only hold a value
     above best - tol, within tol of the returned one.  A block with a
-    non-finite entry raises :class:`Dirac3SphereError`.
+    non-finite entry raises :class:`~dirac3sphere.errors.Dirac3SphereError`.
     """
     levels = np.array(admissible_levels(manifold, max_level))
     if not len(levels):

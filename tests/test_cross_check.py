@@ -34,14 +34,17 @@ def _metrics():
 
 def test_band_construction_equals_einsum_reference():
     for m in _metrics():
-        # at 2^600 the products ab overflow and C = inf: both constructions
-        # then hold -inf + nan i on the diagonal and nan elsewhere (0 * inf)
-        equal_nan = not math.isfinite(m.C)
         for n in range(41):
-            with np.errstate(invalid="ignore" if equal_nan else "raise"):
+            if not math.isfinite(m.C):
+                # at 2^600 the products ab overflow and C = inf: refused
+                # before a matrix of nan (0 * inf) is built
+                with pytest.raises(d3s.ConsistencyError, match=rf"level {n}: C = inf is not finite"):
+                    d3s.build_from_representation(m, n)
+                continue
+            with np.errstate(invalid="raise"):
                 got = d3s.build_from_representation(m, n).matrix
                 want = einsum_representation(m, n).matrix
-            assert np.array_equal(got, want, equal_nan=equal_nan), (m, n)
+            assert np.array_equal(got, want), (m, n)
 
 
 def test_representation_matrices_equal_diag_reference():
@@ -54,7 +57,7 @@ def test_representation_matrices_equal_diag_reference():
 def test_full_raw_rows_are_build_block():
     m = Metric(1.3, 0.8, 0.6)
     n = np.array([0, 1, 4, 7, 0, 1, 4, 7])
-    D, S, P = _raw_rows(m, n, np.arange(8) >= 4, n + 1)
+    D, S, P = _raw_rows(m, n, np.arange(8) >= 4)
     for r, (level, tag) in enumerate(zip(n, "AAAABBBB")):
         blk = d3s.build_block(m, int(level), tag)
         assert np.array_equal(D[r, :level + 1], blk.diag)

@@ -63,18 +63,18 @@ def test_level_lines_match_the_assembled_level():
 
 
 def test_even_levels_never_build_block_b(monkeypatch):
-    # every level source writes its rows with _block_rows: assemble and
-    # level_lines through _level_rows, the enumeration through _full_rows
+    # every level source writes its rows with _raw_rows, through _full_rows:
+    # assemble and level_lines by way of _level_rows, and the enumeration
     from dirac3sphere import spectrum
 
     calls = []
-    block_rows = spectrum._block_rows
+    raw_rows = spectrum._raw_rows
 
-    def spy(m, n, flip, sizes):
+    def spy(m, n, flip):
         calls.append(list(zip(n.tolist(), flip.tolist())))
-        return block_rows(m, n, flip, sizes)
+        return raw_rows(m, n, flip)
 
-    monkeypatch.setattr(spectrum, "_block_rows", spy)
+    monkeypatch.setattr(spectrum, "_raw_rows", spy)
     for m in (Metric(1.3, 0.8, 0.6), Metric(3, 1, 0.3)):
         for manifold in (d3s.S3, d3s.SO3_TRIVIAL):
             for run in (d3s.assemble, d3s.enumerated_min_abs):
@@ -423,16 +423,20 @@ def _lead_positions(rng, count):
 
 
 def test_level_rows_are_the_reference_blocks_bit_for_bit():
-    from dirac3sphere.spectrum import _block_rows, _level_rows
+    from dirac3sphere.spectrum import _full_rows, _level_rows
 
     levels = np.arange(82)
     for m in _lead_positions(np.random.default_rng(2020), 20):
-        for flip, tag in ((False, "A"), (True, "B")):
-            D, E = _block_rows(m, levels, np.full(len(levels), flip), levels + 1)
-            for n in levels:
-                t = d3s.symmetrize(d3s.build_block(m, n, tag))
-                assert np.array_equal(D[n, :n + 1], t.diag) and not D[n, n + 1:].any()
-                assert np.array_equal(E[n, :n], t.offdiag) and not E[n, n:].any()
+        # the full rows: A at every level, B after it at an odd one
+        D, E, sizes, tol, level = _full_rows(m, levels)
+        assert list(level) == [n for n in levels[::-1] for _ in range(1 + n % 2)]
+        assert np.array_equal(sizes, level + 1)
+        for r, n in enumerate(level):
+            tag = "B" if r and level[r - 1] == n else "A"
+            t = d3s.symmetrize(d3s.build_block(m, n, tag))
+            assert np.array_equal(D[r, :n + 1], t.diag) and not D[r, n + 1:].any()
+            assert np.array_equal(E[r, :n], t.offdiag) and not E[r, n:].any()
+            assert tol[r] == default_tolerance(t)
 
         D, E, sizes, level, weight, code, tol = _level_rows(m, levels)
         assert list(sizes) == sorted(sizes, reverse=True)
@@ -516,12 +520,48 @@ def test_assemble_matches_the_berger_closed_form():
     # at b = c every eigenvalue is known in closed form, with no solver: the
     # k-th sorted one of a level lies in the interval of the line that holds
     # the k-th slot of the level's lines, counted by block multiplicity
-    for a, b in BERGER:
-        m = Metric(a, b, b)
-        for manifold in (d3s.S3, d3s.SO3_TRIVIAL, d3s.SO3_NONTRIVIAL):
-            spec = d3s.assemble(m, manifold, 120)
-            for n in d3s.admissible_levels(manifold, 120):
-                at = spec.level == n
-                slots = np.repeat(np.flatnonzero(at), spec.block_multiplicity[at])
-                err = np.abs(berger_spectrum(a, b, n) - spec.eigenvalue[slots])
-                assert np.all(err <= spec.radius[slots]), ((a, b), manifold, n, (err - spec.radius[slots]).max())
+    runs = [(ab, manifold, 120) for ab in BERGER for manifold in (d3s.S3, d3s.SO3_TRIVIAL, d3s.SO3_NONTRIVIAL)]
+    for (a, b), manifold, top in runs + [((0.6, 1.7), d3s.S3, 300)]:
+        spec = d3s.assemble(Metric(a, b, b), manifold, top)
+        for n in d3s.admissible_levels(manifold, top):
+            at = spec.level == n
+            slots = np.repeat(np.flatnonzero(at), spec.block_multiplicity[at])
+            err = np.abs(berger_spectrum(a, b, n) - spec.eigenvalue[slots])
+            assert np.all(err <= spec.radius[slots]), ((a, b), manifold, n, (err - spec.radius[slots]).max())
+
+
+def _power_sum_excess(m, spec, n):
+    """How far the first two power sums of level n's lines miss the traces
+    of the level's two blocks, each in units of what the lines allow.
+
+    Both blocks together have trace -2(n+1)C and trace of the square
+    (2/3)(a^2+b^2+c^2) n(n+1)(n+2) + 2(n+1)C^2: the +-a(n-2k) terms of A and B
+    cancel, sum (n-2k)^2 = n(n+1)(n+2)/3, and the couplings give
+    ((c+b)^2 + (c-b)^2) sum (k+1)(n-k) = 2(b^2+c^2) n(n+1)(n+2)/6 in each of
+    the two off-diagonals.  A value within r of the centre v moves the sums
+    by at most r and r(2|v| + r); the rest is the rounding of the entries
+    and of the sums, a few eps of their magnitude.
+    """
+    a, b, c = m.triple()
+    C = m.C
+    at = spec.level == n
+    w, v, r = spec.block_multiplicity[at], spec.eigenvalue[at], spec.radius[at]
+    eps = np.finfo(float).eps
+    traces = (-2 * (n + 1) * C, 2 / 3 * (a * a + b * b + c * c) * n * (n + 1) * (n + 2) + 2 * (n + 1) * C * C)
+    excess = []
+    for power, trace, allowed in ((1, traces[0], w * r), (2, traces[1], w * r * (2 * np.abs(v) + r))):
+        terms = w * v ** power
+        magnitude = math.fsum(np.abs(terms)) + abs(trace)
+        excess.append(abs(math.fsum(terms) - trace) / (math.fsum(allowed) + 16 * eps * magnitude))
+    return max(excess)
+
+
+def test_level_power_sums_are_the_closed_form_traces():
+    # the odd-level halves, the even-level weight 2 and the line grouping
+    # together keep every level's trace and trace of the square
+    metrics = [Metric(1.3, 0.8, 0.6), Metric(3, 1, 0.3), Metric(0.7, 2.9, 1.1)]
+    runs = [(m, d3s.S3, 300) for m in metrics] + [(metrics[0], s, 120) for s in (d3s.SO3_TRIVIAL, d3s.SO3_NONTRIVIAL)]
+    for m, manifold, top in runs:
+        spec = d3s.assemble(m, manifold, top)
+        for n in d3s.admissible_levels(manifold, top):
+            assert _power_sum_excess(m, spec, n) <= 1.0, (m, manifold, n)
