@@ -22,11 +22,15 @@ The kernel serves three ways:
    ``spectrum._level_rows`` cuts every level of an assembled spectrum.
 2. Bracket queries: counts at given shifts (``_sturm_counts`` itself), and
    the smallest |eigenvalue| of each row, solved by LAPACK and proved with
-   four shifts (``_min_abs_rows``).  Both are row kernels: they take packed
-   rows, so ``spectrum.enumerated_min_abs`` calls them on the rows of
-   ``spectrum._full_rows``.  On block objects ``count_below_batch`` and
-   ``min_abs_batch`` pack first; ``count_below``, ``eigenvalues`` and
-   ``min_abs_eigenvalue`` are batches of one.
+   four shifts (``_min_abs_rows``).  Its parts are row kernels on packed
+   rows: the LAPACK candidates (``_min_abs_candidates``), the counts in
+   windows [-x, x) of one Sturm pass (``_windows``), and the proof with its
+   bisection fallback (``_proved_min_abs``).  ``spectrum.enumerated_min_abs``
+   calls them on the rows of ``spectrum._full_rows``, with the seed's proof,
+   the screen and the multiplicity count as the windows of one pass.  On
+   block objects ``count_below_batch`` and ``min_abs_batch`` pack first;
+   ``count_below``, ``eigenvalues`` and ``min_abs_eigenvalue`` are batches
+   of one.
 3. A block whose LAPACK values fail the proof is solved again by
    Sturm-count bisection inside its Gershgorin bracket (``_bisect_range``),
    which is certified by construction.
@@ -314,22 +318,44 @@ def _min_abs_rows(D, E, sizes, tols):
     """Smallest absolute eigenvalue of every packed row, each within its tol.
 
     Rows as :func:`_pack` lays them out, ``D.shape[1] == sizes[0]``.  LAPACK
-    gives the candidate v = min |lambda| of each row, and one Sturm pass at
-    four shifts proves it: the count in [-(v+tol), v+tol) is at least one,
-    so some |lambda| <= v + tol, and the count in [-(v-tol), v-tol) is zero
-    (or the interval is empty), so every |lambda| >= v - tol.  A row that
-    fails takes the smallest |value| of its bisected spectrum, each value of
-    which lies within tol.
+    gives the candidate v = min |lambda| of each row
+    (:func:`_min_abs_candidates`), and one Sturm pass proves it
+    (:func:`_windows`, :func:`_proved_min_abs`).
     """
+    v = _min_abs_candidates(D, E, sizes)
+    return _proved_min_abs(D, E, sizes, tols, v, _windows(D, E, sizes, np.stack([v + tols, v - tols], axis=1)))[0]
+
+
+def _min_abs_candidates(D, E, sizes):
+    """Smallest |LAPACK value| of every packed row, not yet proved."""
     pad = np.arange(sizes[0]) >= np.asarray(sizes)[:, None]
-    v = np.where(pad, np.inf, np.abs(_solve(D, E, sizes))).min(axis=1)
-    hi, lo = v + tols, v - tols
-    counts = _sturm_counts(D, E * E, np.stack([-hi, hi, -lo, lo], axis=1), sizes)
-    proved = (counts[:, 1] - counts[:, 0] >= 1) & (counts[:, 3] - counts[:, 2] <= 0)
-    for b in np.flatnonzero(~proved):
+    return np.where(pad, np.inf, np.abs(_solve(D, E, sizes))).min(axis=1)
+
+
+def _windows(D, E, sizes, radii):
+    """Eigenvalues of every packed row in [-x, x) for each x in its row of
+    ``radii``, from one Sturm pass; an interval with x <= 0 is empty and
+    counts 0 or less."""
+    counts = _sturm_counts(D, E * E, np.concatenate([-radii, radii], axis=1), sizes)
+    return counts[:, radii.shape[1]:] - counts[:, :radii.shape[1]]
+
+
+def _proved_min_abs(D, E, sizes, tols, v, windows):
+    """The candidates v of packed rows, proved or replaced.
+
+    ``windows`` holds each row's eigenvalue counts in [-(v+tol), v+tol) and
+    [-(v-tol), v-tol) (:func:`_windows`).  The first at least one means some
+    |lambda| <= v + tol, the second zero (or the interval empty) means every
+    |lambda| >= v - tol: v is proved within tol.  A row that fails takes the
+    smallest |value| of its bisected spectrum, each value of which lies
+    within tol.  Returns the values and the mask of the rows bisected.
+    """
+    failed = ~((windows[:, 0] >= 1) & (windows[:, 1] <= 0))
+    v = v.copy()
+    for b in np.flatnonzero(failed):
         s = sizes[b]
         v[b] = np.abs(_bisect_range(D[b, :s], E[b, :s - 1], tols[b])).min()
-    return v
+    return v, failed
 
 
 def min_abs_eigenvalue(block, tol=None):

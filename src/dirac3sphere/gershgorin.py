@@ -79,28 +79,78 @@ def _row_endpoints(a, b, c, C, n, k):
     return [_left_endpoint(*_row_entries(s * a, s * b, c, C, n, k)) for s in (1.0, -1.0)]
 
 
+def _vertex_steps(a, b, c, C):
+    """floor(2 delta) of the row quadratic for each sign choice, exactly, on
+    the stored doubles; None where the quadratic is not convex or C is not
+    finite (see :func:`level_bounds`)."""
+    if not math.isfinite(C):
+        return [None, None]
+    ratios = [x.as_integer_ratio() for x in (a, b, c, C)]
+    den = max(q for _, q in ratios)  # every denominator is a power of two
+    a, b, c, C = (p * (den // q) for p, q in ratios)
+    A = 4 * a * a - 4 * max(b * b, c * c)
+    if A <= 0:
+        return [None, None]
+    return [(4 * s * b * c - 4 * s * a * C + 2 * abs((c - s * b) * (C + s * a))
+             - 2 * abs((c + s * b) * (C - s * a))) // A for s in (1, -1)]
+
+
 def level_bounds(m, levels):
-    """Smallest left endpoint over both blocks of each level, in one pass.
+    """Smallest left endpoint over both blocks of each level, from a few
+    rows per level.
 
     A certified lower bound for every eigenvalue of the squared level-n
-    operator, at any metric, for each n in ``levels``.  The row endpoints
-    run once over all (n, k) rows of all levels under both sign choices
-    (:func:`_row_endpoints`), so the minimum over a level's segment runs
-    over all rows of both blocks and equals the minimum of
-    :func:`row_bound` bit for bit.  Where a row overflows the double range
-    the level's bound is inf or nan, silently; callers must not prune on a
-    non-finite bound.
+    operator, at any metric, for each n in ``levels``.
+
+    Vertex lemma.  On the rows k = 0..n of level n the absolute values of
+    :func:`_left_endpoint` resolve, as k, n-k, k(k-1) and (n-k)(n-k-1) are
+    >= 0 there.  So under either sign choice s (a and b as stored, or both
+    flipped: :func:`_row_endpoints`) a row's endpoint is exactly a quadratic
+    A k^2 + (B - A n) k + const in k, with
+
+        A = 4a^2 - 4 max(b^2, c^2),
+        B = -4sbc + 4saC - 2|(c - sb)(C + sa)| + 2|(c + sb)(C - sa)|,
+
+    for the stored doubles (a, b, c, C), in any ordering.  Where A > 0 the
+    vertex is v = n/2 + delta with delta = -B/(2A), the same for every
+    level, and the quadratic's minimum over the integers 0..n lies at
+    floor(v) or floor(v) + 1, clipped to [0, n]; where A <= 0 it lies at
+    k = 0 or k = n.  With g = floor(2 delta), floor(v) = floor((n + g)/2)
+    exactly, so one integer g per sign choice, computed in Python integers
+    on the stored doubles (:func:`_vertex_steps`), places the candidate rows
+    of every level.
+
+    Each level evaluates rows 0 and n and the two rows at the vertex of
+    each sign choice, under both sign choices, through the same float
+    formula as :func:`row_bound`; a level whose candidates are not all
+    finite, and every level when C is not finite, evaluates all its rows.
+    The exact minimum row is always a candidate, so the bound is the float
+    value of the exact Gershgorin minimum, within a few rounding errors of
+    it, as the full pass over all rows was; on the seeded cases of
+    ``tests/test_enumeration.py`` the two agree bit for bit.  Where a row
+    overflows the double range the level's bound is inf or nan, silently;
+    callers must not prune on a non-finite bound.
     """
     a, b, c = m.triple()
     ns = np.asarray(levels, dtype=np.int64)
     if not len(ns):
         return np.zeros(0)
-    sizes = ns + 1
-    starts = np.cumsum(sizes) - sizes
-    n = np.repeat(ns, sizes).astype(float)
-    k = np.arange(int(sizes.sum()), dtype=float) - np.repeat(starts, sizes)
+    far = 2 * int(ns.max()) + 4  # a step beyond it clips every candidate to 0 or n
+    k = [np.zeros_like(ns), ns]
+    for g in _vertex_steps(a, b, c, m.C):
+        g = -far if g is None else max(-far, min(far, g))
+        k += [(ns + g) // 2, (ns + g) // 2 + 1]
+    k = np.clip(np.stack(k, axis=1), 0, ns[:, None])
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.minimum.reduceat(np.minimum(*_row_endpoints(a, b, c, m.C, n, k)), starts)
+        bounds = np.minimum(*_row_endpoints(a, b, c, m.C, ns[:, None].astype(float), k.astype(float))).min(axis=1)
+        unbounded = ~np.isfinite(bounds)
+        if unbounded.any():
+            sizes = ns[unbounded] + 1
+            starts = np.cumsum(sizes) - sizes
+            n = np.repeat(ns[unbounded], sizes).astype(float)
+            k = np.arange(int(sizes.sum()), dtype=float) - np.repeat(starts, sizes)
+            bounds[unbounded] = np.minimum.reduceat(np.minimum(*_row_endpoints(a, b, c, m.C, n, k)), starts)
+    return bounds
 
 
 def min_row_bound(m, n):

@@ -99,9 +99,12 @@ class Metric:
         return Metric(t[order[0]], t[order[1]], t[order[2]]), tuple(order)
 
     def is_round(self):
-        """True when a = b = c up to relative tolerance 1e-12."""
-        lo, hi = min(self.triple()), max(self.triple())
-        return hi - lo <= 1e-12 * hi
+        """True when a = b = c exactly.
+
+        Off the round line 2C - (a + b + c) = ((ab-bc)^2 + (bc-ca)^2 +
+        (ca-ab)^2) / (2abc) > 0, so C > mu however close the entries are.
+        """
+        return self.a == self.b == self.c
 
 
 @dataclass(frozen=True)

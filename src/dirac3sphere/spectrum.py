@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, _raw_rows
-from .eigen import _min_abs_rows, _proved_values, _row_norms, _sturm_counts, _tolerance
+from .eigen import _min_abs_candidates, _proved_min_abs, _proved_values, _row_norms, _tolerance, _windows
 from .errors import DomainError, TruncationWarning, UncertifiableError
 from .gershgorin import CertificationStep, _approx, base_cases, exact_sorted, level_bounds, record_step
 from .metric import (
@@ -30,9 +30,9 @@ from .metric import (
     SO3_NONTRIVIAL,
     SO3_TRIVIAL,
     SPECTRUM_MANIFOLDS,
+    _volume_space,
     scal_factors,
     scal_sign_classification,
-    volume,
 )
 
 #: relative slack of the multiplicity count in :func:`enumerated_min_abs`:
@@ -288,20 +288,12 @@ def _rows_at(rows, idx):
     return D[idx, :width], E[idx, :width - 1], sizes[idx], tol[idx]
 
 
-def _counts(rows, idx, x):
-    """Sturm counts of rows ``idx`` at -x and x, one row each."""
+def _window_counts(rows, idx, hi, lo, u):
+    """Eigenvalues of rows ``idx`` of :func:`_full_rows` in [-hi, hi),
+    [-lo, lo) and [-u, u), with hi and lo one per row: one Sturm pass, a row
+    of three counts for each row."""
     D, E, sizes, _ = _rows_at(rows, idx)
-    return _sturm_counts(D, E * E, np.broadcast_to([-x, x], (len(idx), 2)), sizes)
-
-
-def _weighted_count(rows, idx, u):
-    """Eigenvalues in [-u, u) of rows ``idx``, each weighted by n + 1 and
-    twice at an even level; no Sturm pass over no rows."""
-    if not len(idx):
-        return 0
-    counts = _counts(rows, idx, u)
-    n = rows[4][idx]
-    return int(np.dot(counts[:, 1] - counts[:, 0], (n + 1) * (2 - n % 2)))
+    return _windows(D, E, sizes, np.stack([hi, lo, np.full(len(idx), u)], axis=1))
 
 
 #: :func:`enumerated_min_abs` seeds with the lowest-bound level among this
@@ -322,32 +314,48 @@ def enumerated_min_abs(m, manifold, max_level=25):
        isometry that commutes with -1, so it keeps both spin structures of
        SO(3) and every level spectrum, and it makes the row bounds tight.
     2. :func:`~dirac3sphere.gershgorin.level_bounds` bounds lambda^2 from
-       below on every admissible level in one pass.
-    3. The seed, the level with the lowest finite bound among the first 12
+       below on every admissible level.  A level whose bound is not finite
+       is never pruned.
+    3. The seed is the level with the lowest finite bound among the first 12
        admissible ones (the lowest finite bound of all when none of those
-       is finite, the first level when none is), is solved first, giving
-       ``best`` (once bounds turn negative the lowest bound of all is often
-       at the highest level, a poor seed).  One batched Sturm count at
-       -best and best then screens the blocks of every other level whose
-       bound is <= best^2 (1 + 1e-9); only blocks with an eigenvalue in
-       [-best, best) are solved, and the smallest value wins.  A level
-       whose bound is not finite is always screened.
-       The seed sets only the screening threshold: the screen and the proof
-       below hold for any seed, so the result does not depend on it.  A
-       lower threshold screens fewer levels, so the third return value
-       shrinks, but keeps its meaning.
-    4. The multiplicity is one batched count in [-u, u), u = value +
-       ``COINCIDENCE_RTOL`` max(1, value), over the levels whose bound is
-       <= u^2 (1 + 1e-9), each block weighted by n + 1 times its multiplicity.
+       is finite, the first level when none is); once bounds turn negative
+       the lowest bound of all is often at the highest level, a poor seed.
+       LAPACK gives each row of the seed (written into solver rows on its
+       own) its candidate v_r = min |lambda|, and ``best``, the least of
+       them, sets the threshold: the levels whose bound is
+       <= best^2 (1 + 1e-9) are screened, and those whose bound is
+       <= u^2 (1 + 1e-9) are counted, u = best + ``COINCIDENCE_RTOL``
+       max(1, best).
+    4. Fused pass.  The seed level and every counted level go into one row
+       set (:func:`_full_rows`: an even level is one row, A, with weight 2;
+       the seed's own rows when no other level is counted), and one Sturm
+       pass (:func:`_window_counts`) runs over all of them.  It proves each
+       v_r on its seed row by the counts in [-(v_r + tol), v_r + tol) and
+       [-(v_r - tol), v_r - tol)
+       (:func:`~dirac3sphere.eigen._proved_min_abs`), screens every other
+       row by its count in [-best, best), and counts every row in [-u, u).
+       A seed row that fails its proof is bisected, and the pass runs again
+       on the proved values.  When the screen finds no row inside, the seed
+       stands: the value is best and the multiplicity the weighted count in
+       [-u, u), each block weighted by n + 1, over the counted levels.
+    5. Inside rows.  The screened rows with an eigenvalue in [-best, best)
+       are solved by LAPACK, and one more pass over them alone proves their
+       candidates, as in 4, and counts them in [-u', u'), u' the margin of
+       the new minimum.  That count is the whole multiplicity while
+       u' <= v_r - tol for every seed row: the proof counted nothing in
+       [-(v_r - tol), v_r - tol), so nothing of a seed row lies in [-u', u');
+       a screened row found empty at best holds nothing in [-u', u') since
+       u' < best; and a level not screened has bound above best^2 (1 + 1e-9)
+       >= u'^2 (1 + 1e-9), so it is not counted.  Otherwise the pass of 4
+       runs again over every row, counting in [-u', u').  A failed proof is
+       bisected and its pass run again on the proved values.
 
-    The seed's blocks are written once into solver rows (:func:`_full_rows`:
-    an even level is solved and counted once, from A, with weight 2).  The
-    other levels whose bound is <= u^2 (1 + 1e-9) for the seed's u, all
-    that the search can need since the value only falls, go into one more
-    row set, built only when there is such a level; every screen, solve and
-    count runs on index slices of these rows.  Solves are
-    :func:`~dirac3sphere.eigen._min_abs_rows`: LAPACK, proved within tol by
-    four Sturm shifts, with bisection as the fallback.
+    Every count is an exact integer for the same row at the same shift as
+    in a pass over all counted rows, so value and multiplicity do not
+    depend on which pass produced them.  The seed sets only the screening
+    threshold: the screen and the proof hold for any seed, so the value
+    does not depend on it.  A lower threshold screens fewer levels, so the
+    third return value shrinks, but keeps its meaning.
 
     Within tol.  The screen is exact: a block it passes over has no
     eigenvalue in [-best, best), so nothing in it beats the returned value.
@@ -378,26 +386,51 @@ def enumerated_min_abs(m, manifold, max_level=25):
     lead = finite[:_SEED_LEVELS]
     first = int(np.argmin(lead if np.isfinite(lead).any() else finite))
     seed = _full_rows(ms, levels[first:first + 1])
-    best = float(_min_abs_rows(*seed[:4]).min())
-    row_sets = [(seed, np.full(len(seed[2]), first))]  # rows and the index of each row's level
-    others, screened = within(margin(best)), within(best)
-    others[first] = screened[first] = False
-    if others.any():
-        rest = _full_rows(ms, levels[others])
-        at = np.searchsorted(levels, rest[4])
-        row_sets.append((rest, at))
-        idx = np.flatnonzero(screened[at])
-        if len(idx):
-            counts = _counts(rest, idx, best)
-            inside = idx[counts[:, 1] > counts[:, 0]]
-            if len(inside):
-                best = min(best, float(_min_abs_rows(*_rows_at(rest, inside)).min()))
+    is_seed = np.arange(len(levels)) == first
 
-    u = margin(best)
-    counted = within(u)
-    mult = sum(_weighted_count(rows, np.flatnonzero(counted[at]), u) for rows, at in row_sets)
-    screened[first] = True
-    return best, mult, levels[screened].tolist()
+    def fused(values):
+        # the pass of step 4 for the seed candidates ``values``
+        best = float(values.min())
+        u = margin(best)
+        chosen = within(u) | is_seed
+        rows = seed if chosen.sum() == 1 else _full_rows(ms, levels[chosen])  # the seed's rows, bit for bit
+        at = np.searchsorted(levels, rows[4])
+        hi, lo = np.full(len(at), best), np.full(len(at), best)
+        hi[at == first], lo[at == first] = values + seed[3], values - seed[3]
+        return best, u, rows, at, hi, lo, _window_counts(rows, np.arange(len(at)), hi, lo, u)
+
+    values = _min_abs_candidates(*seed[:3])
+    best, u, rows, at, hi, lo, counts = fused(values)
+    values, failed = _proved_min_abs(*seed[:4], values, counts[at == first, :2])
+    if failed.any():
+        best, u, rows, at, hi, lo, counts = fused(values)
+    seeded = at == first
+    screened = within(best) | is_seed
+    counted = np.arange(len(at))  # the rows whose count in [-u, u) is counts[:, 2]
+    inside = np.flatnonzero(screened[at] & ~seeded & (counts[:, 0] > 0))
+    value = best
+    if len(inside):
+        sub = _rows_at(rows, inside)
+
+        def prove(v):
+            # the pass of step 5 for the inside candidates ``v``
+            w = margin(min(best, float(v.min())))
+            return w, _window_counts(rows, inside, v + sub[3], v - sub[3], w)
+
+        v = _min_abs_candidates(*sub[:3])
+        u, inside_counts = prove(v)
+        v, failed = _proved_min_abs(*sub, v, inside_counts[:, :2])
+        if failed.any():
+            u, inside_counts = prove(v)
+        value = min(best, float(v.min()))
+        if u <= lo[seeded].min() and (counts[seeded, 1] <= 0).all():
+            counts, counted = inside_counts, inside
+        else:
+            counts = _window_counts(rows, counted, hi, lo, u)
+    n = rows[4][counted]
+    keep = within(u)[at[counted]]
+    mult = int(np.dot(counts[keep, 2], ((n + 1) * (2 - n % 2))[keep]))
+    return value, mult, levels[screened].tolist()
 
 
 @dataclass(frozen=True)
@@ -586,8 +619,15 @@ def smallest(m, manifold, certify=None, max_level=25):
 
 
 def weyl_count_estimate(m, manifold, lam):
-    """Leading Weyl-law estimate of #{|eigenvalue| <= lam}: vol/(3 pi^2) lam^3."""
-    return volume(m, manifold) / (3.0 * math.pi ** 2) * lam ** 3
+    """Leading Weyl-law estimate of #{|eigenvalue| <= lam}: vol/(3 pi^2) lam^3.
+
+    With vol = 2 pi^2/(abc) on the sphere and half that on SO(3), this is
+    (2/3) (lam / (a^(1/3) b^(1/3) c^(1/3)))^3, halved on SO(3): the cube of a
+    ratio of one scale, which stays in the double range where abc or lam^3
+    would not.
+    """
+    ratio = lam / (m.a ** (1 / 3) * m.b ** (1 / 3) * m.c ** (1 / 3))
+    return (2.0 if _volume_space(manifold) == S3 else 1.0) / 3.0 * ratio ** 3
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ the operator applied to every basis matrix unit as a dense einsum, with the
 representation matrices built by ``np.diag``; ``reference_verify_point``
 is the per-level ``verify`` cross-check on top of it.  The enumeration's
 reference is ``reference_enumerated_min_abs``: the search on block objects
-(``_level_blocks``) seeded with the globally lowest level bound.  The Berger
+(``_level_blocks``) seeded with the globally lowest level bound, pruned by
+``reference_level_bounds``, the row endpoints of every (n, k) row.  The Berger
 metrics b = c have every eigenvalue in closed form (``berger_spectrum``),
 with no solver at all.
 """
@@ -29,7 +30,7 @@ import dirac3sphere as d3s
 from dirac3sphere.blocks import CLIFFORD, RepresentationOperator, _char_poly_coeffs, _level1_eigs, _level3_radicals
 from dirac3sphere.eigen import count_below_batch, default_tolerance, min_abs_batch
 from dirac3sphere.errors import ConsistencyError
-from dirac3sphere.gershgorin import CertificationStep, _families, _G
+from dirac3sphere.gershgorin import CertificationStep, _families, _G, _row_endpoints
 from dirac3sphere.metric import scal_factors, shift_C
 from dirac3sphere.spectrum import COINCIDENCE_RTOL
 
@@ -91,6 +92,23 @@ def _level_blocks(m, n):
     return [(tag, d3s.symmetrize(d3s.build_block(m, n, tag)), 1) for tag in "AB"]
 
 
+def reference_level_bounds(m, levels):
+    """Smallest left endpoint over both blocks of each level: the row
+    endpoints (``gershgorin._row_endpoints``) of every (n, k) row of every
+    level under both sign choices, and the minimum over each level's
+    segment; non-finite where a row overflows, silently."""
+    a, b, c = m.triple()
+    ns = np.asarray(levels, dtype=np.int64)
+    if not len(ns):
+        return np.zeros(0)
+    sizes = ns + 1
+    starts = np.cumsum(sizes) - sizes
+    n = np.repeat(ns, sizes).astype(float)
+    k = np.arange(int(sizes.sum()), dtype=float) - np.repeat(starts, sizes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.minimum.reduceat(np.minimum(*_row_endpoints(a, b, c, m.C, n, k)), starts)
+
+
 def reference_enumerated_min_abs(m, manifold, max_level=25):
     """``enumerated_min_abs`` on block objects, seeded with the level of
     lowest finite bound over all admissible levels: the seed solved with
@@ -101,7 +119,7 @@ def reference_enumerated_min_abs(m, manifold, max_level=25):
     if not len(levels):
         raise d3s.DomainError("no admissible levels below the requested cutoff")
     ms, _ = m.sorted()
-    bounds = d3s.level_bounds(ms, levels)
+    bounds = reference_level_bounds(ms, levels)
     unbounded = ~np.isfinite(bounds)
     level_blocks = functools.cache(functools.partial(_level_blocks, ms))
 

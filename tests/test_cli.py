@@ -203,6 +203,15 @@ def test_smallest_round(capsys):
     assert res["certification"]["min_margin"] > 0
 
 
+def test_smallest_multiplicity_four_only_on_the_exact_round_line(capsys):
+    # off a = b = c, 2C - (a+b+c) > 0 exactly: |-C| at level 0 is not mu
+    for metric, want in (("1,1,1", 4), ("1,1,1.0000000000001", 2), ("0.5,0.5,0.5", 4)):
+        code, out, _ = run_cli(capsys, "smallest", "--metric", metric, "--manifold", "s3", "--certify", "on")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert (res["multiplicity_d_squared"], res["certified"]) == (want, True), metric
+
+
 def test_smallest_certify_on_negative_scal_fails(capsys):
     code, out, err = run_cli(
         capsys, "smallest", "--metric", "1,1,0.4", "--manifold", "s3", "--certify", "on"

@@ -18,6 +18,7 @@ from _oracles import (
     random_metrics,
     random_metrics_with_sign,
     reference_enumerated_min_abs,
+    reference_level_bounds,
     scal_zero_metrics,
 )
 
@@ -71,6 +72,31 @@ def test_level_bounds_equal_min_row_bound():
             for n in (0, 1, 2, 7, 60):
                 rows = min(d3s.row_bound(m, n, tag, k) for tag in "AB" for k in range(n + 1))
                 assert bounds[levels.index(n)] == rows
+
+
+def test_level_bounds_equal_the_full_row_pass():
+    # the vertex rows give every row's minimum bit for bit: log-uniform
+    # metrics, a = b and b = c in all six orderings, 2^+-600 scalings, a few
+    # levels up to 3000, and metrics whose rows overflow
+    rng = np.random.default_rng(36)
+
+    def log_uniform(count):
+        return np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=(count, 3)))
+
+    triples = list(log_uniform(1500))
+    for x, y, _ in log_uniform(200):
+        triples += list(itertools.permutations((x, x, y)))
+    triples += [t * 2.0 ** (600 * s) for t, s in zip(log_uniform(300), itertools.cycle((1, -1)))]
+    cases = [(Metric(*t), range(121)) for t in triples]
+    cases += [(Metric(*t), [*range(0, 3001, 61), 2999, 3000]) for t in log_uniform(4)]
+    cases += [(Metric(*p), range(41)) for p in itertools.permutations((1e200, 1.0, 1.0))]
+    # vertex rows -inf, other rows nan from level 46 on: the level takes every row
+    cases += [(Metric(5.477230526345734e151, 4.0225565816369456e152, 1.8051498618607178e152), range(121))]
+    assert len(cases) >= 3000
+    for m, levels in cases:
+        want = reference_level_bounds(m, levels)
+        assert np.array_equal(d3s.level_bounds(m, levels), want, equal_nan=True), m.triple()
+    assert d3s.level_bounds(Metric(1e200, 1, 1), [7])[0] == 64.0
 
 
 def test_level_bounds_of_an_overflowing_metric_are_not_finite():
@@ -130,6 +156,20 @@ def test_min_abs_falls_back_when_the_solve_is_wrong(monkeypatch):
     want, want_mult, tol = dense_min_abs(m, d3s.S3, 40)
     assert abs(value - enumerated[0]) <= 2 * tol and abs(value - want) <= 2 * tol
     assert mult == enumerated[1] == want_mult
+
+
+def test_enumeration_reruns_its_passes_on_bisected_values(monkeypatch):
+    # LAPACK values shrunk by 0.1% fail every proof: the seed's pass and the
+    # inside rows' pass must run again on the bisected values, or the shrunk
+    # seed value would set the threshold and come back as the minimum
+    cases = [(Metric(4, 3.5, 0.25), d3s.S3, 200), (Metric(3, 1, 0.3), d3s.SO3_NONTRIVIAL, 120),
+             (Metric(1.2, 1.1, 0.3), d3s.S3, 40), (Metric(6, 4, 2.4), d3s.S3, 200)]
+    honest = [d3s.enumerated_min_abs(*case) for case in cases]
+    solve = eigen._solve
+    monkeypatch.setattr(eigen, "_solve", lambda D, E, sizes: solve(D, E, sizes) * (1 - 1e-3))
+    for case, (want, want_mult, _) in zip(cases, honest):
+        value, mult, _ = d3s.enumerated_min_abs(*case)
+        assert abs(value - want) <= 1e-9 * max(1.0, want) and mult == want_mult, case
 
 
 def test_non_finite_block_is_a_package_error():
@@ -192,6 +232,41 @@ def test_seed_is_a_low_level(monkeypatch):
     monkeypatch.setattr(eigen, "_solve", spy)
     assert d3s.enumerated_min_abs(m, d3s.S3, 200)[:2] == want
     assert sum(rows) <= 40, rows
+
+
+def _spy(monkeypatch, name):
+    # the calls of eigen.<name>, one entry each, as seen through the module
+    calls = []
+    real = getattr(eigen, name)
+
+    def spy(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(eigen, name, spy)
+    return calls
+
+
+def test_seed_proof_screen_and_count_share_one_sturm_pass(monkeypatch):
+    # a seed that stands takes one LAPACK call and one Sturm pass; inside rows
+    # take one more of each; the round sphere's tie between levels 0 and 1
+    # (|-C| = mu) breaks the premise u' <= v - tol and takes the recount pass
+    rng = np.random.default_rng(37)
+    cases = [(m, manifold, 120) for m in random_metrics_with_sign(rng, 8, d3s.NEGATIVE, 0.25, 4.0)
+             for manifold in MANIFOLDS]
+    cases += [(m, manifold, 200) for m in _wall_metrics(rng, 4) for manifold in MANIFOLDS]
+    cases += [(Metric(4, 3.5, 0.25), d3s.S3, 200), (Metric(1, 1, 1), d3s.S3, 25)]
+    want = [reference_enumerated_min_abs(m, manifold, max_level)[:2] for m, manifold, max_level in cases]
+    passes, solves = _spy(monkeypatch, "_sturm_counts"), _spy(monkeypatch, "_solve")
+    seen = []
+    for (m, manifold, max_level), expected in zip(cases, want):
+        passes.clear()
+        solves.clear()
+        assert d3s.enumerated_min_abs(m, manifold, max_level)[:2] == expected, (m.triple(), manifold)
+        seen.append((len(passes), len(solves)))
+    assert set(seen) == {(1, 1), (2, 2), (3, 2)}, seen
+    assert seen[-2][0] <= 2  # (4, 3.5, 0.25) on s3 at L = 200
+    assert seen[-1] == (3, 2) and want[-1] == (1.5, 4)
 
 
 def test_enumeration_matches_the_berger_closed_form():

@@ -332,6 +332,17 @@ def test_counting_function_weyl_ballpark():
     assert abs(count - weyl) <= 0.1 * weyl
 
 
+def test_weyl_estimate_stays_in_range_at_extreme_scales():
+    # vol lam^3 overflows (and vol flushes to 0) at 1e152; the estimate is
+    # scale invariant in lam / a
+    for scale in (1e152, 1e-100):
+        m = Metric(scale, scale, scale)
+        assert d3s.weyl_count_estimate(m, d3s.S3, 40.0 * scale) == pytest.approx((2 / 3) * 40 ** 3, rel=1e-12)
+        assert d3s.weyl_count_estimate(m, d3s.SO3_TRIVIAL, 40.0 * scale) == pytest.approx(40 ** 3 / 3, rel=1e-12)
+        result = d3s.heat_trace(m, d3s.S3, 1.0 / scale ** 2, 80)
+        assert math.isfinite(result.tail_estimate) and result.computed_count == 360882
+
+
 def test_counting_warns_when_levels_insufficient():
     with pytest.warns(d3s.TruncationWarning):
         d3s.counting_function(ROUND, d3s.S3, 50.0, 10)
