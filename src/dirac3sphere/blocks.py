@@ -6,9 +6,10 @@ invariant space of equivariant spinor maps.  In the parity-adapted basis
 (n+1)x(n+1) blocks, both shifted by -C on the diagonal.
 
 Two independent constructions are provided and cross-validated.  The
-closed entry recurrences are evaluated by ``build_block`` for one block and
-by ``_raw_rows`` for whole blocks of many levels in padded rows, the entries
-``spectrum._full_rows`` symmetrizes into solver rows.  The representation
+closed entry recurrences are evaluated in one place, ``_raw_rows``, for
+whole blocks of many levels in padded rows: ``spectrum._full_rows``
+symmetrizes them into solver rows, and ``build_block`` is the one-row cut
+that carries a single block as a ``DiracBlock``.  The representation
 construction applies f -> -sum_l E_l f X_l - C f, with the su(2)
 representation matrices X_l and the Clifford multiplication E_l, to the
 matrix units.  A_k is the unit at spinor row r = k mod 2 and column k, B_k
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, ConsistencyError, UnsupportedLevelError
+from .errors import CertificationError, ConsistencyError, DomainError, UnsupportedLevelError
 
 TAG_A = "A"
 TAG_B = "B"
@@ -85,12 +86,16 @@ class DiracBlock:
 
 
 def _raw_rows(m, n, flip):
-    """Level blocks in padded rows, before symmetrization.
+    """Level blocks in padded rows, before symmetrization: the one writer of
+    the closed entry recurrences.
 
     Row r holds the level-``n[r]`` block (B where ``flip[r]``, else A): its
     n[r] + 1 diagonal entries in ``D`` and its sub- and superdiagonal entries
-    of index j < n[r] in ``S`` and ``P``; every other entry is zero.  A row
-    is :func:`build_block`'s ``diag``, ``sub`` and ``sup``, bit for bit.
+    of index j < n[r] in ``S`` and ``P``; every other entry is zero.  The
+    diagonal alternates +-a(n-2k) by parity of k and carries the shift -C;
+    the coupling weight alternates between (c+b) and (c-b), and sub entry j
+    is the weight times (j+1), sup entry j the weight times (n-j).  B is A
+    with the parities swapped.
     Overflow gives inf or nan silently; callers check.
     """
     a, b, c = m.triple()
@@ -104,33 +109,14 @@ def _raw_rows(m, n, flip):
 
 
 def build_block(m, n, tag):
-    """Level-n block from the closed entry recurrences.
-
-    The diagonal alternates +-a(n-2k) by parity of k and carries the shift
-    -C; the off-diagonal couplings alternate between (c+b) and (c-b) weights.
-    Tag "B" is tag "A" with the parities swapped.  The entries are those of
-    one row of :func:`_raw_rows`, bit for bit; this one-row form skips the
-    padding and masks.
-    """
+    """Level-n block from the closed entry recurrences: the one row of
+    :func:`_raw_rows` for level n and ``tag``, cut to its size."""
     if n < 0:
-        raise ValueError("level must be nonnegative")
+        raise DomainError(f"level must be nonnegative, got {n}")
     if tag not in TAGS:
-        raise ValueError(f"unknown block tag {tag!r}")
-    a, b, c = m.triple()
-    C = m.C
-    k = np.arange(n + 1)
-    even = k % 2 == 0
-    sign = np.where(even, 1.0, -1.0)
-    if tag == TAG_B:
-        sign = -sign
-    diag = sign * (a * (n - 2 * k)) - C
-
-    kk = k[:-1]
-    f_even, f_odd = (c + b, c - b) if tag == TAG_A else (c - b, c + b)
-    factor = np.where(kk % 2 == 0, f_even, f_odd)
-    sub = factor * (kk + 1)
-    sup = factor * (n - kk)
-    return DiracBlock(level=int(n), tag=tag, diag=diag, sub=sub, sup=sup)
+        raise DomainError(f"unknown block tag {tag!r}")
+    D, S, P = _raw_rows(m, np.array([n]), np.array([tag == TAG_B]))
+    return DiracBlock(level=int(n), tag=tag, diag=D[0], sub=S[0, :n], sup=P[0, :n])
 
 
 def _rep_entries(m, n, k):
@@ -233,7 +219,7 @@ def build_from_representation(m, n):
     -C I would leave no entry finite).
     """
     if n < 0:
-        raise ValueError("level must be nonnegative")
+        raise DomainError(f"level must be nonnegative, got {n}")
     if not math.isfinite(m.C):
         raise ConsistencyError(f"level {n}: C = {m.C!r} is not finite; the operator cannot be built")
     band = _band(m, [n])
@@ -260,9 +246,8 @@ def representation_cross_check(m, top):
     :func:`build_from_representation` and
     :meth:`RepresentationOperator.blocks`: the imaginary residue, the A/B
     couplings, and the largest deviation of the A-A and then the B-B
-    tridiagonal from :func:`_raw_rows` (the entries of
-    :func:`build_block`).  The first failure, by level and then in that
-    order, raises :class:`ConsistencyError` (residue, couplings) or
+    tridiagonal from :func:`_raw_rows`.  The first failure, by level and
+    then in that order, raises :class:`ConsistencyError` (residue, couplings) or
     :class:`CertificationError` (a block deviates).  Memory is O(top^2).
     """
     n = np.arange(top + 1)

@@ -9,33 +9,32 @@ the number of negative pivots of the LDL^T recurrence
 equals the number of eigenvalues below x (the Sturm count).
 
 Every query runs that recurrence in one batched kernel, ``_sturm_counts``,
-over many blocks and many shifts at once; the blocks are sorted by size and
-padded (``_pack``), and the pass stops visiting a block after its last row.
-The kernel serves three ways:
+over many blocks and many shifts at once, on padded solver rows: the blocks
+sorted by size, largest first, and zero past each size, as
+``spectrum._full_rows`` writes them straight from a metric.  The pass stops
+visiting a row after its last entry.  The kernel serves three ways:
 
 1. Full spectra are solved by LAPACK (``numpy.linalg.eigvalsh``) and then
    proved: the i-th of the sorted values lam_0 <= lam_1 <= ... lies within
    tol of the i-th eigenvalue when count(lam_i - tol) <= i and
-   count(lam_i + tol) >= i + 1 (``_proved_values``).  It takes packed rows
-   with a tol per row: those of ``_pack`` (``eigenvalues_batch``), or the
-   rows ``spectrum._full_rows`` writes straight from a metric, from which
-   ``spectrum._level_rows`` cuts every level of an assembled spectrum.
+   count(lam_i + tol) >= i + 1 (``_proved_values``).  It takes the rows
+   that ``spectrum._level_rows`` cuts for every level of an assembled
+   spectrum.
 2. Bracket queries: counts at given shifts (``_sturm_counts`` itself), and
    the smallest |eigenvalue| of each row, solved by LAPACK and proved with
-   four shifts (``_min_abs_rows``).  Its parts are row kernels on packed
-   rows: the LAPACK candidates (``_min_abs_candidates``), the counts in
-   windows [-x, x) of one Sturm pass (``_windows``), and the proof with its
+   four shifts (``_min_abs_rows``).  Its parts are row kernels too: the
+   LAPACK candidates (``_min_abs_candidates``), the counts in windows
+   [-x, x) of one Sturm pass (``_windows``), and the proof with its
    bisection fallback (``_proved_min_abs``).  ``spectrum.enumerated_min_abs``
    calls them on the rows of ``spectrum._full_rows``, with the seed's proof,
-   the screen and the multiplicity count as the windows of one pass.  On
-   block objects ``count_below_batch`` and ``min_abs_batch`` pack first;
-   ``count_below``, ``eigenvalues`` and ``min_abs_eigenvalue`` are batches
-   of one.
+   the screen and the multiplicity count as the windows of one pass.
 3. A block whose LAPACK values fail the proof is solved again by
    Sturm-count bisection inside its Gershgorin bracket (``_bisect_range``),
    which is certified by construction.
 
-Either way every returned value lies within tol of the truth.
+The block-object API, ``eigenvalues``, ``count_below`` and
+``min_abs_eigenvalue``, runs the same row kernels on the block as one row
+(``_one_row``).  Either way every returned value lies within tol of the truth.
 """
 
 import itertools
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, Dirac3SphereError
+from .errors import ConsistencyError, Dirac3SphereError, DomainError
 
 _SAFMIN = float(np.finfo(float).tiny)
 _MAX_BISECTIONS = 200
@@ -177,26 +176,6 @@ def _solve(D, E, sizes):
     return V
 
 
-def _pack(ts):
-    """Blocks sorted by size, largest first, and padded to a common size.
-
-    Returns (order, sizes, D, E, norms): row b of the diagonals ``D`` and
-    couplings ``E`` holds block ``ts[order[b]]`` of size ``sizes[b]``, zero
-    past it; ``norms[b]`` is its :meth:`SymmetrizedTridiagonal.infnorm`.
-    The Sturm pass and the LAPACK calls never read the padding.  A block with
-    a non-finite entry raises :class:`Dirac3SphereError`.
-    """
-    order = sorted(range(len(ts)), key=lambda j: -ts[j].size)
-    sizes = [ts[j].size for j in order]
-    B, N = len(ts), sizes[0]
-    pad = np.arange(N) >= np.array(sizes)[:, None]
-    D = np.zeros((B, N))
-    E = np.zeros((B, N - 1))
-    D[~pad] = np.concatenate([ts[j].diag for j in order])
-    E[~pad[:, 1:]] = np.concatenate([ts[j].offdiag for j in order])
-    return order, sizes, D, E, _row_norms(D, E)
-
-
 def _row_norms(D, E):
     """Infinity norm of every packed row, each row summed as
     :meth:`SymmetrizedTridiagonal.infnorm` sums it; a row with a non-finite
@@ -210,48 +189,27 @@ def _row_norms(D, E):
     return norms
 
 
-def _tolerances(norms, tol):
+def _one_row(t, tol=None):
+    """Block ``t`` as one solver row (D, E, sizes, tols), checked by
+    :func:`_row_norms`; ``tol`` defaults to :func:`default_tolerance` and
+    must be positive."""
+    D = np.asarray(t.diag, dtype=float)[None, :]
+    E = np.asarray(t.offdiag, dtype=float)[None, :]
+    norms = _row_norms(D, E)
     if tol is None:
-        return _tolerance(norms)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return np.full(len(norms), float(tol))
-
-
-def _unsort(order, rows):
-    out = np.empty_like(rows)
-    out[order] = rows
-    return out
-
-
-def eigenvalues_batch(ts, tol=None):
-    """All eigenvalues of each block in ``ts``, ascending, each within tol.
-
-    ``tol`` defaults to :func:`default_tolerance` of each block.  The values
-    come from LAPACK and are proved by one Sturm-count pass over all blocks
-    (see the module docstring); a block whose values fail the check is
-    solved by bisection instead.  Degenerate clusters come out as repeated
-    values.  A block with a non-finite entry raises
-    :class:`Dirac3SphereError`.
-    """
-    ts = list(ts)
-    if not ts:
-        return []
-    order, sizes, D, E, norms = _pack(ts)
-    V = _proved_values(D, E, sizes, _tolerances(norms, tol))
-    out = [None] * len(ts)
-    for b, (j, s) in enumerate(zip(order, sizes)):
-        out[j] = V[b, :s].copy()
-    return out
+        return D, E, [t.size], _tolerance(norms)
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    return D, E, [t.size], np.full(1, float(tol))
 
 
 def _proved_values(D, E, sizes, tols):
     """All eigenvalues of packed blocks, ascending in each row, each within
     its row's tol.
 
-    Row b of ``D`` and ``E`` holds a block of size ``sizes[b]`` as
-    :func:`_pack` lays it out (sizes non-increasing, zero past each size).
-    LAPACK gives the values and one Sturm pass proves them (see the module
+    Row b of ``D`` and ``E`` holds a block of size ``sizes[b]``, zero past
+    it; ``sizes`` is non-increasing and ``D.shape[1] == sizes[0]``.  LAPACK
+    gives the values and one Sturm pass proves them (see the module
     docstring); a row whose values fail the check is solved by bisection
     instead.  Entries past a row's size are zero.
     """
@@ -271,56 +229,33 @@ def _proved_values(D, E, sizes, tols):
 def eigenvalues(t, tol=None):
     """All eigenvalues of ``t``, ascending, each within ``tol`` of the truth.
 
-    The batch of one of :func:`eigenvalues_batch`.
+    ``tol`` defaults to :func:`default_tolerance`; it must be positive.  The
+    values come from LAPACK and are proved by one Sturm pass
+    (:func:`_proved_values`); if the proof fails they are bisected instead.
+    Degenerate clusters come out as repeated values.  A block with a
+    non-finite entry raises :class:`Dirac3SphereError`.
     """
-    return eigenvalues_batch([t], tol)[0]
-
-
-def count_below_batch(ts, shifts):
-    """Sturm counts of every block in ``ts`` at every shift, in one pass.
-
-    Entry (j, i) is the number of eigenvalues of ``ts[j]`` strictly below
-    ``shifts[i]``.  A block with a non-finite entry raises
-    :class:`Dirac3SphereError`.
-    """
-    ts = list(ts)
-    shifts = np.asarray(shifts, dtype=float)
-    if not ts:
-        return np.zeros((0, len(shifts)), dtype=np.int64)
-    order, sizes, D, E, _ = _pack(ts)
-    X = np.broadcast_to(shifts, (len(ts), len(shifts)))
-    return _unsort(order, _sturm_counts(D, E * E, X, sizes))
+    return _proved_values(*_one_row(t, tol))[0]
 
 
 def count_below(t, x):
     """Number of eigenvalues of ``t`` strictly below the shift ``x``.
 
-    The batch of one of :func:`count_below_batch`.
+    A NaN shift raises :class:`DomainError`, a block with a non-finite entry
+    :class:`Dirac3SphereError`.
     """
-    return int(count_below_batch([t], [x])[0, 0])
-
-
-def min_abs_batch(ts, tol=None):
-    """Smallest absolute eigenvalue of every block in ``ts``, each within tol.
-
-    ``tol`` defaults to :func:`default_tolerance` of each block.  The blocks
-    are packed (:func:`_pack`) and solved by :func:`_min_abs_rows`.  A block
-    with a non-finite entry raises :class:`Dirac3SphereError`.
-    """
-    ts = list(ts)
-    if not ts:
-        return np.zeros(0)
-    order, sizes, D, E, norms = _pack(ts)
-    return _unsort(order, _min_abs_rows(D, E, sizes, _tolerances(norms, tol)))
+    if math.isnan(x):
+        raise DomainError("the shift of a Sturm count must not be NaN")
+    D, E, sizes, _ = _one_row(t)
+    return int(_sturm_counts(D, E * E, np.full((1, 1), float(x)), sizes)[0, 0])
 
 
 def _min_abs_rows(D, E, sizes, tols):
     """Smallest absolute eigenvalue of every packed row, each within its tol.
 
-    Rows as :func:`_pack` lays them out, ``D.shape[1] == sizes[0]``.  LAPACK
-    gives the candidate v = min |lambda| of each row
-    (:func:`_min_abs_candidates`), and one Sturm pass proves it
-    (:func:`_windows`, :func:`_proved_min_abs`).
+    Padded rows as :func:`_proved_values` takes them.  LAPACK gives the
+    candidate v = min |lambda| of each row (:func:`_min_abs_candidates`),
+    and one Sturm pass proves it (:func:`_windows`, :func:`_proved_min_abs`).
     """
     v = _min_abs_candidates(D, E, sizes)
     return _proved_min_abs(D, E, sizes, tols, v, _windows(D, E, sizes, np.stack([v + tols, v - tols], axis=1)))[0]
@@ -361,6 +296,8 @@ def _proved_min_abs(D, E, sizes, tols, v, windows):
 def min_abs_eigenvalue(block, tol=None):
     """Smallest absolute eigenvalue of a block, within ``tol``.
 
-    The batch of one of :func:`min_abs_batch`.
+    The block is symmetrized and solved as one row by :func:`_min_abs_rows`;
+    ``tol`` defaults to :func:`default_tolerance` and must be positive.  A
+    block with a non-finite entry raises :class:`Dirac3SphereError`.
     """
-    return float(min_abs_batch([symmetrize(block)], tol)[0])
+    return float(_min_abs_rows(*_one_row(symmetrize(block), tol))[0])

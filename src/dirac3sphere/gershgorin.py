@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, ConsistencyError, UncertifiableError
+from .errors import CertificationError, ConsistencyError, DomainError, UncertifiableError
 from .metric import scal_factors
 
 
@@ -56,7 +56,7 @@ def squared_row_entries(m, n, tag, k):
     tag "B" swaps the parities.
     """
     if not 0 <= k <= n:
-        raise ValueError(f"row index {k} outside 0..{n}")
+        raise DomainError(f"row index {k} outside 0..{n}")
     a, b, c = m.triple()
     if (k % 2 == 0) != (tag == "A"):
         a, b = -a, -b
@@ -79,15 +79,22 @@ def _row_endpoints(a, b, c, C, n, k):
     return [_left_endpoint(*_row_entries(s * a, s * b, c, C, n, k)) for s in (1.0, -1.0)]
 
 
+def _integers(*xs):
+    """The doubles ``xs`` scaled to integers by one power of two: every
+    double is p / 2^q, so with 2^Q the largest 2^q, x 2^Q = p 2^(Q-q) is an
+    integer for each.  Returns (the integers, 2^Q)."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(q for _, q in ratios)
+    return [p * (den // q) for p, q in ratios], den
+
+
 def _vertex_steps(a, b, c, C):
     """floor(2 delta) of the row quadratic for each sign choice, exactly, on
     the stored doubles; None where the quadratic is not convex or C is not
     finite (see :func:`level_bounds`)."""
     if not math.isfinite(C):
         return [None, None]
-    ratios = [x.as_integer_ratio() for x in (a, b, c, C)]
-    den = max(q for _, q in ratios)  # every denominator is a power of two
-    a, b, c, C = (p * (den // q) for p, q in ratios)
+    (a, b, c, C), _ = _integers(a, b, c, C)
     A = 4 * a * a - 4 * max(b * b, c * c)
     if A <= 0:
         return [None, None]
@@ -181,9 +188,9 @@ def closed_form_G(m, n, k, variant="G"):
     assume b >= c).
     """
     if not 0 <= k <= n:
-        raise ValueError(f"index {k} outside 0..{n}")
+        raise DomainError(f"index {k} outside 0..{n}")
     if variant not in ("G", "Gtilde"):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise DomainError(f"unknown variant {variant!r}")
     ms, _ = m.sorted()
     a, b, c = ms.triple()
     return _G(a, b, c, ms.C, n, k if variant == "G" else n - k)
@@ -197,7 +204,7 @@ def triangle_increment(m, n, k):
     rational arithmetic.
     """
     if not 0 <= k <= n:
-        raise ValueError(f"index {k} outside 0..{n}")
+        raise DomainError(f"index {k} outside 0..{n}")
     ms, _ = m.sorted()
     a, b, c = ms.triple()
     return 4.0 * (c * c * n - b * ms.C + a * c + b * b + c * c)
@@ -272,18 +279,17 @@ def exact_sorted(m):
     integers, L times the exact values of the stored doubles, for one L > 0.
 
     Every double is p / 2^q.  With Q the largest q of the three, a' = a 2^Q,
-    b' = b 2^Q and c' = c 2^Q are integers; with D = 2a'b'c',
-    (a'D, b'D, c'D, a'^2 b'^2 + b'^2 c'^2 + c'^2 a'^2) = L (a, b, c, C) for
-    L = 2^Q D.  A condition homogeneous of degree d in (a, b, c, C) is
-    L^d > 0 times its value on these integers, so the integers decide its
-    sign exactly and its margin is the integer value over L^d.
+    b' = b 2^Q and c' = c 2^Q are integers (:func:`_integers`); with
+    D = 2a'b'c', (a'D, b'D, c'D, a'^2 b'^2 + b'^2 c'^2 + c'^2 a'^2) =
+    L (a, b, c, C) for L = 2^Q D.  A condition homogeneous of degree d in
+    (a, b, c, C) is L^d > 0 times its value on these integers, so the
+    integers decide its sign exactly and its margin is the integer value
+    over L^d.
 
     Raises :class:`UncertifiableError` unless scal > 0 exactly.
     """
     ms, perm = m.sorted()
-    ratios = [x.as_integer_ratio() for x in ms.triple()]
-    den = max(q for _, q in ratios)  # 2^Q: every denominator is a power of two
-    a, b, c = (p * (den // q) for p, q in ratios)
+    (a, b, c), den = _integers(*ms.triple())  # den = 2^Q
     if min(scal_factors(a, b, c)) <= 0:
         raise UncertifiableError("certification requires positive scalar curvature; only enumerated minima exist")
     d = 2 * a * b * c

@@ -24,7 +24,7 @@ recovered triple and attaches the relative residuals.
 import math
 from dataclasses import dataclass
 
-from .errors import InconsistentInputError, WrongRegimeError
+from .errors import DomainError, InconsistentInputError, WrongRegimeError
 from .metric import S3, SO3_NONTRIVIAL, SO3_TRIVIAL, Metric, invariants, volume
 
 _PI2 = math.pi ** 2
@@ -227,7 +227,7 @@ def reconstruct(manifold, vol, scal, mu=None, C=None, a2_tilde=None):
     """Dispatch on the single provided discriminator."""
     given = [name for name, v in (("mu", mu), ("C", C), ("a2_tilde", a2_tilde)) if v is not None]
     if len(given) != 1:
-        raise ValueError(f"exactly one of mu, C, a2_tilde must be given, got {given or 'none'}")
+        raise DomainError(f"exactly one of mu, C, a2_tilde must be given, got {given or 'none'}")
     if mu is not None:
         return reconstruct_positive_mu(vol, scal, mu, manifold)
     if C is not None:

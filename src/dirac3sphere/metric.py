@@ -41,7 +41,7 @@ def _volume_space(manifold):
         return S3
     if manifold in (SO3, SO3_TRIVIAL, SO3_NONTRIVIAL):
         return SO3
-    raise ValueError(f"unknown manifold {manifold!r}")
+    raise DomainError(f"unknown manifold {manifold!r}")
 
 
 def shift_C(a, b, c):

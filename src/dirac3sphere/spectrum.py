@@ -161,10 +161,11 @@ def _full_rows(m, levels):
     as :func:`~dirac3sphere.eigen._sturm_counts` and LAPACK read them.  An
     even level is one row, A_n, which stands for both blocks; an odd level
     is two rows, A_n then B_n.  The entries are
-    :func:`~dirac3sphere.blocks._raw_rows` followed by the float operations
-    of :func:`~dirac3sphere.eigen.symmetrize`, so a row is
-    ``symmetrize(build_block(m, n, tag))`` bit for bit, and its tol is that
-    block's :func:`~dirac3sphere.eigen.default_tolerance`.
+    :func:`~dirac3sphere.blocks._raw_rows`, the one evaluation of the entry
+    recurrences, followed by the float operations of
+    :func:`~dirac3sphere.eigen.symmetrize`, so a row is the symmetrized
+    level-n block of its tag bit for bit, and its tol is that block's
+    :func:`~dirac3sphere.eigen.default_tolerance`.
 
     An even level's B block is A reversed (J A_n J), bit for bit, so the two
     are isospectral: the diagonal is +-a(n-2k) - C with the sign (-1)^k for

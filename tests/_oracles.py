@@ -5,18 +5,23 @@ Block eigenvalues come from brute-force characteristic polynomials
 library itself solves full spectra with LAPACK's dense symmetric solver, so
 ``lapack_eigs`` is no longer independent of it; the independent checks are
 ``brute_force_eigs`` and the Sturm-bisection reference
-(``eigen._bisect_range``, see ``tests/test_spectrum.py``).  The certificate's
-reference is ``fraction_certificate``: the same conditions decided in
-``Fraction`` arithmetic on the stored doubles, with no integer scaling.
-The representation construction's reference is ``einsum_representation``:
-the operator applied to every basis matrix unit as a dense einsum, with the
-representation matrices built by ``np.diag``; ``reference_verify_point``
-is the per-level ``verify`` cross-check on top of it.  The enumeration's
-reference is ``reference_enumerated_min_abs``: the search on block objects
-(``_level_blocks``) seeded with the globally lowest level bound, pruned by
-``reference_level_bounds``, the row endpoints of every (n, k) row.  The Berger
-metrics b = c have every eigenvalue in closed form (``berger_spectrum``),
-with no solver at all.
+(``eigen._bisect_range``, see ``tests/test_spectrum.py``).  The level blocks'
+reference is ``reference_block``: the entry recurrences written out for one
+block, apart from the library's one writer ``blocks._raw_rows``.  The
+certificate's reference is ``fraction_certificate``: the same conditions
+decided in ``Fraction`` arithmetic on the stored doubles, with no integer
+scaling.  The representation construction's reference is
+``einsum_representation``: the operator applied to every basis matrix unit
+as a dense einsum, with the representation matrices built by ``np.diag``;
+``reference_verify_point`` is the per-level ``verify`` cross-check on top of
+it.  The enumeration's reference is ``reference_enumerated_min_abs``: the
+search on block objects (``_level_blocks``, from ``reference_block``)
+seeded with the globally lowest level bound, pruned by
+``reference_level_bounds``, the row endpoints of every (n, k) row, and
+solved on block objects packed into solver rows by ``pack_blocks``
+(``count_below_blocks``, ``min_abs_blocks``).  The Berger metrics b = c
+have every eigenvalue in closed form (``berger_spectrum``), with no solver
+at all.
 """
 
 import functools
@@ -27,12 +32,80 @@ from fractions import Fraction
 import numpy as np
 
 import dirac3sphere as d3s
-from dirac3sphere.blocks import CLIFFORD, RepresentationOperator, _char_poly_coeffs, _level1_eigs, _level3_radicals
-from dirac3sphere.eigen import count_below_batch, default_tolerance, min_abs_batch
+from dirac3sphere.blocks import (
+    CLIFFORD,
+    TAGS,
+    DiracBlock,
+    RepresentationOperator,
+    _char_poly_coeffs,
+    _level1_eigs,
+    _level3_radicals,
+)
+from dirac3sphere.eigen import _min_abs_rows, _row_norms, _sturm_counts, _tolerance, default_tolerance
 from dirac3sphere.errors import ConsistencyError
 from dirac3sphere.gershgorin import CertificationStep, _families, _G, _row_endpoints
 from dirac3sphere.metric import scal_factors, shift_C
 from dirac3sphere.spectrum import COINCIDENCE_RTOL
+
+
+def reference_block(m, n, tag):
+    """The level-n block of ``tag`` from the closed entry recurrences,
+    written out for one block: the diagonal alternates +-a(n-2k) by parity
+    of k and carries the shift -C, the couplings alternate between (c+b)
+    and (c-b) weights; tag "B" is tag "A" with the parities swapped."""
+    assert n >= 0 and tag in TAGS
+    a, b, c = m.triple()
+    k = np.arange(n + 1)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    if tag == "B":
+        sign = -sign
+    diag = sign * (a * (n - 2 * k)) - m.C
+    kk = k[:-1]
+    f_even, f_odd = (c + b, c - b) if tag == "A" else (c - b, c + b)
+    factor = np.where(kk % 2 == 0, f_even, f_odd)
+    return DiracBlock(level=int(n), tag=tag, diag=diag, sub=factor * (kk + 1), sup=factor * (n - kk))
+
+
+def pack_blocks(ts):
+    """Symmetrized blocks sorted by size, largest first, and padded to a
+    common size, as the library's solver rows lay them out.
+
+    Returns (order, sizes, D, E, tols): row b of the diagonals ``D`` and
+    couplings ``E`` holds block ``ts[order[b]]`` of size ``sizes[b]``, zero
+    past it, and ``tols[b]`` is its default tolerance.  A block with a
+    non-finite entry raises the library's error (``eigen._row_norms``).
+    """
+    order = sorted(range(len(ts)), key=lambda j: -ts[j].size)
+    sizes = [ts[j].size for j in order]
+    B, N = len(ts), sizes[0]
+    pad = np.arange(N) >= np.array(sizes)[:, None]
+    D = np.zeros((B, N))
+    E = np.zeros((B, N - 1))
+    D[~pad] = np.concatenate([ts[j].diag for j in order])
+    E[~pad[:, 1:]] = np.concatenate([ts[j].offdiag for j in order])
+    return order, sizes, D, E, _tolerance(_row_norms(D, E))
+
+
+def _unsort(order, rows):
+    out = np.empty_like(rows)
+    out[order] = rows
+    return out
+
+
+def count_below_blocks(ts, shifts):
+    """Sturm counts of every symmetrized block in ``ts`` at every shift, in
+    one pass: entry (j, i) counts the eigenvalues of ``ts[j]`` below
+    ``shifts[i]``."""
+    order, sizes, D, E, _ = pack_blocks(ts)
+    X = np.broadcast_to(np.asarray(shifts, dtype=float), (len(ts), len(shifts)))
+    return _unsort(order, _sturm_counts(D, E * E, X, sizes))
+
+
+def min_abs_blocks(ts):
+    """Smallest |eigenvalue| of every symmetrized block in ``ts``, each
+    within its default tolerance, in one packed solve."""
+    order, sizes, D, E, tols = pack_blocks(ts)
+    return _unsort(order, _min_abs_rows(D, E, sizes, tols))
 
 
 def char_poly_coeffs(diag, sub, sup):
@@ -73,7 +146,7 @@ def dense_min_abs(m, manifold, max_level, rtol=1e-9):
     solved = {}
     tol = 0.0
     for n in d3s.admissible_levels(manifold, max_level):
-        blocks = [d3s.build_block(m, n, tag) for tag in "AB"]
+        blocks = [reference_block(m, n, tag) for tag in "AB"]
         solved[n] = np.concatenate([lapack_eigs(blk) for blk in blocks])
         tol = max([tol] + [default_tolerance(d3s.symmetrize(blk)) for blk in blocks])
     best = min(float(np.abs(v).min()) for v in solved.values())
@@ -88,8 +161,8 @@ def _level_blocks(m, n):
     is A_n reversed (see ``spectrum._full_rows``), and
     ``[("A", A_n, 1), ("B", B_n, 1)]`` at an odd one."""
     if n % 2 == 0:
-        return [("AB", d3s.symmetrize(d3s.build_block(m, n, "A")), 2)]
-    return [(tag, d3s.symmetrize(d3s.build_block(m, n, tag)), 1) for tag in "AB"]
+        return [("AB", d3s.symmetrize(reference_block(m, n, "A")), 2)]
+    return [(tag, d3s.symmetrize(reference_block(m, n, tag)), 1) for tag in "AB"]
 
 
 def reference_level_bounds(m, levels):
@@ -112,8 +185,8 @@ def reference_level_bounds(m, levels):
 def reference_enumerated_min_abs(m, manifold, max_level=25):
     """``enumerated_min_abs`` on block objects, seeded with the level of
     lowest finite bound over all admissible levels: the seed solved with
-    ``min_abs_batch``, every other level its bound cannot rule out screened
-    by one ``count_below_batch`` at -best and best, the blocks with an
+    ``min_abs_blocks``, every other level its bound cannot rule out screened
+    by one ``count_below_blocks`` at -best and best, the blocks with an
     eigenvalue inside solved, and the multiplicity one count in [-u, u)."""
     levels = np.array(d3s.admissible_levels(manifold, max_level))
     if not len(levels):
@@ -127,17 +200,17 @@ def reference_enumerated_min_abs(m, manifold, max_level=25):
         return [int(n) for n in levels[unbounded | (bounds <= x * x * (1.0 + 1e-9))]]
 
     first = int(levels[np.argmin(np.where(unbounded, np.inf, bounds))])
-    best = float(min_abs_batch([t for _, t, _ in level_blocks(first)]).min())
+    best = float(min_abs_blocks([t for _, t, _ in level_blocks(first)]).min())
     screened = [n for n in within(best) if n != first]
     ts = [t for n in screened for _, t, _ in level_blocks(n)]
-    counts = count_below_batch(ts, [-best, best])
+    counts = count_below_blocks(ts, [-best, best]) if ts else np.zeros((0, 2))
     inside = [t for t, (lo, hi) in zip(ts, counts) if hi > lo]
     if inside:
-        best = min(best, float(min_abs_batch(inside).min()))
+        best = min(best, float(min_abs_blocks(inside).min()))
 
     u = best + COINCIDENCE_RTOL * max(1.0, best)
     counted = [(n, t, w) for n in within(u) for _, t, w in level_blocks(n)]
-    counts = count_below_batch([t for _, t, _ in counted], [-u, u])
+    counts = count_below_blocks([t for _, t, _ in counted], [-u, u])
     mult = int(np.dot(counts[:, 1] - counts[:, 0], [(n + 1) * w for n, _, w in counted]))
     return best, mult, sorted([first] + screened)
 
@@ -382,7 +455,7 @@ def einsum_representation(m, n):
 def reference_verify_point(metric, rep_level, details=False, construct=einsum_representation):
     """``cli._verify_point`` with the cross-check as a per-level loop: the
     blocks of ``construct(metric, n)`` (the einsum operator by default)
-    against ``build_block``, one level and one block at a time."""
+    against ``reference_block``, one level and one block at a time."""
     point = {"metric": list(metric.triple()), "scal_sign": d3s.scal_sign_classification(metric)}
     try:
         trace = d3s.certify_fundamental_tone(metric)
@@ -393,7 +466,7 @@ def reference_verify_point(metric, rep_level, details=False, construct=einsum_re
         for n in range(rep_level + 1):
             rep_a, rep_b = construct(metric, n).blocks()
             for tag, rep in (("A", rep_a), ("B", rep_b)):
-                dense = d3s.build_block(metric, n, tag).to_dense()
+                dense = reference_block(metric, n, tag).to_dense()
                 scale = max(1.0, float(abs(dense).max()))
                 err = float(abs(rep - dense).max())
                 if err > 1e-12 * scale:

@@ -1,0 +1,50 @@
+"""The package's outward contract: the names other code binds resolve, and
+the object layer refuses bad arguments with the package's own error type."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import dirac3sphere as d3s
+from dirac3sphere import Metric
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _boundaries():
+    # the BOUNDARIES literal of bench/spans.py, read without importing it
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "BOUNDARIES" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py has no BOUNDARIES")
+
+
+def test_benchmark_boundaries_and_exports_resolve():
+    boundaries = _boundaries()
+    assert boundaries
+    for module, func, _ in boundaries:
+        assert callable(getattr(importlib.import_module(f"dirac3sphere.{module}"), func, None)), (module, func)
+    for name in d3s.__all__:
+        assert hasattr(d3s, name), name
+
+
+def test_object_layer_refusals_are_domain_errors():
+    m = Metric(1.3, 0.8, 0.6)
+    refusals = [
+        (d3s.build_block, (m, -1, "A")),
+        (d3s.build_block, (m, 2, "X")),
+        (d3s.build_from_representation, (m, -1)),
+        (d3s.squared_row_entries, (m, 3, "A", 4)),
+        (d3s.squared_row_entries, (m, 3, "B", -1)),
+        (d3s.closed_form_G, (m, 3, 5)),
+        (d3s.closed_form_G, (m, 3, 1, "H")),
+        (d3s.triangle_increment, (m, 3, 4)),
+        (d3s.volume, (m, "t3")),
+        (d3s.reconstruct, (d3s.S3, 19.7, 6.0)),
+        (d3s.reconstruct, (d3s.S3, 19.7, 6.0, 1.5, 1.5)),
+    ]
+    for func, args in refusals:
+        with pytest.raises(d3s.DomainError):
+            func(*args)

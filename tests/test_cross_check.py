@@ -16,6 +16,7 @@ from _oracles import (
     einsum_representation,
     random_metrics,
     random_metrics_with_sign,
+    reference_block,
     reference_verify_point,
     scal_zero_metrics,
 )
@@ -55,14 +56,18 @@ def test_representation_matrices_equal_diag_reference():
 
 
 def test_full_raw_rows_are_build_block():
+    # the one writer of the entry recurrences against the formula written out
+    # for one block, and build_block as the one-row cut of it
     m = Metric(1.3, 0.8, 0.6)
     n = np.array([0, 1, 4, 7, 0, 1, 4, 7])
     D, S, P = _raw_rows(m, n, np.arange(8) >= 4)
     for r, (level, tag) in enumerate(zip(n, "AAAABBBB")):
-        blk = d3s.build_block(m, int(level), tag)
-        assert np.array_equal(D[r, :level + 1], blk.diag)
-        assert np.array_equal(S[r, :level], blk.sub) and np.array_equal(P[r, :level], blk.sup)
+        ref = reference_block(m, int(level), tag)
+        assert np.array_equal(D[r, :level + 1], ref.diag)
+        assert np.array_equal(S[r, :level], ref.sub) and np.array_equal(P[r, :level], ref.sup)
         assert not D[r, level + 1:].any() and not S[r, level:].any() and not P[r, level:].any()
+        blk = d3s.build_block(m, int(level), tag)
+        assert all(np.array_equal(x, y) for x, y in zip((blk.diag, blk.sub, blk.sup), (ref.diag, ref.sub, ref.sup)))
 
 
 def _grid_points():

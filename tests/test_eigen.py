@@ -7,7 +7,7 @@ import dirac3sphere as d3s
 from dirac3sphere import Metric, eigen
 from dirac3sphere.eigen import SymmetrizedTridiagonal, default_tolerance
 
-from _oracles import brute_force_eigs, lapack_eigs, random_metrics
+from _oracles import brute_force_eigs, lapack_eigs, pack_blocks, random_metrics
 
 
 def test_symmetrize_already_symmetric():
@@ -70,6 +70,19 @@ def test_custom_tolerance_honored():
     assert np.abs(coarse - fine).max() <= 2e-3
     with pytest.raises(ValueError):
         d3s.eigenvalues(t, tol=0.0)
+
+
+def test_nan_tolerance_and_nan_shift_are_domain_errors():
+    blk = d3s.build_block(Metric(1.7, 1.1, 0.4), 9, "A")
+    t = d3s.symmetrize(blk)
+    for tol in (float("nan"), 0.0, -1e-9):
+        with pytest.raises(d3s.DomainError, match="tolerance must be positive"):
+            d3s.eigenvalues(t, tol=tol)
+        with pytest.raises(d3s.DomainError, match="tolerance must be positive"):
+            d3s.min_abs_eigenvalue(blk, tol=tol)
+    with pytest.raises(d3s.DomainError, match="NaN"):
+        d3s.count_below(t, float("nan"))
+    assert d3s.count_below(t, -math.inf) == 0 and d3s.count_below(t, math.inf) == t.size
 
 
 def test_sturm_counts_certify_eigenvalues():
@@ -157,12 +170,20 @@ def test_failed_check_falls_back_to_bisection(monkeypatch):
         return bisect(d, e, tol)
 
     monkeypatch.setattr(eigen, "_bisect_range", spy)
-    for t, vals in zip(ts, d3s.eigenvalues_batch(ts, tol)):
-        _assert_within(t, vals, tol)
-    assert sorted(bisected) == sorted(t.size for t in ts)
+    for t in ts:
+        _assert_within(t, d3s.eigenvalues(t, tol), tol)
+    assert bisected == [t.size for t in ts]
+    # the same blocks as padded rows of one batch, as assemble solves them:
+    # every row is bisected once, on its own entries and tol
+    bisected.clear()
+    order, sizes, D, E, _ = pack_blocks(ts)
+    V = eigen._proved_values(D, E, sizes, np.full(len(ts), tol))
+    for b, j in enumerate(order):
+        _assert_within(ts[j], V[b, :sizes[b]], tol)
+    assert bisected == sizes
 
 
-def test_batch_of_mixed_sizes_equals_single_blocks():
+def test_mixed_sizes_and_reducible_blocks_agree_with_bisection():
     # sizes 1, 2 and 120, with reducible blocks (b = c splits every B block)
     ts = [
         d3s.symmetrize(d3s.build_block(m, n, tag))
@@ -171,16 +192,22 @@ def test_batch_of_mixed_sizes_equals_single_blocks():
         for tag in "AB"
     ]
     assert any((t.offdiag == 0.0).any() for t in ts)
-    batch = d3s.eigenvalues_batch(ts)
-    for t, vals in zip(ts, batch):
-        single = d3s.eigenvalues(t)
-        assert np.array_equal(vals, single)
+    for t in ts:
+        vals = d3s.eigenvalues(t)
         tol = default_tolerance(t)
         assert np.abs(vals - eigen._bisect_range(t.diag, t.offdiag, tol)).max() <= 2 * tol
-    assert d3s.eigenvalues_batch([]) == []
 
 
 def test_non_finite_block_is_a_package_error():
     t = SymmetrizedTridiagonal(diag=np.array([1.0, 2.0]), offdiag=np.array([np.inf]))
     with pytest.raises(d3s.Dirac3SphereError, match="not finite"):
         d3s.eigenvalues(t)
+    # an overflowing metric builds a block of inf and nan entries without a
+    # RuntimeWarning (the suite turns one into an error); the solvers refuse it
+    for m in (Metric(1.0, 1e308, 1e308), Metric(1e308, 1.0, 1.0)):
+        blk = d3s.build_block(m, 3, "A")
+        assert not np.isfinite(np.concatenate([blk.diag, blk.sub, blk.sup])).all()
+        with pytest.raises(d3s.Dirac3SphereError, match="not finite"):
+            d3s.eigenvalues(d3s.symmetrize(blk))
+        with pytest.raises(d3s.Dirac3SphereError, match="not finite"):
+            d3s.min_abs_eigenvalue(blk)

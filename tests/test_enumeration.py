@@ -117,23 +117,10 @@ def test_non_finite_bound_never_prunes():
     assert (value, mult) == dense_min_abs(m, d3s.S3, 10)[:2] == (m.C, 1012)
 
 
-def test_batched_queries_equal_batches_of_one():
-    m = Metric(1.3, 0.9, 0.9)  # b = c: reducible B blocks
-    ts = [d3s.symmetrize(d3s.build_block(m, n, tag)) for n in (0, 1, 2, 9, 50) for tag in "AB"]
-    shifts = [-3.0, -0.5, 0.0, 0.7, 12.0]
-    counts = d3s.count_below_batch(ts, shifts)
-    assert counts.tolist() == [[d3s.count_below(t, x) for x in shifts] for t in ts]
-    mins = d3s.min_abs_batch(ts)
-    for t, v in zip(ts, mins):
-        assert v == pytest.approx(np.abs(d3s.eigenvalues(t)).min(), abs=2 * default_tolerance(t))
-    assert d3s.count_below_batch([], [0.0]).shape == (0, 1)
-    assert len(d3s.min_abs_batch([])) == 0
-
-
 def test_min_abs_falls_back_when_the_solve_is_wrong(monkeypatch):
     m = Metric(1.2, 1.1, 0.3)
-    ts = [d3s.symmetrize(d3s.build_block(m, n, tag)) for n in (0, 1, 8, 31) for tag in "AB"]
-    honest = d3s.min_abs_batch(ts)
+    blocks = [d3s.build_block(m, n, tag) for n in (0, 1, 8, 31) for tag in "AB"]
+    honest = [d3s.min_abs_eigenvalue(blk) for blk in blocks]
     enumerated = d3s.enumerated_min_abs(m, d3s.S3, 40)
     solve = eigen._solve
     monkeypatch.setattr(eigen, "_solve", lambda D, E, sizes: solve(D, E, sizes) + 1e-6)
@@ -145,13 +132,15 @@ def test_min_abs_falls_back_when_the_solve_is_wrong(monkeypatch):
         return bisect(d, e, tol)
 
     monkeypatch.setattr(eigen, "_bisect_range", spy)
-    for t, v, w in zip(ts, d3s.min_abs_batch(ts), honest):
+    for blk, w in zip(blocks, honest):
+        v = d3s.min_abs_eigenvalue(blk)
+        t = d3s.symmetrize(blk)
         tol = default_tolerance(t)
         assert abs(v - w) <= 2 * tol
         # the Sturm certificate of the fallback value
         assert d3s.count_below(t, v + tol) - d3s.count_below(t, -(v + tol)) >= 1
         assert d3s.count_below(t, v - tol) - d3s.count_below(t, -(v - tol)) <= 0
-    assert sorted(bisected) == sorted(t.size for t in ts)
+    assert bisected == [blk.size for blk in blocks]
     value, mult, _ = d3s.enumerated_min_abs(m, d3s.S3, 40)
     want, want_mult, tol = dense_min_abs(m, d3s.S3, 40)
     assert abs(value - enumerated[0]) <= 2 * tol and abs(value - want) <= 2 * tol

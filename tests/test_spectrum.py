@@ -7,7 +7,13 @@ import dirac3sphere as d3s
 from dirac3sphere import Metric
 from dirac3sphere.eigen import _bisect_range, default_tolerance
 
-from _oracles import berger_spectrum, random_metrics_with_sign, replay_fundamental_tone
+from _oracles import (
+    berger_spectrum,
+    count_below_blocks,
+    random_metrics_with_sign,
+    reference_block,
+    replay_fundamental_tone,
+)
 
 ROUND = Metric(1, 1, 1)
 
@@ -388,7 +394,7 @@ def test_assembled_values_pass_the_sturm_certificate():
             tol = max(default_tolerance(t) for t in ts)
             at = spec.level == n
             values, mult = spec.eigenvalue[at], spec.block_multiplicity[at]
-            counts = d3s.count_below_batch(ts, np.concatenate([values - tol, values + tol])).sum(axis=0)
+            counts = count_below_blocks(ts, np.concatenate([values - tol, values + tol])).sum(axis=0)
             up_to = np.cumsum(mult)
             assert np.all(counts[:len(values)] <= up_to - mult)
             assert np.all(counts[len(values):] >= up_to)
@@ -407,7 +413,7 @@ def test_line_intervals_are_disjoint_and_hold_their_counts():
                 lo = np.array([l.eigenvalue - l.radius for l in lines])
                 hi = np.array([l.eigenvalue + l.radius for l in lines])
                 assert np.all(hi[:-1] < lo[1:])
-                counts = d3s.count_below_batch(_both_blocks(m, n), np.concatenate([lo, np.nextafter(hi, np.inf)]))
+                counts = count_below_blocks(_both_blocks(m, n), np.concatenate([lo, np.nextafter(hi, np.inf)]))
                 inside = counts.sum(axis=0)
                 assert list(inside[len(lines):] - inside[:len(lines)]) == [l.block_multiplicity for l in lines]
                 assert sum(l.total_multiplicity for l in lines) == 2 * (n + 1) ** 2
@@ -444,7 +450,7 @@ def test_level_rows_are_the_reference_blocks_bit_for_bit():
         assert np.array_equal(sizes, level + 1)
         for r, n in enumerate(level):
             tag = "B" if r and level[r - 1] == n else "A"
-            t = d3s.symmetrize(d3s.build_block(m, n, tag))
+            t = d3s.symmetrize(reference_block(m, n, tag))
             assert np.array_equal(D[r, :n + 1], t.diag) and not D[r, n + 1:].any()
             assert np.array_equal(E[r, :n], t.offdiag) and not E[r, n:].any()
             assert tol[r] == default_tolerance(t)
@@ -454,7 +460,7 @@ def test_level_rows_are_the_reference_blocks_bit_for_bit():
         for r, s in enumerate(sizes):
             assert not D[r, s:].any() and not E[r, s - 1:].any()
         for n in levels:
-            a, b = (d3s.symmetrize(d3s.build_block(m, n, tag)) for tag in "AB")
+            a, b = (d3s.symmetrize(reference_block(m, n, tag)) for tag in "AB")
             rows = np.flatnonzero(level == n)
             assert set(tol[rows]) == {max(default_tolerance(a), default_tolerance(b) if n % 2 else 0.0)}
             if n % 2 == 0:  # one A row of weight 2
