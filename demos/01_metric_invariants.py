@@ -1,9 +1,10 @@
 """Curvature invariants of left-invariant metrics.
 
 Walks a handful of metrics through the closed-form invariants: the shift C,
-the tone mu = a+b+c-C, scalar curvature in both its subtractive and factored
-forms, sectional curvatures, and the heat-trace coefficients.  The factored
-form is what decides the curvature regime reliably near the scal = 0 wall.
+the tone mu = a+b+c-C, scalar curvature, sectional curvatures, and the
+heat-trace coefficients.  Each one is the exact value for the stored doubles,
+computed in integers and rounded once, so scal keeps its digits right up to
+the scal = 0 wall.
 """
 
 import dirac3sphere as d3s
@@ -38,9 +39,11 @@ def main():
 
     print()
     m = Metric(1, 1, 0.5)
-    print("At (1, 1, 1/2) the subtractive scal form hits exact cancellation:")
-    print(f"  8*(sigma1 - C^2) = {m.scal!r},  factored form = {d3s.scal_product_form(m)!r}")
-    print(f"  heat a1 vanishes: {d3s.heat_invariants(m, d3s.S3).a1!r}")
+    print("At (1, 1, 1/2) scal is exactly zero, and so is the heat coefficient a1:")
+    print(f"  scal = {m.scal!r},  a1 = {d3s.heat_invariants(m, d3s.S3).a1!r}")
+    m = Metric(2, 1, 0.6666666666666676)
+    print("Nine ulps off the wall (2, 1, 2/3), where 8*(sigma1 - C^2) in floats reads 4.97e-14:")
+    print(f"  exact scal = {m.scal!r}, classified {d3s.scal_sign_classification(m)!r} (relative 1e-12 band)")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ def main():
     print("\nNext to the wall the exact decision needs no tolerance:")
     m = Metric(1, 1, 0.5000000000001)
     trace = d3s.certify_fundamental_tone(m)
-    print(f"  (1, 1, 0.5000000000001): float sign screen says {d3s.scal_sign_classification(m)!r},"
+    print(f"  (1, 1, 0.5000000000001): sign screen says {d3s.scal_sign_classification(m)!r},"
           f" certified = {trace.passed}, smallest margin {trace.min_margin:.3e}")
     for c in (0.5, 0.4999999999999):
         try:

@@ -7,15 +7,18 @@ every float as the shortest text that reads back as the same double
 (Python's ``repr``), byte-identical for identical inputs); ``spectrum`` can
 emit CSV with one line per row.  Exit codes: 0 success, 1 verification or
 computation failure (including a result that is not finite), 2 usage error
-(an argument out of its range included).
+(an argument out of its range included).  A warning, such as a
+``TruncationWarning``, is one ``warning: ...`` line on stderr.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 from .blocks import representation_cross_check
@@ -135,32 +138,12 @@ def _trace_payload(trace):
 
 def cmd_invariants(args):
     m = args.metric
-    inv = invariants(m)
-    heat_s3 = heat_invariants(m, S3)
-    heat_so3 = heat_invariants(m, SO3)
-    results = {
-        "C": inv.C,
-        "mu": inv.mu,
-        "scal": inv.scal,
-        "scal_sign": scal_sign_classification(m),
-        "vol_s3": inv.vol_s3,
-        "vol_so3": inv.vol_so3,
-        "s1": inv.s1,
-        "s2": inv.s2,
-        "s3": inv.s3,
-        "sigma1": inv.sigma1,
-        "sigma2": inv.sigma2,
-        "sigma3": inv.sigma3,
-        "K12": inv.K12,
-        "K23": inv.K23,
-        "K31": inv.K31,
-        "ric_norm_sq": inv.ric_norm_sq,
-        "riem_norm_sq": inv.riem_norm_sq,
-        "a2_tilde": inv.a2_tilde,
-        "heat": {
-            "s3": {"a0": heat_s3.a0, "a1": heat_s3.a1, "a2": heat_s3.a2},
-            "so3": {"a0": heat_so3.a0, "a1": heat_so3.a1, "a2": heat_so3.a2},
-        },
+    inv = dataclasses.asdict(invariants(m))
+    results = {"C": inv["C"], "mu": inv["mu"], "scal": inv["scal"], "scal_sign": scal_sign_classification(m)}
+    results.update(inv)  # every field in its order, scal_sign after scal
+    results["heat"] = {
+        name: {"a0": h.a0, "a1": h.a1, "a2": h.a2}
+        for name, h in (("s3", heat_invariants(m, S3)), ("so3", heat_invariants(m, SO3)))
     }
     return results, EXIT_OK
 
@@ -228,7 +211,7 @@ def cmd_reconstruct(args):
 
 def _verify_point(metric, rep_level, details=False):
     """One grid point: the certificate decides whether it runs (exact scal > 0)
-    or is skipped; ``scal_sign`` reports the float sign screen."""
+    or is skipped; ``scal_sign`` reports the sign screen."""
     point = {"metric": list(metric.triple()), "scal_sign": scal_sign_classification(metric)}
     try:
         trace = certify_fundamental_tone(metric)
@@ -381,7 +364,10 @@ def main(argv=None):
 
     started = time.perf_counter()
     try:
-        results, code = args.func(args)
+        with warnings.catch_warnings(record=True) as caught:  # a warning filtered to "error" still raises
+            results, code = args.func(args)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         timing = time.perf_counter() - started if args.timing else None
         text = _render(args, results, timing)  # refuses non-finite floats
     except Dirac3SphereError as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, ConsistencyError, DomainError, UncertifiableError
-from .metric import scal_factors
+from .metric import _approx, _integers, scal_factors
 
 
 def _row_entries(a, b, c, C, n, k):
@@ -77,15 +77,6 @@ def _row_endpoints(a, b, c, C, n, k):
     with them flipped: block A at even k and block B at odd k take the
     first, the other rows the second.  Bit for bit :func:`row_bound`."""
     return [_left_endpoint(*_row_entries(s * a, s * b, c, C, n, k)) for s in (1.0, -1.0)]
-
-
-def _integers(*xs):
-    """The doubles ``xs`` scaled to integers by one power of two: every
-    double is p / 2^q, so with 2^Q the largest 2^q, x 2^Q = p 2^(Q-q) is an
-    integer for each.  Returns (the integers, 2^Q)."""
-    ratios = [x.as_integer_ratio() for x in xs]
-    den = max(q for _, q in ratios)
-    return [p * (den // q) for p, q in ratios], den
 
 
 def _vertex_steps(a, b, c, C):
@@ -170,11 +161,13 @@ def min_row_bound(m, n):
 
 def _G(a, b, c, C, n, k):
     """The closed-form left endpoint G(n, k) on a sorted metric; G~(n, k)
-    is G(n, n-k).  Exact on rationals and ints."""
+    is G(n, n-k).  Exact on rationals and ints; on floats a square beyond
+    the double range is inf, as a product is, not an ``OverflowError``."""
+    x = a * (n - 2 * k) - C
     return (
-        (a * (n - 2 * k) - C) ** 2
-        + (b - c) ** 2 * k * (n - k + 1)
-        + (b + c) ** 2 * (n - k) * (k + 1)
+        x * x
+        + (b - c) * (b - c) * k * (n - k + 1)
+        + (b + c) * (b + c) * (n - k) * (k + 1)
         - 2 * (b - c) * (C + a) * k
         - 2 * (b + c) * (C - a) * (n - k)
         - (b * b - c * c) * (k * (k - 1) + (n - k) * (n - k - 1))
@@ -243,18 +236,6 @@ class CertificationStep:
     margin: float
     passed: bool
     kind: str = "strict"  # "strict", "eq", or "note"
-
-
-def _approx(value, scale=1):
-    """Nearest double of value / scale, +-inf beyond the double range.
-
-    For ints, Python's true division rounds the exact quotient correctly,
-    so an exact margin is rounded once.
-    """
-    try:
-        return value / scale
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def record_step(steps, name, detail, value, scale=1, kind="strict", holds=None):

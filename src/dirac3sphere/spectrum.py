@@ -23,13 +23,14 @@ import numpy as np
 from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, _raw_rows
 from .eigen import _min_abs_candidates, _proved_min_abs, _proved_values, _row_norms, _tolerance, _windows
 from .errors import DomainError, TruncationWarning, UncertifiableError
-from .gershgorin import CertificationStep, _approx, base_cases, exact_sorted, level_bounds, record_step
+from .gershgorin import CertificationStep, base_cases, exact_sorted, level_bounds, record_step
 from .metric import (
     POSITIVE,
     S3,
     SO3_NONTRIVIAL,
     SO3_TRIVIAL,
     SPECTRUM_MANIFOLDS,
+    _approx,
     _volume_space,
     scal_factors,
     scal_sign_classification,
@@ -489,9 +490,11 @@ def certify_fundamental_tone(m):
     3. the base cases and the triangle increment for every level, from
        :func:`base_cases`.
 
-    Every step records its margin rounded to a double.  A failed condition
-    raises :class:`CertificationError` naming it; a metric without positive
-    scalar curvature raises :class:`UncertifiableError`.
+    Every step records its margin rounded to a double; the trace's C, mu
+    and scal are exact and rounded once, as :func:`invariants` reports
+    them.  A failed condition raises :class:`CertificationError` naming it;
+    a metric without positive scalar curvature raises
+    :class:`UncertifiableError`.
     """
     ms, perm, (a, b, c, C), L = exact_sorted(m)
     L2, L3 = L * L, L ** 3
@@ -543,9 +546,9 @@ def certify_fundamental_tone(m):
         metric=m.triple(),
         sorted_triple=ms.triple(),
         permutation=perm,
-        C=ms.C,
-        mu=ms.mu,
-        scal=ms.scal,
+        C=m._exact.C,
+        mu=m.mu,
+        scal=m.scal,
         steps=tuple(steps),
         passed=True,
     )
@@ -587,7 +590,7 @@ def smallest(m, manifold, certify=None, max_level=25):
         raise DomainError(f"unknown manifold {manifold!r}; expected one of {SPECTRUM_MANIFOLDS}")
     classification = scal_sign_classification(m)
     if classification == POSITIVE:
-        value = m.C if manifold == SO3_TRIVIAL else m.mu
+        value = m._exact.C if manifold == SO3_TRIVIAL else m.mu
         mult = 4 if manifold == S3 and m.is_round() else 2
         trace = None
         if certify is None or certify:

@@ -21,7 +21,10 @@ seeded with the globally lowest level bound, pruned by
 solved on block objects packed into solver rows by ``pack_blocks``
 (``count_below_blocks``, ``min_abs_blocks``).  The Berger metrics b = c
 have every eigenvalue in closed form (``berger_spectrum``), with no solver
-at all.
+at all.  The metric scalars' reference is ``exact_scalars``: each one in
+``Fraction`` arithmetic on the stored doubles, from the sigma polynomials
+and the product form of scal, which the library's integer evaluator does
+not use; ``rounded_scalars`` rounds them once.
 """
 
 import functools
@@ -320,6 +323,56 @@ def _fraction_float(x):
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def exact_scalars(m):
+    """Every reported metric scalar of ``m`` as an exact ``Fraction``, by
+    other formulas than the library's: the symmetric polynomials sigma_i of
+    the squares for |Ric|^2 and |Riem|^2, the product form
+    2 (ab+bc+ca)(ab+bc-ca)(ab-bc+ca)(-ab+bc+ca) / (abc)^2 for scal, and the
+    sectional curvatures in the frame's own terms.  Volumes and heat
+    coefficients are their rational factors: the value is that factor times
+    pi^2.  Keys: the ``MetricInvariants`` fields, ``("heat", space)`` for
+    (a0, a1, a2) and ``"scal_factor"``, the smallest scal factor over
+    ab + bc + ca."""
+    a, b, c = (Fraction(x) for x in m.triple())
+    s1, s2, s3 = a + b + c, a * b + b * c + c * a, a * b * c
+    a2, b2, c2 = a * a, b * b, c * c
+    sigma1, sigma2, sigma3 = a2 + b2 + c2, a2 * b2 + b2 * c2 + c2 * a2, a2 * b2 * c2
+    C = sigma2 / (2 * s3)
+    factors = (a * b + b * c - c * a, a * b - b * c + c * a, -a * b + b * c + c * a)
+    scal = 2 * s2 * factors[0] * factors[1] * factors[2] / sigma3
+    r = sigma2 * sigma2 / sigma3
+    ric = 64 * sigma1 ** 2 - 64 * sigma1 * r + 12 * r ** 2 + 64 * sigma2
+    riem = 192 * sigma1 ** 2 - 224 * sigma1 * r + 44 * r ** 2 + 256 * sigma2
+
+    def K(x2, y2, z2):  # the plane of the first two frame vectors
+        return 2 * (x2 + y2 - z2) + y2 * z2 / x2 + z2 * x2 / y2 - 3 * x2 * y2 / z2
+
+    out = {
+        "C": C, "mu": s1 - C, "scal": scal, "vol_s3": 2 / s3, "vol_so3": 1 / s3,
+        "s1": s1, "s2": s2, "s3": s3, "sigma1": sigma1, "sigma2": sigma2, "sigma3": sigma3,
+        "K12": K(a2, b2, c2), "K23": K(b2, c2, a2), "K31": K(c2, a2, b2),
+        "ric_norm_sq": ric, "riem_norm_sq": riem, "a2_tilde": 8 * ric + 7 * riem,
+        "scal_factor": min(factors) / s2,
+    }
+    for space, vol in ((d3s.S3, 2 / s3), (d3s.SO3, 1 / s3)):
+        out["heat", space] = (2 * vol, -Fraction(2, 12) * scal * vol,
+                              Fraction(2, 1440) * (5 * scal * scal - 8 * ric - 7 * riem) * vol)
+    return out
+
+
+def rounded_scalars(m):
+    """``exact_scalars(m)`` rounded once to doubles, each factor of pi^2
+    multiplied by ``math.pi ** 2`` after its rounding."""
+    pi2 = math.pi ** 2
+    out = {}
+    for key, value in exact_scalars(m).items():
+        if isinstance(value, tuple):
+            out[key] = tuple(_fraction_float(v) * pi2 for v in value)
+        else:
+            out[key] = _fraction_float(value) * (pi2 if key in ("vol_s3", "vol_so3") else 1)
+    return out
 
 
 def _fraction_step(steps, name, detail, margin, kind="strict", holds=None):

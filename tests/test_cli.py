@@ -120,12 +120,54 @@ def test_non_finite_result_is_an_error(capsys):
 
 @pytest.mark.parametrize("metric", ["1e160,1e160,1e160", "1e-160,1e-160,1e-160"])
 def test_float_range_errors_are_reported(capsys, metric):
-    # an OverflowError and a ZeroDivisionError deep in the invariants
+    # sigma3 = (abc)^2 at 1e160 and the volume 2 pi^2/(abc) at 1e-160 lie
+    # beyond the double range; every finite field is exact
     code, out, err = run_cli(capsys, "invariants", "--metric", metric)
     assert code == 1
     assert out == ""
-    assert err.startswith("error:") and "double range" in err
-    assert err.count("\n") == 1
+    assert err == "error: result is not finite; it cannot be serialized\n"
+
+
+def test_invariants_far_from_unit_scale_are_exact(capsys):
+    # the float sigma route divided by sigma3 = 1e-600, which underflows to 0
+    code, out, err = run_cli(capsys, "invariants", "--metric", "1e-100,1e-100,1e-100")
+    assert (code, err) == (0, "")
+    res = json.loads(out)["results"]
+    assert (res["C"], res["mu"], res["scal"], res["scal_sign"]) == (1.5e-100, 1.5e-100, 6e-200, "positive")
+    inv = d3s.invariants(Metric(1e-160, 1e-160, 1e-160))
+    assert (inv.C, inv.mu, inv.vol_s3) == (1.5e-160, 1.5e-160, math.inf)
+
+
+def test_scal_near_the_wall_is_the_exact_value(capsys):
+    # 8(sigma1 - C^2) in floats printed 4.973799150320701e-14 here
+    code, out, _ = run_cli(capsys, "invariants", "--metric", "2,1,0.6666666666666676")
+    assert code == 0
+    assert '"scal": 4.61852778244064e-14,' in out
+
+
+def test_certified_tone_at_1e_160_is_the_exact_value(capsys):
+    # the float mu went through the subnormal ab and printed 1.5000166992259753e-160
+    code, out, _ = run_cli(capsys, "smallest", "--metric", "1e-160,1e-160,1e-160", "--manifold", "s3", "--certify", "on")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert (res["value"], res["certified"]) == (1.5e-160, True)
+    assert (res["certification"]["C"], res["certification"]["mu"]) == (1.5e-160, 1.5e-160)
+
+
+def test_verify_calls_the_round_point_at_1e_200_positive(capsys):
+    # ab = 1e-400 underflows to 0, so the float factors read 0 and the screen "negative"
+    code, out, _ = run_cli(capsys, "verify", "--grid", "1e-200:1e-200:1,1e-200:1e-200:1,1e-200:1e-200:1")
+    assert code == 0
+    (point,) = json.loads(out)["results"]["points"]
+    assert (point["scal_sign"], point["status"]) == ("positive", "pass")
+
+
+def test_truncation_warning_is_one_line(capsys):
+    code, out, err = run_cli(
+        capsys, "heat-trace", "--metric", "1,1,1", "--manifold", "s3", "--max-level", "2", "--t", "1", "--lam", "100"
+    )
+    assert code == 0 and json.loads(out)["results"]["counting"]["count"] == 28
+    assert err == "warning: level cutoff 2 is insufficient for lam = 100.0: largest |eigenvalue| at level 2 is 3.5\n"
 
 
 def test_non_finite_document_is_an_error(capsys):
@@ -333,6 +375,19 @@ def test_verify_point_with_overflowing_bounds_fails_cleanly(capsys):
     assert err == ""
     (point,) = json.loads(out)["results"]["points"]
     assert point["status"] == "fail" and "not finite" in point["reason"]
+
+
+@pytest.mark.parametrize("grid", [
+    "1e154:1e154:1,1e154:1e154:1,0.6e154:0.6e154:1",  # C is finite, (b + c)^2 is not
+    "1.3e160:1.3e160:1,0.8e160:0.8e160:1,0.9e160:0.9e160:1",  # scal > 0, though ab overflows
+])
+def test_verify_point_with_an_overflowing_square_fails_cleanly(capsys, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", "--grid", grid)
+    assert (code, err) == (1, "")
+    (point,) = json.loads(out)["results"]["points"]
+    assert (point["scal_sign"], point["status"]) == ("positive", "fail")
 
 
 def test_rep_level_above_the_cap_is_refused_before_any_work(capsys, monkeypatch):

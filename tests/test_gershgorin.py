@@ -215,6 +215,13 @@ def test_table_refuses_a_closed_form_off_by_one_part_per_million(monkeypatch):
         d3s.gershgorin_table(Metric(1.7, 0.9, 0.4), 5)
 
 
+@pytest.mark.parametrize("triple", [(1.3e160, 0.8e160, 0.9e160), (4e154, 3e154, 1e154), (1e154, 1e154, 0.6e154)])
+def test_table_refuses_rows_beyond_the_double_range(triple):
+    # (b - c)^2 or (b + c)^2 overflows; the last one has a finite C
+    with np.errstate(all="raise"), pytest.raises(d3s.ConsistencyError, match="not finite"):
+        d3s.gershgorin_table(Metric(*triple), 30)
+
+
 def test_min_row_bound_is_the_exact_minimum_of_row_bounds():
     # bit for bit: enumeration prunes levels by comparing against this bound
     rng = np.random.default_rng(200)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 import dirac3sphere as d3s
 from dirac3sphere import Metric
 
-from _oracles import random_triples
+from _oracles import random_triples, rounded_scalars
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
@@ -90,26 +92,6 @@ def test_sorted_returns_permutation_without_mutating():
     assert m.triple() == (0.7, 2.0, 1.1)
 
 
-def test_permutation_invariance_of_invariants():
-    import itertools
-
-    m = Metric(1.4, 0.9, 0.6)
-    base = d3s.invariants(m)
-    for perm in itertools.permutations(m.triple()):
-        inv = d3s.invariants(Metric(*perm))
-        assert inv.C == pytest.approx(base.C, rel=1e-12)
-        assert inv.mu == pytest.approx(base.mu, rel=1e-12)
-        assert inv.scal == pytest.approx(base.scal, rel=1e-9, abs=1e-12 * base.C ** 2)
-        assert inv.vol_s3 == pytest.approx(base.vol_s3, rel=1e-12)
-        assert inv.ric_norm_sq == pytest.approx(base.ric_norm_sq, rel=1e-10)
-        assert inv.riem_norm_sq == pytest.approx(base.riem_norm_sq, rel=1e-10)
-        assert inv.a2_tilde == pytest.approx(base.a2_tilde, rel=1e-10)
-        # sectional curvatures permute along with the triple
-        assert sorted((inv.K12, inv.K23, inv.K31)) == pytest.approx(
-            sorted((base.K12, base.K23, base.K31)), rel=1e-9
-        )
-
-
 def test_scalar_inequality_suite_vectorized():
     # C^2 >= pairwise sums of squares; 2C >= a+b+c with equality iff a=b=c;
     # the three equivalent characterizations of scal > 0
@@ -133,13 +115,74 @@ def test_scalar_inequality_suite_vectorized():
     assert np.array_equal((scal > 0)[clearly], c_bound[clearly])
 
 
-def test_two_route_agreement_and_scal_forms():
+def _oracle_metrics():
+    """Seeded unit-size metrics, metrics within 1e-6 of the wall ab = c(a + b),
+    some of them scaled by 2^+-600, and round and near-round ones at 1e-160
+    and 1e-200."""
     rng = np.random.default_rng(77)
-    for t in random_triples(rng, 10_000):
-        m = Metric(*t)
-        inv = d3s.invariants(m)  # raises ConsistencyError on route disagreement
-        prod = d3s.scal_product_form(m)
-        assert abs(prod - inv.scal) <= 1e-9 * max(1.0, inv.sigma1 ** 2 / min(t) ** 2)
+    metrics = [Metric(*t) for t in random_triples(rng, 150, lo=0.25, hi=4.0)]
+    for a, b, f in zip(*rng.uniform(0.25, 4.0, (2, 60)), rng.uniform(-1e-6, 1e-6, 60)):
+        metrics.append(Metric(a, b, a * b / (a + b) * (1 + f)))
+    metrics += [Metric(*(x * 2.0 ** e for x in m.triple())) for m in metrics[::21] for e in (600, -600)]
+    metrics += [Metric(2, 1, 0.6666666666666676), Metric(1, 1, 0.5), Metric(1.3e160, 0.8e160, 0.9e160)]
+    return metrics + [Metric(x, y * x, z * x) for x in (1e-160, 1e-200) for y, z in ((1, 1), (0.9, 0.8))]
+
+
+_FIELDS = [f.name for f in dataclasses.fields(d3s.MetricInvariants)]
+
+
+def _reported(m):
+    """Every scalar the library reports for ``m``, by the oracle's keys, as ``repr``."""
+    inv = d3s.invariants(m)
+    got = {name: getattr(inv, name) for name in _FIELDS}
+    for space in (d3s.S3, d3s.SO3):
+        h = d3s.heat_invariants(m, space)
+        got["heat", space] = (h.a0, h.a1, h.a2)
+    return {key: repr(value) for key, value in got.items()}
+
+
+def test_reported_scalars_are_the_exact_values_rounded_once():
+    for m in _oracle_metrics():
+        rounded = rounded_scalars(m)
+        want = {key: repr(value) for key, value in rounded.items()}
+        got = _reported(m)
+        assert got == {key: want[key] for key in got}, m.triple()
+        assert (repr(m.mu), repr(m.scal)) == (want["mu"], want["scal"])
+        assert tuple(map(repr, d3s.sectional_curvatures(m))) == (want["K12"], want["K23"], want["K31"])
+        for manifold, key in ((d3s.S3, "vol_s3"), (d3s.SO3, "vol_so3"), (d3s.SO3_TRIVIAL, "vol_so3")):
+            assert repr(d3s.volume(m, manifold)) == want[key]
+        ratio = rounded["scal_factor"]
+        sign = d3s.ZERO if abs(ratio) < 1e-12 else d3s.POSITIVE if ratio > 0 else d3s.NEGATIVE
+        assert d3s.scal_sign_classification(m) == sign
+
+
+def test_certified_tone_and_trace_are_the_exact_values_rounded_once():
+    certified = 0
+    for m in _oracle_metrics():
+        if d3s.scal_sign_classification(m) != d3s.POSITIVE:
+            continue
+        want = rounded_scalars(m)
+        report = d3s.smallest(m, d3s.S3, certify=True)
+        trace = report.certification_trace
+        assert report.value == want["mu"], m.triple()
+        assert (trace.C, trace.mu, trace.scal) == (want["C"], want["mu"], want["scal"])
+        assert d3s.smallest(m, d3s.SO3_TRIVIAL).value == want["C"]
+        certified += 1
+    assert certified > 80
+
+
+def test_permutation_invariance_of_invariants():
+    # bit for bit, with the sectional curvatures permuted along with the triple
+    planes = {"K12": (0, 1), "K23": (1, 2), "K31": (2, 0)}
+    for m in [Metric(1.4, 0.9, 0.6)] + _oracle_metrics()[::7]:
+        base = _reported(m)
+        for order in itertools.permutations(range(3)):
+            got = _reported(Metric(*(m.triple()[i] for i in order)))
+            # the plane of permuted frame vectors i and j is the plane of original order[i] and order[j]
+            for key, (i, j) in planes.items():
+                original = next(k for k, plane in planes.items() if set(plane) == {order[i], order[j]})
+                assert got.pop(key) == base[original]
+            assert got == {key: value for key, value in base.items() if key not in planes}
 
 
 def test_y_identity():
