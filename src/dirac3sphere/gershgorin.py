@@ -1,4 +1,5 @@
-"""Row-wise lower bounds for the squared level blocks.
+"""Row-wise lower bounds for the squared level blocks, and the certificate
+of the fundamental tone built on them.
 
 The squared blocks are pentadiagonal with entries in closed form; the left
 endpoints of their Gershgorin intervals bound every eigenvalue of the squared
@@ -12,12 +13,17 @@ scalar curvature, which propagates the base-case inequalities
     G(n,0) > C^2  (n >= 6)  G(n,1) > C^2  (n >= 4)
     G(1,0) = mu^2           G(5,0) > mu^2
 
-to every level.  ``base_cases`` decides them for every n at once: each of
-the three families minus C^2 is a quadratic in n, and the increment is
-linear in n with slope 4c^2.  The decision is exact integer arithmetic on
-the stored doubles, scaled by one positive integer (:func:`exact_sorted`).
-The closed forms sort the metric internally (an isometric relabeling) and
-record the permutation.
+to every level: each of the three families minus C^2 is a quadratic in n,
+and the increment is linear in n with slope 4c^2.
+
+``certify_fundamental_tone`` proves the fundamental tone of one metric with
+scal > 0.  Every condition of the proof (the regime, levels 1 to 4 in closed
+form, the base cases, the quadratic tails and the increment) is a row of one
+table (:func:`_conditions`), and one loop decides the rows exactly, on the
+metric's own integers (``Metric._exact``) permuted to the sorted order;
+``base_cases`` decides the table's base, tail and increment rows alone.  The
+closed forms sort the metric internally (an isometric relabeling) and record
+the permutation.
 """
 
 import math
@@ -25,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import _char_poly_coeffs, _level1_eigs, _level3_radicals
 from .errors import CertificationError, ConsistencyError, DomainError, UncertifiableError
 from .metric import _approx, _integers, scal_factors
 
@@ -174,19 +181,17 @@ def _G(a, b, c, C, n, k):
     )
 
 
-def closed_form_G(m, n, k, variant="G"):
-    """Polynomial left endpoint G(n, k) or G~(n, k) = G(n, n-k).
+def closed_form_G(m, n, k):
+    """Polynomial left endpoint G(n, k); G~(n, k) is G(n, n-k).
 
     The metric is permuted internally to a >= b >= c (the sign resolutions
     assume b >= c).
     """
     if not 0 <= k <= n:
         raise DomainError(f"index {k} outside 0..{n}")
-    if variant not in ("G", "Gtilde"):
-        raise DomainError(f"unknown variant {variant!r}")
     ms, _ = m.sorted()
     a, b, c = ms.triple()
-    return _G(a, b, c, ms.C, n, k if variant == "G" else n - k)
+    return _G(a, b, c, ms.C, n, k)
 
 
 def triangle_increment(m, n, k):
@@ -227,8 +232,9 @@ class CertificationStep:
     """One decided condition of the certificate.
 
     Pass or fail is decided exactly, on integers that are a positive
-    multiple of the condition (see :func:`exact_sorted`); ``margin`` is the
-    exact margin rounded to a double, for information only (None for notes).
+    multiple of the condition (see :func:`certify_fundamental_tone`);
+    ``margin`` is the exact margin rounded to a double, for information only
+    (None for notes).
     """
 
     name: str
@@ -238,104 +244,218 @@ class CertificationStep:
     kind: str = "strict"  # "strict", "eq", or "note"
 
 
-def record_step(steps, name, detail, value, scale=1, kind="strict", holds=None):
-    """Append a step that holds, else raise :class:`CertificationError`.
-
-    The margin is value / scale, with scale > 0 (L^d for a condition of
-    degree d, see :func:`exact_sorted`).  A "strict" step holds when the
-    exact ``value`` is positive, an "eq" step when it is zero; ``holds``
-    overrides that for margins with a square root, which are then only a
-    double estimate.
-    """
-    if holds is None:
-        holds = value == 0 if kind == "eq" else value > 0
-    margin = _approx(value, scale)
-    if not holds:
-        raise CertificationError(f"{name} fails: margin {margin:.3e} ({detail})")
-    steps.append(CertificationStep(name, detail, margin, True, kind))
-
-
-def exact_sorted(m):
-    """(sorted metric, permutation, (a, b, c, C), L): a >= b >= c and C as
-    integers, L times the exact values of the stored doubles, for one L > 0.
-
-    Every double is p / 2^q.  With Q the largest q of the three, a' = a 2^Q,
-    b' = b 2^Q and c' = c 2^Q are integers (:func:`_integers`); with
-    D = 2a'b'c', (a'D, b'D, c'D, a'^2 b'^2 + b'^2 c'^2 + c'^2 a'^2) =
-    L (a, b, c, C) for L = 2^Q D.  A condition homogeneous of degree d in
-    (a, b, c, C) is L^d > 0 times its value on these integers, so the
-    integers decide its sign exactly and its margin is the integer value
-    over L^d.
-
-    Raises :class:`UncertifiableError` unless scal > 0 exactly.
-    """
-    ms, perm = m.sorted()
-    (a, b, c), den = _integers(*ms.triple())  # den = 2^Q
-    if min(scal_factors(a, b, c)) <= 0:
-        raise UncertifiableError("certification requires positive scalar curvature; only enumerated minima exist")
-    d = 2 * a * b * c
-    C = a * a * b * b + b * b * c * c + c * c * a * a
-    return ms, perm, (a * d, b * d, c * d, C), den * d
-
-
 @dataclass(frozen=True)
-class BaseCaseReport:
+class CertificationTrace:
     metric: tuple
     sorted_triple: tuple
     permutation: tuple
-    checks: tuple
+    C: float
+    mu: float
+    scal: float
+    steps: tuple
+    passed: bool
 
     @property
-    def min_strict_margin(self):
-        margins = [c.margin for c in self.checks if c.kind == "strict"]
+    def min_margin(self):
+        """Smallest margin among the strict inequalities."""
+        margins = [s.margin for s in self.steps if s.kind == "strict"]
         return min(margins) if margins else float("inf")
 
 
-def base_cases(m):
-    """Decide the base cases and the triangle increment for every level.
+def _root_exceeds(u, R, t):
+    """Decide u * sqrt(R) > t exactly, for integers (or rationals) u, t and R >= 0."""
+    if u >= 0:
+        return t < 0 or u * u * R > t * t
+    return t < 0 and u * u * R < t * t
 
-    Exact integer arithmetic (:func:`exact_sorted`), no tolerance, a fixed
-    list of checks: G(0,0) = C^2, G(1,0) = mu^2, G(5,0) > mu^2; each family
-    minus C^2, a quadratic q(n) with leading coefficient A > 0, has no real
-    root at or beyond n_min (negative discriminant, or q(n_min) > 0 and
-    q'(n_min) > 0); the increment G(2,1) - G(0,0) is positive and grows by
-    4c^2 per level.  Every quantity is of degree 2 in (a, b, c, C), so each
-    margin is its integer over L^2, and a root position is a ratio of two.
-    Raises :class:`UncertifiableError` unless scal > 0, and
-    :class:`CertificationError` naming a check that fails.
+
+def _polyval(coeffs, x, derivative=0):
+    """Exact value at x of a derivative of the polynomial with descending ``coeffs`` (Horner)."""
+    degree = len(coeffs) - 1
+    value = 0
+    for i, coeff in enumerate(coeffs[: len(coeffs) - derivative]):
+        value = value * x + coeff * math.perm(degree - i, derivative)
+    return value
+
+
+def _ldexp(x, n):
+    """x 2^n, +-inf beyond the double range, as :func:`_approx` saturates."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _conditions(a, b, c, C, D, e, margin, level0_C):
+    """The certificate as one table, in order: rows
+    (name, detail, value, degree, kind, holds).
+
+    (a, b, c, C) are the integers D/2^e times the exact values on the sorted
+    metric (see :func:`certify_fundamental_tone`).  An exact row has the
+    integer ``value`` of a condition of degree ``degree`` and holds=None: it
+    holds when the integer is positive ("strict") or zero ("eq"), and its
+    margin is ``margin(value, degree)``.  A row with a square root (level 3,
+    the tail roots) has degree None, a double estimate as ``value`` and its
+    exact decision in ``holds``; the note row has neither.  A generator, so
+    no row is evaluated after the first that fails.
     """
-    ms, perm, (a, b, c, C), L = exact_sorted(m)
-    L2 = L * L
     mu = a + b + c - C
-    steps = []
+    s1 = a + b + c
+
+    # 1. regime
+    for i, factor in enumerate(scal_factors(a, b, c), start=1):
+        yield f"regime:scal>0:{i}", "factor of the scal product form", factor, 2, "strict", None
+    yield "regime:C>max", "C - max(a,b,c)", C - a, 1, "strict", None
+    yield "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C, 2, "strict", None
+    yield "regime:mu>0", "mu", mu, 1, "strict", None
+    yield "level0", f"sole eigenvalue -C = {-level0_C!r} with multiplicity 2", None, None, "note", True
+
+    # 2. explicit small levels
+    e1 = _level1_eigs(a, b, c, C)
+    yield "level1:mu", "first closed-form eigenvalue equals mu", e1[0] - mu, 1, "eq", None
+    for i, v in enumerate(e1[1:], start=1):
+        yield f"level1:gap:{i}", f"|eigenvalue {i}| - mu", abs(v) - mu, 1, "strict", None
+
+    chi2 = _char_poly_coeffs(a, b, c, 2)
+    for x, label in ((0, "0"), (2 * C, "2C")):
+        yield (f"level2:chi2({label})<0", "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)",
+               -_polyval(chi2, x), 3, "strict", None)
+
+    # the level-3 estimates in doubles at the scale 2^(e+k) where a is near 1,
+    # so they neither underflow nor overflow with the metric's scale
+    lo = 2 * C - s1
+    k = a.bit_length() - D.bit_length()
+    lo_near1, s1_near1 = _approx(lo, D << k), _approx(s1, D << k)
+    for i, (p, R) in enumerate(_level3_radicals(a, b, c)):
+        for j, sign in enumerate((-1, 1)):
+            v = _approx(p, D << k) + 2 * sign * math.sqrt(_approx(R, D * D << 2 * k))
+            yield (f"level3:outside:{2 * i + j + 1}", "distance of unshifted eigenvalue to [2C-s1, s1]",
+                   _ldexp(max(lo_near1 - v, v - s1_near1), e + k), None, "strict",
+                   _root_exceeds(2 * sign, R, s1 - p) or _root_exceeds(-2 * sign, R, p - lo))
+
+    chi4 = _char_poly_coeffs(a, b, c, 4)
+    for x, label in ((0, "0"), (2 * C, "2C")):
+        yield (f"level4:chi4''({label})<0", "second derivative negative on [0, 2C] (convex, endpoints suffice)",
+               -_polyval(chi4, x, 2), 3, "strict", None)
+    for x, label in ((0, "0"), (2 * C, "2C")):
+        yield (f"level4:chi4({label})>0", "level-4 polynomial positive on [0, 2C] (concave there, endpoints suffice)",
+               _polyval(chi4, x), 5, "strict", None)
+
+    # 3. base cases, quadratic tails and triangle increments
     for name, n, reference, kind in (
         ("base:G(0,0)=C^2", 0, C * C, "eq"),
         ("base:G(1,0)=mu^2", 1, mu * mu, "eq"),
         ("base:G(5,0)>mu^2", 5, mu * mu, "strict"),
     ):
         value = _G(a, b, c, C, n, 0)
-        detail = f"n={n}, k=0: value {_approx(value, L2)!r} vs {_approx(reference, L2)!r}"
-        record_step(steps, name, detail, value - reference, L2, kind)
+        detail = f"n={n}, k=0: value {margin(value, 2)!r} vs {margin(reference, 2)!r}"
+        yield name, detail, value - reference, 2, kind, None
 
-    for name, n_min, (A, B, D) in _families(a, b, c, C):
-        record_step(steps, f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A, L2)
-        disc = B * B - 4 * A * D
+    for name, n_min, (A, B, D0) in _families(a, b, c, C):
+        yield f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A, 2, "strict", None
+        disc = B * B - 4 * A * D0
         # the largest root as vertex plus half-width, both free of the metric's scale
         largest = -math.inf if disc < 0 else _approx(-B, 2 * A) + math.sqrt(_approx(disc, 4 * A * A))
-        record_step(steps, f"tail:{name}:root", f"n_min - largest real root (largest root {largest!r})",
-                    min(n_min - largest, n_min),
-                    holds=disc < 0 or ((A * n_min + B) * n_min + D > 0 and 2 * A * n_min + B > 0))
+        yield (f"tail:{name}:root", f"n_min - largest real root (largest root {largest!r})",
+               min(n_min - largest, float(n_min)), None, "strict",
+               disc < 0 or ((A * n_min + B) * n_min + D0 > 0 and 2 * A * n_min + B > 0))
 
     increment = _G(a, b, c, C, 2, 1) - _G(a, b, c, C, 0, 0)
-    record_step(steps, "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment, L2)
-    record_step(steps, "increment:slope", "4c^2, the growth of the increment per level", 4 * c * c, L2)
+    yield "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment, 2, "strict", None
+    yield "increment:slope", "4c^2, the growth of the increment per level", 4 * c * c, 2, "strict", None
 
-    return BaseCaseReport(
+
+#: the row-name prefixes of the table that :func:`base_cases` decides
+_BASE_ROWS = ("base:", "tail:", "increment:")
+
+
+def _certificate(m, base_only=False):
+    """Decide the rows of :func:`_conditions` for ``m`` (with ``base_only``,
+    its base, tail and increment rows alone) and return the trace."""
+    ex = m._exact
+    p, q, r, P, _, _, _, S2, _ = ex.integers
+    if min(scal_factors(p, q, r)) <= 0:
+        raise UncertifiableError("certification requires positive scalar curvature; only enumerated minima exist")
+    ms, perm = m.sorted()
+    D = 2 * P
+    a, b, c = ((p, q, r)[i] * D for i in perm)
+
+    def margin(value, degree):
+        return ex.rounded(value, D ** degree, degree)
+
+    steps = []
+    for name, detail, value, degree, kind, holds in _conditions(a, b, c, S2, D, ex.e, margin, ms.C):
+        if base_only and not name.startswith(_BASE_ROWS):
+            continue
+        if degree is not None:
+            holds = value == 0 if kind == "eq" else value > 0
+            value = margin(value, degree)
+        if not holds:
+            raise CertificationError(f"{name} fails: margin {value:.3e} ({detail})")
+        steps.append(CertificationStep(name, detail, value, True, kind))
+    return CertificationTrace(
         metric=m.triple(),
         sorted_triple=ms.triple(),
         permutation=perm,
-        checks=tuple(steps),
+        C=ex.C,
+        mu=ex.mu,
+        scal=ex.scal,
+        steps=tuple(steps),
+        passed=True,
     )
+
+
+def certify_fundamental_tone(m):
+    """Prove, for one metric, that the fundamental tone is mu (sphere, odd
+    quotient structure) and C (even structure).
+
+    A fixed table of closed-form conditions (:func:`_conditions`), the same
+    for every metric with scal > 0, each decided exactly on the stored
+    doubles with no tolerance, in one loop.  The integers are the metric's
+    own (``m._exact``, which also reports C, mu and scal): (a, b, c) =
+    (p, q, r) 2^e with the shared power of two stripped, permuted to
+    a >= b >= c.  With D = 2pqr, (pD, qD, rD, p^2 q^2 + q^2 r^2 + r^2 p^2)
+    are D/2^e times the exact (a, b, c, C).  A condition homogeneous of
+    degree d in (a, b, c, C) is (D/2^e)^d > 0 times its value on these
+    integers, so they decide its sign exactly, and its margin is the integer
+    over D^d, times 2^(de), rounded once.  On the sorted metric:
+
+    1. regime facts: the three scal factors are positive, C > max(a,b,c),
+       C^2 < a^2+b^2+c^2, mu > 0;
+    2. explicit levels 1..4: eigenvalues of levels 1 and 3 keep their
+       distance (the level-3 radicals decided by squaring, their margins
+       double estimates taken where a is near 1 and scaled back by a power
+       of two, so they neither underflow nor overflow with the metric's
+       scale), the level-2 polynomial is negative on [0, 2C], the level-4
+       polynomial is positive there (concavity reduces both to endpoint
+       checks);
+    3. the base cases, the quadratic tails and the triangle increment for
+       every level (the rows :func:`base_cases` decides).
+
+    Every step records its margin rounded to a double; the trace's C, mu
+    and scal are exact and rounded once, as :func:`invariants` reports
+    them.  A failed condition raises :class:`CertificationError` naming the
+    first row that fails; a metric without positive scalar curvature raises
+    :class:`UncertifiableError`.
+    """
+    return _certificate(m)
+
+
+def base_cases(m):
+    """Decide the base cases and the triangle increment for every level.
+
+    The base, tail and increment rows of the certificate's table, decided
+    as :func:`certify_fundamental_tone` decides them: G(0,0) = C^2,
+    G(1,0) = mu^2, G(5,0) > mu^2; each family minus C^2, a quadratic q(n)
+    with leading coefficient A > 0, has no real root at or beyond n_min
+    (negative discriminant, or q(n_min) > 0 and q'(n_min) > 0); the
+    increment G(2,1) - G(0,0) is positive and grows by 4c^2 per level.
+    Every quantity is of degree 2 in (a, b, c, C), and a root position is a
+    ratio of two.  Returns a :class:`CertificationTrace` of those rows.
+    Raises :class:`UncertifiableError` unless scal > 0, and
+    :class:`CertificationError` naming a check that fails.
+    """
+    return _certificate(m, base_only=True)
 
 
 _TABLE_RTOL = 1e-10

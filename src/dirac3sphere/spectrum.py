@@ -8,8 +8,10 @@ multiplicity m contributes m*(n+1) to the total multiplicity.
 For positive scalar curvature the smallest absolute eigenvalue is mu on the
 sphere and on the nontrivial quotient structure, and C on the trivial one;
 ``certify_fundamental_tone`` proves that statement for a concrete metric by
-deciding a fixed list of closed-form conditions exactly, in integers, and
-records every margin.  Outside that regime only enumerated minima up to a
+deciding one table of closed-form conditions exactly, in integers, and
+records every margin; it lives with the Gershgorin bounds it rests on
+(:mod:`~dirac3sphere.gershgorin`) and is re-exported here, with
+``CertificationTrace``.  Outside that regime only enumerated minima up to a
 level cutoff are reported, clearly flagged as uncertified.
 """
 
@@ -20,19 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import TAG_A, TAG_B, _char_poly_coeffs, _level1_eigs, _level3_radicals, _raw_rows
+from .blocks import TAG_A, TAG_B, _raw_rows
 from .eigen import _min_abs_candidates, _proved_min_abs, _proved_values, _row_norms, _tolerance, _windows
 from .errors import DomainError, TruncationWarning, UncertifiableError
-from .gershgorin import CertificationStep, base_cases, exact_sorted, level_bounds, record_step
+from .gershgorin import CertificationTrace, certify_fundamental_tone, level_bounds  # noqa: F401 (re-exported)
 from .metric import (
     POSITIVE,
     S3,
     SO3_NONTRIVIAL,
     SO3_TRIVIAL,
     SPECTRUM_MANIFOLDS,
-    _approx,
     _volume_space,
-    scal_factors,
     scal_sign_classification,
 )
 
@@ -433,125 +433,6 @@ def enumerated_min_abs(m, manifold, max_level=25):
     keep = within(u)[at[counted]]
     mult = int(np.dot(counts[keep, 2], ((n + 1) * (2 - n % 2))[keep]))
     return value, mult, levels[screened].tolist()
-
-
-@dataclass(frozen=True)
-class CertificationTrace:
-    metric: tuple
-    sorted_triple: tuple
-    permutation: tuple
-    C: float
-    mu: float
-    scal: float
-    steps: tuple
-    passed: bool
-
-    @property
-    def min_margin(self):
-        """Smallest margin among the strict inequalities."""
-        margins = [s.margin for s in self.steps if s.kind == "strict"]
-        return min(margins) if margins else float("inf")
-
-
-def _root_exceeds(u, R, t):
-    """Decide u * sqrt(R) > t exactly, for integers (or rationals) u, t and R >= 0."""
-    if u >= 0:
-        return t < 0 or u * u * R > t * t
-    return t < 0 and u * u * R < t * t
-
-
-def _polyval(coeffs, x, derivative=0):
-    """Exact value at x of a derivative of the polynomial with descending ``coeffs`` (Horner)."""
-    degree = len(coeffs) - 1
-    value = 0
-    for i, coeff in enumerate(coeffs[: len(coeffs) - derivative]):
-        value = value * x + coeff * math.perm(degree - i, derivative)
-    return value
-
-
-def certify_fundamental_tone(m):
-    """Prove, for one metric, that the fundamental tone is mu (sphere, odd
-    quotient structure) and C (even structure).
-
-    A fixed list of closed-form conditions, the same for every metric with
-    scal > 0, each decided exactly on the stored doubles with no tolerance.
-    Each condition is homogeneous of degree d in (a, b, c, C), so it is
-    evaluated on the integers L (a, b, c, C) of
-    :func:`~dirac3sphere.gershgorin.exact_sorted`, which keep its sign, and
-    its margin is that integer over L^d, rounded once.  On the metric sorted
-    to a >= b >= c:
-
-    1. regime facts: the three scal factors are positive, C > max(a,b,c),
-       C^2 < a^2+b^2+c^2, mu > 0;
-    2. explicit levels 1..4: eigenvalues of levels 1 and 3 keep their
-       distance (the level-3 radicals decided by squaring), the level-2
-       polynomial is negative on [0, 2C], the level-4 polynomial is
-       positive there (concavity reduces both to endpoint checks);
-    3. the base cases and the triangle increment for every level, from
-       :func:`base_cases`.
-
-    Every step records its margin rounded to a double; the trace's C, mu
-    and scal are exact and rounded once, as :func:`invariants` reports
-    them.  A failed condition raises :class:`CertificationError` naming it;
-    a metric without positive scalar curvature raises
-    :class:`UncertifiableError`.
-    """
-    ms, perm, (a, b, c, C), L = exact_sorted(m)
-    L2, L3 = L * L, L ** 3
-    mu = a + b + c - C
-    s1 = a + b + c
-    steps = []
-
-    # 1. regime
-    for i, factor in enumerate(scal_factors(a, b, c), start=1):
-        record_step(steps, f"regime:scal>0:{i}", "factor of the scal product form", factor, L2)
-    record_step(steps, "regime:C>max", "C - max(a,b,c)", C - a, L)
-    record_step(steps, "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C, L2)
-    record_step(steps, "regime:mu>0", "mu", mu, L)
-
-    steps.append(CertificationStep("level0", f"sole eigenvalue -C = {-ms.C!r} with multiplicity 2", None, True, "note"))
-
-    # 2. explicit small levels
-    e1 = _level1_eigs(a, b, c, C)
-    record_step(steps, "level1:mu", "first closed-form eigenvalue equals mu", e1[0] - mu, L, "eq")
-    for i, v in enumerate(e1[1:], start=1):
-        record_step(steps, f"level1:gap:{i}", f"|eigenvalue {i}| - mu", abs(v) - mu, L)
-
-    chi2 = _char_poly_coeffs(a, b, c, 2)
-    for x, label in ((0, "0"), (2 * C, "2C")):
-        record_step(steps, f"level2:chi2({label})<0",
-                    "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)", -_polyval(chi2, x), L3)
-
-    lo = 2 * C - s1
-    for i, (p, R) in enumerate(_level3_radicals(a, b, c)):
-        for j, sign in enumerate((-1, 1)):
-            v = _approx(p, L) + 2 * sign * math.sqrt(_approx(R, L2))
-            record_step(steps, f"level3:outside:{2 * i + j + 1}", "distance of unshifted eigenvalue to [2C-s1, s1]",
-                        max(_approx(lo, L) - v, v - _approx(s1, L)),
-                        holds=_root_exceeds(2 * sign, R, s1 - p) or _root_exceeds(-2 * sign, R, p - lo))
-
-    chi4 = _char_poly_coeffs(a, b, c, 4)
-    for x, label in ((0, "0"), (2 * C, "2C")):
-        record_step(steps, f"level4:chi4''({label})<0",
-                    "second derivative negative on [0, 2C] (convex, endpoints suffice)", -_polyval(chi4, x, 2), L3)
-    for x, label in ((0, "0"), (2 * C, "2C")):
-        record_step(steps, f"level4:chi4({label})>0",
-                    "level-4 polynomial positive on [0, 2C] (concave there, endpoints suffice)", _polyval(chi4, x),
-                    L ** 5)
-
-    # 3. base cases, quadratic tails and triangle increments
-    steps.extend(base_cases(ms).checks)
-
-    return CertificationTrace(
-        metric=m.triple(),
-        sorted_triple=ms.triple(),
-        permutation=perm,
-        C=m._exact.C,
-        mu=m.mu,
-        scal=m.scal,
-        steps=tuple(steps),
-        passed=True,
-    )
 
 
 @dataclass(frozen=True)

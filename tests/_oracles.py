@@ -419,12 +419,16 @@ def fraction_certificate(m):
         _fraction_step(steps, f"level2:chi2({label})<0",
                        "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)", -np.polyval(chi2, x))
 
+    # the level-3 estimates in doubles at the scale 2^E where a is near 1,
+    # then scaled back by 2^E, as the library takes them
     lo = 2 * C - s1
+    E = math.frexp(ms.a)[1]
+    unit = Fraction(2) ** E
     for i, (p, R) in enumerate(_level3_radicals(a, b, c)):
         for j, sign in enumerate((-1, 1)):
-            v = _fraction_float(p) + 2 * sign * math.sqrt(_fraction_float(R))
+            v = float(p / unit) + 2 * sign * math.sqrt(float(R / unit / unit))
             _fraction_step(steps, f"level3:outside:{2 * i + j + 1}", "distance of unshifted eigenvalue to [2C-s1, s1]",
-                           max(_fraction_float(lo) - v, v - _fraction_float(s1)),
+                           math.ldexp(max(float(lo / unit) - v, v - float(s1 / unit)), E),
                            holds=_fraction_root_exceeds(2 * sign, R, s1 - p)
                            or _fraction_root_exceeds(-2 * sign, R, p - lo))
 

@@ -1,5 +1,7 @@
 """The integer certificate against the Fraction oracle, and its mutations."""
 
+import itertools
+import math
 import re
 
 import numpy as np
@@ -50,7 +52,8 @@ def test_certificate_equals_the_fraction_oracle_far_from_unit_scale():
     rng = np.random.default_rng(417)
     metrics = [Metric(*(x * 2.0 ** e for x in m.triple()))
                for m in random_metrics_with_sign(rng, 10, d3s.POSITIVE, lo=0.25, hi=4.0) for e in (600, -600)]
-    metrics += [Metric(1e62, 1e62, 1e62), Metric(1e-160, 1e-160, 1e-160), Metric(2.0 ** 600, 1.0, 2.0 ** -600)]
+    metrics += [Metric(1e62, 1e62, 1e62), Metric(1e-160, 1e-160, 1e-160), Metric(2.0 ** 600, 1.0, 2.0 ** -600),
+                Metric(1.0, 1e-150, 1e-150)]  # the last one's integers overflow a double
     _assert_equal_to_oracle(metrics)
     # beyond the double range a margin reads inf, the same in both
     assert "inf" in {margin for _, _, margin, _, _ in _outcome(_library, Metric(1e62, 1e62, 1e62))}
@@ -59,17 +62,62 @@ def test_certificate_equals_the_fraction_oracle_far_from_unit_scale():
 def test_certificate_catches_an_error_of_one_part_in_L(monkeypatch):
     # one integer unit on the level-1 eigenvalue mu is a relative error far
     # below a double's resolution, and the exact decision still sees it
-    from dirac3sphere import spectrum
+    from dirac3sphere import gershgorin
 
-    real = spectrum._level1_eigs
+    real = gershgorin._level1_eigs
 
     def nudged(a, b, c, C):
         first, *rest = real(a, b, c, C)
         return [first + 1, *rest]
 
-    monkeypatch.setattr(spectrum, "_level1_eigs", nudged)
+    monkeypatch.setattr(gershgorin, "_level1_eigs", nudged)
     m = Metric(1.3, 0.8, 0.9)
     with pytest.raises(d3s.CertificationError, match=r"^level1:mu fails") as exc:
         d3s.certify_fundamental_tone(m)
     margin = float(re.match(r"level1:mu fails: margin (\S+)", str(exc.value)).group(1))
     assert 0 < margin < 1e-16 * m.mu
+
+
+def _steps(trace):
+    return [(s.name, s.detail, repr(s.margin), s.kind) for s in trace.steps]
+
+
+def test_base_cases_are_the_certificates_base_tail_and_increment_rows():
+    rng = np.random.default_rng(418)
+    for m in random_metrics_with_sign(rng, 40, d3s.POSITIVE, lo=0.25, hi=4.0):
+        steps = _steps(d3s.certify_fundamental_tone(m))
+        first = next(i for i, step in enumerate(steps) if step[0].startswith("base:"))
+        assert _steps(d3s.base_cases(m)) == steps[first:], m.triple()
+        assert all(name.startswith(("base:", "tail:", "increment:")) for name, *_ in steps[first:])
+
+
+def test_certificate_is_covariant_under_permutation():
+    # all six orders of a metric are one isometry class: the same step list,
+    # margins bit for bit, and the permutation maps each order to the sorted one
+    rng = np.random.default_rng(419)
+    metrics = random_metrics_with_sign(rng, 30, d3s.POSITIVE, lo=0.25, hi=4.0)
+    metrics += [Metric(2, 1, 1), Metric(1.3e-200, 0.8e-200, 0.9e-200), Metric(1, 1, 0.5000000000001)]
+    for m in metrics:
+        traces = [d3s.certify_fundamental_tone(Metric(*t)) for t in itertools.permutations(m.triple())]
+        for trace in traces:
+            assert _steps(trace) == _steps(traces[0]), m.triple()
+            assert trace.sorted_triple == traces[0].sorted_triple
+            assert tuple(trace.metric[i] for i in trace.permutation) == trace.sorted_triple
+            assert (trace.C, trace.mu, trace.scal) == (traces[0].C, traces[0].mu, traces[0].scal)
+
+
+def test_level3_margins_are_free_of_the_scale():
+    # the level-3 estimates are doubles; taken at the metric's own scale they
+    # underflowed at 1e-200 and read negative on a certified point
+    for t in ((1.3, 0.8, 0.9), (1.0, 1.0, 1.0), (2.0, 1.0, 1.0)):
+        unit = _steps(d3s.certify_fundamental_tone(Metric(*t)))
+        for e in (-600, -300, 300):
+            scaled = d3s.certify_fundamental_tone(Metric(*(x * 2.0 ** e for x in t)))
+            level3 = [s for s in scaled.steps if s.name.startswith("level3:")]
+            assert [repr(s.margin / 2.0 ** e) for s in level3] == [m for n, _, m, _ in unit if n.startswith("level3:")]
+    trace = d3s.certify_fundamental_tone(Metric(1e-200, 1e-200, 1e-200))
+    assert min(s.margin for s in trace.steps if s.name.startswith("level3:")) == 2e-200
+    assert trace.min_margin >= 0  # a degree-5 margin may still underflow to 0.0
+    # scaled back beyond the double range, a level-3 margin reads inf, as an exact margin does
+    trace = d3s.certify_fundamental_tone(Metric(1e308, 1e308, 1e308))
+    assert {s.margin for s in trace.steps if s.name.startswith("level3:")} == {math.inf}

@@ -156,10 +156,26 @@ def test_certified_tone_at_1e_160_is_the_exact_value(capsys):
 
 def test_verify_calls_the_round_point_at_1e_200_positive(capsys):
     # ab = 1e-400 underflows to 0, so the float factors read 0 and the screen "negative"
-    code, out, _ = run_cli(capsys, "verify", "--grid", "1e-200:1e-200:1,1e-200:1e-200:1,1e-200:1e-200:1")
+    code, out, _ = run_cli(capsys, "verify", "--grid", "1e-200:1e-200:1,1e-200:1e-200:1,1e-200:1e-200:1", "--details")
     assert code == 0
     (point,) = json.loads(out)["results"]["points"]
     assert (point["scal_sign"], point["status"]) == ("positive", "pass")
+    # its level-3 margins underflowed and read -1e-200; a degree-5 margin may still read 0.0
+    assert point["min_margin"] >= 0
+    assert all(step["margin"] >= 0 for step in point["steps"] if step["kind"] == "strict")
+
+
+@pytest.mark.parametrize("triple", [(1.3e-200, 0.8e-200, 0.9e-200), tuple(x * 2.0 ** -600 for x in (1.3, 0.8, 0.9))])
+def test_verify_far_below_unit_scale_reports_no_negative_margin(capsys, triple):
+    # the level-3 margins are taken where the metric is near 1; at its own
+    # scale they underflowed and a passing point printed a negative margin
+    grid = ",".join(f"{x!r}:{x!r}:1" for x in triple)
+    code, out, _ = run_cli(capsys, "verify", "--grid", grid, "--details")
+    assert code == 0
+    (point,) = json.loads(out)["results"]["points"]
+    assert point["status"] == "pass"
+    assert point["min_margin"] >= 0
+    assert all(step["margin"] >= 0 for step in point["steps"] if step["kind"] == "strict")
 
 
 def test_truncation_warning_is_one_line(capsys):

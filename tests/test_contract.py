@@ -39,7 +39,6 @@ def test_object_layer_refusals_are_domain_errors():
         (d3s.squared_row_entries, (m, 3, "A", 4)),
         (d3s.squared_row_entries, (m, 3, "B", -1)),
         (d3s.closed_form_G, (m, 3, 5)),
-        (d3s.closed_form_G, (m, 3, 1, "H")),
         (d3s.triangle_increment, (m, 3, 4)),
         (d3s.volume, (m, "t3")),
         (d3s.reconstruct, (d3s.S3, 19.7, 6.0)),

@@ -64,10 +64,10 @@ def test_closed_form_minimum_bounds_squared_spectrum():
     rng = np.random.default_rng(81)
     for m in random_metrics_with_sign(rng, 5, d3s.POSITIVE):
         ms, _ = m.sorted()
+        a, b, c = ms.triple()
         for n in range(0, 31, 3):
             floor = min(
-                min(d3s.closed_form_G(ms, n, k, v) for k in range(n + 1))
-                for v in ("G", "Gtilde")
+                min(d3s.closed_form_G(ms, n, k), paper_Gtilde(a, b, c, ms.C, n, k)) for k in range(n + 1)
             )
             for tag in "AB":
                 vals = d3s.eigenvalues(d3s.symmetrize(d3s.build_block(ms, n, tag)))
@@ -82,9 +82,8 @@ def test_boundary_point_table():
     assert d3s.closed_form_G(m, 5, 0) == pytest.approx(1.0, abs=1e-12)
     # row 0 is even: block A realizes G(3,0) = 0, block B realizes G~(3,0)
     assert d3s.row_bound(m, 3, "A", 0) == pytest.approx(0.0, abs=1e-12)
-    assert d3s.row_bound(m, 3, "B", 0) == pytest.approx(
-        d3s.closed_form_G(m, 3, 0, "Gtilde"), rel=1e-12
-    )
+    assert d3s.row_bound(m, 3, "B", 0) == pytest.approx(paper_Gtilde(1.0, 1.0, 0.5, m.C, 3, 0), rel=1e-12)
+    assert d3s.row_bound(m, 3, "B", 0) == pytest.approx(d3s.closed_form_G(m, 3, 3), rel=1e-12)
     # the dip below C^2 = 9/4 at n = 2, 4 is why those levels need their own proof
     assert d3s.closed_form_G(m, 4, 0) < m.C ** 2
 
@@ -92,10 +91,12 @@ def test_boundary_point_table():
 def test_reflection_identity():
     rng = np.random.default_rng(44)
     for m in random_metrics(rng, 6):
+        ms, _ = m.sorted()
+        a, b, c = ms.triple()
         for n in range(0, 51, 7):
             for k in range(n + 1):
-                g = d3s.closed_form_G(m, n, k, "G")
-                gt = d3s.closed_form_G(m, n, n - k, "Gtilde")
+                g = d3s.closed_form_G(m, n, n - k)
+                gt = paper_Gtilde(a, b, c, ms.C, n, k)
                 assert abs(g - gt) <= 1e-12 * max(1.0, abs(g))
 
 
@@ -131,18 +132,18 @@ def test_triangle_increment_positive_for_positive_scal():
 
 def test_base_cases_round_and_generic():
     report = d3s.base_cases(Metric(1, 1, 1))
-    named = {c.name: c for c in report.checks}
+    named = {c.name: c for c in report.steps}
     assert named["base:G(0,0)=C^2"].kind == "eq"
     assert "value 2.25 vs 2.25" in named["base:G(0,0)=C^2"].detail
     assert "value 2.25 vs 2.25" in named["base:G(1,0)=mu^2"].detail
     assert {"increment:n=0", "increment:slope", "tail:G(n,1)-C^2:root"} <= set(named)
-    assert report.min_strict_margin > 0
+    assert report.min_margin > 0
 
     report2 = d3s.base_cases(Metric(1, 2, 1))
-    assert report2.min_strict_margin > 0
+    assert report2.min_margin > 0
     assert report2.sorted_triple == (2.0, 1.0, 1.0)
     assert report2.permutation == (1, 0, 2)
-    assert [c.name for c in report2.checks] == [c.name for c in report.checks]
+    assert [c.name for c in report2.steps] == [c.name for c in report.steps]
 
 
 def test_base_cases_requires_positive_scal():

@@ -251,15 +251,15 @@ def test_certify_step_list_is_fixed():
 
 
 def test_certify_names_the_failing_condition(monkeypatch):
-    from dirac3sphere import spectrum
+    from dirac3sphere import gershgorin
 
-    real = spectrum._char_poly_coeffs
+    real = gershgorin._char_poly_coeffs
 
     def positive_chi2(a, b, c, n):
         # chi_2 shifted up so that it is positive at 0
         return [1, 0, 0, 16 * a * b * c] if n == 2 else real(a, b, c, n)
 
-    monkeypatch.setattr(spectrum, "_char_poly_coeffs", positive_chi2)
+    monkeypatch.setattr(gershgorin, "_char_poly_coeffs", positive_chi2)
     with pytest.raises(d3s.CertificationError, match=r"level2:chi2\(0\)<0"):
         d3s.certify_fundamental_tone(ROUND)
 
