@@ -41,7 +41,7 @@ def main():
     spec60 = d3s.assemble(m, d3s.S3, 60)
     h = d3s.heat_invariants(m, d3s.S3)
     for t in (0.02, 0.05, 0.1, 0.5):
-        result = d3s.heat_trace(m, d3s.S3, t, 60, spectrum=spec60)
+        result = d3s.heat_trace(spec60, t)
         asym = (4 * math.pi * t) ** -1.5 * (h.a0 + h.a1 * t + h.a2 * t * t)
         print(
             f"  t = {t:5.2f}: trace {result.value:12.6f}  expansion {asym:12.6f}"
@@ -50,7 +50,7 @@ def main():
 
     print("\nCounting function vs the Weyl slope vol/(3 pi^2) lam^3:")
     for lam in (10.0, 20.0, 40.0):
-        count = d3s.counting_function(m, d3s.S3, lam, 60, spectrum=spec60)
+        count = d3s.counting_function(spec60, lam)
         weyl = d3s.weyl_count_estimate(m, d3s.S3, lam)
         print(f"  lam = {lam:5.1f}: count {count:7d}  estimate {weyl:10.1f}  ratio {count / weyl:.4f}")
 

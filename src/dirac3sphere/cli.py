@@ -180,7 +180,7 @@ def cmd_smallest(args):
 
 def cmd_heat_trace(args):
     spec = assemble(args.metric, args.manifold, args.max_level)
-    result = heat_trace(args.metric, args.manifold, args.t, args.max_level, spectrum=spec)
+    result = heat_trace(spec, args.t)
     results = {
         "t": result.t,
         "max_level": result.max_level,
@@ -192,7 +192,7 @@ def cmd_heat_trace(args):
     if args.lam is not None:
         results["counting"] = {
             "lam": args.lam,
-            "count": counting_function(args.metric, args.manifold, args.lam, args.max_level, spectrum=spec),
+            "count": counting_function(spec, args.lam),
         }
     return results, EXIT_OK
 

@@ -233,8 +233,8 @@ class CertificationStep:
 
     Pass or fail is decided exactly, on integers that are a positive
     multiple of the condition (see :func:`certify_fundamental_tone`);
-    ``margin`` is the exact margin rounded to a double, for information only
-    (None for notes).
+    ``margin`` is the margin at the normalized scale (largest entry in
+    [1, 2)), rounded to a double, for information only (None for notes).
     """
 
     name: str
@@ -278,26 +278,27 @@ def _polyval(coeffs, x, derivative=0):
     return value
 
 
-def _ldexp(x, n):
-    """x 2^n, +-inf beyond the double range, as :func:`_approx` saturates."""
-    try:
-        return math.ldexp(x, n)
-    except OverflowError:
-        return math.copysign(math.inf, x)
+def _plus_root(t, sign, root, R, margin):
+    """t + sign root at the scale of ``margin``, t and R >= 0 integers of degrees 1 and 2, root = 2 sqrt(R)
+    in doubles; for terms of opposite signs, as (t^2 - 4R)/(t - sign root), whose numerator is exact."""
+    if sign * t >= 0:
+        return margin(t, 1) + sign * root
+    return margin(t * t - 4 * R, 2) / (margin(t, 1) - sign * root)
 
 
-def _conditions(a, b, c, C, D, e, margin, level0_C):
+def _conditions(a, b, c, C, margin, C_rounded):
     """The certificate as one table, in order: rows
     (name, detail, value, degree, kind, holds).
 
-    (a, b, c, C) are the integers D/2^e times the exact values on the sorted
-    metric (see :func:`certify_fundamental_tone`).  An exact row has the
-    integer ``value`` of a condition of degree ``degree`` and holds=None: it
-    holds when the integer is positive ("strict") or zero ("eq"), and its
-    margin is ``margin(value, degree)``.  A row with a square root (level 3,
-    the tail roots) has degree None, a double estimate as ``value`` and its
-    exact decision in ``holds``; the note row has neither.  A generator, so
-    no row is evaluated after the first that fails.
+    (a, b, c, C) are integers, a positive multiple of the exact values on
+    the sorted metric (see :func:`certify_fundamental_tone`).  An exact row
+    has the integer ``value`` of a condition of degree ``degree`` and
+    holds=None: it holds when the integer is positive ("strict") or zero
+    ("eq"), and its margin is ``margin(value, degree)``.  A row with a
+    square root (level 3, the tail roots) has degree None, a double estimate
+    at the normalized scale as ``value`` and its exact decision in ``holds``;
+    the note row (printing ``C_rounded``) has neither.  A generator, so no
+    row is evaluated after the first that fails.
     """
     mu = a + b + c - C
     s1 = a + b + c
@@ -308,7 +309,7 @@ def _conditions(a, b, c, C, D, e, margin, level0_C):
     yield "regime:C>max", "C - max(a,b,c)", C - a, 1, "strict", None
     yield "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C, 2, "strict", None
     yield "regime:mu>0", "mu", mu, 1, "strict", None
-    yield "level0", f"sole eigenvalue -C = {-level0_C!r} with multiplicity 2", None, None, "note", True
+    yield "level0", f"sole eigenvalue -C = {-C_rounded!r} with multiplicity 2", None, None, "note", True
 
     # 2. explicit small levels
     e1 = _level1_eigs(a, b, c, C)
@@ -321,17 +322,13 @@ def _conditions(a, b, c, C, D, e, margin, level0_C):
         yield (f"level2:chi2({label})<0", "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)",
                -_polyval(chi2, x), 3, "strict", None)
 
-    # the level-3 estimates in doubles at the scale 2^(e+k) where a is near 1,
-    # so they neither underflow nor overflow with the metric's scale
     lo = 2 * C - s1
-    k = a.bit_length() - D.bit_length()
-    lo_near1, s1_near1 = _approx(lo, D << k), _approx(s1, D << k)
     for i, (p, R) in enumerate(_level3_radicals(a, b, c)):
+        root = 2 * math.sqrt(margin(R, 2))
         for j, sign in enumerate((-1, 1)):
-            v = _approx(p, D << k) + 2 * sign * math.sqrt(_approx(R, D * D << 2 * k))
-            yield (f"level3:outside:{2 * i + j + 1}", "distance of unshifted eigenvalue to [2C-s1, s1]",
-                   _ldexp(max(lo_near1 - v, v - s1_near1), e + k), None, "strict",
-                   _root_exceeds(2 * sign, R, s1 - p) or _root_exceeds(-2 * sign, R, p - lo))
+            outside = max(_plus_root(lo - p, -sign, root, R, margin), _plus_root(p - s1, sign, root, R, margin))
+            yield (f"level3:outside:{2 * i + j + 1}", "distance of unshifted eigenvalue to [2C-s1, s1]", outside,
+                   None, "strict", _root_exceeds(2 * sign, R, s1 - p) or _root_exceeds(-2 * sign, R, p - lo))
 
     chi4 = _char_poly_coeffs(a, b, c, 4)
     for x, label in ((0, "0"), (2 * C, "2C")):
@@ -379,12 +376,14 @@ def _certificate(m, base_only=False):
     ms, perm = m.sorted()
     D = 2 * P
     a, b, c = ((p, q, r)[i] * D for i in perm)
+    unit = D << (max(p, q, r).bit_length() - 1)  # the largest entry over the unit is in [1, 2)
+    powers = [unit ** d for d in range(6)]
 
     def margin(value, degree):
-        return ex.rounded(value, D ** degree, degree)
+        return _approx(value, powers[degree])
 
     steps = []
-    for name, detail, value, degree, kind, holds in _conditions(a, b, c, S2, D, ex.e, margin, ms.C):
+    for name, detail, value, degree, kind, holds in _conditions(a, b, c, S2, margin, ex.C):
         if base_only and not name.startswith(_BASE_ROWS):
             continue
         if degree is not None:
@@ -417,23 +416,23 @@ def certify_fundamental_tone(m):
     a >= b >= c.  With D = 2pqr, (pD, qD, rD, p^2 q^2 + q^2 r^2 + r^2 p^2)
     are D/2^e times the exact (a, b, c, C).  A condition homogeneous of
     degree d in (a, b, c, C) is (D/2^e)^d > 0 times its value on these
-    integers, so they decide its sign exactly, and its margin is the integer
-    over D^d, times 2^(de), rounded once.  On the sorted metric:
+    integers, so they decide its sign exactly.  Its margin is the integer
+    over (D 2^(L-1))^d, L the bit length of max(p, q, r), rounded once: its
+    value on the metric normalized to a largest entry in [1, 2), where
+    C^2 < a^2+b^2+c^2 < 12, so that no margin overflows and a factor 2^j
+    on the metric changes none.  On the sorted metric:
 
     1. regime facts: the three scal factors are positive, C > max(a,b,c),
        C^2 < a^2+b^2+c^2, mu > 0;
     2. explicit levels 1..4: eigenvalues of levels 1 and 3 keep their
-       distance (the level-3 radicals decided by squaring, their margins
-       double estimates taken where a is near 1 and scaled back by a power
-       of two, so they neither underflow nor overflow with the metric's
-       scale), the level-2 polynomial is negative on [0, 2C], the level-4
-       polynomial is positive there (concavity reduces both to endpoint
-       checks);
+       distance (the level-3 radicals decided by squaring), the level-2
+       polynomial is negative on [0, 2C], the level-4 polynomial is
+       positive there (concavity reduces both to endpoint checks);
     3. the base cases, the quadratic tails and the triangle increment for
        every level (the rows :func:`base_cases` decides).
 
-    Every step records its margin rounded to a double; the trace's C, mu
-    and scal are exact and rounded once, as :func:`invariants` reports
+    The trace's C, mu and scal, and the -C of the level-0 note, are exact
+    in the metric's units and rounded once, as :func:`invariants` reports
     them.  A failed condition raises :class:`CertificationError` naming the
     first row that fails; a metric without positive scalar curvature raises
     :class:`UncertifiableError`.

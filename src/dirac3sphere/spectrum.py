@@ -32,6 +32,7 @@ from .metric import (
     SO3_NONTRIVIAL,
     SO3_TRIVIAL,
     SPECTRUM_MANIFOLDS,
+    Metric,
     _volume_space,
     scal_sign_classification,
 )
@@ -525,8 +526,8 @@ class HeatTraceResult:
     computed_count: int
 
 
-def heat_trace(m, manifold, t, max_level, spectrum=None):
-    """Truncated trace of exp(-t D^2) plus a truncation-tail estimate.
+def heat_trace(spectrum, t):
+    """Truncated trace of exp(-t D^2) over ``spectrum`` plus a truncation-tail estimate.
 
     The tail estimate is exp(-t lambda_max^2) times the Weyl-estimated
     number of eigenvalues the level cutoff may have missed below the largest
@@ -535,43 +536,42 @@ def heat_trace(m, manifold, t, max_level, spectrum=None):
     """
     if not t > 0:
         raise DomainError("t must be positive")
-    spec = spectrum if spectrum is not None else assemble(m, manifold, max_level)
-    mult = spec.total_multiplicity
+    mult = spectrum.total_multiplicity
     with np.errstate(over="raise"):  # a square beyond the double range is an ArithmeticError, as in floats
-        value = float(np.dot(mult, np.exp(-t * spec.eigenvalue ** 2)))
-    lam_max = float(np.abs(spec.eigenvalue).max(initial=0.0))
+        value = float(np.dot(mult, np.exp(-t * spectrum.eigenvalue ** 2)))
+    lam_max = float(np.abs(spectrum.eigenvalue).max(initial=0.0))
     computed = int(mult.sum())
-    missed = max(weyl_count_estimate(m, manifold, lam_max) - computed, 0.0)
+    missed = max(weyl_count_estimate(Metric(*spectrum.metric), spectrum.manifold, lam_max) - computed, 0.0)
     tail = math.exp(-t * lam_max ** 2) * missed
     return HeatTraceResult(
         value=value,
         tail_estimate=tail,
         t=float(t),
-        max_level=int(max_level),
+        max_level=spectrum.max_level,
         lambda_max=lam_max,
         computed_count=computed,
     )
 
 
-def counting_function(m, manifold, lam, max_level, spectrum=None):
-    """Number of eigenvalues with |eigenvalue| <= lam, multiplicity counted.
+def counting_function(spectrum, lam):
+    """Number of eigenvalues with |eigenvalue| <= lam in an :func:`assemble`
+    result, multiplicity counted.
 
-    Warns with :class:`TruncationWarning` when the top computed level still
-    lies entirely at or below lam, in which case higher levels would
-    certainly contribute as well.
+    Warns with :class:`TruncationWarning` when its top level still lies
+    entirely at or below lam, in which case higher levels would certainly
+    contribute as well.
     """
     if not lam > 0:
         raise DomainError("lam must be positive")
-    spec = spectrum if spectrum is not None else assemble(m, manifold, max_level)
     include = lam + 1e-9 * (1.0 + lam)
-    modulus = np.abs(spec.eigenvalue)
-    count = int(spec.total_multiplicity[modulus <= include].sum())
-    levels = admissible_levels(manifold, max_level)
+    modulus = np.abs(spectrum.eigenvalue)
+    count = int(spectrum.total_multiplicity[modulus <= include].sum())
+    levels = admissible_levels(spectrum.manifold, spectrum.max_level)
     top = levels[-1] if levels else None
-    top_max = float(modulus[spec.level == top].max(initial=0.0))
+    top_max = float(modulus[spectrum.level == top].max(initial=0.0))
     if top is None or top_max <= lam:
         warnings.warn(
-            f"level cutoff {max_level} is insufficient for lam = {lam}: "
+            f"level cutoff {spectrum.max_level} is insufficient for lam = {lam}: "
             f"largest |eigenvalue| at level {top} is {top_max}",
             TruncationWarning,
             stacklevel=2,

@@ -389,13 +389,24 @@ def _fraction_root_exceeds(u, R, t):
     return t < 0 and u * u * R < t * t
 
 
+def _fraction_plus_root(t, sign, R):
+    """t + 2 sign sqrt(R) as the library estimates it in doubles: rationalized
+    where the two terms have opposite signs."""
+    root = 2 * sign * math.sqrt(_fraction_float(R))
+    if sign * t >= 0:
+        return _fraction_float(t) + root
+    return _fraction_float(t * t - 4 * R) / (_fraction_float(t) - root)
+
+
 def fraction_certificate(m):
     """The steps of ``certify_fundamental_tone(m)``, each condition decided
-    on the exact rationals of the stored doubles (``Fraction``) and each
-    margin the exact rational rounded to a double; raises the library's
-    errors with the library's messages."""
+    on the exact rationals of the stored doubles (``Fraction``) divided by
+    the power of two that puts the largest entry in [1, 2), and each margin
+    the exact rational at that scale rounded to a double; raises the
+    library's errors with the library's messages."""
     ms, _ = m.sorted()
-    a, b, c = (Fraction(x) for x in ms.triple())
+    unit = Fraction(2) ** (math.frexp(ms.a)[1] - 1)
+    a, b, c = (Fraction(x) / unit for x in ms.triple())
     if min(scal_factors(a, b, c)) <= 0:
         raise d3s.UncertifiableError("certification requires positive scalar curvature; only enumerated minima exist")
     C = shift_C(a, b, c)
@@ -407,7 +418,8 @@ def fraction_certificate(m):
     _fraction_step(steps, "regime:C>max", "C - max(a,b,c)", C - a)
     _fraction_step(steps, "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C)
     _fraction_step(steps, "regime:mu>0", "mu", mu)
-    steps.append(CertificationStep("level0", f"sole eigenvalue -C = {-ms.C!r} with multiplicity 2", None, True, "note"))
+    steps.append(CertificationStep("level0", f"sole eigenvalue -C = {-_fraction_float(C * unit)!r} with multiplicity 2",
+                                   None, True, "note"))
 
     e1 = _level1_eigs(a, b, c, C)
     _fraction_step(steps, "level1:mu", "first closed-form eigenvalue equals mu", e1[0] - mu, "eq")
@@ -419,16 +431,11 @@ def fraction_certificate(m):
         _fraction_step(steps, f"level2:chi2({label})<0",
                        "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)", -np.polyval(chi2, x))
 
-    # the level-3 estimates in doubles at the scale 2^E where a is near 1,
-    # then scaled back by 2^E, as the library takes them
     lo = 2 * C - s1
-    E = math.frexp(ms.a)[1]
-    unit = Fraction(2) ** E
     for i, (p, R) in enumerate(_level3_radicals(a, b, c)):
         for j, sign in enumerate((-1, 1)):
-            v = float(p / unit) + 2 * sign * math.sqrt(float(R / unit / unit))
             _fraction_step(steps, f"level3:outside:{2 * i + j + 1}", "distance of unshifted eigenvalue to [2C-s1, s1]",
-                           math.ldexp(max(float(lo / unit) - v, v - float(s1 / unit)), E),
+                           max(_fraction_plus_root(lo - p, -sign, R), _fraction_plus_root(p - s1, sign, R)),
                            holds=_fraction_root_exceeds(2 * sign, R, s1 - p)
                            or _fraction_root_exceeds(-2 * sign, R, p - lo))
 

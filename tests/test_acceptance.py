@@ -189,7 +189,7 @@ def test_criterion_9_heat_trace_asymptotics():
         spec = d3s.assemble(ROUND, d3s.S3, 60)
         h = d3s.heat_invariants(ROUND, d3s.S3)
         for t in (0.02, 0.05, 0.1):
-            result = d3s.heat_trace(ROUND, d3s.S3, t, 60, spectrum=spec)
+            result = d3s.heat_trace(spec, t)
             asym = (4 * math.pi * t) ** -1.5 * (h.a0 + h.a1 * t + h.a2 * t * t)
             assert abs(result.value / asym - 1) <= 0.01, t
             assert result.tail_estimate <= 1e-10 * result.value, t
@@ -200,5 +200,5 @@ def test_criterion_10_weyl_count_sanity():
     with _Criterion(10, "eigenvalue count at lam = 40 within 10% of (2/3) lam^3"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            count = d3s.counting_function(ROUND, d3s.S3, 40.0, 60)
+            count = d3s.counting_function(d3s.assemble(ROUND, d3s.S3, 60), 40.0)
         assert abs(count - (2 / 3) * 40 ** 3) <= 0.1 * (2 / 3) * 40 ** 3

@@ -53,10 +53,17 @@ def test_certificate_equals_the_fraction_oracle_far_from_unit_scale():
     metrics = [Metric(*(x * 2.0 ** e for x in m.triple()))
                for m in random_metrics_with_sign(rng, 10, d3s.POSITIVE, lo=0.25, hi=4.0) for e in (600, -600)]
     metrics += [Metric(1e62, 1e62, 1e62), Metric(1e-160, 1e-160, 1e-160), Metric(2.0 ** 600, 1.0, 2.0 ** -600),
-                Metric(1.0, 1e-150, 1e-150)]  # the last one's integers overflow a double
+                Metric(1.0, 1e-150, 1e-150),  # its integers overflow a double
+                Metric(4.149515568880993e180, 1.0, 1.0)]
     _assert_equal_to_oracle(metrics)
-    # beyond the double range a margin reads inf, the same in both
-    assert "inf" in {margin for _, _, margin, _, _ in _outcome(_library, Metric(1e62, 1e62, 1e62))}
+    # one entry dwarfs the other two: p + 2 sqrt(R) - s1 cancels in doubles
+    # unless it is rationalized
+    assert min(s.margin for s in _library(metrics[-1]) if s.name.startswith("level3:")) > 0
+    # at the normalized scale no strict margin overflows (1e62's degree-5
+    # margins once did) or underflows (1e-200's once did)
+    for t in ((1e62, 1e62, 1e62), (1e-200, 1e-200, 1e-200), tuple(x * 2.0 ** -600 for x in (1.3, 0.8, 0.9))):
+        margins = [s.margin for s in _library(Metric(*t)) if s.kind == "strict"]
+        assert all(0 < x < math.inf for x in margins), t
 
 
 def test_certificate_catches_an_error_of_one_part_in_L(monkeypatch):
@@ -106,18 +113,17 @@ def test_certificate_is_covariant_under_permutation():
             assert (trace.C, trace.mu, trace.scal) == (traces[0].C, traces[0].mu, traces[0].scal)
 
 
-def test_level3_margins_are_free_of_the_scale():
-    # the level-3 estimates are doubles; taken at the metric's own scale they
-    # underflowed at 1e-200 and read negative on a certified point
-    for t in ((1.3, 0.8, 0.9), (1.0, 1.0, 1.0), (2.0, 1.0, 1.0)):
-        unit = _steps(d3s.certify_fundamental_tone(Metric(*t)))
-        for e in (-600, -300, 300):
-            scaled = d3s.certify_fundamental_tone(Metric(*(x * 2.0 ** e for x in t)))
-            level3 = [s for s in scaled.steps if s.name.startswith("level3:")]
-            assert [repr(s.margin / 2.0 ** e) for s in level3] == [m for n, _, m, _ in unit if n.startswith("level3:")]
-    trace = d3s.certify_fundamental_tone(Metric(1e-200, 1e-200, 1e-200))
-    assert min(s.margin for s in trace.steps if s.name.startswith("level3:")) == 2e-200
-    assert trace.min_margin >= 0  # a degree-5 margin may still underflow to 0.0
-    # scaled back beyond the double range, a level-3 margin reads inf, as an exact margin does
-    trace = d3s.certify_fundamental_tone(Metric(1e308, 1e308, 1e308))
-    assert {s.margin for s in trace.steps if s.name.startswith("level3:")} == {math.inf}
+def test_certificate_is_covariant_under_scaling():
+    # scaling by 2^j moves only the exponent shared by the metric's integers:
+    # the same step list, margins bit for bit, all at the normalized scale;
+    # the level-0 note prints -C in the metric's own units
+    rng = np.random.default_rng(420)
+    metrics = random_metrics_with_sign(rng, 20, d3s.POSITIVE, lo=0.25, hi=4.0)
+    metrics += [Metric(1.3, 0.8, 0.9), Metric(1.0, 1.0, 1.0), Metric(2.0, 1.0, 1.0)]
+    for m in metrics:
+        unit = _steps(d3s.certify_fundamental_tone(m))
+        for j in (-700, -600, -100, 3, 200):
+            scaled = d3s.certify_fundamental_tone(Metric(*(x * 2.0 ** j for x in m.triple())))
+            assert [s for s in _steps(scaled) if s[0] != "level0"] == [s for s in unit if s[0] != "level0"], (m, j)
+            note = next(s for s in scaled.steps if s.name == "level0")
+            assert note.detail == f"sole eigenvalue -C = {-scaled.C!r} with multiplicity 2"

@@ -160,22 +160,23 @@ def test_verify_calls_the_round_point_at_1e_200_positive(capsys):
     assert code == 0
     (point,) = json.loads(out)["results"]["points"]
     assert (point["scal_sign"], point["status"]) == ("positive", "pass")
-    # its level-3 margins underflowed and read -1e-200; a degree-5 margin may still read 0.0
-    assert point["min_margin"] >= 0
-    assert all(step["margin"] >= 0 for step in point["steps"] if step["kind"] == "strict")
+    # at the metric's own scale its level-3 margins read -1e-200 and its
+    # degree-5 margins 0.0; at the normalized scale every one is positive
+    assert point["min_margin"] > 0
+    assert all(step["margin"] > 0 for step in point["steps"] if step["kind"] == "strict")
 
 
 @pytest.mark.parametrize("triple", [(1.3e-200, 0.8e-200, 0.9e-200), tuple(x * 2.0 ** -600 for x in (1.3, 0.8, 0.9))])
 def test_verify_far_below_unit_scale_reports_no_negative_margin(capsys, triple):
-    # the level-3 margins are taken where the metric is near 1; at its own
+    # the margins are taken at the normalized scale; at the metric's own
     # scale they underflowed and a passing point printed a negative margin
     grid = ",".join(f"{x!r}:{x!r}:1" for x in triple)
     code, out, _ = run_cli(capsys, "verify", "--grid", grid, "--details")
     assert code == 0
     (point,) = json.loads(out)["results"]["points"]
     assert point["status"] == "pass"
-    assert point["min_margin"] >= 0
-    assert all(step["margin"] >= 0 for step in point["steps"] if step["kind"] == "strict")
+    assert point["min_margin"] > 0
+    assert all(step["margin"] > 0 for step in point["steps"] if step["kind"] == "strict")
 
 
 def test_truncation_warning_is_one_line(capsys):
@@ -187,8 +188,11 @@ def test_truncation_warning_is_one_line(capsys):
 
 
 def test_non_finite_document_is_an_error(capsys):
-    # certification margins beyond the double range reach the encoder as inf
-    code, out, err = run_cli(capsys, "smallest", "--metric", "1e62,1e62,1e62", "--manifold", "s3")
+    # the certificate's margins are at the normalized scale, but the trace's
+    # exact scal, about 2^1200 here, is beyond the double range and reaches
+    # the encoder as inf
+    metric = ",".join(repr(x * 2.0 ** 600) for x in (1.3, 0.8, 0.9))
+    code, out, err = run_cli(capsys, "smallest", "--metric", metric, "--manifold", "s3")
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "not finite" in err

@@ -244,7 +244,7 @@ def test_certify_step_list_is_fixed():
     rng = np.random.default_rng(5)
     metrics = random_metrics_with_sign(rng, 20, d3s.POSITIVE) + [
         ROUND, Metric(2, 1, 1), Metric(1, 1, 0.5000000000001), Metric(0.6, 1.3, 0.8),
-        Metric(1e62, 1e62, 1e62),  # level-4 margins beyond the double range are reported as inf
+        Metric(1e62, 1e62, 1e62),  # its level-4 margins, at its own scale, were beyond the double range
     ]
     names = {tuple(s.name for s in d3s.certify_fundamental_tone(m).steps) for m in metrics}
     assert len(names) == 1
@@ -294,14 +294,14 @@ def test_lichnerowicz_bound():
 
 
 def test_heat_trace_large_t_dominated_by_fundamental_tone():
-    result = d3s.heat_trace(ROUND, d3s.S3, 10.0, 5)
+    result = d3s.heat_trace(d3s.assemble(ROUND, d3s.S3, 5), 10.0)
     assert result.value == pytest.approx(4 * math.exp(-22.5), rel=1e-6)
 
 
 def test_heat_trace_small_t_asymptotics():
     spec = d3s.assemble(ROUND, d3s.S3, 60)
     for t in (0.02, 0.05, 0.1):
-        result = d3s.heat_trace(ROUND, d3s.S3, t, 60, spectrum=spec)
+        result = d3s.heat_trace(spec, t)
         asym = (4 * math.pi * t) ** -1.5 * (4 * math.pi ** 2 - 2 * math.pi ** 2 * t)
         assert result.value == pytest.approx(asym, rel=0.01)
         assert result.tail_estimate <= 1e-10 * result.value
@@ -310,20 +310,28 @@ def test_heat_trace_small_t_asymptotics():
 def test_heat_trace_level0_closed_form():
     m = Metric(1.4, 0.7, 0.9)
     for t in (0.3, 2.0):
-        result = d3s.heat_trace(m, d3s.SO3_TRIVIAL, t, 0)
+        result = d3s.heat_trace(d3s.assemble(m, d3s.SO3_TRIVIAL, 0), t)
         assert result.value == pytest.approx(2 * math.exp(-t * m.C ** 2), rel=1e-13)
+
+
+def test_heat_trace_and_counting_read_the_spectrum():
+    # metric, manifold and cutoff come from the spectrum alone, so they cannot disagree with it
+    spec = d3s.assemble(Metric(2, 1, 1), d3s.S3, 10)
+    assert d3s.heat_trace(spec, 0.05).max_level == 10
+    with pytest.warns(d3s.TruncationWarning, match=r"^level cutoff 10 .* at level 10 is"):
+        d3s.counting_function(spec, 100.0)
 
 
 def test_heat_trace_rejects_bad_t():
     with pytest.raises(ValueError):
-        d3s.heat_trace(ROUND, d3s.S3, 0.0, 5)
+        d3s.heat_trace(d3s.assemble(ROUND, d3s.S3, 5), 0.0)
 
 
 def test_counting_function_round():
     spec = d3s.assemble(ROUND, d3s.S3, 12)
-    assert d3s.counting_function(ROUND, d3s.S3, 1.0, 12, spectrum=spec) == 0
+    assert d3s.counting_function(spec, 1.0) == 0
     with pytest.warns(d3s.TruncationWarning):
-        assert d3s.counting_function(ROUND, d3s.SO3_TRIVIAL, 1.5, 0) == 2
+        assert d3s.counting_function(d3s.assemble(ROUND, d3s.SO3_TRIVIAL, 0), 1.5) == 2
 
 
 def test_counting_function_weyl_ballpark():
@@ -332,7 +340,7 @@ def test_counting_function_weyl_ballpark():
     spec = d3s.assemble(ROUND, d3s.S3, 60)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        count = d3s.counting_function(ROUND, d3s.S3, 40.0, 60, spectrum=spec)
+        count = d3s.counting_function(spec, 40.0)
     weyl = d3s.weyl_count_estimate(ROUND, d3s.S3, 40.0)
     assert weyl == pytest.approx((2 / 3) * 40 ** 3, rel=1e-12)
     assert abs(count - weyl) <= 0.1 * weyl
@@ -345,13 +353,13 @@ def test_weyl_estimate_stays_in_range_at_extreme_scales():
         m = Metric(scale, scale, scale)
         assert d3s.weyl_count_estimate(m, d3s.S3, 40.0 * scale) == pytest.approx((2 / 3) * 40 ** 3, rel=1e-12)
         assert d3s.weyl_count_estimate(m, d3s.SO3_TRIVIAL, 40.0 * scale) == pytest.approx(40 ** 3 / 3, rel=1e-12)
-        result = d3s.heat_trace(m, d3s.S3, 1.0 / scale ** 2, 80)
+        result = d3s.heat_trace(d3s.assemble(m, d3s.S3, 80), 1.0 / scale ** 2)
         assert math.isfinite(result.tail_estimate) and result.computed_count == 360882
 
 
 def test_counting_warns_when_levels_insufficient():
     with pytest.warns(d3s.TruncationWarning):
-        d3s.counting_function(ROUND, d3s.S3, 50.0, 10)
+        d3s.counting_function(d3s.assemble(ROUND, d3s.S3, 10), 50.0)
 
 
 def test_spectrum_permutation_invariance():
@@ -524,10 +532,10 @@ def test_spectrum_columns_agree_with_the_line_objects():
     assert spec.total_count() == sum(l.total_multiplicity for l in lines)
     t = 0.05
     want = math.fsum(l.total_multiplicity * math.exp(-t * l.eigenvalue ** 2) for l in lines)
-    assert d3s.heat_trace(m, d3s.SO3_NONTRIVIAL, t, 31, spectrum=spec).value == pytest.approx(want, rel=1e-14)
+    assert d3s.heat_trace(spec, t).value == pytest.approx(want, rel=1e-14)
     for lam in (2.0, 10.0, 30.0):
         want = sum(l.total_multiplicity for l in lines if abs(l.eigenvalue) <= lam + 1e-9 * (1 + lam))
-        assert d3s.counting_function(m, d3s.SO3_NONTRIVIAL, lam, 31, spectrum=spec) == want
+        assert d3s.counting_function(spec, lam) == want
 
 
 BERGER = ((1.3, 0.9), (0.4, 2.0), (3.0, 0.2))
