@@ -71,18 +71,21 @@ _POSITIVE = _checked(float, lambda x: math.isfinite(x) and x > 0, "finite and po
 _FINITE = _checked(float, math.isfinite, "finite")
 
 
+def _real(text, what):
+    """A decimal or rational ("1/2") as a double; ValueError when it is not
+    one or lies beyond the double range."""
+    try:
+        return float(Fraction(text.strip()))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad {what} {text!r}: {exc}") from exc
+
+
 def parse_metric(text):
     """Parse "a,b,c" with decimal or rational components ("1/2")."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"metric must have three components, got {text!r}")
-    values = []
-    for part in parts:
-        try:
-            values.append(float(Fraction(part.strip())))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad metric component {part!r}: {exc}") from exc
-    return Metric(*values)
+    return Metric(*(_real(part, "metric component") for part in parts))
 
 
 def parse_grid(text):
@@ -95,7 +98,7 @@ def parse_grid(text):
         fields = axis.split(":")
         if len(fields) != 3:
             raise ValueError(f"axis must be lo:hi:count, got {axis!r}")
-        lo, hi = float(Fraction(fields[0])), float(Fraction(fields[1]))
+        lo, hi = _real(fields[0], "axis bound"), _real(fields[1], "axis bound")
         count = int(fields[2])
         if count < 1 or hi < lo or lo <= 0:
             raise ValueError(f"bad axis {axis!r}")

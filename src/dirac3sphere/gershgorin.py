@@ -351,11 +351,17 @@ def _conditions(a, b, c, C, margin, C_rounded):
     for name, n_min, (A, B, D0) in _families(a, b, c, C):
         yield f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A, 2, "strict", None
         disc = B * B - 4 * A * D0
-        # the largest root as vertex plus half-width, both free of the metric's scale
-        largest = -math.inf if disc < 0 else _approx(-B, 2 * A) + math.sqrt(_approx(disc, 4 * A * A))
+        q, t = (A * n_min + B) * n_min + D0, 2 * A * n_min + B
+        # the largest root as vertex plus half-width, and n_min minus it as
+        # (t - sqrt(disc))/2A, or for t > 0 as 2q/(t + sqrt(disc)), whose
+        # numerator is exact; every ratio free of the metric's scale
+        largest, below = -math.inf, math.inf
+        if disc >= 0:
+            half = math.sqrt(_approx(disc, 4 * A * A))
+            largest = _approx(-B, 2 * A) + half
+            below = _approx(q, A) / (_approx(t, 2 * A) + half) if t > 0 else _approx(t, 2 * A) - half
         yield (f"tail:{name}:root", f"n_min - largest real root (largest root {largest!r})",
-               min(n_min - largest, float(n_min)), None, "strict",
-               disc < 0 or ((A * n_min + B) * n_min + D0 > 0 and 2 * A * n_min + B > 0))
+               min(below, float(n_min)), None, "strict", disc < 0 or (q > 0 and t > 0))
 
     increment = _G(a, b, c, C, 2, 1) - _G(a, b, c, C, 0, 0)
     yield "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment, 2, "strict", None

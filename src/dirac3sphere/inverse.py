@@ -12,13 +12,17 @@ the homogeneous family:
   scal = 8 (sigma1 - C^2).
 * scal <= 0, any operator: the heat-trace combination
   a2~ = 8|Ric|^2 + 7|Riem|^2.  With Y = (a2~ - 101 scal^2)/576 one has
-  Y = -scal sigma1 + 4 sigma2; for scal = 0 this gives sigma2 directly, for
-  scal < 0 eliminating sigma1 leaves a quadratic in sigma2 whose right-hand
-  side is strictly decreasing, hence at most one positive root.
+  Y = -scal sigma1 + 4 sigma2; eliminating sigma1 leaves a quadratic in
+  sigma2 whose right-hand side is strictly decreasing for scal < 0, hence
+  at most one positive root, taken in the root form that gives Y/4 exactly
+  at scal = 0.
 
-The triple itself is read off as the positive roots of the monic cubic with
-those symmetric polynomials.  Every route recomputes its inputs from the
-recovered triple and attaches the relative residuals.
+Each route does only its own elimination down to the symmetric
+polynomials; the triple is read off as the positive roots of the monic
+cubic with them (square roots of the roots for the sigma_i).  One shared
+tail builds the result: it recomputes volume, scal and the route's datum
+from the recovered metric's exact scalars and attaches the relative
+residuals.
 """
 
 import math
@@ -114,34 +118,41 @@ def _require(cond, message):
         raise InconsistentInputError(message)
 
 
+def _abc(vol, manifold):
+    """abc from the volume: 2 pi^2 / vol on the sphere, pi^2 / vol on SO(3)."""
+    _require(vol > 0, "volume must be positive")
+    return (2.0 * _PI2 if manifold == S3 else _PI2) / vol
+
+
+def _result(triple, manifold, branch, sym_polys, vol, scal, datum, value, degree):
+    """The result for a recovered triple, with the residuals of volume, scal
+    and the route's datum (the :func:`invariants` field of that name, of
+    degree ``degree``) read from the recovered metric's exact scalars, each
+    floored at the scale (abc)^(1/3) to the power of its degree."""
+    rec = Metric(*triple)
+    floor = _abc(vol, manifold) ** (1.0 / 3.0)
+    residuals = {
+        "volume": _rel(volume(rec, manifold), vol, floor ** -3),
+        "scal": _rel(rec.scal, scal, floor ** 2),
+        datum: _rel(getattr(invariants(rec), datum), value, floor ** degree),
+    }
+    return ReconstructionResult(triple, manifold, branch, sym_polys, residuals)
+
+
 def reconstruct_positive_mu(vol, scal, mu, manifold=S3):
     """Positive-curvature reconstruction from the fundamental tone mu."""
     if manifold not in (S3, SO3_NONTRIVIAL):
         raise WrongRegimeError(f"mu determines the metric on {S3!r} or {SO3_NONTRIVIAL!r}, not {manifold!r}")
     if scal <= 0:
         raise WrongRegimeError("mu-based reconstruction requires scal > 0")
-    _require(vol > 0, "volume must be positive")
+    s3 = _abc(vol, manifold)
     _require(mu > 0, "mu must be positive")
-    s3 = (2.0 * _PI2 if manifold == S3 else _PI2) / vol
     quad_lead = 4.0 * mu / s3
     disc = 256.0 + 4.0 * quad_lead * scal
     s2 = (16.0 + math.sqrt(disc)) / (2.0 * quad_lead)
     s1 = 0.5 * (mu + s2 * s2 / (2.0 * s3))
     triple = cubic_positive_roots(s1, s2, s3)
-    rec = Metric(*triple)
-    floor = s3 ** (1.0 / 3.0)
-    residuals = {
-        "volume": _rel(volume(rec, manifold), vol, floor),
-        "scal": _rel(rec.scal, scal, floor ** 2),
-        "mu": _rel(rec.mu, mu, floor),
-    }
-    return ReconstructionResult(
-        triple=triple,
-        manifold=manifold,
-        branch="mu",
-        sym_polys={"s1": s1, "s2": s2, "s3": s3},
-        residuals=residuals,
-    )
+    return _result(triple, manifold, "mu", {"s1": s1, "s2": s2, "s3": s3}, vol, scal, "mu", mu, 1)
 
 
 def reconstruct_positive_C(vol, scal, C, manifold=SO3_TRIVIAL):
@@ -150,77 +161,42 @@ def reconstruct_positive_C(vol, scal, C, manifold=SO3_TRIVIAL):
         raise WrongRegimeError(f"C determines the metric on {SO3_TRIVIAL!r} only, not {manifold!r}")
     if scal <= 0:
         raise WrongRegimeError("C-based reconstruction requires scal > 0")
-    _require(vol > 0, "volume must be positive")
+    sqrt_sigma3 = _abc(vol, manifold)
     _require(C > 0, "C must be positive")
-    sqrt_sigma3 = _PI2 / vol
     sigma3 = sqrt_sigma3 ** 2
     sigma2 = 2.0 * C * sqrt_sigma3
     sigma1 = scal / 8.0 + C * C
-    squares = cubic_positive_roots(sigma1, sigma2, sigma3)
-    triple = tuple(math.sqrt(t) for t in squares)
-    rec = Metric(*triple)
-    floor = sigma3 ** (1.0 / 6.0)
-    residuals = {
-        "volume": _rel(volume(rec, manifold), vol, floor),
-        "scal": _rel(rec.scal, scal, floor ** 2),
-        "C": _rel(rec.C, C, floor),
-    }
-    return ReconstructionResult(
-        triple=triple,
-        manifold=manifold,
-        branch="C",
-        sym_polys={"sigma1": sigma1, "sigma2": sigma2, "sigma3": sigma3},
-        residuals=residuals,
-    )
+    triple = tuple(math.sqrt(t) for t in cubic_positive_roots(sigma1, sigma2, sigma3))
+    sym_polys = {"sigma1": sigma1, "sigma2": sigma2, "sigma3": sigma3}
+    return _result(triple, manifold, "C", sym_polys, vol, scal, "C", C, 1)
 
 
 def reconstruct_nonpositive(vol, scal, a2_tilde, manifold=S3):
-    """Nonpositive-curvature reconstruction from a2~ = 8|Ric|^2 + 7|Riem|^2.
-
-    Valid for every operator; the scal = 0 branch is taken when |scal| falls
-    below 1e-10 times the volume-derived scale sigma3^(1/3).
-    """
+    """Nonpositive-curvature reconstruction from a2~ = 8|Ric|^2 + 7|Riem|^2,
+    valid for every operator.  |scal| up to 1e-10 times the scale
+    sigma3^(1/3) only names the branch "a2tilde-zero"; scal above it is refused."""
     if manifold not in (S3, SO3_TRIVIAL, SO3_NONTRIVIAL):
         raise WrongRegimeError(f"unknown manifold {manifold!r}")
-    _require(vol > 0, "volume must be positive")
-    sqrt_sigma3 = (2.0 * _PI2 if manifold == S3 else _PI2) / vol
+    sqrt_sigma3 = _abc(vol, manifold)
     sigma3 = sqrt_sigma3 ** 2
     zero_scale = 1e-10 * sigma3 ** (1.0 / 3.0)
     if scal > zero_scale:
         raise WrongRegimeError("a2~-based reconstruction requires scal <= 0")
+    branch = "a2tilde-zero" if abs(scal) <= zero_scale else "a2tilde-negative"
     Y = (a2_tilde - 101.0 * scal * scal) / 576.0
-    if abs(scal) <= zero_scale:
-        branch = "a2tilde-zero"
-        sigma2 = Y / 4.0
-    else:
-        branch = "a2tilde-negative"
-        # 2 (scal/sigma3) s^2 - 32 s + (scal^2 + 8Y) = 0, written in the
-        # root form that stays stable as scal -> 0-
-        lead = 2.0 * scal / sigma3
-        const = scal * scal + 8.0 * Y
-        disc = 1024.0 - 4.0 * lead * const
-        _require(disc >= 0, "quadratic for sigma2 has no real root")
-        qq = 0.5 * (32.0 + math.sqrt(disc))
-        sigma2 = const / qq
+    # 2 (scal/sigma3) s^2 - 32 s + (scal^2 + 8Y) = 0, written in the root
+    # form that stays stable as scal -> 0 (at scal = 0 exactly it is Y/4)
+    lead = 2.0 * scal / sigma3
+    const = scal * scal + 8.0 * Y
+    disc = 1024.0 - 4.0 * lead * const
+    _require(disc >= 0, "quadratic for sigma2 has no real root")
+    sigma2 = const / (0.5 * (32.0 + math.sqrt(disc)))
     _require(sigma2 > 0, "no positive sigma2 matches the data")
     sigma1 = (scal + 2.0 * sigma2 * sigma2 / sigma3) / 8.0
     _require(sigma1 > 0, "no positive sigma1 matches the data")
-    squares = cubic_positive_roots(sigma1, sigma2, sigma3)
-    triple = tuple(math.sqrt(t) for t in squares)
-    rec = Metric(*triple)
-    floor = sigma3 ** (1.0 / 6.0)
-    residuals = {
-        "volume": _rel(volume(rec, manifold), vol, floor),
-        "scal": _rel(rec.scal, scal, floor ** 2),
-        "a2_tilde": _rel(invariants(rec).a2_tilde, a2_tilde, floor ** 4),
-    }
-    return ReconstructionResult(
-        triple=triple,
-        manifold=manifold,
-        branch=branch,
-        sym_polys={"sigma1": sigma1, "sigma2": sigma2, "sigma3": sigma3, "Y": Y},
-        residuals=residuals,
-    )
+    triple = tuple(math.sqrt(t) for t in cubic_positive_roots(sigma1, sigma2, sigma3))
+    sym_polys = {"sigma1": sigma1, "sigma2": sigma2, "sigma3": sigma3, "Y": Y}
+    return _result(triple, manifold, branch, sym_polys, vol, scal, "a2_tilde", a2_tilde, 4)
 
 
 def reconstruct(manifold, vol, scal, mu=None, C=None, a2_tilde=None):

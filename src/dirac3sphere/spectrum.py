@@ -24,7 +24,7 @@ import numpy as np
 
 from .blocks import TAG_A, TAG_B, _raw_rows
 from .eigen import _min_abs_candidates, _proved_min_abs, _proved_values, _row_norms, _tolerance, _windows
-from .errors import DomainError, TruncationWarning, UncertifiableError
+from .errors import DomainError, TruncationWarning
 from .gershgorin import CertificationTrace, certify_fundamental_tone, level_bounds  # noqa: F401 (re-exported)
 from .metric import (
     POSITIVE,
@@ -464,43 +464,33 @@ def smallest(m, manifold, certify=None, max_level=25):
     (default: yes in this regime) attaches the full verification trace.
 
     Otherwise the value is the enumerated minimum over levels <= max_level,
-    never certified; requesting certification there raises
-    :class:`UncertifiableError`.  An unknown manifold raises
-    :class:`DomainError`.
+    never certified.  The regime is the float screen
+    :func:`scal_sign_classification`, except with ``certify=True``: then the
+    certificate alone decides, proving scal > 0 next to the wall where the
+    screen says "zero", or raising :class:`UncertifiableError`.  An unknown
+    manifold raises :class:`DomainError`.
     """
     if manifold not in SPECTRUM_MANIFOLDS:
         raise DomainError(f"unknown manifold {manifold!r}; expected one of {SPECTRUM_MANIFOLDS}")
-    classification = scal_sign_classification(m)
-    if classification == POSITIVE:
+    trace = None
+    if certify or scal_sign_classification(m) == POSITIVE:
+        if certify is not False:
+            trace = certify_fundamental_tone(m)
         value = m._exact.C if manifold == SO3_TRIVIAL else m.mu
         mult = 4 if manifold == S3 and m.is_round() else 2
-        trace = None
-        if certify is None or certify:
-            trace = certify_fundamental_tone(m)
-        return SmallestEigenvalueReport(
-            manifold=manifold,
-            metric=m.triple(),
-            value=value,
-            multiplicity_d_squared=mult,
-            certified=trace is not None,
-            certification_trace=trace,
-            method="closed-form",
-            max_level=None,
-        )
-    if certify:
-        raise UncertifiableError(
-            "scal <= 0: eigenvalues may cross zero along metric families, no certified minimum exists"
-        )
-    value, mult, _ = enumerated_min_abs(m, manifold, max_level=max_level)
+        method, cutoff = "closed-form", None
+    else:
+        value, mult, _ = enumerated_min_abs(m, manifold, max_level=max_level)
+        method, cutoff = "enumeration", int(max_level)
     return SmallestEigenvalueReport(
         manifold=manifold,
         metric=m.triple(),
         value=value,
         multiplicity_d_squared=mult,
-        certified=False,
-        certification_trace=None,
-        method="enumeration",
-        max_level=int(max_level),
+        certified=trace is not None,
+        certification_trace=trace,
+        method=method,
+        max_level=cutoff,
     )
 
 
@@ -559,7 +549,7 @@ def counting_function(spectrum, lam):
 
     Warns with :class:`TruncationWarning` when its top level still lies
     entirely at or below lam, in which case higher levels would certainly
-    contribute as well.
+    contribute as well, or when the cutoff admits no level at all.
     """
     if not lam > 0:
         raise DomainError("lam must be positive")
@@ -567,12 +557,14 @@ def counting_function(spectrum, lam):
     modulus = np.abs(spectrum.eigenvalue)
     count = int(spectrum.total_multiplicity[modulus <= include].sum())
     levels = admissible_levels(spectrum.manifold, spectrum.max_level)
-    top = levels[-1] if levels else None
-    top_max = float(modulus[spectrum.level == top].max(initial=0.0))
-    if top is None or top_max <= lam:
+    if not levels:
+        detail = f"it admits no level on {spectrum.manifold}"
+    else:
+        top_max = float(modulus[spectrum.level == levels[-1]].max(initial=0.0))
+        detail = f"largest |eigenvalue| at level {levels[-1]} is {top_max}" if top_max <= lam else None
+    if detail is not None:
         warnings.warn(
-            f"level cutoff {spectrum.max_level} is insufficient for lam = {lam}: "
-            f"largest |eigenvalue| at level {top} is {top_max}",
+            f"level cutoff {spectrum.max_level} is insufficient for lam = {lam}: {detail}",
             TruncationWarning,
             stacklevel=2,
         )

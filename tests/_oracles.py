@@ -460,11 +460,15 @@ def fraction_certificate(m):
     for name, n_min, (A, B, D) in _families(a, b, c, C):
         _fraction_step(steps, f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A)
         disc = B * B - 4 * A * D
-        largest = (-math.inf if disc < 0
-                   else _fraction_float(-B / (2 * A)) + math.sqrt(_fraction_float(disc / (4 * A * A))))
+        q, t = (A * n_min + B) * n_min + D, 2 * A * n_min + B
+        largest, below = -math.inf, math.inf
+        if disc >= 0:  # n_min - largest rationalized where its two terms have opposite signs
+            half = math.sqrt(_fraction_float(disc / (4 * A * A)))
+            largest = _fraction_float(-B / (2 * A)) + half
+            below = (_fraction_float(q / A) / (_fraction_float(t / (2 * A)) + half) if t > 0
+                     else _fraction_float(t / (2 * A)) - half)
         _fraction_step(steps, f"tail:{name}:root", f"n_min - largest real root (largest root {largest!r})",
-                       min(n_min - largest, n_min),
-                       holds=disc < 0 or ((A * n_min + B) * n_min + D > 0 and 2 * A * n_min + B > 0))
+                       min(below, n_min), holds=disc < 0 or (q > 0 and t > 0))
     increment = _G(a, b, c, C, 2, 1) - _G(a, b, c, C, 0, 0)
     _fraction_step(steps, "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment)
     _fraction_step(steps, "increment:slope", "4c^2, the growth of the increment per level", 4 * c * c)

@@ -3,12 +3,16 @@
 import itertools
 import math
 import re
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import dirac3sphere as d3s
 from dirac3sphere import Metric
+from dirac3sphere.gershgorin import _families
+from dirac3sphere.metric import shift_C
 
 from _oracles import fraction_certificate, random_metrics_with_sign
 
@@ -64,6 +68,23 @@ def test_certificate_equals_the_fraction_oracle_far_from_unit_scale():
     for t in ((1e62, 1e62, 1e62), (1e-200, 1e-200, 1e-200), tuple(x * 2.0 ** -600 for x in (1.3, 0.8, 0.9))):
         margins = [s.margin for s in _library(Metric(*t)) if s.kind == "strict"]
         assert all(0 < x < math.inf for x in margins), t
+
+
+def test_tail_root_margins_keep_their_digits():
+    # n_min minus the largest root of A n^2 + B n + D cancels in doubles when
+    # one entry dwarfs the others; against a 40-digit decimal evaluation
+    def dec(x):
+        return Decimal(x.numerator) / Decimal(x.denominator)
+
+    for t in ((50, 1, 1), (1e4, 1, 1), (1e8, 1, 1)):
+        a, b, c = (Fraction(x) for x in t)  # sorted already
+        margins = {s.name: s.margin for s in _library(Metric(*t))}
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for name, n_min, (A, B, D) in _families(a, b, c, shift_C(a, b, c)):
+                largest = (-dec(B) + dec(B * B - 4 * A * D).sqrt()) / (2 * dec(A))
+                want = float(min(n_min - largest, n_min))
+                assert margins[f"tail:{name}:root"] == pytest.approx(want, rel=1e-15, abs=0), (t, name)
 
 
 def test_certificate_catches_an_error_of_one_part_in_L(monkeypatch):

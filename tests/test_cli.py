@@ -185,6 +185,13 @@ def test_truncation_warning_is_one_line(capsys):
     )
     assert code == 0 and json.loads(out)["results"]["counting"]["count"] == 28
     assert err == "warning: level cutoff 2 is insufficient for lam = 100.0: largest |eigenvalue| at level 2 is 3.5\n"
+    # level 0 is even, so no level of the odd structure is below the cutoff
+    code, out, err = run_cli(
+        capsys, "heat-trace", "--metric", "3,1,0.3", "--manifold", "so3-nontrivial", "--max-level", "0", "--t", "1",
+        "--lam", "1"
+    )
+    assert code == 0 and json.loads(out)["results"]["counting"]["count"] == 0
+    assert err == "warning: level cutoff 0 is insufficient for lam = 1.0: it admits no level on so3-nontrivial\n"
 
 
 def test_non_finite_document_is_an_error(capsys):
@@ -214,6 +221,8 @@ def test_non_finite_document_is_an_error(capsys):
     ("reconstruct --manifold s3 --volume 19.74 --scal 6 --c -inf", 2),
     ("reconstruct --manifold s3 --volume 19.74 --scal -6 --a2tilde nan", 2),
     ("smallest --metric 1,1,0.3 --manifold so3-nontrivial --max-level 0", 1),
+    ("invariants --metric 1e400,1,1", 2),
+    ("verify --grid 1:1e400:2,1:1:1,1:1:1", 2),
 ])
 def test_out_of_range_arguments_are_refused(capsys, argv, want):
     try:
@@ -272,6 +281,16 @@ def test_smallest_multiplicity_four_only_on_the_exact_round_line(capsys):
         assert code == 0
         res = json.loads(out)["results"]
         assert (res["multiplicity_d_squared"], res["certified"]) == (want, True), metric
+
+
+def test_smallest_certify_on_is_decided_by_the_certificate(capsys):
+    # the float screen calls this metric "zero"; the certificate proves scal > 0
+    code, out, err = run_cli(
+        capsys, "smallest", "--metric", "1,1,0.5000000000001", "--manifold", "s3", "--certify", "on"
+    )
+    assert code == 0 and err == ""
+    res = json.loads(out)["results"]
+    assert (res["method"], res["certified"], res["certification"]["passed"]) == ("closed-form", True, True)
 
 
 def test_smallest_certify_on_negative_scal_fails(capsys):

@@ -7,6 +7,7 @@ import dirac3sphere as d3s
 from dirac3sphere import Metric
 
 from _oracles import random_metrics_with_sign, scal_zero_metrics
+from _oracles import rounded_scalars
 
 TWO_PI_SQ = 2 * math.pi ** 2
 
@@ -160,3 +161,55 @@ def test_residuals_attached():
     r = d3s.reconstruct_positive_mu(inv.vol_s3, inv.scal, inv.mu, d3s.S3)
     assert set(r.residuals) == {"volume", "scal", "mu"}
     assert all(v >= 0 for v in r.residuals.values())
+
+
+def test_zero_scal_sigma2_is_Y_over_4():
+    # one formula on both branches: the stable root form gives Y/4 bit for
+    # bit at scal = 0 exactly
+    rng = np.random.default_rng(53)
+    for m in [Metric(1, 1, 0.5), Metric(2, 2, 1)] + scal_zero_metrics(rng, 50):
+        inv = d3s.invariants(m)
+        for scal in (0.0, -0.0):
+            r = d3s.reconstruct_nonpositive(inv.vol_s3, scal, inv.a2_tilde, d3s.S3)
+            assert r.branch == "a2tilde-zero"
+            assert r.sym_polys["sigma2"] == r.sym_polys["Y"] / 4, m.triple()
+
+
+def test_residuals_read_the_exact_scalars():
+    # the recovered metric's volume, scal and datum, each exact and rounded
+    # once (the Fraction oracle), against the inputs, floored at (abc)^(1/3)
+    # to the power of its degree
+    def check(r, vol, scal, datum, value, degree):
+        want = rounded_scalars(Metric(*r.triple))
+        floor = ((2 if r.manifold == d3s.S3 else 1) * math.pi ** 2 / vol) ** (1 / 3)
+        space = "vol_s3" if r.manifold == d3s.S3 else "vol_so3"
+        for key, got, given, power in (("volume", want[space], vol, -3), ("scal", want["scal"], scal, 2),
+                                       (datum, want[datum], value, degree)):
+            assert r.residuals[key] == abs(got - given) / max(abs(got), abs(given), floor ** power), key
+        return Metric(*r.triple).C != want["C"]
+
+    rng = np.random.default_rng(54)
+    float_C_differs = []
+    for m in random_metrics_with_sign(rng, 40, d3s.POSITIVE):
+        inv = d3s.invariants(m)
+        r = d3s.reconstruct_positive_mu(inv.vol_s3, inv.scal, inv.mu, d3s.S3)
+        check(r, inv.vol_s3, inv.scal, "mu", inv.mu, 1)
+        r = d3s.reconstruct_positive_C(inv.vol_so3, inv.scal, inv.C, d3s.SO3_TRIVIAL)
+        float_C_differs.append(check(r, inv.vol_so3, inv.scal, "C", inv.C, 1))
+    for m in random_metrics_with_sign(rng, 40, d3s.NEGATIVE):
+        inv = d3s.invariants(m)
+        r = d3s.reconstruct_nonpositive(inv.vol_so3, inv.scal, inv.a2_tilde, d3s.SO3_NONTRIVIAL)
+        check(r, inv.vol_so3, inv.scal, "a2_tilde", inv.a2_tilde, 4)
+    assert any(float_C_differs)  # the float C would have read other residuals
+
+
+def test_volume_residual_is_relative_at_every_scale():
+    # a floor of (abc)^(1/3), not its -3rd power, hid the volume's rounding
+    # above unit size (3e-27 for a true 2.3e-16 at scale 1e3)
+    rng = np.random.default_rng(55)
+    for scale in (1e-3, 1.0, 1e3, 1e10):
+        for m in random_metrics_with_sign(rng, 20, d3s.POSITIVE):
+            inv = d3s.invariants(Metric(*(x * scale for x in m.triple())))
+            r = d3s.reconstruct_positive_mu(inv.vol_s3, inv.scal, inv.mu, d3s.S3)
+            got = d3s.volume(Metric(*r.triple), d3s.S3)
+            assert r.residuals["volume"] == abs(got - inv.vol_s3) / max(got, inv.vol_s3), (scale, m.triple())

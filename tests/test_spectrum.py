@@ -194,6 +194,19 @@ def test_smallest_negative_scal_uncertified():
         d3s.smallest(m, d3s.S3, certify=True)
 
 
+def test_smallest_certify_on_is_decided_by_the_certificate():
+    # the float screen calls this metric "zero": auto routes to enumeration,
+    # certify=True lets the certificate prove scal > 0
+    m = Metric(1, 1, 0.5000000000001)
+    assert d3s.scal_sign_classification(m) == d3s.ZERO
+    report = d3s.smallest(m, d3s.S3, certify=True)
+    assert (report.method, report.certified, report.value) == ("closed-form", True, m.mu)
+    assert report.certification_trace.passed
+    assert d3s.smallest(m, d3s.S3, max_level=10).method == "enumeration"
+    with pytest.raises(d3s.UncertifiableError):
+        d3s.smallest(Metric(1, 1, 0.5), d3s.S3, certify=True)
+
+
 def test_smallest_refuses_an_unknown_manifold():
     with pytest.raises(d3s.DomainError, match="unknown manifold 'so3'"):
         d3s.smallest(ROUND, "so3")
