@@ -120,10 +120,16 @@ def build_block(m, n, tag):
 
 
 def _rep_entries(m, n, k):
-    """The entries X_l[k, k+d] of the representation matrices at level n,
-    as an array indexed [l - 1, d + 1] over the broadcast shape of n and k;
-    X_1 is diagonal and X_2, X_3 only couple k to k +- 1, so these are all
-    the entries that can be nonzero (see :func:`representation_matrices`)."""
+    """The entries X_l[k, k+d] of the matrices of the derived irreducible
+    su(2) action at level n, as an array indexed [l - 1, d + 1] over the
+    broadcast shape of n and k.  On the monomial basis {P_0, ..., P_n}
+
+        X1 . P_k = i a (n - 2k) P_k
+        X2 . P_k = b k P_{k-1} - b (n - k) P_{k+1}
+        X3 . P_k = i c k P_{k-1} + i c (n - k) P_{k+1}
+
+    so X_1 is diagonal and X_2, X_3 only couple k to k +- 1: these are all
+    the entries that can be nonzero."""
     a, b, c = m.triple()
     up, down = k + 1, n - k + 1  # X_2 and X_3 at d = +1 and d = -1
     X = np.zeros((3, 3) + np.broadcast(n, k).shape, dtype=complex)
@@ -131,25 +137,6 @@ def _rep_entries(m, n, k):
     X[1, 0], X[1, 2] = -b * down, b * up
     X[2, 0], X[2, 2] = 1j * c * down, 1j * c * up
     return X
-
-
-def representation_matrices(m, n):
-    """Matrices of the derived irreducible su(2) action at level n.
-
-    On the monomial basis {P_0, ..., P_n}:
-        X1 . P_k = i a (n - 2k) P_k
-        X2 . P_k = b k P_{k-1} - b (n - k) P_{k+1}
-        X3 . P_k = i c k P_{k-1} + i c (n - k) P_{k+1}
-    The entries come from :func:`_rep_entries`, scattered into dense
-    complex matrices.
-    """
-    k = np.arange(n + 1)
-    X = _rep_entries(m, n, k)
-    M = np.zeros((3, n + 1, n + 1), dtype=complex)
-    for d in (-1, 0, 1):
-        j = k[max(0, -d):n + 1 - max(0, d)]  # columns whose k + d is a level index
-        M[:, j, j + d] = X[:, d + 1, j]
-    return tuple(M)
 
 
 @dataclass(frozen=True)

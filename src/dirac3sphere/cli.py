@@ -348,8 +348,22 @@ def _render(args, results, timing):
         raise Dirac3SphereError("result is not finite; it cannot be serialized") from exc
 
 
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None):
     parser = _build_parser()
+    # argparse takes only "-1" and "-.5" forms for numbers, so "--scal
+    # -1.6e2" would lose its value: join such a token to the option before it
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i].startswith("-") and _is_float(argv[i]) and argv[i - 1].startswith("--") and "=" not in argv[i - 1]:
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
 
     if getattr(args, "metric", None) is not None and isinstance(args.metric, str):

@@ -14,7 +14,9 @@ scalar curvature, which propagates the base-case inequalities
     G(1,0) = mu^2           G(5,0) > mu^2
 
 to every level: each of the three families minus C^2 is a quadratic in n,
-and the increment is linear in n with slope 4c^2.
+and the increment is linear in n with slope 4c^2.  ``level_bounds`` bounds
+every level from G too, for any ordering, from the sorted metric: G is a
+quadratic in k, so four rows per level, k = 0, n and two at its vertex.
 
 ``certify_fundamental_tone`` proves the fundamental tone of one metric with
 scal > 0.  Every condition of the proof (the regime, levels 1 to 4 in closed
@@ -79,90 +81,69 @@ def row_bound(m, n, tag, k):
     return _left_endpoint(*squared_row_entries(m, n, tag, k))
 
 
-def _row_endpoints(a, b, c, C, n, k):
-    """Left endpoints of rows (n, k), with the signs of a and b kept and
-    with them flipped: block A at even k and block B at odd k take the
-    first, the other rows the second.  Bit for bit :func:`row_bound`."""
-    return [_left_endpoint(*_row_entries(s * a, s * b, c, C, n, k)) for s in (1.0, -1.0)]
-
-
-def _vertex_steps(a, b, c, C):
-    """floor(2 delta) of the row quadratic for each sign choice, exactly, on
-    the stored doubles; None where the quadratic is not convex or C is not
-    finite (see :func:`level_bounds`)."""
-    if not math.isfinite(C):
-        return [None, None]
-    (a, b, c, C), _ = _integers(a, b, c, C)
-    A = 4 * a * a - 4 * max(b * b, c * c)
-    if A <= 0:
-        return [None, None]
-    return [(4 * s * b * c - 4 * s * a * C + 2 * abs((c - s * b) * (C + s * a))
-             - 2 * abs((c + s * b) * (C - s * a))) // A for s in (1, -1)]
-
-
 def level_bounds(m, levels):
-    """Smallest left endpoint over both blocks of each level, from a few
-    rows per level.
+    """Smallest left endpoint over both blocks of each level, for any
+    ordering, from the sorted metric and four rows per level.
 
-    A certified lower bound for every eigenvalue of the squared level-n
-    operator, at any metric, for each n in ``levels``.
+    A lower bound for every eigenvalue of the squared level-n operator, for
+    each n in ``levels``, up to the rounding bounded below.  A permutation
+    of (a, b, c) keeps every level spectrum, so the bound of the sorted
+    metric a >= b >= c holds for every ordering.  There the left endpoints
+    of level n are G(n, k) and G(n, n-k) (the parity dictionary of
+    :class:`GershgorinTable`), so the level's bound is the minimum of
+    G(n, k) over k = 0..n, a quadratic A k^2 + (B - A n) k + const in k with
 
-    Vertex lemma.  On the rows k = 0..n of level n the absolute values of
-    :func:`_left_endpoint` resolve, as k, n-k, k(k-1) and (n-k)(n-k-1) are
-    >= 0 there.  So under either sign choice s (a and b as stored, or both
-    flipped: :func:`_row_endpoints`) a row's endpoint is exactly a quadratic
-    A k^2 + (B - A n) k + const in k, with
+        A = 4(a^2 - b^2) >= 0,    B = 4(aC + cC - ab - bc).
 
-        A = 4a^2 - 4 max(b^2, c^2),
-        B = -4sbc + 4saC - 2|(c - sb)(C + sa)| + 2|(c + sb)(C - sa)|,
+    Where A > 0 its vertex is n/2 - B/(2A), and with g = floor(-B/A), one
+    integer computed exactly on the stored doubles, the minimum over the
+    integers lies at floor((n + g)/2) or the row after it, clipped to
+    [0, n]; where A = 0 it lies at k = 0 or k = n.  Each level evaluates
+    :func:`_G` in doubles at these four rows.
 
-    for the stored doubles (a, b, c, C), in any ordering.  Where A > 0 the
-    vertex is v = n/2 + delta with delta = -B/(2A), the same for every
-    level, and the quadratic's minimum over the integers 0..n lies at
-    floor(v) or floor(v) + 1, clipped to [0, n]; where A <= 0 it lies at
-    k = 0 or k = n.  With g = floor(2 delta), floor(v) = floor((n + g)/2)
-    exactly, so one integer g per sign choice, computed in Python integers
-    on the stored doubles (:func:`_vertex_steps`), places the candidate rows
-    of every level.
-
-    Each level evaluates rows 0 and n and the two rows at the vertex of
-    each sign choice, under both sign choices, through the same float
-    formula as :func:`row_bound`; a level whose candidates are not all
-    finite, and every level when C is not finite, evaluates all its rows.
-    The exact minimum row is always a candidate, so the bound is the float
-    value of the exact Gershgorin minimum, within a few rounding errors of
-    it, as the full pass over all rows was; on the seeded cases of
-    ``tests/test_enumeration.py`` the two agree bit for bit.  Where a row
-    overflows the double range the level's bound is inf or nan, silently;
-    callers must not prune on a non-finite bound.
+    Rounding.  With u = 2^-53 and n < 2^26 (so every integer factor is
+    exact), each of the six terms of :func:`_G` carries at most five
+    rounding factors (1 + delta), |delta| <= u, and their sum five more, so
+    a double G(n, k) is off from the exact one by at most gamma_10 W,
+    gamma_10 = 10u/(1 - 10u), W the sum of the terms' absolute values.
+    With T = an + C and V = (b + c)(n + 1), term by term
+    W <= T^2 + 1.5 V^2 + 4TV <= 2 S_n, S_n = (T + V)^2.  The exact minimum
+    row is a candidate, so the level's bound is within 21u S_n of the exact
+    Gershgorin minimum.  Gradual underflow, an error of at most 2^-1075 per
+    product, adds at most u S_n + 16 (n + 1)^2 2^-1075, and
+    :func:`_rounding_allowance` exceeds the sum.  Where a row leaves the
+    double range the level's bound is inf or nan, silently; callers must
+    not prune on a non-finite bound.
     """
-    a, b, c = m.triple()
+    ms, _ = m.sorted()
+    a, b, c = ms.triple()
     ns = np.asarray(levels, dtype=np.int64)
     if not len(ns):
         return np.zeros(0)
-    far = 2 * int(ns.max()) + 4  # a step beyond it clips every candidate to 0 or n
-    k = [np.zeros_like(ns), ns]
-    for g in _vertex_steps(a, b, c, m.C):
-        g = -far if g is None else max(-far, min(far, g))
-        k += [(ns + g) // 2, (ns + g) // 2 + 1]
-    k = np.clip(np.stack(k, axis=1), 0, ns[:, None])
+    far = 2 * int(ns.max()) + 4  # a step beyond it clips both vertex rows to 0 or n
+    g = -far
+    if a > b and math.isfinite(ms.C):
+        (p, q, r, P), _ = _integers(a, b, c, ms.C)
+        g = max(-far, min(far, (p * q + q * r - (p + r) * P) // (p * p - q * q)))
+    k = np.clip(np.stack([np.zeros_like(ns), ns, (ns + g) // 2, (ns + g) // 2 + 1], axis=1), 0, ns[:, None])
     with np.errstate(over="ignore", invalid="ignore"):
-        bounds = np.minimum(*_row_endpoints(a, b, c, m.C, ns[:, None].astype(float), k.astype(float))).min(axis=1)
-        unbounded = ~np.isfinite(bounds)
-        if unbounded.any():
-            sizes = ns[unbounded] + 1
-            starts = np.cumsum(sizes) - sizes
-            n = np.repeat(ns[unbounded], sizes).astype(float)
-            k = np.arange(int(sizes.sum()), dtype=float) - np.repeat(starts, sizes)
-            bounds[unbounded] = np.minimum.reduceat(np.minimum(*_row_endpoints(a, b, c, m.C, n, k)), starts)
-    return bounds
+        return _G(a, b, c, ms.C, ns[:, None].astype(float), k.astype(float)).min(axis=1)
+
+
+def _rounding_allowance(m, levels):
+    """(2^-24 sqrt(S_n))^2 + 2^-1060 (n + 1)^2 for each n in ``levels``: more
+    than the rounding of :func:`level_bounds`, its own rounding included."""
+    ms, _ = m.sorted()
+    a, b, c = ms.triple()
+    n = np.asarray(levels, dtype=float)
+    with np.errstate(over="ignore"):
+        return (2.0 ** -24 * (a * n + ms.C + (b + c) * (n + 1))) ** 2 + 2.0 ** -1060 * (n + 1) ** 2
 
 
 def min_row_bound(m, n):
-    """Smallest left endpoint over both blocks of level n.
-
-    The one-level case of :func:`level_bounds`.
-    """
+    """Smallest left endpoint over both blocks of level n, for any
+    ordering, from the sorted metric: the one-level case of
+    :func:`level_bounds`."""
     return float(level_bounds(m, [n])[0])
 
 
@@ -210,21 +191,15 @@ def triangle_increment(m, n, k):
 
 def _families(a, b, c, C):
     """The base-case families minus C^2 as records (name, n_min, (A, B, D)):
-    A n^2 + B n + D must stay positive for every level n >= n_min."""
-    lead = a * a - b * b + c * c
-    return [
-        ("G(n,n)-C^2", 1, (lead, 2 * (a * C + b * b - b * c - b * C + c * C - a * b + c * a), 0)),
-        ("G(n,0)-C^2", 6, (lead, 2 * (-a * C + b * b + b * c - b * C - c * C + a * b + c * a), 0)),
-        (
-            "G(n,1)-C^2",
-            4,
-            (
-                lead,
-                -2 * (a + b + c) * C - 4 * a * a + 6 * b * b + 2 * (a * b + b * c + c * a),
-                4 * (a + c) * C + 4 * a * a - 4 * b * b - 4 * a * b - 4 * b * c,
-            ),
-        ),
-    ]
+    A n^2 + B n + D, G(n, k) - C^2 along k = n, 0 or 1, must stay positive
+    for every level n >= n_min.  A = a^2 - b^2 + c^2, and D and B are read
+    off G at n = 0 and n = 1 (exactly on exact input)."""
+    A = a * a - b * b + c * c
+    records = []
+    for name, n_min, k0, k1 in (("G(n,n)-C^2", 1, 0, 1), ("G(n,0)-C^2", 6, 0, 0), ("G(n,1)-C^2", 4, 1, 1)):
+        D = _G(a, b, c, C, 0, k0) - C * C
+        records.append((name, n_min, (A, _G(a, b, c, C, 1, k1) - C * C - A - D, D)))
+    return records
 
 
 @dataclass(frozen=True)
@@ -500,7 +475,7 @@ def gershgorin_table(m, n):
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are refused below
         G = _G(a, b, c, C, n, k)
         Gt = _G(a, b, c, C, n, n - k)
-        kept, flipped = _row_endpoints(a, b, c, C, n, k)
+        kept, flipped = (_left_endpoint(*_row_entries(s * a, s * b, c, C, n, k)) for s in (1.0, -1.0))
     even = k % 2 == 0
     bounds_a = np.where(even, kept, flipped)
     bounds_b = np.where(even, flipped, kept)

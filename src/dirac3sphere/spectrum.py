@@ -26,6 +26,7 @@ from .blocks import TAG_A, TAG_B, _raw_rows
 from .eigen import _min_abs_candidates, _proved_min_abs, _proved_values, _row_norms, _tolerance, _windows
 from .errors import DomainError, TruncationWarning
 from .gershgorin import CertificationTrace, certify_fundamental_tone, level_bounds  # noqa: F401 (re-exported)
+from .gershgorin import _rounding_allowance
 from .metric import (
     POSITIVE,
     S3,
@@ -315,18 +316,21 @@ def enumerated_min_abs(m, manifold, max_level=25):
     1. The metric is replaced by its sorted form a >= b >= c.  A permutation
        of (a, b, c) is an inner automorphism of SU(2): an orientation-keeping
        isometry that commutes with -1, so it keeps both spin structures of
-       SO(3) and every level spectrum, and it makes the row bounds tight.
+       SO(3) and every level spectrum, and the result is the same in every
+       ordering.
     2. :func:`~dirac3sphere.gershgorin.level_bounds` bounds lambda^2 from
-       below on every admissible level.  A level whose bound is not finite
-       is never pruned.
+       below on every admissible level: the least G(n, k) of the level, at
+       k = 0, n and G's vertex.  Pruning takes each bound less its rounding
+       allowance (``gershgorin._rounding_allowance``); a level where that
+       is not finite is never pruned.
     3. The seed is the level with the lowest finite bound among the first 12
        admissible ones (the lowest finite bound of all when none of those
        is finite, the first level when none is); once bounds turn negative
        the lowest bound of all is often at the highest level, a poor seed.
        LAPACK gives each row of the seed (written into solver rows on its
        own) its candidate v_r = min |lambda|, and ``best``, the least of
-       them, sets the threshold: the levels whose bound is
-       <= best^2 (1 + 1e-9) are screened, and those whose bound is
+       them, sets the threshold: the levels whose bound less its allowance
+       is <= best^2 (1 + 1e-9) are screened, and those where it is
        <= u^2 (1 + 1e-9) are counted, u = best + ``COINCIDENCE_RTOL``
        max(1, best).
     4. Fused pass.  The seed level and every counted level go into one row
@@ -362,30 +366,34 @@ def enumerated_min_abs(m, manifold, max_level=25):
 
     Within tol.  The screen is exact: a block it passes over has no
     eigenvalue in [-best, best), so nothing in it beats the returned value.
-    Pruning rests on float bounds: a pruned level's computed bound exceeds
-    best^2 (1 + 1e-9), and its exact Gershgorin bound is lower by at most
-    the rounding error delta of a few row entries, so its eigenvalues satisfy
-    lambda^2 > best^2 (1 + 1e-9) - delta.  The slack is there to absorb
-    delta: with delta <= 1e-9 best^2 + 2 best tol, lambda^2 > (best - tol)^2,
-    so a level left unscreened in spite of the slack can only hold a value
-    above best - tol, within tol of the returned one.  A block with a
-    non-finite entry raises :class:`~dirac3sphere.errors.Dirac3SphereError`.
+    So is pruning: a pruned level's bound less its allowance exceeds
+    best^2 (1 + 1e-9), the allowance exceeds the rounding of the bound (see
+    :func:`~dirac3sphere.gershgorin.level_bounds`) and the slack 1e-9 the
+    rounding of best^2 and of the comparison, so its exact Gershgorin bound
+    exceeds best^2 and no eigenvalue of its operator on the stored doubles
+    has |lambda| <= best; with u for best, none is left out of the count.
+    The float-built rows that are counted differ from that operator by the
+    rounding of their entries, far below tol, and each candidate is proved
+    within tol (steps 4 and 5).  A block with a non-finite entry raises
+    :class:`~dirac3sphere.errors.Dirac3SphereError`.
     """
     levels = np.array(admissible_levels(manifold, max_level))
     if not len(levels):
         raise DomainError("no admissible levels below the requested cutoff")
     ms, _ = m.sorted()
     bounds = level_bounds(ms, levels)
-    unbounded = ~np.isfinite(bounds)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        low = bounds - _rounding_allowance(ms, levels)
+    unbounded = ~np.isfinite(low)
 
     def within(x):
         # mask of the levels that may hold an eigenvalue with |lambda| <= x
-        return unbounded | (bounds <= x * x * (1.0 + 1e-9))
+        return unbounded | (low <= x * x * (1.0 + 1e-9))
 
     def margin(x):
         return x + COINCIDENCE_RTOL * max(1.0, x)
 
-    finite = np.where(unbounded, np.inf, bounds)
+    finite = np.where(np.isfinite(bounds), bounds, np.inf)
     lead = finite[:_SEED_LEVELS]
     first = int(np.argmin(lead if np.isfinite(lead).any() else finite))
     seed = _full_rows(ms, levels[first:first + 1])

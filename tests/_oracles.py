@@ -17,14 +17,17 @@ as a dense einsum, with the representation matrices built by ``np.diag``;
 it.  The enumeration's reference is ``reference_enumerated_min_abs``: the
 search on block objects (``_level_blocks``, from ``reference_block``)
 seeded with the globally lowest level bound, pruned by
-``reference_level_bounds``, the row endpoints of every (n, k) row, and
-solved on block objects packed into solver rows by ``pack_blocks``
-(``count_below_blocks``, ``min_abs_blocks``).  The Berger metrics b = c
-have every eigenvalue in closed form (``berger_spectrum``), with no solver
-at all.  The metric scalars' reference is ``exact_scalars``: each one in
-``Fraction`` arithmetic on the stored doubles, from the sigma polynomials
-and the product form of scal, which the library's integer evaluator does
-not use; ``rounded_scalars`` rounds them once.
+``reference_level_bounds`` (``gershgorin._G`` at every (n, k) row of the
+sorted metric) less the rounding allowance of ``level_bounds``, and solved
+on block objects packed into solver rows by ``pack_blocks``
+(``count_below_blocks``, ``min_abs_blocks``).  The level bounds' exact
+reference is ``exact_level_bounds``: the Gershgorin minimum of every level
+in integers.  The Berger metrics b = c have every eigenvalue in closed form
+(``berger_spectrum``), with no solver at all.  The metric scalars'
+reference is ``exact_scalars``: each one in ``Fraction`` arithmetic on the
+stored doubles, from the sigma polynomials and the product form of scal,
+which the library's integer evaluator does not use; ``rounded_scalars``
+rounds them once.
 """
 
 import functools
@@ -46,7 +49,7 @@ from dirac3sphere.blocks import (
 )
 from dirac3sphere.eigen import _min_abs_rows, _row_norms, _sturm_counts, _tolerance, default_tolerance
 from dirac3sphere.errors import ConsistencyError
-from dirac3sphere.gershgorin import CertificationStep, _families, _G, _row_endpoints
+from dirac3sphere.gershgorin import CertificationStep, _families, _G, _rounding_allowance
 from dirac3sphere.metric import scal_factors, shift_C
 from dirac3sphere.spectrum import COINCIDENCE_RTOL
 
@@ -169,11 +172,11 @@ def _level_blocks(m, n):
 
 
 def reference_level_bounds(m, levels):
-    """Smallest left endpoint over both blocks of each level: the row
-    endpoints (``gershgorin._row_endpoints``) of every (n, k) row of every
-    level under both sign choices, and the minimum over each level's
-    segment; non-finite where a row overflows, silently."""
-    a, b, c = m.triple()
+    """Smallest left endpoint over both blocks of each level: ``_G`` at
+    every (n, k) row of every level on the sorted metric, and the minimum
+    over each level's segment; non-finite where a row overflows, silently."""
+    ms, _ = m.sorted()
+    a, b, c = ms.triple()
     ns = np.asarray(levels, dtype=np.int64)
     if not len(ns):
         return np.zeros(0)
@@ -182,7 +185,18 @@ def reference_level_bounds(m, levels):
     n = np.repeat(ns, sizes).astype(float)
     k = np.arange(int(sizes.sum()), dtype=float) - np.repeat(starts, sizes)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.minimum.reduceat(np.minimum(*_row_endpoints(a, b, c, m.C, n, k)), starts)
+        return np.minimum.reduceat(_G(a, b, c, ms.C, n, k), starts)
+
+
+def exact_level_bounds(m, levels):
+    """The exact Gershgorin minimum of each level on the stored doubles, as
+    a ``Fraction``: ``_G`` at every row of the sorted metric in integers,
+    the doubles scaled by their common denominator (G has degree 2)."""
+    ms, _ = m.sorted()
+    xs = [Fraction(x) for x in (*ms.triple(), ms.C)]
+    den = max(x.denominator for x in xs)
+    a, b, c, C = (int(x * den) for x in xs)
+    return [Fraction(min(_G(a, b, c, C, n, k) for k in range(n + 1)), den * den) for n in levels]
 
 
 def reference_enumerated_min_abs(m, manifold, max_level=25):
@@ -196,13 +210,14 @@ def reference_enumerated_min_abs(m, manifold, max_level=25):
         raise d3s.DomainError("no admissible levels below the requested cutoff")
     ms, _ = m.sorted()
     bounds = reference_level_bounds(ms, levels)
-    unbounded = ~np.isfinite(bounds)
+    with np.errstate(invalid="ignore"):
+        low = bounds - _rounding_allowance(ms, levels)
     level_blocks = functools.cache(functools.partial(_level_blocks, ms))
 
     def within(x):
-        return [int(n) for n in levels[unbounded | (bounds <= x * x * (1.0 + 1e-9))]]
+        return [int(n) for n in levels[~np.isfinite(low) | (low <= x * x * (1.0 + 1e-9))]]
 
-    first = int(levels[np.argmin(np.where(unbounded, np.inf, bounds))])
+    first = int(levels[np.argmin(np.where(np.isfinite(bounds), bounds, np.inf))])
     best = float(min_abs_blocks([t for _, t, _ in level_blocks(first)]).min())
     screened = [n for n in within(best) if n != first]
     ts = [t for n in screened for _, t, _ in level_blocks(n)]

@@ -236,6 +236,8 @@ def test_out_of_range_arguments_are_refused(capsys, argv, want):
     assert "error:" in err.splitlines()[-1]
     if want == 1:
         assert err.startswith("error:") and err.count("\n") == 1
+    if argv.endswith("-inf"):
+        assert "must be finite" in err  # the value reaches its check
 
 
 def test_smallest_overflowing_enumeration_is_an_error(capsys):
@@ -325,6 +327,15 @@ def test_reconstruct_round_point(capsys):
     # the 9-digit volume is ~1e-9 off 2 pi^2, which the triple root amplifies
     assert res["triple"] == pytest.approx([1, 1, 1], rel=1e-4)
     assert res["branch"] == "mu"
+
+
+def test_negative_value_in_exponent_form_is_read_as_the_value(capsys):
+    # argparse alone reads "-1.6128e2" as an option, not as --scal's value
+    argv = ["reconstruct", "--manifold", "s3", "--volume", "21.932454224643017", "--a2tilde", "3587278.2336000004"]
+    code, out, err = run_cli(capsys, *argv, "--scal", "-1.6128e2")
+    assert (code, err) == (0, "")
+    assert sorted(json.loads(out)["results"]["triple"], reverse=True) == pytest.approx([3, 1, 0.3], rel=1e-12)
+    assert run_cli(capsys, *argv, "--scal=-1.6128e2") == (code, out, err)
 
 
 def test_reconstruct_requires_exactly_one_discriminator(capsys):

@@ -12,7 +12,6 @@ from dirac3sphere import Metric, blocks, cli
 from dirac3sphere.blocks import _raw_rows
 
 from _oracles import (
-    diag_representation_matrices,
     einsum_representation,
     random_metrics,
     random_metrics_with_sign,
@@ -46,13 +45,6 @@ def test_band_construction_equals_einsum_reference():
                 got = d3s.build_from_representation(m, n).matrix
                 want = einsum_representation(m, n).matrix
             assert np.array_equal(got, want), (m, n)
-
-
-def test_representation_matrices_equal_diag_reference():
-    for m in _metrics()[:6]:
-        for n in range(13):
-            for got, want in zip(blocks.representation_matrices(m, n), diag_representation_matrices(m, n)):
-                assert np.array_equal(got, want)
 
 
 def test_full_raw_rows_are_build_block():

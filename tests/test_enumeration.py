@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import dirac3sphere as d3s
-from dirac3sphere import Metric, eigen
+from dirac3sphere import Metric, eigen, gershgorin
 from dirac3sphere.eigen import default_tolerance
 
 from _oracles import (
     berger_spectrum,
     dense_min_abs,
+    exact_level_bounds,
     random_metrics,
     random_metrics_with_sign,
     reference_enumerated_min_abs,
@@ -62,22 +63,24 @@ def test_even_level_b_block_is_a_reversed():
 
 
 def test_level_bounds_equal_min_row_bound():
+    # the sorted metric's G at its vertex rows, bit for bit the minimum of
+    # G over every row, and the same in all six orderings
     rng = np.random.default_rng(34)
     for t in rng.uniform(0.25, 4.0, size=(3, 3)):
+        levels = list(range(0, 61)) + [77, 200]
+        ms, _ = Metric(*t).sorted()
+        want = [min(d3s.closed_form_G(ms, n, k) for k in range(n + 1)) for n in levels]
         for perm in itertools.permutations(t):
             m = Metric(*perm)
-            levels = list(range(0, 61)) + [77, 200]
             bounds = d3s.level_bounds(m, levels)
+            assert bounds.tolist() == want
             assert bounds.tolist() == [d3s.min_row_bound(m, n) for n in levels]
-            for n in (0, 1, 2, 7, 60):
-                rows = min(d3s.row_bound(m, n, tag, k) for tag in "AB" for k in range(n + 1))
-                assert bounds[levels.index(n)] == rows
 
 
 def test_level_bounds_equal_the_full_row_pass():
-    # the vertex rows give every row's minimum bit for bit: log-uniform
-    # metrics, a = b and b = c in all six orderings, 2^+-600 scalings, a few
-    # levels up to 3000, and metrics whose rows overflow
+    # the vertex rows give G's minimum over every row bit for bit:
+    # log-uniform metrics, a = b and b = c in all six orderings, 2^+-600
+    # scalings, a few levels up to 3000, and metrics whose rows overflow
     rng = np.random.default_rng(36)
 
     def log_uniform(count):
@@ -90,13 +93,37 @@ def test_level_bounds_equal_the_full_row_pass():
     cases = [(Metric(*t), range(121)) for t in triples]
     cases += [(Metric(*t), [*range(0, 3001, 61), 2999, 3000]) for t in log_uniform(4)]
     cases += [(Metric(*p), range(41)) for p in itertools.permutations((1e200, 1.0, 1.0))]
-    # vertex rows -inf, other rows nan from level 46 on: the level takes every row
     cases += [(Metric(5.477230526345734e151, 4.0225565816369456e152, 1.8051498618607178e152), range(121))]
     assert len(cases) >= 3000
     for m, levels in cases:
         want = reference_level_bounds(m, levels)
         assert np.array_equal(d3s.level_bounds(m, levels), want, equal_nan=True), m.triple()
     assert d3s.level_bounds(Metric(1e200, 1, 1), [7])[0] == 64.0
+
+
+def test_level_bounds_lie_within_the_allowance_of_the_exact_minimum():
+    # the rounding bound of the level_bounds docstring, against the exact
+    # Gershgorin minimum: levels up to 3000, the scal = 0 wall, 2^+-500 and
+    # 2^+-600 scalings (a level whose bound or allowance overflows is never
+    # pruned)
+    rng = np.random.default_rng(37)
+    metrics = random_metrics_with_sign(rng, 4, d3s.NEGATIVE, 0.25, 4.0) + scal_zero_metrics(rng, 3)
+    metrics += random_metrics(rng, 3, 0.25, 4.0) + [Metric(4, 3.5, 0.25), Metric(6, 4, 2.4), Metric(1, 1, 1)]
+    exponents = itertools.cycle((500, -500, 600, -600))
+    scaled = [Metric(*(2.0 ** e * np.array(m.triple()))) for m, e in zip(metrics, exponents)]
+    levels = [0, 1, 2, 7, 60, 1000, 3000]
+    checked = 0
+    for m in metrics + scaled:
+        bounds = d3s.level_bounds(m, levels)
+        if not np.isfinite(m.C):
+            assert not np.isfinite(bounds).any()
+            continue
+        allowance = gershgorin._rounding_allowance(m, levels)
+        for bound, allow, exact in zip(bounds, allowance, exact_level_bounds(m, levels)):
+            if np.isfinite(bound - allow):
+                checked += 1
+                assert abs(Fraction(bound) - exact) <= Fraction(allow), (m.triple(), bound)
+    assert checked >= (len(metrics) + len(scaled) // 2) * len(levels)
 
 
 def test_level_bounds_of_an_overflowing_metric_are_not_finite():

@@ -8,7 +8,7 @@ import dirac3sphere as d3s
 from dirac3sphere import Metric, gershgorin
 from dirac3sphere.metric import shift_C
 
-from _oracles import paper_Gtilde, random_metrics, random_metrics_with_sign
+from _oracles import exact_level_bounds, paper_Gtilde, random_metrics, random_metrics_with_sign
 
 
 def test_out_of_range_entries_vanish_by_formula():
@@ -165,20 +165,19 @@ def test_base_cases_margin_rule_can_fail(monkeypatch):
 
 
 def test_family_quadratics_match_direct_values():
+    # exactly, on the certificate's integers and on the stored doubles with
+    # their exact C in Fractions: A n^2 + B n + D is G - C^2 along k = n, 0, 1
     rng = np.random.default_rng(64)
-    for m in random_metrics(rng, 10):
+    for m in random_metrics(rng, 10) + [Metric(1, 1, 1), Metric(6, 4, 2.4), Metric(4, 3.5, 0.25)]:
         ms, _ = m.sorted()
-        thr = ms.C ** 2
-        for name, n_min, (A, B, D) in gershgorin._families(*ms.triple(), ms.C):
-            for n in (n_min, n_min + 3, n_min + 11):
-                poly = A * n * n + B * n + D
-                if name.startswith("G(n,n)"):
-                    direct = d3s.closed_form_G(ms, n, n) - thr
-                elif name.startswith("G(n,0)"):
-                    direct = d3s.closed_form_G(ms, n, 0) - thr
-                else:
-                    direct = d3s.closed_form_G(ms, n, 1) - thr
-                assert poly == pytest.approx(direct, rel=1e-10, abs=1e-9 * max(1.0, thr))
+        p, q, r, P, _, _, _, S2, _ = ms._exact.integers
+        exact = [Fraction(x) for x in ms.triple()]
+        for a, b, c, C in ((2 * P * p, 2 * P * q, 2 * P * r, S2), (*exact, shift_C(*exact))):
+            families = gershgorin._families(a, b, c, C)
+            for (name, n_min, (A, B, D)), k in zip(families, (lambda n: n, lambda n: 0, lambda n: 1)):
+                assert A == a * a - b * b + c * c
+                for n in range(40):
+                    assert A * n * n + B * n + D == gershgorin._G(a, b, c, C, n, k(n)) - C * C, (m.triple(), name, n)
 
 
 def test_reflection_and_increment_are_exact_identities():
@@ -224,11 +223,17 @@ def test_table_refuses_rows_beyond_the_double_range(triple):
 
 
 def test_min_row_bound_is_the_exact_minimum_of_row_bounds():
-    # bit for bit: enumeration prunes levels by comparing against this bound
+    # enumeration prunes levels by comparing against this bound: in every
+    # ordering, bit for bit the minimum of G over every row of the sorted
+    # metric, and within the rounding allowance of the exact minimum
     rng = np.random.default_rng(200)
+    levels = (0, 1, 2, 5, 24, 77, 200)
     for t in rng.uniform(0.25, 4.0, size=(4, 3)):
+        exact = exact_level_bounds(Metric(*t), levels)
+        allowance = gershgorin._rounding_allowance(Metric(*t), levels)
         for perm in itertools.permutations(t):
             m = Metric(*perm)
-            for n in (0, 1, 2, 5, 24, 77, 200):
-                rows = min(d3s.row_bound(m, n, tag, k) for tag in "AB" for k in range(n + 1))
-                assert d3s.min_row_bound(m, n) == rows
+            for n, want, allow in zip(levels, exact, allowance):
+                low = d3s.min_row_bound(m, n)
+                assert low == min(d3s.closed_form_G(m, n, k) for k in range(n + 1))
+                assert abs(Fraction(low) - want) <= Fraction(allow)
