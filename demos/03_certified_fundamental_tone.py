@@ -56,9 +56,10 @@ def main():
     for kind, count in kinds.items():
         print(f"  {kind:>10}: {count:4d} checks")
     print(f"  total {len(trace.steps)} steps, smallest strict margin {trace.min_margin:.3e}")
-    print("  (regime: scal factors, C, mu; level0-4: the explicit small levels;")
+    print("  (regime: a scal factor, C^2 < a^2+b^2+c^2, mu; level0-4: the explicit small levels;")
     print("   base and tail: the Gershgorin base cases, each family a quadratic in n;")
-    print("   increment: positive at n = 0 with slope 4c^2, so positive at every n)")
+    print("   increment: positive at n = 0 with slope 4c^2, so positive at every n;")
+    print("   what holds for every sorted triple, such as level 1 and the slope, is proved once)")
 
 
 if __name__ == "__main__":

@@ -289,11 +289,6 @@ def char_poly_small_n(m, n):
     return np.array(_char_poly_coeffs(*m.triple(), n), dtype=float)
 
 
-def _level1_eigs(a, b, c, C):
-    """The four level-1 eigenvalues, the first one mu, for floats or exact rationals."""
-    return [a + b + c - C, a - b - c - C, -a + b - c - C, -a - b + c - C]
-
-
 def _level3_radicals(a, b, c):
     """Level-3 unshifted eigenvalues as pairs (p, R) for p -+ 2 sqrt(R).
 
@@ -320,7 +315,7 @@ def closed_form_eigs(m, n):
     a, b, c = m.triple()
     C = m.C
     if n == 1:
-        return np.array(_level1_eigs(a, b, c, C))
+        return np.array([a + b + c - C, a - b - c - C, -a + b - c - C, -a - b + c - C])
     if n == 3:
         vals = []
         for p, R in _level3_radicals(a, b, c):

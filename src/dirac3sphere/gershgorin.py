@@ -7,25 +7,29 @@ level operator from below.  Under the ordering a >= b >= c the absolute
 values resolve and the endpoints collapse to two polynomial families G and
 G~, linked by the reflection G(n, k) = G~(n, n-k).  The increment
 G(n+2, k+1) - G(n, k) is independent of k and strictly positive for positive
-scalar curvature, which propagates the base-case inequalities
+scalar curvature, which propagates the base cases
 
     G(0,0) = C^2            G(n,n) > C^2  (n >= 1)
     G(n,0) > C^2  (n >= 6)  G(n,1) > C^2  (n >= 4)
     G(1,0) = mu^2           G(5,0) > mu^2
 
 to every level: each of the three families minus C^2 is a quadratic in n,
-and the increment is linear in n with slope 4c^2.  ``level_bounds`` bounds
-every level from G too, for any ordering, from the sorted metric: G is a
-quadratic in k, so four rows per level, k = 0, n and two at its vertex.
+and the increment is linear in n with slope 4c^2.  The two equalities, the
+positive leading coefficient of the families and the positive slope hold for
+every sorted triple; the four inequalities depend on the metric.
+``level_bounds`` bounds every level from G too, for any ordering, from the
+sorted metric: G is a quadratic in k, so four rows per level, k = 0, n and
+two at its vertex.
 
 ``certify_fundamental_tone`` proves the fundamental tone of one metric with
-scal > 0.  Every condition of the proof (the regime, levels 1 to 4 in closed
-form, the base cases, the quadratic tails and the increment) is a row of one
-table (:func:`_conditions`), and one loop decides the rows exactly, on the
-metric's own integers (``Metric._exact``) permuted to the sorted order;
-``base_cases`` decides the table's base, tail and increment rows alone.  The
-closed forms sort the metric internally (an isometric relabeling) and record
-the permutation.
+scal > 0.  Every condition of the proof that depends on the metric (the
+regime, levels 2 to 4 in closed form, G(5,0) > mu^2, the quadratic tails and
+the increment) is a row of one table (:func:`_conditions`), and one loop
+decides the rows exactly, on the metric's own integers (``Metric._exact``)
+permuted to the sorted order.  The facts that hold for every sorted triple
+are lemmas, proved once in its docstring.  ``base_cases`` decides the
+table's base, tail and increment rows alone.  The closed forms sort the
+metric internally (an isometric relabeling) and record the permutation.
 """
 
 import math
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _char_poly_coeffs, _level1_eigs, _level3_radicals
+from .blocks import _char_poly_coeffs, _level3_radicals
 from .errors import CertificationError, ConsistencyError, DomainError, UncertifiableError
 from .metric import _approx, _integers, scal_factors
 
@@ -216,7 +220,7 @@ class CertificationStep:
     detail: str
     margin: float
     passed: bool
-    kind: str = "strict"  # "strict", "eq", or "note"
+    kind: str = "strict"  # "strict" or "note"
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,9 @@ class CertificationTrace:
 
     @property
     def min_margin(self):
-        """Smallest margin among the strict inequalities."""
+        """Smallest margin among the strict inequalities, each a condition
+        that depends on the metric: what holds for every sorted triple is a
+        lemma of :func:`certify_fundamental_tone`, not a step."""
         margins = [s.margin for s in self.steps if s.kind == "strict"]
         return min(margins) if margins else float("inf")
 
@@ -263,39 +269,32 @@ def _plus_root(t, sign, root, R, margin):
 
 def _conditions(a, b, c, C, margin, C_rounded):
     """The certificate as one table, in order: rows
-    (name, detail, value, degree, kind, holds).
+    (name, detail, value, degree, holds).
 
     (a, b, c, C) are integers, a positive multiple of the exact values on
     the sorted metric (see :func:`certify_fundamental_tone`).  An exact row
     has the integer ``value`` of a condition of degree ``degree`` and
-    holds=None: it holds when the integer is positive ("strict") or zero
-    ("eq"), and its margin is ``margin(value, degree)``.  A row with a
-    square root (level 3, the tail roots) has degree None, a double estimate
-    at the normalized scale as ``value`` and its exact decision in ``holds``;
-    the note row (printing ``C_rounded``) has neither.  A generator, so no
-    row is evaluated after the first that fails.
+    holds=None: it holds when the integer is positive, and its margin is
+    ``margin(value, degree)``.  A row with a square root (level 3, the tail
+    roots) has degree None, a double estimate at the normalized scale as
+    ``value`` and its exact decision in ``holds``; the note row (printing
+    ``C_rounded``) has value None.  Only conditions that depend on the
+    metric are rows; the facts that hold for every sorted triple are the
+    lemmas of :func:`certify_fundamental_tone`.  A generator, so no row is
+    evaluated after the first that fails.
     """
     mu = a + b + c - C
     s1 = a + b + c
 
     # 1. regime
-    for i, factor in enumerate(scal_factors(a, b, c), start=1):
-        yield f"regime:scal>0:{i}", "factor of the scal product form", factor, 2, "strict", None
-    yield "regime:C>max", "C - max(a,b,c)", C - a, 1, "strict", None
-    yield "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C, 2, "strict", None
-    yield "regime:mu>0", "mu", mu, 1, "strict", None
-    yield "level0", f"sole eigenvalue -C = {-C_rounded!r} with multiplicity 2", None, None, "note", True
+    yield "regime:scal>0:3", "factor of the scal product form", scal_factors(a, b, c)[2], 2, None
+    yield "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C, 2, None
+    yield "regime:mu>0", "mu", mu, 1, None
+    yield "level0", f"sole eigenvalue -C = {-C_rounded!r} with multiplicity 2", None, None, True
 
-    # 2. explicit small levels
-    e1 = _level1_eigs(a, b, c, C)
-    yield "level1:mu", "first closed-form eigenvalue equals mu", e1[0] - mu, 1, "eq", None
-    for i, v in enumerate(e1[1:], start=1):
-        yield f"level1:gap:{i}", f"|eigenvalue {i}| - mu", abs(v) - mu, 1, "strict", None
-
-    chi2 = _char_poly_coeffs(a, b, c, 2)
-    for x, label in ((0, "0"), (2 * C, "2C")):
-        yield (f"level2:chi2({label})<0", "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)",
-               -_polyval(chi2, x), 3, "strict", None)
+    # 2. explicit small levels; levels 2 and 4 at x = 2C (at x = 0 their signs are lemmas)
+    yield ("level2:chi2(2C)<0", "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)",
+           -_polyval(_char_poly_coeffs(a, b, c, 2), 2 * C), 3, None)
 
     lo = 2 * C - s1
     for i, (p, R) in enumerate(_level3_radicals(a, b, c)):
@@ -303,28 +302,20 @@ def _conditions(a, b, c, C, margin, C_rounded):
         for j, sign in enumerate((-1, 1)):
             outside = max(_plus_root(lo - p, -sign, root, R, margin), _plus_root(p - s1, sign, root, R, margin))
             yield (f"level3:outside:{2 * i + j + 1}", "distance of unshifted eigenvalue to [2C-s1, s1]", outside,
-                   None, "strict", _root_exceeds(2 * sign, R, s1 - p) or _root_exceeds(-2 * sign, R, p - lo))
+                   None, _root_exceeds(2 * sign, R, s1 - p) or _root_exceeds(-2 * sign, R, p - lo))
 
     chi4 = _char_poly_coeffs(a, b, c, 4)
-    for x, label in ((0, "0"), (2 * C, "2C")):
-        yield (f"level4:chi4''({label})<0", "second derivative negative on [0, 2C] (convex, endpoints suffice)",
-               -_polyval(chi4, x, 2), 3, "strict", None)
-    for x, label in ((0, "0"), (2 * C, "2C")):
-        yield (f"level4:chi4({label})>0", "level-4 polynomial positive on [0, 2C] (concave there, endpoints suffice)",
-               _polyval(chi4, x), 5, "strict", None)
+    yield ("level4:chi4''(2C)<0", "second derivative negative on [0, 2C] (convex, endpoints suffice)",
+           -_polyval(chi4, 2 * C, 2), 3, None)
+    yield ("level4:chi4(2C)>0", "level-4 polynomial positive on [0, 2C] (concave there, endpoints suffice)",
+           _polyval(chi4, 2 * C), 5, None)
 
-    # 3. base cases, quadratic tails and triangle increments
-    for name, n, reference, kind in (
-        ("base:G(0,0)=C^2", 0, C * C, "eq"),
-        ("base:G(1,0)=mu^2", 1, mu * mu, "eq"),
-        ("base:G(5,0)>mu^2", 5, mu * mu, "strict"),
-    ):
-        value = _G(a, b, c, C, n, 0)
-        detail = f"n={n}, k=0: value {margin(value, 2)!r} vs {margin(reference, 2)!r}"
-        yield name, detail, value - reference, 2, kind, None
+    # 3. base case, quadratic tails and triangle increment
+    value = _G(a, b, c, C, 5, 0)
+    detail = f"n=5, k=0: value {margin(value, 2)!r} vs {margin(mu * mu, 2)!r}"
+    yield "base:G(5,0)>mu^2", detail, value - mu * mu, 2, None
 
     for name, n_min, (A, B, D0) in _families(a, b, c, C):
-        yield f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A, 2, "strict", None
         disc = B * B - 4 * A * D0
         q, t = (A * n_min + B) * n_min + D0, 2 * A * n_min + B
         # the largest root as vertex plus half-width, and n_min minus it as
@@ -336,11 +327,10 @@ def _conditions(a, b, c, C, margin, C_rounded):
             largest = _approx(-B, 2 * A) + half
             below = _approx(q, A) / (_approx(t, 2 * A) + half) if t > 0 else _approx(t, 2 * A) - half
         yield (f"tail:{name}:root", f"n_min - largest real root (largest root {largest!r})",
-               min(below, float(n_min)), None, "strict", disc < 0 or (q > 0 and t > 0))
+               min(below, float(n_min)), None, disc < 0 or (q > 0 and t > 0))
 
     increment = _G(a, b, c, C, 2, 1) - _G(a, b, c, C, 0, 0)
-    yield "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment, 2, "strict", None
-    yield "increment:slope", "4c^2, the growth of the increment per level", 4 * c * c, 2, "strict", None
+    yield "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment, 2, None
 
 
 #: the row-name prefixes of the table that :func:`base_cases` decides
@@ -364,15 +354,15 @@ def _certificate(m, base_only=False):
         return _approx(value, powers[degree])
 
     steps = []
-    for name, detail, value, degree, kind, holds in _conditions(a, b, c, S2, margin, ex.C):
+    for name, detail, value, degree, holds in _conditions(a, b, c, S2, margin, ex.C):
         if base_only and not name.startswith(_BASE_ROWS):
             continue
         if degree is not None:
-            holds = value == 0 if kind == "eq" else value > 0
+            holds = value > 0
             value = margin(value, degree)
         if not holds:
             raise CertificationError(f"{name} fails: margin {value:.3e} ({detail})")
-        steps.append(CertificationStep(name, detail, value, True, kind))
+        steps.append(CertificationStep(name, detail, value, True, "note" if value is None else "strict"))
     return CertificationTrace(
         metric=m.triple(),
         sorted_triple=ms.triple(),
@@ -401,16 +391,45 @@ def certify_fundamental_tone(m):
     over (D 2^(L-1))^d, L the bit length of max(p, q, r), rounded once: its
     value on the metric normalized to a largest entry in [1, 2), where
     C^2 < a^2+b^2+c^2 < 12, so that no margin overflows and a factor 2^j
-    on the metric changes none.  On the sorted metric:
+    on the metric changes none.  On the sorted metric the rows decide:
 
-    1. regime facts: the three scal factors are positive, C > max(a,b,c),
-       C^2 < a^2+b^2+c^2, mu > 0;
-    2. explicit levels 1..4: eigenvalues of levels 1 and 3 keep their
-       distance (the level-3 radicals decided by squaring), the level-2
-       polynomial is negative on [0, 2C], the level-4 polynomial is
-       positive there (concavity reduces both to endpoint checks);
-    3. the base cases, the quadratic tails and the triangle increment for
-       every level (the rows :func:`base_cases` decides).
+    1. the regime: the third scal factor -ab + bc + ca, a^2+b^2+c^2 - C^2
+       (scal/8) and mu are positive.  Each holds once the check of
+       scal > 0 that precedes the table has passed; they stay rows so that
+       the table can be decided without that check;
+    2. levels 2 to 4 in closed form: chi_2(2C) < 0, chi_4''(2C) < 0 and
+       chi_4(2C) > 0.  With the lemmas at x = 0 and convexity on [0, 2C]
+       (chi_2'' = 6x >= 0, chi_4'''' = 120x >= 0), the level-2 polynomial
+       is negative there and the level-4 one, concave there, positive.
+       Every level-3 eigenvalue keeps its distance (the radicals decided by
+       squaring);
+    3. the base case G(5,0) > mu^2, the quadratic tails (each family minus
+       C^2 has no real root at or beyond its n_min) and the triangle
+       increment at n = 0 (the rows :func:`base_cases` decides).
+
+    Lemmas.  The rest of the argument holds for every triple a >= b >= c > 0
+    (s1 = a + b + c, C = (a^2 b^2 + b^2 c^2 + c^2 a^2)/(2abc),
+    mu = s1 - C), so it is proved once, not decided per metric;
+    ``tests/test_certificate.py`` checks every identity below exactly, as
+    integer polynomials:
+
+    - two scal factors: ab + bc - ca = a(b - c) + bc > 0 and
+      ab - bc + ca = b(a - c) + ca > 0;
+    - C > max(a, b, c) = a: 2abc(C - a) = a^2 (b - c)^2 + b^2 c^2 > 0.  With
+      b >= c this resolves the absolute values of :func:`_G`;
+    - level 1: the eigenvalues are mu and e_x = 2x - s1 - C for x = a, b, c,
+      and e_x = -(C - x) - (s1 - x) < 0, so the gaps |e_x| - mu are
+      2(C - a), 2(C - b) and 2(C - c), all > 0;
+    - the left ends: chi_2(0) = -16abc < 0, chi_4''(0) = -160abc < 0 and
+      chi_4(0) = 768abc(a^2 + b^2 + c^2) > 0;
+    - the base identities G(0,0) = C^2 and G(1,0) = (a + b + c - C)^2 = mu^2;
+    - the tails: along k = n, 0 and 1, G - C^2 is A n^2 + B n + D with
+      A = a^2 - b^2 + c^2 = (a - b)(a + b) + c^2 > 0, one lemma per family.
+      The tail-root decisions rely on it: they divide by A, and a quadratic
+      that opens upwards stays positive beyond its largest root;
+    - the increment: G(n+2, k+1) - G(n, k) = 4(c^2 n - bC + ac + b^2 + c^2)
+      for every k, so it grows by 4c^2 > 0 per level and its row at n = 0
+      decides it at every level.
 
     The trace's C, mu and scal, and the -C of the level-0 note, are exact
     in the metric's units and rounded once, as :func:`invariants` reports
@@ -425,11 +444,12 @@ def base_cases(m):
     """Decide the base cases and the triangle increment for every level.
 
     The base, tail and increment rows of the certificate's table, decided
-    as :func:`certify_fundamental_tone` decides them: G(0,0) = C^2,
-    G(1,0) = mu^2, G(5,0) > mu^2; each family minus C^2, a quadratic q(n)
-    with leading coefficient A > 0, has no real root at or beyond n_min
+    as :func:`certify_fundamental_tone` decides them: G(5,0) > mu^2; each
+    family minus C^2, a quadratic q(n), has no real root at or beyond n_min
     (negative discriminant, or q(n_min) > 0 and q'(n_min) > 0); the
-    increment G(2,1) - G(0,0) is positive and grows by 4c^2 per level.
+    increment G(2,1) - G(0,0) is positive.  G(0,0) = C^2, G(1,0) = mu^2,
+    the leading coefficient A > 0 of each q and the growth of the increment
+    by 4c^2 per level are lemmas of every sorted triple, not rows.
     Every quantity is of degree 2 in (a, b, c, C), and a root position is a
     ratio of two.  Returns a :class:`CertificationTrace` of those rows.
     Raises :class:`UncertifiableError` unless scal > 0, and

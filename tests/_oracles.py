@@ -8,9 +8,10 @@ library itself solves full spectra with LAPACK's dense symmetric solver, so
 (``eigen._bisect_range``, see ``tests/test_spectrum.py``).  The level blocks'
 reference is ``reference_block``: the entry recurrences written out for one
 block, apart from the library's one writer ``blocks._raw_rows``.  The
-certificate's reference is ``fraction_certificate``: the same conditions
-decided in ``Fraction`` arithmetic on the stored doubles, with no integer
-scaling.  The representation construction's reference is
+certificate's reference is ``fraction_certificate``: the whole argument,
+the library's rows and the conditions its lemmas prove for every sorted
+triple, decided in ``Fraction`` arithmetic on the stored doubles, with no
+integer scaling.  The representation construction's reference is
 ``einsum_representation``: the operator applied to every basis matrix unit
 as a dense einsum, with the representation matrices built by ``np.diag``;
 ``reference_verify_point`` is the per-level ``verify`` cross-check on top of
@@ -44,7 +45,6 @@ from dirac3sphere.blocks import (
     DiracBlock,
     RepresentationOperator,
     _char_poly_coeffs,
-    _level1_eigs,
     _level3_radicals,
 )
 from dirac3sphere.eigen import _min_abs_rows, _row_norms, _sturm_counts, _tolerance, default_tolerance
@@ -414,7 +414,9 @@ def _fraction_plus_root(t, sign, R):
 
 
 def fraction_certificate(m):
-    """The steps of ``certify_fundamental_tone(m)``, each condition decided
+    """The steps of ``certify_fundamental_tone(m)`` and the 16 conditions
+    that its lemmas prove for every sorted triple (35 conditions and the
+    level-0 note, in the order of the proof), each condition decided
     on the exact rationals of the stored doubles (``Fraction``) divided by
     the power of two that puts the largest entry in [1, 2), and each margin
     the exact rational at that scale rounded to a double; raises the
@@ -436,7 +438,7 @@ def fraction_certificate(m):
     steps.append(CertificationStep("level0", f"sole eigenvalue -C = {-_fraction_float(C * unit)!r} with multiplicity 2",
                                    None, True, "note"))
 
-    e1 = _level1_eigs(a, b, c, C)
+    e1 = [a + b + c - C, a - b - c - C, -a + b - c - C, -a - b + c - C]  # level 1 in closed form
     _fraction_step(steps, "level1:mu", "first closed-form eigenvalue equals mu", e1[0] - mu, "eq")
     for i, v in enumerate(e1[1:], start=1):
         _fraction_step(steps, f"level1:gap:{i}", f"|eigenvalue {i}| - mu", abs(v) - mu)

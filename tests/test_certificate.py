@@ -5,14 +5,16 @@ import math
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import dirac3sphere as d3s
 from dirac3sphere import Metric
-from dirac3sphere.gershgorin import _families
-from dirac3sphere.metric import shift_C
+from dirac3sphere.blocks import _char_poly_coeffs
+from dirac3sphere.gershgorin import _G, _families, _polyval
+from dirac3sphere.metric import scal_factors, shift_C
 
 from _oracles import fraction_certificate, random_metrics_with_sign
 
@@ -29,11 +31,32 @@ def _library(m):
     return d3s.certify_fundamental_tone(m).steps
 
 
+#: the oracle's rows that hold for every sorted triple: the library proves
+#: them once (``test_every_lemma_is_an_identity_of_integer_polynomials``)
+LEMMA_ROWS = frozenset({
+    "regime:scal>0:1", "regime:scal>0:2", "regime:C>max",
+    "level1:mu", "level1:gap:1", "level1:gap:2", "level1:gap:3",
+    "level2:chi2(0)<0", "level4:chi4''(0)<0", "level4:chi4(0)>0",
+    "base:G(0,0)=C^2", "base:G(1,0)=mu^2",
+    "tail:G(n,n)-C^2:leading", "tail:G(n,0)-C^2:leading", "tail:G(n,1)-C^2:leading",
+    "increment:slope",
+})
+
+
 def _assert_equal_to_oracle(metrics):
+    """The library's outcome is the oracle's with its lemma rows set aside;
+    every lemma row the oracle decides holds (it raises at the first row
+    that fails, so a failure must name a row the library decides too)."""
     outcomes = []
     for m in metrics:
         got = _outcome(_library, m)
-        assert got == _outcome(fraction_certificate, m), m.triple()
+        want = _outcome(fraction_certificate, m)
+        if isinstance(want, list):
+            assert {name for name, *_ in want} >= LEMMA_ROWS, m.triple()
+            want = [step for step in want if step[0] not in LEMMA_ROWS]
+        else:
+            assert want[1].split(" fails")[0] not in LEMMA_ROWS, m.triple()
+        assert got == want, m.triple()
         outcomes.append(isinstance(got, list))
     return outcomes
 
@@ -88,22 +111,88 @@ def test_tail_root_margins_keep_their_digits():
 
 
 def test_certificate_catches_an_error_of_one_part_in_L(monkeypatch):
-    # one integer unit on the level-1 eigenvalue mu is a relative error far
-    # below a double's resolution, and the exact decision still sees it
+    # G(5,0) put one integer unit from mu^2 is a relative change far below a
+    # double's resolution, and the exact decision still sees it: one unit
+    # below fails, equality fails, one unit above passes
     from dirac3sphere import gershgorin
 
-    real = gershgorin._level1_eigs
+    real = gershgorin._G
+    m = Metric(1.3, 0.8, 0.9)  # largest entry in [1, 2): margins in its units
+    for unit in (-1, 0, 1):
+        def nudged(a, b, c, C, n, k, unit=unit):
+            return (a + b + c - C) ** 2 + unit if (n, k) == (5, 0) else real(a, b, c, C, n, k)
 
-    def nudged(a, b, c, C):
-        first, *rest = real(a, b, c, C)
-        return [first + 1, *rest]
+        monkeypatch.setattr(gershgorin, "_G", nudged)
+        if unit > 0:
+            margin = next(s.margin for s in _library(m) if s.name == "base:G(5,0)>mu^2")
+        else:
+            with pytest.raises(d3s.CertificationError, match=r"^base:G\(5,0\)>mu\^2 fails") as exc:
+                d3s.certify_fundamental_tone(m)
+            margin = float(re.match(r".* fails: margin (\S+)", str(exc.value)).group(1))
+        assert (margin > 0) == (unit > 0) and abs(margin) < 1e-16 * m.mu ** 2, unit
 
-    monkeypatch.setattr(gershgorin, "_level1_eigs", nudged)
-    m = Metric(1.3, 0.8, 0.9)
-    with pytest.raises(d3s.CertificationError, match=r"^level1:mu fails") as exc:
-        d3s.certify_fundamental_tone(m)
-    margin = float(re.match(r"level1:mu fails: margin (\S+)", str(exc.value)).group(1))
-    assert 0 < margin < 1e-16 * m.mu
+
+def _grid_identity(lhs, rhs, variables, degree):
+    """lhs == rhs as polynomials, both of degree at most ``degree`` in each
+    of ``variables`` unknowns: a nonzero polynomial of degree <= d in each
+    of k variables does not vanish on all of {0..d}^k (induct on k: a
+    nonzero univariate one has at most d roots), so agreement on those
+    (d + 1)^k points, in Python integers, proves it for all inputs."""
+    for point in itertools.product(range(degree + 1), repeat=variables):
+        assert lhs(*point) == rhs(*point), point
+
+
+def test_every_lemma_is_an_identity_of_integer_polynomials():
+    # The rows the certificate leaves out hold for every a >= b >= c > 0 with
+    # C = (a^2 b^2 + b^2 c^2 + c^2 a^2)/(2abc) (the lemmas of
+    # certify_fundamental_tone).  Each is an identity whose right side is
+    # visibly positive there.  C is a free unknown where the identity holds
+    # for every C.
+    def chi(a, b, c, n, derivative=0):
+        return _polyval(_char_poly_coeffs(a, b, c, n), 0, derivative)
+
+    def level1_gaps(a, b, c, C):
+        # the first eigenvalue is mu; each other one e_x = -(C - x) - (s1 - x)
+        # is negative since C > a >= x, and |e_x| - mu = -e_x - mu
+        e = [int(v) for v in d3s.closed_form_eigs(SimpleNamespace(triple=lambda: (a, b, c), C=C), 1)]
+        return [e[0]] + [-v - e[0] for v in e[1:]] + e[1:]
+
+    def tails(a, b, c, C, n):
+        # along k = n, 0 and 1, G - C^2 and the leading coefficient of its quadratic
+        return [_G(a, b, c, C, n, k) - C * C for k in (n, 0, 1)] + [A for *_, (A, _, _) in _families(a, b, c, C)]
+
+    def quadratics(a, b, c, C, n):
+        return [A * n * n + B * n + D for *_, (A, B, D) in _families(a, b, c, C)] + [(a - b) * (a + b) + c * c] * 3
+
+    lemmas = [
+        # (rows proved, unknowns, degree bound, left side, right side)
+        ({"regime:scal>0:1"}, 3, 2, lambda a, b, c: scal_factors(a, b, c)[0], lambda a, b, c: a * (b - c) + b * c),
+        ({"regime:scal>0:2"}, 3, 2, lambda a, b, c: scal_factors(a, b, c)[1], lambda a, b, c: b * (a - c) + c * a),
+        ({"regime:C>max"}, 3, 4, lambda a, b, c: a * a * b * b + b * b * c * c + c * c * a * a - 2 * a * b * c * a,
+         lambda a, b, c: a * a * (b - c) ** 2 + b * b * c * c),  # 2abc(C - a)
+        ({"level1:mu", "level1:gap:1", "level1:gap:2", "level1:gap:3"}, 4, 1, level1_gaps,
+         lambda a, b, c, C: [a + b + c - C, 2 * (C - a), 2 * (C - b), 2 * (C - c)]
+         + [-(C - x) - (a + b + c - x) for x in (a, b, c)]),
+        ({"level2:chi2(0)<0"}, 3, 3, lambda a, b, c: chi(a, b, c, 2), lambda a, b, c: -16 * a * b * c),
+        ({"level4:chi4''(0)<0"}, 3, 3, lambda a, b, c: chi(a, b, c, 4, 2), lambda a, b, c: -160 * a * b * c),
+        ({"level4:chi4(0)>0"}, 3, 5, lambda a, b, c: chi(a, b, c, 4),
+         lambda a, b, c: 768 * a * b * c * (a * a + b * b + c * c)),
+        ({"base:G(0,0)=C^2", "base:G(1,0)=mu^2"}, 4, 2,
+         lambda a, b, c, C: [_G(a, b, c, C, 0, 0), _G(a, b, c, C, 1, 0)],
+         lambda a, b, c, C: [C * C, (a + b + c - C) ** 2]),
+        ({"tail:G(n,n)-C^2:leading", "tail:G(n,0)-C^2:leading", "tail:G(n,1)-C^2:leading"}, 5, 4,
+         tails, quadratics),
+        ({"increment:slope"}, 6, 4,
+         lambda a, b, c, C, n, k: _G(a, b, c, C, n + 2, k + 1) - _G(a, b, c, C, n, k),
+         lambda a, b, c, C, n, k: 4 * (c * c * n - b * C + a * c + b * b + c * c)),  # slope 4c^2 in n
+    ]
+    assert set().union(*(rows for rows, *_ in lemmas)) == LEMMA_ROWS
+    for _, variables, degree, lhs, rhs in lemmas:
+        _grid_identity(lhs, rhs, variables, degree)
+    # the library decides the other 19 conditions and the level-0 note
+    steps = _library(Metric(1.3, 0.8, 0.9))
+    assert [s.kind for s in steps].count("strict") == 19 and [s.kind for s in steps].count("note") == 1
+    assert not {s.name for s in steps} & LEMMA_ROWS
 
 
 def _steps(trace):

@@ -132,11 +132,13 @@ def test_triangle_increment_positive_for_positive_scal():
 
 def test_base_cases_round_and_generic():
     report = d3s.base_cases(Metric(1, 1, 1))
-    named = {c.name: c for c in report.steps}
-    assert named["base:G(0,0)=C^2"].kind == "eq"
-    assert "value 2.25 vs 2.25" in named["base:G(0,0)=C^2"].detail
-    assert "value 2.25 vs 2.25" in named["base:G(1,0)=mu^2"].detail
-    assert {"increment:n=0", "increment:slope", "tail:G(n,1)-C^2:root"} <= set(named)
+    # G(0,0) = C^2, G(1,0) = mu^2, the leading coefficients and the slope
+    # are lemmas, not rows; every row is a strict inequality
+    assert [c.name for c in report.steps] == [
+        "base:G(5,0)>mu^2", "tail:G(n,n)-C^2:root", "tail:G(n,0)-C^2:root", "tail:G(n,1)-C^2:root", "increment:n=0",
+    ]
+    assert {c.kind for c in report.steps} == {"strict"}
+    assert "value 22.25 vs 2.25" in report.steps[0].detail
     assert report.min_margin > 0
 
     report2 = d3s.base_cases(Metric(1, 2, 1))
