@@ -3,11 +3,29 @@ of the fundamental tone built on them.
 
 The squared blocks are pentadiagonal with entries in closed form; the left
 endpoints of their Gershgorin intervals bound every eigenvalue of the squared
-level operator from below.  Under the ordering a >= b >= c the absolute
-values resolve and the endpoints collapse to two polynomial families G and
-G~, linked by the reflection G(n, k) = G~(n, n-k).  The increment
-G(n+2, k+1) - G(n, k) is independent of k and strictly positive for positive
-scalar curvature, which propagates the base cases
+level operator from below.  One formula, :func:`_G`, evaluates them, by this
+lemma.  Row k of the squared level-n block, for tag A at even k and tag B at
+odd k, has the entries
+
+    e-2 = (c - b)(c + b) k(k - 1),
+    e-1 = -2(c - b)(C + a) k,
+    e0  = (c - b)^2 k(n - k + 1) + (a(n - 2k) - C)^2 + (c + b)^2 (n - k)(k + 1),
+    e+1 = -2(c + b)(C - a)(n - k),
+    e+2 = (c + b)(c - b)(n - k)(n - k - 1),
+
+and the other rows flip the signs of a and b.  Where a >= b >= c > 0 (so
+C > a, a lemma of :func:`certify_fundamental_tone`) and k, n are integers
+with 0 <= k <= n, each off-diagonal entry is a sign times a product of
+factors that are >= 0: b - c, b + c, C + a, C - a, k, n - k, k(k - 1) and
+(n - k)(n - k - 1).  So the absolute values resolve, and the left endpoint
+e0 - |e-2| - |e-1| - |e+1| - |e+2| is the polynomial G(n, k) for the kept
+signs and G~(n, k) = G(n, n-k) for the flipped ones.
+``tests/test_gershgorin.py`` proves both steps once, as identities of
+integer polynomials; the direct rows stay in ``tests/_oracles.py`` as the
+tests' independent oracle against the dense squared blocks.
+
+The increment G(n+2, k+1) - G(n, k) is independent of k and strictly
+positive for positive scalar curvature, which propagates the base cases
 
     G(0,0) = C^2            G(n,n) > C^2  (n >= 1)
     G(n,0) > C^2  (n >= 6)  G(n,1) > C^2  (n >= 4)
@@ -42,49 +60,6 @@ from .errors import CertificationError, ConsistencyError, DomainError, Uncertifi
 from .metric import _approx, _integers, scal_factors
 
 
-def _row_entries(a, b, c, C, n, k):
-    """Entries (k, k-2) .. (k, k+2) of the squared level-n block at row k.
-
-    ``n`` and ``k`` are ints or float arrays of rows; squares are products,
-    so both forms give the same bits.
-    """
-    em2 = (c - b) * (c + b) * k * (k - 1)
-    em1 = -2.0 * (c - b) * (C + a) * k
-    x = a * (n - 2 * k) - C
-    e0 = (
-        (c - b) * (c - b) * k * (n - k + 1)
-        + x * x
-        + (c + b) * (c + b) * (n - k) * (k + 1)
-    )
-    ep1 = -2.0 * (c + b) * (C - a) * (n - k)
-    ep2 = (c + b) * (c - b) * (n - k) * (n - k - 1)
-    return em2, em1, e0, ep1, ep2
-
-
-def squared_row_entries(m, n, tag, k):
-    """Row k of the squared level-n block: entries (k, k-2) .. (k, k+2).
-
-    Valid for any metric ordering; out-of-range positions evaluate to zero
-    through the formulas themselves.  Odd rows flip the signs of a and b,
-    tag "B" swaps the parities.
-    """
-    if not 0 <= k <= n:
-        raise DomainError(f"row index {k} outside 0..{n}")
-    a, b, c = m.triple()
-    if (k % 2 == 0) != (tag == "A"):
-        a, b = -a, -b
-    return _row_entries(a, b, c, m.C, n, k)
-
-
-def _left_endpoint(em2, em1, e0, ep1, ep2):
-    return e0 - (abs(em2) + abs(em1) + abs(ep1) + abs(ep2))
-
-
-def row_bound(m, n, tag, k):
-    """Left Gershgorin endpoint of row k of the squared block."""
-    return _left_endpoint(*squared_row_entries(m, n, tag, k))
-
-
 def level_bounds(m, levels):
     """Smallest left endpoint over both blocks of each level, for any
     ordering, from the sorted metric and four rows per level.
@@ -117,13 +92,16 @@ def level_bounds(m, levels):
     product, adds at most u S_n + 16 (n + 1)^2 2^-1075, and
     :func:`_rounding_allowance` exceeds the sum.  Where a row leaves the
     double range the level's bound is inf or nan, silently; callers must
-    not prune on a non-finite bound.
+    not prune on a non-finite bound.  A negative level raises
+    :class:`DomainError`.
     """
     ms, _ = m.sorted()
     a, b, c = ms.triple()
     ns = np.asarray(levels, dtype=np.int64)
     if not len(ns):
         return np.zeros(0)
+    if ns.min() < 0:
+        raise DomainError(f"level must be nonnegative, got {int(ns.min())}")
     far = 2 * int(ns.max()) + 4  # a step beyond it clips both vertex rows to 0 or n
     g = -far
     if a > b and math.isfinite(ms.C):
@@ -458,12 +436,10 @@ def base_cases(m):
     return _certificate(m, base_only=True)
 
 
-_TABLE_RTOL = 1e-10
-
-
 @dataclass(frozen=True)
 class GershgorinTable:
-    """Closed-form and direct left endpoints of one level.
+    """The left endpoints G and G~ of one level, and the row bounds of both
+    blocks.
 
     Built on the sorted metric; ``permutation`` records the relabeling.
     Row bounds follow the parity dictionary: block A sees G at even k and
@@ -481,35 +457,25 @@ class GershgorinTable:
 
 
 def gershgorin_table(m, n):
-    """Tabulate G, G~ and the direct row bounds of level n.
+    """Tabulate G, G~ and the row bounds of level n, from :func:`_G`.
 
-    The closed forms must reproduce the direct pentadiagonal bounds to
-    relative 1e-10; a mismatch raises :class:`ConsistencyError` naming the
-    row and the block.  So does a row that leaves the double range: a
-    comparison with inf or nan proves nothing.
+    A negative level raises :class:`DomainError`; a row that leaves the
+    double range raises :class:`ConsistencyError`, since inf or nan bounds
+    nothing.
     """
+    if n < 0:
+        raise DomainError(f"level must be nonnegative, got {n}")
     ms, perm = m.sorted()
     a, b, c = ms.triple()
-    C = ms.C
     k = np.arange(n + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are refused below
-        G = _G(a, b, c, C, n, k)
-        Gt = _G(a, b, c, C, n, n - k)
-        kept, flipped = (_left_endpoint(*_row_entries(s * a, s * b, c, C, n, k)) for s in (1.0, -1.0))
+        G = _G(a, b, c, ms.C, n, k)
+        Gt = _G(a, b, c, ms.C, n, n - k)
+    finite = np.isfinite(G) & np.isfinite(Gt)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ConsistencyError(f"left endpoint is not finite at (n={n}, k={j}): G {G[j]!r}, G~ {Gt[j]!r}")
     even = k % 2 == 0
-    bounds_a = np.where(even, kept, flipped)
-    bounds_b = np.where(even, flipped, kept)
-    for tag, got, want in (("A", bounds_a, np.where(even, G, Gt)), ("B", bounds_b, np.where(even, Gt, G))):
-        scale = _TABLE_RTOL * np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
-        with np.errstate(invalid="ignore"):  # inf - inf
-            bad = ~(np.abs(got - want) <= scale) | ~np.isfinite(scale)
-        if bad.any():
-            j = int(np.argmax(bad))
-            problem = "disagrees with direct row bound" if np.isfinite(scale[j]) else "or direct row bound is not finite"
-            raise ConsistencyError(
-                f"closed form {problem} at (n={n}, k={j}, {tag}): "
-                f"{float(want[j])!r} vs {float(got[j])!r}"
-            )
     return GershgorinTable(
         metric=m.triple(),
         sorted_triple=ms.triple(),
@@ -517,6 +483,6 @@ def gershgorin_table(m, n):
         level=int(n),
         G=G,
         Gtilde=Gt,
-        row_bounds_A=bounds_a,
-        row_bounds_B=bounds_b,
+        row_bounds_A=np.where(even, G, Gt),
+        row_bounds_B=np.where(even, Gt, G),
     )

@@ -262,7 +262,10 @@ def _lines_of_levels(m, levels):
 
 
 def level_lines(m, n):
-    """Spectral lines of one level (an even one solved once, from A); see :func:`assemble`."""
+    """Spectral lines of one level (an even one solved once, from A); see
+    :func:`assemble`.  A negative level raises :class:`DomainError`."""
+    if n < 0:
+        raise DomainError(f"level must be nonnegative, got {n}")
     return _line_objects(*_lines_of_levels(m, [int(n)]))
 
 

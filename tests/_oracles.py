@@ -15,8 +15,13 @@ integer scaling.  The representation construction's reference is
 ``einsum_representation``: the operator applied to every basis matrix unit
 as a dense einsum, with the representation matrices built by ``np.diag``;
 ``reference_verify_point`` is the per-level ``verify`` cross-check on top of
-it.  The enumeration's reference is ``reference_enumerated_min_abs``: the
-search on block objects (``_level_blocks``, from ``reference_block``)
+it.  The Gershgorin bounds' reference is ``row_bound``: the left endpoint
+of the direct pentadiagonal rows of the squared blocks
+(``squared_row_entries``, from ``direct_row_entries``), which the tests
+check against dense ``T @ T``; ``tests/test_gershgorin.py`` proves once, in
+integers, that it equals the library's one formula ``gershgorin._G``.  The
+enumeration's reference is ``reference_enumerated_min_abs``: the search on
+block objects (``_level_blocks``, from ``reference_block``)
 seeded with the globally lowest level bound, pruned by
 ``reference_level_bounds`` (``gershgorin._G`` at every (n, k) row of the
 sorted metric) less the rounding allowance of ``level_bounds``, and solved
@@ -333,6 +338,37 @@ def paper_Gtilde(a, b, c, C, n, k):
     )
 
 
+def direct_row_entries(a, b, c, C, n, k):
+    """Entries (k, k-2) .. (k, k+2) of the squared level-n block at row k
+    for tag A at even k, from the products of the block's entries; the
+    other rows flip the signs of a and b.  Exact on ints and rationals, and
+    positions outside the block vanish through the formulas themselves."""
+    em2 = (c - b) * (c + b) * k * (k - 1)
+    em1 = -2 * (c - b) * (C + a) * k
+    x = a * (n - 2 * k) - C
+    e0 = (c - b) * (c - b) * k * (n - k + 1) + x * x + (c + b) * (c + b) * (n - k) * (k + 1)
+    ep1 = -2 * (c + b) * (C - a) * (n - k)
+    ep2 = (c + b) * (c - b) * (n - k) * (n - k - 1)
+    return em2, em1, e0, ep1, ep2
+
+
+def squared_row_entries(m, n, tag, k):
+    """Row k of the squared level-n block of ``m``, in any ordering: entries
+    (k, k-2) .. (k, k+2) by :func:`direct_row_entries`; odd rows flip the
+    signs of a and b, tag "B" swaps the parities."""
+    assert 0 <= k <= n and tag in TAGS
+    a, b, c = m.triple()
+    if (k % 2 == 0) != (tag == "A"):
+        a, b = -a, -b
+    return direct_row_entries(a, b, c, m.C, n, k)
+
+
+def row_bound(m, n, tag, k):
+    """Left Gershgorin endpoint of row k of the squared block, from its direct entries."""
+    em2, em1, e0, ep1, ep2 = squared_row_entries(m, n, tag, k)
+    return e0 - (abs(em2) + abs(em1) + abs(ep1) + abs(ep2))
+
+
 def _fraction_float(x):
     try:
         return float(x)
@@ -559,8 +595,6 @@ def reference_verify_point(metric, rep_level, details=False, construct=einsum_re
                         f"representation block (n={n}, {tag}) deviates by {err:.3e}"
                     )
                 checks += 1
-        d3s.gershgorin_table(metric, 30)
-        checks += 1
         point.update(status="pass", reason=None, checks=checks, min_margin=min_margin)
         if details:
             point["steps"] = [

@@ -12,7 +12,7 @@ import numpy as np
 import dirac3sphere as d3s
 from dirac3sphere import Metric
 
-from _oracles import paper_Gtilde, random_metrics, random_metrics_with_sign, scal_zero_metrics
+from _oracles import paper_Gtilde, random_metrics, random_metrics_with_sign, scal_zero_metrics, squared_row_entries
 
 ROUND = Metric(1, 1, 1)
 
@@ -125,7 +125,7 @@ def test_criterion_6_gershgorin_suite():
                     sq = dense @ dense
                     scale = max(1.0, float(np.abs(sq).max()))
                     for k in range(n + 1):
-                        entries = d3s.squared_row_entries(m, n, tag, k)
+                        entries = squared_row_entries(m, n, tag, k)
                         for off, e in zip(range(-2, 3), entries):
                             col = k + off
                             want = sq[k, col] if 0 <= col <= n else 0.0

@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 import dirac3sphere as d3s
@@ -416,28 +417,25 @@ def test_verify_point_beyond_the_double_range_fails_cleanly(capsys):
     assert point["status"] == "fail" and "not finite" in point["reason"]
 
 
-def test_verify_point_with_overflowing_bounds_fails_cleanly(capsys):
-    # certified exactly and C is finite, but the level-30 Gershgorin rows overflow
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "verify", "--grid", "1e153:1e153:1,1e153:1e153:1,1e153:1e153:1")
-    assert code == 1
-    assert err == ""
-    (point,) = json.loads(out)["results"]["points"]
-    assert point["status"] == "fail" and "not finite" in point["reason"]
-
-
-@pytest.mark.parametrize("grid", [
-    "1e154:1e154:1,1e154:1e154:1,0.6e154:0.6e154:1",  # C is finite, (b + c)^2 is not
-    "1.3e160:1.3e160:1,0.8e160:0.8e160:1,0.9e160:0.9e160:1",  # scal > 0, though ab overflows
+@pytest.mark.parametrize("grid, status", [
+    # certified exactly and C is finite, so the blocks are too: 20 steps and
+    # 18 representation checks, although the level-30 Gershgorin rows of
+    # the first point and (b + c)^2 of the second overflow
+    ("1e153:1e153:1,1e153:1e153:1,1e153:1e153:1", "pass"),
+    ("1e154:1e154:1,1e154:1e154:1,0.6e154:0.6e154:1", "pass"),
+    ("1.3e160:1.3e160:1,0.8e160:0.8e160:1,0.9e160:0.9e160:1", "fail"),  # scal > 0, though ab overflows
 ])
-def test_verify_point_with_an_overflowing_square_fails_cleanly(capsys, grid):
-    with warnings.catch_warnings():
+def test_verify_point_with_an_overflowing_square_is_clean(capsys, grid, status):
+    with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "verify", "--grid", grid)
-    assert (code, err) == (1, "")
+    assert (code, err) == (int(status == "fail"), "")
     (point,) = json.loads(out)["results"]["points"]
-    assert (point["scal_sign"], point["status"]) == ("positive", "fail")
+    assert (point["scal_sign"], point["status"]) == ("positive", status)
+    if status == "pass":
+        assert point["checks"] == 20 + 2 * (8 + 1)
+    else:
+        assert "not finite" in point["reason"]
 
 
 def test_rep_level_above_the_cap_is_refused_before_any_work(capsys, monkeypatch):

@@ -21,11 +21,80 @@ def _boundaries():
     raise AssertionError("bench/spans.py has no BOUNDARIES")
 
 
+#: the declared public set, one name a line, so that any change to the exports shows as a diff
+PUBLIC_NAMES = [
+    "CertificationError",
+    "CertificationTrace",
+    "ConsistencyError",
+    "DIM_SPINOR",
+    "Dirac3SphereError",
+    "DiracBlock",
+    "DomainError",
+    "GershgorinTable",
+    "HeatInvariants",
+    "HeatTraceResult",
+    "InconsistentInputError",
+    "Metric",
+    "MetricInvariants",
+    "NEGATIVE",
+    "POSITIVE",
+    "ReconstructionResult",
+    "RepresentationOperator",
+    "S3",
+    "SO3",
+    "SO3_NONTRIVIAL",
+    "SO3_TRIVIAL",
+    "SmallestEigenvalueReport",
+    "SpectralLine",
+    "Spectrum",
+    "SymmetrizedTridiagonal",
+    "TruncationWarning",
+    "UncertifiableError",
+    "UnsupportedLevelError",
+    "WrongRegimeError",
+    "ZERO",
+    "admissible_levels",
+    "assemble",
+    "base_cases",
+    "build_block",
+    "build_from_representation",
+    "certify_fundamental_tone",
+    "char_poly_small_n",
+    "closed_form_G",
+    "closed_form_eigs",
+    "count_below",
+    "counting_function",
+    "cubic_positive_roots",
+    "eigenvalues",
+    "enumerated_min_abs",
+    "gershgorin_table",
+    "heat_invariants",
+    "heat_trace",
+    "invariants",
+    "level_bounds",
+    "level_lines",
+    "min_abs_eigenvalue",
+    "min_row_bound",
+    "reconstruct",
+    "reconstruct_nonpositive",
+    "reconstruct_positive_C",
+    "reconstruct_positive_mu",
+    "scal_sign_classification",
+    "sectional_curvatures",
+    "smallest",
+    "symmetrize",
+    "triangle_increment",
+    "volume",
+    "weyl_count_estimate",
+]
+
+
 def test_benchmark_boundaries_and_exports_resolve():
     boundaries = _boundaries()
     assert boundaries
     for module, func, _ in boundaries:
         assert callable(getattr(importlib.import_module(f"dirac3sphere.{module}"), func, None)), (module, func)
+    assert sorted(d3s.__all__) == PUBLIC_NAMES
     for name in d3s.__all__:
         assert hasattr(d3s, name), name
 
@@ -36,8 +105,10 @@ def test_object_layer_refusals_are_domain_errors():
         (d3s.build_block, (m, -1, "A")),
         (d3s.build_block, (m, 2, "X")),
         (d3s.build_from_representation, (m, -1)),
-        (d3s.squared_row_entries, (m, 3, "A", 4)),
-        (d3s.squared_row_entries, (m, 3, "B", -1)),
+        (d3s.level_bounds, (m, [-2])),
+        (d3s.min_row_bound, (m, -1)),
+        (d3s.level_lines, (m, -1)),
+        (d3s.gershgorin_table, (m, -1)),
         (d3s.closed_form_G, (m, 3, 5)),
         (d3s.triangle_increment, (m, 3, 4)),
         (d3s.volume, (m, "t3")),

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,22 +9,31 @@ import dirac3sphere as d3s
 from dirac3sphere import Metric, gershgorin
 from dirac3sphere.metric import shift_C
 
-from _oracles import exact_level_bounds, paper_Gtilde, random_metrics, random_metrics_with_sign
+from _oracles import (
+    direct_row_entries,
+    exact_level_bounds,
+    paper_Gtilde,
+    random_metrics,
+    random_metrics_with_sign,
+    row_bound,
+    squared_row_entries,
+)
+from test_certificate import _grid_identity
 
 
 def test_out_of_range_entries_vanish_by_formula():
     m = Metric(1.7, 0.9, 0.4)
     for n in (1, 4, 9):
         for tag in "AB":
-            em2, em1, _, _, _ = d3s.squared_row_entries(m, n, tag, 0)
+            em2, em1, _, _, _ = squared_row_entries(m, n, tag, 0)
             assert em2 == 0.0 and em1 == 0.0
-            _, _, _, ep1, ep2 = d3s.squared_row_entries(m, n, tag, n)
+            _, _, _, ep1, ep2 = squared_row_entries(m, n, tag, n)
             assert ep1 == 0.0 and ep2 == 0.0
 
 
 def test_round_metric_diagonal_entry():
     # (c-b)^2 k (n-k+1) + (a(n-2k) - C)^2 + (c+b)^2 (n-k)(k+1) at n=1, k=0
-    entries = d3s.squared_row_entries(Metric(1, 1, 1), 1, "A", 0)
+    entries = squared_row_entries(Metric(1, 1, 1), 1, "A", 0)
     assert entries[2] == pytest.approx(17 / 4, abs=1e-14)
 
 
@@ -37,7 +47,7 @@ def test_entries_equal_literal_squares():
                 sq = blk @ blk
                 scale = max(1.0, np.abs(sq).max())
                 for k in range(n + 1):
-                    entries = d3s.squared_row_entries(m, n, tag, k)
+                    entries = squared_row_entries(m, n, tag, k)
                     for off, e in zip(range(-2, 3), entries):
                         col = k + off
                         want = sq[k, col] if 0 <= col <= n else 0.0
@@ -45,7 +55,7 @@ def test_entries_equal_literal_squares():
 
 
 def test_row_bound_round_metric_is_mu_squared():
-    assert d3s.row_bound(Metric(1, 1, 1), 1, "A", 0) == pytest.approx(9 / 4, abs=1e-14)
+    assert row_bound(Metric(1, 1, 1), 1, "A", 0) == pytest.approx(9 / 4, abs=1e-14)
 
 
 def test_row_bounds_below_squared_spectrum():
@@ -81,9 +91,9 @@ def test_boundary_point_table():
     assert d3s.closed_form_G(m, 4, 0) == pytest.approx(0.25, abs=1e-12)
     assert d3s.closed_form_G(m, 5, 0) == pytest.approx(1.0, abs=1e-12)
     # row 0 is even: block A realizes G(3,0) = 0, block B realizes G~(3,0)
-    assert d3s.row_bound(m, 3, "A", 0) == pytest.approx(0.0, abs=1e-12)
-    assert d3s.row_bound(m, 3, "B", 0) == pytest.approx(paper_Gtilde(1.0, 1.0, 0.5, m.C, 3, 0), rel=1e-12)
-    assert d3s.row_bound(m, 3, "B", 0) == pytest.approx(d3s.closed_form_G(m, 3, 3), rel=1e-12)
+    assert row_bound(m, 3, "A", 0) == pytest.approx(0.0, abs=1e-12)
+    assert row_bound(m, 3, "B", 0) == pytest.approx(paper_Gtilde(1.0, 1.0, 0.5, m.C, 3, 0), rel=1e-12)
+    assert row_bound(m, 3, "B", 0) == pytest.approx(d3s.closed_form_G(m, 3, 3), rel=1e-12)
     # the dip below C^2 = 9/4 at n = 2, 4 is why those levels need their own proof
     assert d3s.closed_form_G(m, 4, 0) < m.C ** 2
 
@@ -103,13 +113,16 @@ def test_reflection_identity():
 def test_closed_forms_match_direct_bounds_via_table():
     rng = np.random.default_rng(15)
     for m in random_metrics(rng, 8):
-        for n in (1, 3, 8, 17):
-            table = d3s.gershgorin_table(m, n)  # raises on mismatch
+        for n in (1, 3, 8, 17, 30):
+            table = d3s.gershgorin_table(m, n)
             assert table.level == n
             assert len(table.G) == n + 1
             ms, perm = m.sorted()
             assert table.sorted_triple == ms.triple()
             assert table.permutation == perm
+            for tag, rows in (("A", table.row_bounds_A), ("B", table.row_bounds_B)):
+                direct = np.array([row_bound(ms, n, tag, k) for k in range(n + 1)])
+                assert np.abs(rows - direct).max() <= 1e-10 * max(1.0, np.abs(direct).max()), (m.triple(), n, tag)
 
 
 def test_triangle_increment_round_metric():
@@ -199,22 +212,56 @@ def test_reflection_and_increment_are_exact_identities():
 
 
 def test_table_rows_are_the_row_bounds_bit_for_bit():
+    # the parity dictionary: block A sees G at even k and G~ at odd k, block B the other way around
     rng = np.random.default_rng(202)
     for t in rng.uniform(0.25, 4.0, size=(3, 3)):
         for perm in itertools.permutations(t):
             m = Metric(*perm)
-            ms, _ = m.sorted()
             for n in (0, 1, 2, 7, 30):
                 table = d3s.gershgorin_table(m, n)
-                for tag, rows in (("A", table.row_bounds_A), ("B", table.row_bounds_B)):
-                    assert rows.tolist() == [d3s.row_bound(ms, n, tag, k) for k in range(n + 1)]
+                G = [d3s.closed_form_G(m, n, k) for k in range(n + 1)]
+                assert table.G.tolist() == G and table.Gtilde.tolist() == G[::-1]
+                for tag, rows, parity in (("A", table.row_bounds_A, 0), ("B", table.row_bounds_B, 1)):
+                    assert rows.tolist() == [G[k] if k % 2 == parity else G[n - k] for k in range(n + 1)], tag
 
 
-def test_table_refuses_a_closed_form_off_by_one_part_per_million(monkeypatch):
-    exact = gershgorin._G
-    monkeypatch.setattr(gershgorin, "_G", lambda *args: exact(*args) * (1 + 1e-6))
-    with pytest.raises(d3s.ConsistencyError, match=r"at \(n=5, k=0, A\)"):
-        d3s.gershgorin_table(Metric(1.7, 0.9, 0.4), 5)
+def test_direct_rows_left_endpoint_is_G_for_every_sorted_triple():
+    # The lemma of the gershgorin module, in two steps.  (1) Each
+    # off-diagonal entry of a squared row, with the signs of a and b kept
+    # (s = 1) or flipped (s = -1), is a sign times a product of factors that
+    # are >= 0 where b >= c, C > a > 0 (a lemma of the certificate) and
+    # 0 <= k <= n are integers: k(k - 1) and (n - k)(n - k - 1) are products
+    # of consecutive integers.  (2) With those signs, e0 - |e-2| - |e-1| -
+    # |e+1| - |e+2| is G(n, k) for the kept signs and G(n, n - k) for the
+    # flipped ones.  Every side has degree <= 2 in each of (a, b, c, C, n,
+    # k), so agreement on the 3^6 grid proves each identity for all inputs.
+    def factored(s, a, b, c, C, n, k):
+        # (sign, factors) of e-2, e-1, e+1 and e+2; flipping the signs swaps
+        # which of 2(b - c)(C + a) and -2(b + c)(C - a) sits at k and at n - k
+        bc, up, down = (b - c, b + c), (2 * (b - c), C + a), (2 * (b + c), C - a)
+        if s == 1:
+            em1, ep1 = (1, (*up, k)), (-1, (*down, n - k))
+        else:
+            em1, ep1 = (-1, (*down, k)), (1, (*up, n - k))
+        return (-1, (*bc, k * (k - 1))), em1, ep1, (-1, (*bc, (n - k) * (n - k - 1)))
+
+    for s in (1, -1):
+        def entries(a, b, c, C, n, k, s=s):
+            em2, em1, _, ep1, ep2 = direct_row_entries(s * a, s * b, c, C, n, k)
+            return [em2, em1, ep1, ep2]
+
+        def signed_products(*point, s=s):
+            return [sign * math.prod(factors) for sign, factors in factored(s, *point)]
+
+        def resolved_endpoint(a, b, c, C, n, k, s=s):
+            e0 = direct_row_entries(s * a, s * b, c, C, n, k)[2]
+            return e0 - sum(math.prod(factors) for _, factors in factored(s, a, b, c, C, n, k))
+
+        def G(a, b, c, C, n, k, s=s):
+            return gershgorin._G(a, b, c, C, n, k if s == 1 else n - k)
+
+        _grid_identity(entries, signed_products, 6, 2)
+        _grid_identity(resolved_endpoint, G, 6, 2)
 
 
 @pytest.mark.parametrize("triple", [(1.3e160, 0.8e160, 0.9e160), (4e154, 3e154, 1e154), (1e154, 1e154, 0.6e154)])
