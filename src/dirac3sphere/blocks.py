@@ -5,35 +5,36 @@ invariant space of equivariant spinor maps.  In the parity-adapted basis
 {A_0..A_n, B_0..B_n} the restriction splits into two real tridiagonal
 (n+1)x(n+1) blocks, both shifted by -C on the diagonal.
 
-Two independent constructions are provided and cross-validated.  The
-closed entry recurrences are evaluated in one place, ``_raw_rows``, for
-whole blocks of many levels in padded rows: ``spectrum._full_rows``
-symmetrizes them into solver rows, and ``build_block`` is the one-row cut
-that carries a single block as a ``DiracBlock``.  The representation
-construction applies f -> -sum_l E_l f X_l - C f, with the su(2)
-representation matrices X_l and the Clifford multiplication E_l, to the
-matrix units.  A_k is the unit at spinor row r = k mod 2 and column k, B_k
-the one in the other row, so entry (i, j) of the level operator is
+Two independent constructions are provided.  The closed entry recurrences
+are evaluated in one place, ``_raw_rows``, for whole blocks of many levels
+in padded rows: ``spectrum._full_rows`` symmetrizes them into solver rows,
+and ``build_block`` is the one-row cut that carries a single block as a
+``DiracBlock``.  The representation construction applies
+f -> -sum_l E_l f X_l - C f, with the su(2) representation matrices X_l and
+the Clifford multiplication E_l, to the matrix units.  A_k is the unit at
+spinor row r = k mod 2 and column k, B_k the one in the other row, so entry
+(i, j) of the level operator is
 
     -sum_l E_l[r_i, r_j] X_l[k_j, k_i] - C delta_ij,
 
 and every entry with |k_i - k_j| > 1 is exactly zero: X_1 is diagonal and
-X_2, X_3 couple k only to k +- 1.  ``_band`` builds that nonzero band for
-many levels at once, ``build_from_representation`` scatters one level of it
-into the dense matrix, and ``representation_cross_check`` compares every
-level up to a cutoff with the recurrences in one pass, in O(cutoff^2)
-memory; ``verify`` caps the cutoff (``--rep-level``) at
-``cli.MAX_REP_LEVEL`` = 300 for that reason.  Closed forms for the small
-levels (characteristic polynomials at n = 2, 4 and explicit eigenvalues at
-n = 1, 3) round out the module.
+X_2, X_3 couple k only to k +- 1.  ``_band`` builds that nonzero band of one
+level, and ``build_from_representation`` scatters it into the dense matrix.
+Every entry of either construction is a polynomial of degree <= 1 in each
+of a, b, c and C, so the two agree for every metric once they agree on the
+16 points {0, 1}^4; ``tests/test_cross_check.py`` proves it that way at
+every level 0..300, and nothing compares them at run time.  Closed forms
+for the small levels (characteristic polynomials at n = 2, 4 and explicit
+eigenvalues at n = 1, 3) round out the module.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, ConsistencyError, DomainError, UnsupportedLevelError
+from .errors import ConsistencyError, DomainError, UnsupportedLevelError
 
 TAG_A = "A"
 TAG_B = "B"
@@ -48,6 +49,18 @@ CLIFFORD = (
     np.array([[0.0, 1j], [1j, 0.0]]),
 )
 _CLIFFORD = np.array(CLIFFORD)
+
+
+def _level(n, what="level"):
+    """``n`` as a nonnegative int, for a level or an index into one;
+    anything else raises :class:`DomainError`."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {n!r}") from None
+    if n < 0:
+        raise DomainError(f"{what} must be nonnegative, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -111,12 +124,11 @@ def _raw_rows(m, n, flip):
 def build_block(m, n, tag):
     """Level-n block from the closed entry recurrences: the one row of
     :func:`_raw_rows` for level n and ``tag``, cut to its size."""
-    if n < 0:
-        raise DomainError(f"level must be nonnegative, got {n}")
+    n = _level(n)
     if tag not in TAGS:
         raise DomainError(f"unknown block tag {tag!r}")
     D, S, P = _raw_rows(m, np.array([n]), np.array([tag == TAG_B]))
-    return DiracBlock(level=int(n), tag=tag, diag=D[0], sub=S[0, :n], sup=P[0, :n])
+    return DiracBlock(level=n, tag=tag, diag=D[0], sub=S[0, :n], sup=P[0, :n])
 
 
 def _rep_entries(m, n, k):
@@ -157,38 +169,31 @@ class RepresentationOperator:
         scale = max(1.0, float(np.abs(M).max()))
         off = max(float(np.abs(M[:dim, dim:]).max()), float(np.abs(M[dim:, :dim]).max()))
         if off > 1e-12 * scale:
-            raise _coupling_error(self.level, off)
+            raise ConsistencyError(
+                f"level {self.level}: operator is not block-diagonal in the A/B basis (residue {off:.3e})"
+            )
         return M[:dim, :dim].real.copy(), M[dim:, dim:].real.copy()
 
 
-def _imaginary_error(n, residue):
-    return ConsistencyError(f"level {n}: imaginary residue {residue:.3e} after reordering into the A/B basis")
+def _band(m, n):
+    """The band of the unshifted level-n operator (see the module
+    docstring), as a complex array indexed [s, t, d + 1, k]: the coordinate
+    of basis element (s, k + d) in the image of (t, k), tag 0 being A and 1
+    being B, so
 
+        band[s, t, d + 1, k] = -sum_l E_l[(s + k + d) % 2, (t + k) % 2] X_l[k, k + d]
 
-def _coupling_error(n, off):
-    return ConsistencyError(f"level {n}: operator is not block-diagonal in the A/B basis (residue {off:.3e})")
-
-
-def _band(m, levels):
-    """The band of the unshifted operators of ``levels`` (see the module
-    docstring), as a complex array indexed [s, t, d + 1, i, k]: the
-    coordinate of basis element (s, k + d) in the image of (t, k) at level
-    ``levels[i]``, tag 0 being A and 1 being B, so
-
-        band[s, t, d + 1, i, k] = -sum_l E_l[(s + k + d) % 2, (t + k) % 2] X_l[k, k + d]
-
-    with E_l = CLIFFORD[l - 1], and zero where k or k + d leaves 0..n.
+    with E_l = CLIFFORD[l - 1], and zero where k + d leaves 0..n.
     Every E_l entry is 0, +-1 or +-i, so each product is exact, and at most
     two are nonzero: each entry is rounded once, as in a dense evaluation.
     """
-    n = np.asarray(levels)[:, None]
-    k = np.arange(int(n.max()) + 1)
+    k = np.arange(n + 1)
     d = np.arange(-1, 2)[:, None]
     s, t = np.arange(2)[:, None, None, None], np.arange(2)[:, None, None]
     E = _CLIFFORD[:, (s + k + d) % 2, (t + k) % 2]  # [l - 1, s, t, d + 1, k]
     with np.errstate(over="ignore", invalid="ignore"):
-        band = -np.einsum("lstdk,ldik->stdik", E, _rep_entries(m, n, k))
-    band[:, :, (k > n) | (k + d[..., None] < 0) | (k + d[..., None] > n)] = 0.0
+        band = -np.einsum("lstdk,ldk->stdk", E, _rep_entries(m, n, k))
+    band[:, :, (k + d < 0) | (k + d > n)] = 0.0
     return band
 
 
@@ -205,66 +210,22 @@ def build_from_representation(m, n):
     and so does a C that is not finite, before anything is built (the shift
     -C I would leave no entry finite).
     """
-    if n < 0:
-        raise DomainError(f"level must be nonnegative, got {n}")
+    n = _level(n)
     if not math.isfinite(m.C):
         raise ConsistencyError(f"level {n}: C = {m.C!r} is not finite; the operator cannot be built")
-    band = _band(m, [n])
+    band = _band(m, n)
     dim = n + 1
     k, tags = np.arange(dim), np.arange(2)
     matrix = np.zeros((2 * dim, 2 * dim), dtype=complex)
     for d in (-1, 0, 1):
         j = k[max(0, -d):dim - max(0, d)]  # columns whose k + d is a level index
-        matrix[tags[:, None, None] * dim + j + d, tags[:, None] * dim + j] = band[:, :, d + 1, 0, j]
+        matrix[tags[:, None, None] * dim + j + d, tags[:, None] * dim + j] = band[:, :, d + 1, j]
     matrix -= m.C * np.eye(2 * dim, dtype=complex)
     scale = max(1.0, float(np.abs(matrix).max()))
     residue = float(np.abs(matrix.imag).max())
     if residue > 1e-12 * scale:
-        raise _imaginary_error(n, residue)
-    return RepresentationOperator(level=int(n), matrix=matrix)
-
-
-def representation_cross_check(m, top):
-    """Check the representation construction against the recurrences at
-    every level 0..``top`` in one pass over the band; returns the number of
-    checks, two per level.
-
-    Per level, at the 1e-12 relative thresholds of
-    :func:`build_from_representation` and
-    :meth:`RepresentationOperator.blocks`: the imaginary residue, the A/B
-    couplings, and the largest deviation of the A-A and then the B-B
-    tridiagonal from :func:`_raw_rows`.  The first failure, by level and
-    then in that order, raises :class:`ConsistencyError` (residue, couplings) or
-    :class:`CertificationError` (a block deviates).  Memory is O(top^2).
-    """
-    n = np.arange(top + 1)
-    rows = np.concatenate([n, n])  # A then B
-    D, S, P = _raw_rows(m, rows, np.arange(rows.size) > top)
-    rec = np.zeros((3,) + D.shape)  # the recurrence band [d + 1, row, k]
-    rec[0, :, 1:], rec[1], rec[2] = P[:, :-1], D, S
-    rec = rec.reshape(3, 2, top + 1, -1).swapaxes(0, 1)  # [tag, d + 1, level, k]
-
-    band = _band(m, n)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan entries; a nan fails no check
-        band[[0, 1], [0, 1], 1] -= m.C * (n <= n[:, None])
-        err = np.abs(band[[0, 1], [0, 1]].real - rec).max(axis=(1, 3))
-    mag = np.abs(band)
-    scale = np.fmax(1.0, mag.max(axis=(0, 1, 2, 4)))
-    residue = np.abs(band.imag).max(axis=(0, 1, 2, 4))
-    off = mag[[0, 1], [1, 0]].max(axis=(0, 1, 3))
-    rec_scale = np.fmax(1.0, np.abs(rec).max(axis=(1, 3)))
-
-    fails = np.stack([residue > 1e-12 * scale, off > 1e-12 * scale, *(err > 1e-12 * rec_scale)], axis=1)
-    if fails.any():
-        level, check = divmod(int(np.argmax(fails)), 4)
-        if check == 0:
-            raise _imaginary_error(level, residue[level])
-        if check == 1:
-            raise _coupling_error(level, off[level])
-        raise CertificationError(
-            f"representation block (n={level}, {TAGS[check - 2]}) deviates by {err[check - 2, level]:.3e}"
-        )
-    return 2 * (top + 1)
+        raise ConsistencyError(f"level {n}: imaginary residue {residue:.3e} after reordering into the A/B basis")
+    return RepresentationOperator(level=n, matrix=matrix)
 
 
 def _char_poly_coeffs(a, b, c, n):

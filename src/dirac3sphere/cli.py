@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Subcommands map one-to-one onto the library operations: ``invariants``,
-``spectrum``, ``smallest``, ``heat-trace``, ``reconstruct``, and the grid
-harness ``verify``.  JSON is the canonical output (stable field order,
-every float as the shortest text that reads back as the same double
-(Python's ``repr``), byte-identical for identical inputs); ``spectrum`` can
-emit CSV with one line per row.  Exit codes: 0 success, 1 verification or
-computation failure (including a result that is not finite), 2 usage error
-(an argument out of its range included).  A warning, such as a
+``spectrum``, ``smallest``, ``heat-trace``, ``reconstruct``, and ``verify``,
+the exact certificate of the fundamental tone over a metric grid.  JSON is
+the canonical output (stable field order, every float as the shortest text
+that reads back as the same double (Python's ``repr``), byte-identical for
+identical inputs); ``spectrum`` can emit CSV with one line per row.  Exit
+codes: 0 success, 1 verification or computation failure (including a result
+that is not finite), 2 usage error (an argument out of its range included).  A warning, such as a
 ``TruncationWarning``, is one ``warning: ...`` line on stderr.
 """
 
@@ -21,7 +21,6 @@ import time
 import warnings
 from fractions import Fraction
 
-from .blocks import representation_cross_check
 from .errors import Dirac3SphereError, DomainError, UncertifiableError
 from .inverse import reconstruct
 from .metric import (
@@ -35,7 +34,7 @@ from .metric import (
 )
 from .spectrum import assemble, certify_fundamental_tone, counting_function, heat_trace, smallest
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -59,13 +58,6 @@ def _checked(convert, ok, what):
 
 
 _LEVEL = _checked(int, lambda n: n >= 0, "a nonnegative integer")
-
-#: Largest ``verify --rep-level``.  The cross-check holds the band of every
-#: level up to it at once, O(rep_level^2) memory: one grid point at 300 peaks
-#: 47 MB above one at the default 8 (2-core Xeon, numpy 2.4.6), and 400
-#: would take 84 MB.
-MAX_REP_LEVEL = 300
-_REP_LEVEL = _checked(int, lambda n: 0 <= n <= MAX_REP_LEVEL, f"an integer from 0 to {MAX_REP_LEVEL}")
 _POSITIVE = _checked(float, lambda x: math.isfinite(x) and x > 0, "finite and positive")
 _FINITE = _checked(float, math.isfinite, "finite")
 
@@ -119,6 +111,11 @@ def _spectrum_rows(spec):
     ]
 
 
+def _step_record(step):
+    """One certificate step as ``smallest`` and ``verify --details`` print it."""
+    return {"name": step.name, "detail": step.detail, "margin": step.margin, "kind": step.kind}
+
+
 def _trace_payload(trace):
     if trace is None:
         return None
@@ -131,10 +128,7 @@ def _trace_payload(trace):
         "passed": trace.passed,
         "checks": len(trace.steps),
         "min_margin": trace.min_margin,
-        "steps": [
-            {"name": s.name, "detail": s.detail, "margin": s.margin, "passed": s.passed}
-            for s in trace.steps
-        ],
+        "steps": [_step_record(s) for s in trace.steps],
     }
 
 
@@ -211,22 +205,16 @@ def cmd_reconstruct(args):
     return results, EXIT_OK
 
 
-def _verify_point(metric, rep_level, details=False):
-    """One grid point: the certificate decides whether it runs (exact scal > 0)
-    or is skipped; ``scal_sign`` reports the sign screen.  A passing point's
-    ``checks`` counts the certificate's steps and the representation checks,
-    two per level."""
+def _verify_point(metric, details=False):
+    """One grid point: the certificate decides whether it passes (exact
+    scal > 0) or is skipped; ``scal_sign`` reports the sign screen.  A
+    passing point's ``checks`` counts the certificate's steps."""
     point = {"metric": list(metric.triple()), "scal_sign": scal_sign_classification(metric)}
     try:
         trace = certify_fundamental_tone(metric)
-        if not math.isfinite(metric.C):  # the exact certificate holds; the float blocks overflow
-            raise Dirac3SphereError(f"C = {metric.C!r} is not finite; the cross-checks need finite blocks")
-        checks = len(trace.steps) + representation_cross_check(metric, rep_level)
-        point.update(status="pass", reason=None, checks=checks, min_margin=trace.min_margin)
+        point.update(status="pass", reason=None, checks=len(trace.steps), min_margin=trace.min_margin)
         if details:
-            point["steps"] = [
-                {"name": s.name, "margin": s.margin, "kind": s.kind} for s in trace.steps
-            ]
+            point["steps"] = [_step_record(s) for s in trace.steps]
     except UncertifiableError:
         point.update(status="skipped", reason="certification needs scal > 0", checks=0, min_margin=None)
     except Dirac3SphereError as exc:
@@ -237,13 +225,12 @@ def _verify_point(metric, rep_level, details=False):
 def cmd_verify(args):
     axes = [_axis_values(*axis) for axis in args.grid]
     metrics = [Metric(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
-    points = [_verify_point(m, args.rep_level, args.details) for m in metrics]
+    points = [_verify_point(m, args.details) for m in metrics]
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for p in points:
         counts[p["status"]] += 1
     results = {
         "grid": [list(axis) for axis in args.grid],
-        "rep_level": args.rep_level,
         "points": points,
         "summary": counts,
     }
@@ -301,13 +288,11 @@ def _build_parser():
     group.add_argument("--a2tilde", type=_FINITE, default=None)
     p.set_defaults(func=cmd_reconstruct, metric=None)
 
-    p = sub.add_parser("verify", help="run the certificate and the representation cross-check over a metric grid")
+    p = sub.add_parser("verify", help="run the exact certificate of the fundamental tone over a metric grid")
     add_common(p, metric=False, manifold=False)
     p.add_argument("--grid", required=True, help="three axes lo:hi:count, comma separated")
-    p.add_argument("--rep-level", type=_REP_LEVEL, default=8,
-                   help=f"top level for the representation cross-check, 0 to {MAX_REP_LEVEL}")
     p.add_argument("--details", action="store_true",
-                   help="list every certificate step's name, margin and kind for each passing point")
+                   help="list every certificate step's name, detail, margin and kind for each passing point")
     p.set_defaults(func=cmd_verify, metric=None, manifold=None)
 
     return parser

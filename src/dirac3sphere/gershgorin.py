@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _char_poly_coeffs, _level3_radicals
+from .blocks import _char_poly_coeffs, _level, _level3_radicals
 from .errors import CertificationError, ConsistencyError, DomainError, UncertifiableError
 from .metric import _approx, _integers, scal_factors
 
@@ -126,7 +126,7 @@ def min_row_bound(m, n):
     """Smallest left endpoint over both blocks of level n, for any
     ordering, from the sorted metric: the one-level case of
     :func:`level_bounds`."""
-    return float(level_bounds(m, [n])[0])
+    return float(level_bounds(m, [_level(n)])[0])
 
 
 def _G(a, b, c, C, n, k):
@@ -144,14 +144,21 @@ def _G(a, b, c, C, n, k):
     )
 
 
+def _row(n, k):
+    """Level n and row k as ints with 0 <= k <= n; :class:`DomainError` otherwise."""
+    n, k = _level(n), _level(k, "index")
+    if k > n:
+        raise DomainError(f"index {k} outside 0..{n}")
+    return n, k
+
+
 def closed_form_G(m, n, k):
     """Polynomial left endpoint G(n, k); G~(n, k) is G(n, n-k).
 
     The metric is permuted internally to a >= b >= c (the sign resolutions
     assume b >= c).
     """
-    if not 0 <= k <= n:
-        raise DomainError(f"index {k} outside 0..{n}")
+    n, k = _row(n, k)
     ms, _ = m.sorted()
     a, b, c = ms.triple()
     return _G(a, b, c, ms.C, n, k)
@@ -164,8 +171,7 @@ def triangle_increment(m, n, k):
     sorted internally); ``tests/test_gershgorin.py`` proves the collapse in
     rational arithmetic.
     """
-    if not 0 <= k <= n:
-        raise DomainError(f"index {k} outside 0..{n}")
+    n, k = _row(n, k)
     ms, _ = m.sorted()
     a, b, c = ms.triple()
     return 4.0 * (c * c * n - b * ms.C + a * c + b * b + c * c)
@@ -459,12 +465,11 @@ class GershgorinTable:
 def gershgorin_table(m, n):
     """Tabulate G, G~ and the row bounds of level n, from :func:`_G`.
 
-    A negative level raises :class:`DomainError`; a row that leaves the
-    double range raises :class:`ConsistencyError`, since inf or nan bounds
-    nothing.
+    A level that is not a nonnegative integer raises :class:`DomainError`;
+    a row that leaves the double range raises :class:`ConsistencyError`,
+    since inf or nan bounds nothing.
     """
-    if n < 0:
-        raise DomainError(f"level must be nonnegative, got {n}")
+    n = _level(n)
     ms, perm = m.sorted()
     a, b, c = ms.triple()
     k = np.arange(n + 1, dtype=float)
@@ -480,7 +485,7 @@ def gershgorin_table(m, n):
         metric=m.triple(),
         sorted_triple=ms.triple(),
         permutation=perm,
-        level=int(n),
+        level=n,
         G=G,
         Gtilde=Gt,
         row_bounds_A=np.where(even, G, Gt),

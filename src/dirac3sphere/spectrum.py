@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import TAG_A, TAG_B, _raw_rows
+from .blocks import TAG_A, TAG_B, _level, _raw_rows
 from .eigen import _min_abs_candidates, _proved_min_abs, _proved_values, _row_norms, _tolerance, _windows
 from .errors import DomainError, TruncationWarning
 from .gershgorin import CertificationTrace, certify_fundamental_tone, level_bounds  # noqa: F401 (re-exported)
@@ -47,8 +47,7 @@ def admissible_levels(manifold, max_level):
     """Levels contributing to the spectrum of the chosen operator."""
     if manifold not in SPECTRUM_MANIFOLDS:
         raise DomainError(f"unknown manifold {manifold!r}; expected one of {SPECTRUM_MANIFOLDS}")
-    if max_level < 0:
-        raise DomainError("max_level must be nonnegative")
+    max_level = _level(max_level, "max_level")
     start = {S3: 0, SO3_TRIVIAL: 0, SO3_NONTRIVIAL: 1}[manifold]
     step = 1 if manifold == S3 else 2
     return range(start, max_level + 1, step)
@@ -263,10 +262,9 @@ def _lines_of_levels(m, levels):
 
 def level_lines(m, n):
     """Spectral lines of one level (an even one solved once, from A); see
-    :func:`assemble`.  A negative level raises :class:`DomainError`."""
-    if n < 0:
-        raise DomainError(f"level must be nonnegative, got {n}")
-    return _line_objects(*_lines_of_levels(m, [int(n)]))
+    :func:`assemble`.  A level that is not a nonnegative integer raises
+    :class:`DomainError`."""
+    return _line_objects(*_lines_of_levels(m, [_level(n)]))
 
 
 def assemble(m, manifold, max_level):

@@ -13,10 +13,10 @@ the library's rows and the conditions its lemmas prove for every sorted
 triple, decided in ``Fraction`` arithmetic on the stored doubles, with no
 integer scaling.  The representation construction's reference is
 ``einsum_representation``: the operator applied to every basis matrix unit
-as a dense einsum, with the representation matrices built by ``np.diag``;
-``reference_verify_point`` is the per-level ``verify`` cross-check on top of
-it.  The Gershgorin bounds' reference is ``row_bound``: the left endpoint
-of the direct pentadiagonal rows of the squared blocks
+as a dense einsum, with the representation matrices built by ``np.diag``.
+``reference_verify_point`` is ``verify``'s grid point written out.  The
+Gershgorin bounds' reference is ``row_bound``: the left endpoint of the
+direct pentadiagonal rows of the squared blocks
 (``squared_row_entries``, from ``direct_row_entries``), which the tests
 check against dense ``T @ T``; ``tests/test_gershgorin.py`` proves once, in
 integers, that it equals the library's one formula ``gershgorin._G``.  The
@@ -573,32 +573,16 @@ def einsum_representation(m, n):
     return RepresentationOperator(level=int(n), matrix=matrix)
 
 
-def reference_verify_point(metric, rep_level, details=False, construct=einsum_representation):
-    """``cli._verify_point`` with the cross-check as a per-level loop: the
-    blocks of ``construct(metric, n)`` (the einsum operator by default)
-    against ``reference_block``, one level and one block at a time."""
+def reference_verify_point(metric, details=False):
+    """``cli._verify_point`` written out: the certificate decides, and a
+    passing point's ``checks`` is its number of steps."""
     point = {"metric": list(metric.triple()), "scal_sign": d3s.scal_sign_classification(metric)}
     try:
         trace = d3s.certify_fundamental_tone(metric)
-        if not math.isfinite(metric.C):
-            raise d3s.Dirac3SphereError(f"C = {metric.C!r} is not finite; the cross-checks need finite blocks")
-        checks = len(trace.steps)
-        min_margin = trace.min_margin
-        for n in range(rep_level + 1):
-            rep_a, rep_b = construct(metric, n).blocks()
-            for tag, rep in (("A", rep_a), ("B", rep_b)):
-                dense = reference_block(metric, n, tag).to_dense()
-                scale = max(1.0, float(abs(dense).max()))
-                err = float(abs(rep - dense).max())
-                if err > 1e-12 * scale:
-                    raise d3s.CertificationError(
-                        f"representation block (n={n}, {tag}) deviates by {err:.3e}"
-                    )
-                checks += 1
-        point.update(status="pass", reason=None, checks=checks, min_margin=min_margin)
+        point.update(status="pass", reason=None, checks=len(trace.steps), min_margin=trace.min_margin)
         if details:
             point["steps"] = [
-                {"name": s.name, "margin": s.margin, "kind": s.kind} for s in trace.steps
+                {"name": s.name, "detail": s.detail, "margin": s.margin, "kind": s.kind} for s in trace.steps
             ]
     except d3s.UncertifiableError:
         point.update(status="skipped", reason="certification needs scal > 0", checks=0, min_margin=None)

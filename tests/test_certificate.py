@@ -137,9 +137,10 @@ def _grid_identity(lhs, rhs, variables, degree):
     of ``variables`` unknowns: a nonzero polynomial of degree <= d in each
     of k variables does not vanish on all of {0..d}^k (induct on k: a
     nonzero univariate one has at most d roots), so agreement on those
-    (d + 1)^k points, in Python integers, proves it for all inputs."""
+    (d + 1)^k points, in Python integers, proves it for all inputs.  Either
+    side may be an array, of integers or of floats that hold them exactly."""
     for point in itertools.product(range(degree + 1), repeat=variables):
-        assert lhs(*point) == rhs(*point), point
+        assert np.array_equal(lhs(*point), rhs(*point)), point
 
 
 def test_every_lemma_is_an_identity_of_integer_polynomials():

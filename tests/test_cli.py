@@ -7,8 +7,7 @@ import pytest
 
 import dirac3sphere as d3s
 from dirac3sphere import Metric
-from dirac3sphere import blocks, cli
-from dirac3sphere.cli import MAX_REP_LEVEL, main, parse_grid, parse_metric
+from dirac3sphere.cli import main, parse_grid, parse_metric
 
 from _oracles import dense_min_abs
 
@@ -43,7 +42,7 @@ def test_spectrum_json_document(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert doc["command"] == "spectrum"
     assert doc["metric"] == [1, 1, 1]
     assert doc["timing_seconds"] is None
@@ -214,7 +213,6 @@ def test_non_finite_document_is_an_error(capsys):
     ("heat-trace --metric 1,1,1 --manifold s3 --t nan --max-level 4", 2),
     ("heat-trace --metric 1,1,1 --manifold s3 --t 0.1 --max-level 4 --lam -1", 2),
     ("heat-trace --metric 1,1,1 --manifold s3 --t 0.1 --max-level 4 --lam inf", 2),
-    ("verify --grid 1:1:1,1:1:1,1:1:1 --rep-level -1", 2),
     ("reconstruct --manifold s3 --volume 0 --scal 6 --mu 1.5", 2),
     ("reconstruct --manifold s3 --volume inf --scal 6 --mu 1.5", 2),
     ("reconstruct --manifold s3 --volume 19.74 --scal inf --mu 1.5", 2),
@@ -375,7 +373,7 @@ def test_heat_trace_with_counting(capsys):
 
 def test_verify_grid(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--grid", "0.8:1.6:2,0.8:1.6:2,0.8:1.6:2", "--rep-level", "4"
+        capsys, "verify", "--grid", "0.8:1.6:2,0.8:1.6:2,0.8:1.6:2"
     )
     assert code == 0
     res = json.loads(out)["results"]
@@ -389,7 +387,7 @@ def test_verify_grid(capsys):
 
 
 def test_verify_byte_identical(capsys):
-    args = ("verify", "--grid", "0.9:1.5:2,0.9:1.5:2,1:1:1", "--rep-level", "2")
+    args = ("verify", "--grid", "0.9:1.5:2,0.9:1.5:2,1:1:1")
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
@@ -399,65 +397,46 @@ def test_verify_routes_by_the_certificate(capsys):
     # the float sign screen calls both points "zero"; the exact certificate
     # proves the first and refuses the second
     for c, status in (("0.5000000000001", "pass"), ("0.5", "skipped")):
-        code, out, _ = run_cli(capsys, "verify", "--grid", f"1:1:1,1:1:1,{c}:{c}:1", "--rep-level", "1")
+        code, out, _ = run_cli(capsys, "verify", "--grid", f"1:1:1,1:1:1,{c}:{c}:1")
         assert code == 0
         (point,) = json.loads(out)["results"]["points"]
         assert point["scal_sign"] == "zero"
         assert point["status"] == status
 
 
-def test_verify_point_beyond_the_double_range_fails_cleanly(capsys):
-    # certified exactly, but C overflows, so the float cross-checks cannot run
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "verify", "--grid", "1e200:1e200:1,1e200:1e200:1,1e200:1e200:1")
-    assert code == 1
-    assert err == ""
-    (point,) = json.loads(out)["results"]["points"]
-    assert point["status"] == "fail" and "not finite" in point["reason"]
+def _around(triple, exponent):
+    """A 2 x 2 x 2 grid from 0.95 to 1.05 times each entry, scaled by 2^exponent."""
+    return ",".join(f"{math.ldexp(0.95 * x, exponent)!r}:{math.ldexp(1.05 * x, exponent)!r}:2" for x in triple)
 
 
-@pytest.mark.parametrize("grid, status", [
-    # certified exactly and C is finite, so the blocks are too: 20 steps and
-    # 18 representation checks, although the level-30 Gershgorin rows of
-    # the first point and (b + c)^2 of the second overflow
-    ("1e153:1e153:1,1e153:1e153:1,1e153:1e153:1", "pass"),
-    ("1e154:1e154:1,1e154:1e154:1,0.6e154:0.6e154:1", "pass"),
-    ("1.3e160:1.3e160:1,0.8e160:0.8e160:1,0.9e160:0.9e160:1", "fail"),  # scal > 0, though ab overflows
-])
-def test_verify_point_with_an_overflowing_square_is_clean(capsys, grid, status):
+@pytest.mark.parametrize("grid", [
+    # certified exactly, so each point passes with the certificate's 20
+    # steps, though far beyond unit scale: the level-30 Gershgorin rows of
+    # the first point and (b + c)^2 of the second overflow, and ab, so C,
+    # does in the last three
+    "1e153:1e153:1,1e153:1e153:1,1e153:1e153:1",
+    "1e154:1e154:1,1e154:1e154:1,0.6e154:0.6e154:1",
+    "1.3e160:1.3e160:1,0.8e160:0.8e160:1,0.9e160:0.9e160:1",
+    "1e200:1e200:1,1e200:1e200:1,1e200:1e200:1",
+    _around((1.3, 0.8, 0.9), 600),
+], ids=["1e153", "1e154", "1.3e160", "1e200", "2^+600"])
+def test_verify_far_above_unit_scale_passes(capsys, grid):
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "verify", "--grid", grid)
-    assert (code, err) == (int(status == "fail"), "")
+    assert (code, err) == (0, "")
+    points = json.loads(out)["results"]["points"]
+    assert [(p["scal_sign"], p["status"], p["checks"]) for p in points] == [("positive", "pass", 20)] * len(points)
+    assert all(p["min_margin"] > 0 for p in points)
+
+
+def test_smallest_and_verify_print_the_same_step_records(capsys):
+    _, out, _ = run_cli(capsys, "smallest", "--metric", "1.3,0.8,0.9", "--manifold", "s3")
+    steps = json.loads(out)["results"]["certification"]["steps"]
+    _, out, _ = run_cli(capsys, "verify", "--grid", "1.3:1.3:1,0.8:0.8:1,0.9:0.9:1", "--details")
     (point,) = json.loads(out)["results"]["points"]
-    assert (point["scal_sign"], point["status"]) == ("positive", status)
-    if status == "pass":
-        assert point["checks"] == 20 + 2 * (8 + 1)
-    else:
-        assert "not finite" in point["reason"]
-
-
-def test_rep_level_above_the_cap_is_refused_before_any_work(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the cross-check ran")
-
-    monkeypatch.setattr(cli, "representation_cross_check", refuse)
-    monkeypatch.setattr(blocks, "_band", refuse)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--grid", "1:1:1,1:1:1,1:1:1", "--rep-level", str(MAX_REP_LEVEL + 1)])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.splitlines()[-1].endswith(f"must be an integer from 0 to {MAX_REP_LEVEL}, got '{MAX_REP_LEVEL + 1}'")
-
-
-@pytest.mark.parametrize("rep_level", [100, MAX_REP_LEVEL])
-def test_one_point_verify_at_a_high_rep_level_passes(capsys, rep_level):
-    code, out, _ = run_cli(capsys, "verify", "--grid", "1.3:1.3:1,0.8:0.8:1,0.9:0.9:1", "--rep-level", str(rep_level))
-    assert code == 0
-    (point,) = json.loads(out)["results"]["points"]
-    assert point["status"] == "pass"
+    assert point["steps"] == steps
+    assert len(steps) == 20 and all(list(step) == ["name", "detail", "margin", "kind"] for step in steps)
 
 
 def test_spectrum_without_admissible_levels_is_empty(capsys):
@@ -474,7 +453,7 @@ def test_parser_is_built_once_and_reused(capsys):
         ("smallest", "--metric", "1.3,0.8,0.9", "--manifold", "so3-trivial"),
         ("heat-trace", "--metric", "1,1,1", "--manifold", "s3", "--t", "0.5", "--max-level", "6", "--lam", "3"),
         ("reconstruct", "--manifold", "s3", "--volume", "19.739208802178716", "--scal", "6", "--mu", "1.5"),
-        ("verify", "--grid", "0.9:1.5:2,1:1:1,0.8:0.8:1", "--rep-level", "2", "--details"),
+        ("verify", "--grid", "0.9:1.5:2,1:1:1,0.8:0.8:1", "--details"),
         ("spectrum", "--metric", "1,1,1", "--manifold", "s3"),  # usage error: no --max-level
     ]
 

@@ -111,6 +111,18 @@ def test_object_layer_refusals_are_domain_errors():
         (d3s.gershgorin_table, (m, -1)),
         (d3s.closed_form_G, (m, 3, 5)),
         (d3s.triangle_increment, (m, 3, 4)),
+        # a level or index that is not an integer
+        (d3s.level_lines, (m, 1.5)),
+        (d3s.min_row_bound, (m, 2.5)),
+        (d3s.gershgorin_table, (m, 2.5)),
+        (d3s.build_block, (m, 1.5, "A")),
+        (d3s.build_from_representation, (m, 1.5)),
+        (d3s.admissible_levels, (d3s.S3, 2.5)),
+        (d3s.enumerated_min_abs, (m, d3s.S3, 2.5)),
+        (d3s.closed_form_G, (m, 2.5, 0)),
+        (d3s.closed_form_G, (m, 3, 0.5)),
+        (d3s.triangle_increment, (m, 2.5, 1)),
+        (d3s.triangle_increment, (m, 3, 1.5)),
         (d3s.volume, (m, "t3")),
         (d3s.reconstruct, (d3s.S3, 19.7, 6.0)),
         (d3s.reconstruct, (d3s.S3, 19.7, 6.0, 1.5, 1.5)),

@@ -1,8 +1,11 @@
-"""The representation cross-check of ``verify``: the band construction
-against the dense einsum reference, the one-pass check against the
-per-level loop, and the failure paths with faults injected into the band."""
+"""The two block constructions against each other and their references:
+the representation band proved equal to the recurrences once, for every
+metric, the dense operator against the einsum reference, the recurrence
+rows against the blocks written out, and ``verify``'s grid point against
+its reference."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from _oracles import (
     reference_verify_point,
     scal_zero_metrics,
 )
+from test_certificate import _grid_identity
 
 
 def _scaled(m, exponent):
@@ -30,6 +34,34 @@ def _metrics():
     seeded = random_metrics(rng, 6)
     round_ = [Metric(1, 1, 1), Metric(2, 1, 1), Metric(1, 2, 0.5), Metric(3, 2, 1)]
     return seeded + round_ + [_scaled(m, e) for m in seeded[:2] + round_[:2] for e in (600, -600)]
+
+
+def test_representation_band_is_the_recurrences_at_every_level():
+    # Every entry of the band, less C on its diagonal as
+    # build_from_representation subtracts it, and every entry of the
+    # recurrence rows is a polynomial of degree <= 1 in each of a, b, c and C,
+    # so agreement on {0, 1}^4 proves the two constructions equal for every
+    # metric.  There every entry is a small integer, so the floats are exact.
+    # At each level the A-A and B-B tridiagonals are the recurrence rows, and
+    # every imaginary part and every A-B coupling is zero.
+    def metric(a, b, c, C):
+        return SimpleNamespace(triple=lambda: (a, b, c), C=C)
+
+    for n in range(301):
+        def representation(*point):
+            band = blocks._band(metric(*point), n)
+            band[[0, 1], [0, 1], 1] -= point[3]
+            return band
+
+        def recurrences(*point):
+            D, S, P = _raw_rows(metric(*point), np.array([n, n]), np.array([False, True]))  # A, B
+            want = np.zeros((2, 2, 3, n + 1), dtype=complex)  # [s, t, d + 1, k]
+            want[[0, 1], [0, 1], 0, 1:] = P[:, :-1]  # (k - 1, k) is sup entry k - 1
+            want[[0, 1], [0, 1], 1] = D
+            want[[0, 1], [0, 1], 2] = S  # (k + 1, k) is sub entry k
+            return want
+
+        _grid_identity(representation, recurrences, 4, 1)
 
 
 def test_band_construction_equals_einsum_reference():
@@ -74,80 +106,7 @@ def _grid_points():
     )
 
 
-@pytest.mark.parametrize("rep_level", [0, 1, 8, 20])
-def test_verify_point_equals_per_level_reference(rep_level):
+def test_verify_point_equals_reference():
     for m in _grid_points():
         for details in (False, True):
-            assert cli._verify_point(m, rep_level, details) == reference_verify_point(m, rep_level, details)
-
-
-# -- failure paths -------------------------------------------------------------
-
-def _inject(monkeypatch, fault, levels):
-    """Wrap the band builder so that ``fault(band, i)`` edits row i of every
-    band it returns, for each row whose level is in ``levels``."""
-    build = blocks._band
-
-    def faulty(m, ns):
-        band = build(m, ns)
-        for i in np.flatnonzero(np.isin(ns, levels)):
-            fault(band, i)
-        return band
-
-    monkeypatch.setattr(blocks, "_band", faulty)
-
-
-def _imaginary(band, i):
-    band[1, 1, 1, i, 0] += 1e-6j  # the B diagonal, a block entry
-
-
-def _coupling(band, i):
-    band[0, 1, 1, i, 0] += 1e-6  # A_0 in the image of B_0
-
-
-def _deviation(tag):
-    def fault(band, i):
-        band[tag, tag, 2, i, 0] += 1e-6  # the coupling below the diagonal, k = 0
-    return fault
-
-
-REASONS = {
-    "imaginary": "level {}: imaginary residue 1.000e-06 after reordering into the A/B basis",
-    "coupling": "level {}: operator is not block-diagonal in the A/B basis (residue 1.000e-06)",
-    "A": "representation block (n={}, A) deviates by 1.000e-06",
-    "B": "representation block (n={}, B) deviates by 1.000e-06",
-}
-
-
-def _fails_as(m, reason):
-    point = cli._verify_point(m, 8)
-    assert point["status"] == "fail" and point["reason"] == reason
-    # the per-level loop over the (equally faulty) library construction agrees
-    assert reference_verify_point(m, 8, construct=d3s.build_from_representation) == point
-
-
-@pytest.mark.parametrize("fault, levels, reason", [
-    (_imaginary, (2, 5), REASONS["imaginary"].format(2)),
-    (_coupling, (4, 6), REASONS["coupling"].format(4)),
-    (_deviation(1), (3, 6), REASONS["B"].format(3)),
-], ids=["imaginary", "coupling", "deviation"])
-def test_injected_fault_fails_at_its_first_level(monkeypatch, fault, levels, reason):
-    _inject(monkeypatch, fault, levels)
-    m = Metric(1.3, 0.8, 0.9)
-    _fails_as(m, reason)
-    # below the first faulty level the point passes, with two checks per level
-    passed = cli._verify_point(m, levels[0] - 1)
-    assert passed["status"] == "pass"
-    assert passed["checks"] == reference_verify_point(m, 0)["checks"] + 2 * (levels[0] - 1)
-
-
-@pytest.mark.parametrize("faults, reason", [
-    ([(_deviation(1), 3), (_deviation(0), 3)], REASONS["A"].format(3)),
-    ([(_deviation(1), 4), (_coupling, 4), (_imaginary, 4)], REASONS["imaginary"].format(4)),
-    ([(_deviation(0), 3), (_coupling, 3), (_imaginary, 5)], REASONS["coupling"].format(3)),
-    ([(_coupling, 5), (_deviation(0), 5), (_imaginary, 2)], REASONS["imaginary"].format(2)),
-], ids=["A-before-B", "residue-first", "coupling-before-deviation", "level-first"])
-def test_first_failure_is_by_level_then_check(monkeypatch, faults, reason):
-    for fault, level in faults:
-        _inject(monkeypatch, fault, (level,))
-    _fails_as(Metric(1.3, 0.8, 0.9), reason)
+            assert cli._verify_point(m, details) == reference_verify_point(m, details)
