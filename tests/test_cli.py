@@ -430,6 +430,18 @@ def test_verify_far_above_unit_scale_passes(capsys, grid):
     assert all(p["min_margin"] > 0 for p in points)
 
 
+def test_verify_has_no_rep_level(capsys):
+    # the representation cross-check and its level cap are gone: the option
+    # is a usage error and the document carries no rep_level
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--grid", "1:1:1,1:1:1,1:1:1", "--rep-level", "8"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "unrecognized arguments: --rep-level 8" in err
+    code, out, _ = run_cli(capsys, "verify", "--grid", "1:1:1,1:1:1,1:1:1")
+    assert code == 0 and "rep_level" not in out
+
+
 def test_smallest_and_verify_print_the_same_step_records(capsys):
     _, out, _ = run_cli(capsys, "smallest", "--metric", "1.3,0.8,0.9", "--manifold", "s3")
     steps = json.loads(out)["results"]["certification"]["steps"]

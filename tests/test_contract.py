@@ -5,6 +5,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dirac3sphere as d3s
@@ -130,3 +131,25 @@ def test_object_layer_refusals_are_domain_errors():
     for func, args in refusals:
         with pytest.raises(d3s.DomainError):
             func(*args)
+
+
+INTEGER_LEVEL_CALLS = [
+    (d3s.level_lines, (4,)),
+    (d3s.min_row_bound, (4,)),
+    (d3s.gershgorin_table, (4,)),
+    (d3s.build_block, (4, "B")),
+    (d3s.build_from_representation, (3,)),
+    (d3s.admissible_levels, (5,)),
+    (d3s.enumerated_min_abs, (d3s.S3, 5)),
+    (d3s.closed_form_G, (5, 2)),
+    (d3s.triangle_increment, (5, 2)),
+]
+
+
+@pytest.mark.parametrize("func, args", INTEGER_LEVEL_CALLS, ids=[f.__name__ for f, _ in INTEGER_LEVEL_CALLS])
+def test_levels_of_any_integer_type_answer_as_int(func, args):
+    # the level check takes whatever operator.index takes, numpy integers
+    # included, and answers exactly as for the Python int
+    first = d3s.S3 if func is d3s.admissible_levels else Metric(1.3, 0.8, 0.6)
+    as_numpy = tuple(np.int64(x) if type(x) is int else x for x in args)
+    assert repr(func(first, *as_numpy)) == repr(func(first, *args))

@@ -36,7 +36,7 @@ def _metrics():
     return seeded + round_ + [_scaled(m, e) for m in seeded[:2] + round_[:2] for e in (600, -600)]
 
 
-def test_representation_band_is_the_recurrences_at_every_level():
+def _prove_band_is_the_recurrences(levels):
     # Every entry of the band, less C on its diagonal as
     # build_from_representation subtracts it, and every entry of the
     # recurrence rows is a polynomial of degree <= 1 in each of a, b, c and C,
@@ -47,14 +47,14 @@ def test_representation_band_is_the_recurrences_at_every_level():
     def metric(a, b, c, C):
         return SimpleNamespace(triple=lambda: (a, b, c), C=C)
 
-    for n in range(301):
+    for n in levels:
         def representation(*point):
             band = blocks._band(metric(*point), n)
             band[[0, 1], [0, 1], 1] -= point[3]
             return band
 
         def recurrences(*point):
-            D, S, P = _raw_rows(metric(*point), np.array([n, n]), np.array([False, True]))  # A, B
+            D, S, P = blocks._raw_rows(metric(*point), np.array([n, n]), np.array([False, True]))  # A, B
             want = np.zeros((2, 2, 3, n + 1), dtype=complex)  # [s, t, d + 1, k]
             want[[0, 1], [0, 1], 0, 1:] = P[:, :-1]  # (k - 1, k) is sup entry k - 1
             want[[0, 1], [0, 1], 1] = D
@@ -62,6 +62,65 @@ def test_representation_band_is_the_recurrences_at_every_level():
             return want
 
         _grid_identity(representation, recurrences, 4, 1)
+
+
+def test_representation_band_is_the_recurrences_at_every_level():
+    _prove_band_is_the_recurrences(range(301))
+
+
+def _clifford_sign(monkeypatch):
+    E = blocks._CLIFFORD.copy()
+    E[0, 0, 0] *= -1  # one sign of E_1
+    monkeypatch.setattr(blocks, "_CLIFFORD", E)
+
+
+def _wrap(monkeypatch, name, edit):
+    # replace blocks.<name> by the original with ``edit`` applied to its result
+    original = getattr(blocks, name)
+    monkeypatch.setattr(blocks, name, lambda *args: edit(original(*args), *args))
+
+
+def _rep_entry(monkeypatch):
+    def edit(X, m, n, k):
+        X[1, 2] *= 2  # X_2 at d = +1: 2 b (k + 1) for b (k + 1)
+        return X
+    _wrap(monkeypatch, "_rep_entries", edit)
+
+
+def _parity(monkeypatch):
+    # c + b and c - b at each other's parity of k: the rows of the metric
+    # with b negated, as the diagonal does not depend on b
+    original = blocks._raw_rows
+
+    def swapped(m, n, flip):
+        a, b, c = m.triple()
+        return original(SimpleNamespace(triple=lambda: (a, -b, c), C=m.C), n, flip)
+    monkeypatch.setattr(blocks, "_raw_rows", swapped)
+
+
+def _band_edit(s, t, d, value):
+    def inject(monkeypatch):
+        def edit(band, m, n):
+            band[s, t, d, 0] += value
+            return band
+        _wrap(monkeypatch, "_band", edit)
+    return inject
+
+
+@pytest.mark.parametrize("fault", [
+    _clifford_sign,
+    _rep_entry,
+    _parity,
+    _band_edit(1, 1, 1, 1j),  # an imaginary part on the B diagonal
+    _band_edit(0, 1, 1, 1.0),  # A_0 in the image of B_0
+    _band_edit(1, 1, 2, 1.0),  # the B coupling below the diagonal, k = 0
+], ids=["clifford-sign", "rep-entry", "parity", "imaginary", "coupling", "deviation"])
+def test_identity_proof_fails_on_a_faulty_construction(monkeypatch, fault):
+    # each fault is of degree <= 1 in a, b, c and C, so the proof's premise
+    # holds and its 16 points must see it within the first levels
+    fault(monkeypatch)
+    with pytest.raises(AssertionError):
+        _prove_band_is_the_recurrences(range(9))
 
 
 def test_band_construction_equals_einsum_reference():
