@@ -5,10 +5,14 @@ Subcommands map one-to-one onto the library operations: ``invariants``,
 the exact certificate of the fundamental tone over a metric grid.  JSON is
 the canonical output (stable field order, every float as the shortest text
 that reads back as the same double (Python's ``repr``), byte-identical for
-identical inputs); ``spectrum`` can emit CSV with one line per row.  Exit
-codes: 0 success, 1 verification or computation failure (including a result
-that is not finite), 2 usage error (an argument out of its range included).  A warning, such as a
-``TruncationWarning``, is one ``warning: ...`` line on stderr.
+identical inputs); ``spectrum`` alone takes ``--format``, and with ``csv``
+emits one line per row.  Each subcommand has only the options that act on
+it, and argparse reads every argument once: a malformed ``--metric`` or
+``--grid`` is refused by the subcommand's own parser.  Exit codes: 0
+success, 1 verification or computation failure (including a result that is
+not finite), 2 usage error (an argument out of its range included).  A
+warning, such as a ``TruncationWarning``, is one ``warning: ...`` line on
+stderr.
 """
 
 import argparse
@@ -17,11 +21,10 @@ import functools
 import json
 import math
 import sys
-import time
 import warnings
 from fractions import Fraction
 
-from .errors import Dirac3SphereError, DomainError, UncertifiableError
+from .errors import Dirac3SphereError, UncertifiableError
 from .inverse import reconstruct
 from .metric import (
     S3,
@@ -34,7 +37,7 @@ from .metric import (
 )
 from .spectrum import assemble, certify_fundamental_tone, counting_function, heat_trace, smallest
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -97,6 +100,17 @@ def parse_grid(text):
     return out
 
 
+def _usage_errors(parse):
+    """``parse`` as an argparse type: its ``ValueError`` (a ``DomainError``
+    included) becomes a usage error that keeps its message."""
+    def adapter(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return adapter
+
+
 def _axis_values(lo, hi, count):
     if count == 1:
         return [lo]
@@ -156,13 +170,7 @@ def cmd_spectrum(args):
 
 
 def cmd_smallest(args):
-    certify = {"auto": None, "on": True, "off": False}[args.certify]
-    report = smallest(
-        args.metric,
-        args.manifold,
-        certify=certify,
-        max_level=args.max_level,
-    )
+    report = smallest(args.metric, args.manifold, certify=args.certify == "on", max_level=args.max_level)
     results = {
         "value": report.value,
         "multiplicity_d_squared": report.multiplicity_d_squared,
@@ -250,11 +258,10 @@ def _build_parser():
 
     def add_common(p, metric=True, manifold=True):
         if metric:
-            p.add_argument("--metric", required=True, help="triple a,b,c (decimals or rationals like 1/2)")
+            p.add_argument("--metric", type=_usage_errors(parse_metric), required=True,
+                           help="triple a,b,c (decimals or rationals like 1/2)")
         if manifold:
             p.add_argument("--manifold", required=True, choices=list(SPECTRUM_MANIFOLDS))
-        p.add_argument("--timing", action="store_true", help="include wall time (breaks byte-stable output)")
-        p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p = sub.add_parser("invariants", help="curvature and volume invariants")
     add_common(p, manifold=False)
@@ -263,12 +270,14 @@ def _build_parser():
     p = sub.add_parser("spectrum", help="assembled spectrum up to a level cutoff")
     add_common(p)
     p.add_argument("--max-level", type=_LEVEL, required=True)
+    p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("smallest", help="smallest absolute eigenvalue, certified when scal > 0")
     add_common(p)
     p.add_argument("--max-level", type=_LEVEL, default=25, help="enumeration level cutoff when scal <= 0")
-    p.add_argument("--certify", default="auto", choices=["auto", "on", "off"])
+    p.add_argument("--certify", default="auto", choices=["auto", "on"],
+                   help="on: the exact certificate alone decides the regime, or refuses")
     p.set_defaults(func=cmd_smallest)
 
     p = sub.add_parser("heat-trace", help="truncated heat trace with tail estimate")
@@ -289,8 +298,8 @@ def _build_parser():
     p.set_defaults(func=cmd_reconstruct, metric=None)
 
     p = sub.add_parser("verify", help="run the exact certificate of the fundamental tone over a metric grid")
-    add_common(p, metric=False, manifold=False)
-    p.add_argument("--grid", required=True, help="three axes lo:hi:count, comma separated")
+    p.add_argument("--grid", type=_usage_errors(parse_grid), required=True,
+                   help="three axes lo:hi:count, comma separated")
     p.add_argument("--details", action="store_true",
                    help="list every certificate step's name, detail, margin and kind for each passing point")
     p.set_defaults(func=cmd_verify, metric=None, manifold=None)
@@ -307,13 +316,13 @@ def _spectrum_csv(results):
     return "\n".join(rows) + "\n"
 
 
-def _render(args, results, timing):
-    if args.format == "csv":
+def _render(args, results):
+    if args.command == "spectrum" and args.format == "csv":
         return _spectrum_csv(results)
     options = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "metric", "manifold", "command", "timing")
+        if k not in ("func", "metric", "manifold", "command")
         and not k.startswith("_")
         and (isinstance(v, (int, float, str, bool)) or v is None)
     }
@@ -324,7 +333,6 @@ def _render(args, results, timing):
         "metric": list(args.metric.triple()) if args.metric is not None else None,
         "manifold": args.manifold,
         "results": results,
-        "timing_seconds": timing,
     }
     try:
         return json.dumps(doc, allow_nan=False) + "\n"
@@ -349,28 +357,12 @@ def main(argv=None):
         if argv[i].startswith("-") and _is_float(argv[i]) and argv[i - 1].startswith("--") and "=" not in argv[i - 1]:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
-
-    if getattr(args, "metric", None) is not None and isinstance(args.metric, str):
-        try:
-            args.metric = parse_metric(args.metric)
-        except (ValueError, DomainError) as exc:
-            parser.error(str(exc))
-    if args.command == "verify":
-        try:
-            args.grid = parse_grid(args.grid)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.format == "csv" and args.command != "spectrum":
-        parser.error("csv output is only available for the spectrum command")
-
-    started = time.perf_counter()
     try:
         with warnings.catch_warnings(record=True) as caught:  # a warning filtered to "error" still raises
             results, code = args.func(args)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
-        timing = time.perf_counter() - started if args.timing else None
-        text = _render(args, results, timing)  # refuses non-finite floats
+        text = _render(args, results)  # refuses non-finite floats
     except Dirac3SphereError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -192,18 +192,18 @@ def _families(a, b, c, C):
 
 @dataclass(frozen=True)
 class CertificationStep:
-    """One decided condition of the certificate.
+    """One condition of the certificate, decided and found to hold.
 
-    Pass or fail is decided exactly, on integers that are a positive
-    multiple of the condition (see :func:`certify_fundamental_tone`);
-    ``margin`` is the margin at the normalized scale (largest entry in
-    [1, 2)), rounded to a double, for information only (None for notes).
+    It is decided exactly, on integers that are a positive multiple of the
+    condition (see :func:`certify_fundamental_tone`); one that fails raises
+    :class:`CertificationError` and leaves no step.  ``margin`` is the
+    margin at the normalized scale (largest entry in [1, 2)), rounded to a
+    double, for information only (None for notes).
     """
 
     name: str
     detail: str
     margin: float
-    passed: bool
     kind: str = "strict"  # "strict" or "note"
 
 
@@ -346,7 +346,7 @@ def _certificate(m, base_only=False):
             value = margin(value, degree)
         if not holds:
             raise CertificationError(f"{name} fails: margin {value:.3e} ({detail})")
-        steps.append(CertificationStep(name, detail, value, True, "note" if value is None else "strict"))
+        steps.append(CertificationStep(name, detail, value, "note" if value is None else "strict"))
     return CertificationTrace(
         metric=m.triple(),
         sorted_triple=ms.triple(),

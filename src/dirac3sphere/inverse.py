@@ -28,7 +28,7 @@ residuals.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InconsistentInputError, WrongRegimeError
+from .errors import Dirac3SphereError, DomainError, InconsistentInputError, WrongRegimeError
 from .metric import S3, SO3_NONTRIVIAL, SO3_TRIVIAL, Metric, invariants, volume
 
 _PI2 = math.pi ** 2
@@ -63,7 +63,11 @@ def cubic_positive_roots(s1, s2, s3):
     best-separated one is Newton-polished and the remaining pair is read off
     the deflated quadratic, whose midpoint stays well conditioned even at a
     double root (where direct evaluation cannot do better than sqrt(eps)).
+    Symmetric polynomials that are not finite, as when a reconstruction's
+    s2^2 overflows, raise :class:`Dirac3SphereError`.
     """
+    if not all(math.isfinite(s) for s in (s1, s2, s3)):
+        raise Dirac3SphereError(f"the computation left the double range: symmetric polynomials {(s1, s2, s3)!r}")
     if not (s1 > 0 and s2 > 0 and s3 > 0):
         raise InconsistentInputError(f"symmetric polynomials must be positive, got {(s1, s2, s3)!r}")
     shift = s1 / 3.0

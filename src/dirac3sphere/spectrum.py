@@ -464,31 +464,31 @@ class SmallestEigenvalueReport:
     max_level: object
 
 
-def smallest(m, manifold, certify=None, max_level=25):
+def smallest(m, manifold, certify=False, max_level=25):
     """Smallest absolute eigenvalue of the chosen operator.
 
     With positive scalar curvature the value is mu (sphere and odd
     structure) or C (even structure), with squared-operator multiplicity 4
-    exactly on the round line of the sphere and 2 otherwise; ``certify``
-    (default: yes in this regime) attaches the full verification trace.
+    exactly on the round line of the sphere and 2 otherwise, always
+    certified: the report carries the full verification trace, with
+    ``certify=False`` too.
 
     Otherwise the value is the enumerated minimum over levels <= max_level,
-    never certified.  The regime is the float screen
-    :func:`scal_sign_classification`, except with ``certify=True``: then the
-    certificate alone decides, proving scal > 0 next to the wall where the
-    screen says "zero", or raising :class:`UncertifiableError`.  An unknown
-    manifold raises :class:`DomainError`.
+    never certified.  With ``certify`` false (the default) the regime is
+    the float screen :func:`scal_sign_classification`; with ``certify``
+    true the certificate alone decides, proving scal > 0 next to the wall
+    where the screen says "zero", or raising :class:`UncertifiableError`.
+    An unknown manifold raises :class:`DomainError`.
     """
     if manifold not in SPECTRUM_MANIFOLDS:
         raise DomainError(f"unknown manifold {manifold!r}; expected one of {SPECTRUM_MANIFOLDS}")
-    trace = None
     if certify or scal_sign_classification(m) == POSITIVE:
-        if certify is not False:
-            trace = certify_fundamental_tone(m)
+        trace = certify_fundamental_tone(m)
         value = m._exact.C if manifold == SO3_TRIVIAL else m.mu
         mult = 4 if manifold == S3 and m.is_round() else 2
         method, cutoff = "closed-form", None
     else:
+        trace = None
         value, mult, _ = enumerated_min_abs(m, manifold, max_level=max_level)
         method, cutoff = "enumeration", int(max_level)
     return SmallestEigenvalueReport(

@@ -33,11 +33,12 @@ in integers.  The Berger metrics b = c have every eigenvalue in closed form
 reference is ``exact_scalars``: each one in ``Fraction`` arithmetic on the
 stored doubles, from the sigma polynomials and the product form of scal,
 which the library's integer evaluator does not use; ``rounded_scalars``
-rounds them once.
+rounds them once.  ``grid_identity`` proves two integer polynomials equal
+from their values on a small grid.
 """
 
 import functools
-
+import itertools
 import math
 from fractions import Fraction
 
@@ -431,7 +432,7 @@ def _fraction_step(steps, name, detail, margin, kind="strict", holds=None):
         holds = margin == 0 if kind == "eq" else margin > 0
     if not holds:
         raise d3s.CertificationError(f"{name} fails: margin {_fraction_float(margin):.3e} ({detail})")
-    steps.append(CertificationStep(name, detail, _fraction_float(margin), True, kind))
+    steps.append(CertificationStep(name, detail, _fraction_float(margin), kind))
 
 
 def _fraction_root_exceeds(u, R, t):
@@ -472,7 +473,7 @@ def fraction_certificate(m):
     _fraction_step(steps, "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C)
     _fraction_step(steps, "regime:mu>0", "mu", mu)
     steps.append(CertificationStep("level0", f"sole eigenvalue -C = {-_fraction_float(C * unit)!r} with multiplicity 2",
-                                   None, True, "note"))
+                                   None, "note"))
 
     e1 = [a + b + c - C, a - b - c - C, -a + b - c - C, -a - b + c - C]  # level 1 in closed form
     _fraction_step(steps, "level1:mu", "first closed-form eigenvalue equals mu", e1[0] - mu, "eq")
@@ -589,3 +590,14 @@ def reference_verify_point(metric, details=False):
     except d3s.Dirac3SphereError as exc:
         point.update(status="fail", reason=str(exc), checks=None, min_margin=None)
     return point
+
+
+def grid_identity(lhs, rhs, variables, degree):
+    """lhs == rhs as polynomials, both of degree at most ``degree`` in each
+    of ``variables`` unknowns: a nonzero polynomial of degree <= d in each
+    of k variables does not vanish on all of {0..d}^k (induct on k: a
+    nonzero univariate one has at most d roots), so agreement on those
+    (d + 1)^k points, in Python integers, proves it for all inputs.  Either
+    side may be an array, of integers or of floats that hold them exactly."""
+    for point in itertools.product(range(degree + 1), repeat=variables):
+        assert np.array_equal(lhs(*point), rhs(*point)), point

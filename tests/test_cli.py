@@ -42,10 +42,10 @@ def test_spectrum_json_document(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     assert doc["command"] == "spectrum"
     assert doc["metric"] == [1, 1, 1]
-    assert doc["timing_seconds"] is None
+    assert list(doc) == ["schema_version", "command", "options", "metric", "manifold", "results"]
     lines = doc["results"]["lines"]
     assert len(lines) == 1
     assert lines[0]["eigenvalue"] == pytest.approx(-1.5)
@@ -220,6 +220,7 @@ def test_non_finite_document_is_an_error(capsys):
     ("reconstruct --manifold s3 --volume 19.74 --scal 6 --c -inf", 2),
     ("reconstruct --manifold s3 --volume 19.74 --scal -6 --a2tilde nan", 2),
     ("smallest --metric 1,1,0.3 --manifold so3-nontrivial --max-level 0", 1),
+    ("reconstruct --manifold s3 --volume 1e-300 --scal 1 --mu 1", 1),
     ("invariants --metric 1e400,1,1", 2),
     ("verify --grid 1:1e400:2,1:1:1,1:1:1", 2),
 ])
@@ -237,6 +238,8 @@ def test_out_of_range_arguments_are_refused(capsys, argv, want):
         assert err.startswith("error:") and err.count("\n") == 1
     if argv.endswith("-inf"):
         assert "must be finite" in err  # the value reaches its check
+    if "1e-300" in argv:
+        assert err.startswith("error: the computation left the double range")  # s2^2 overflows
 
 
 def test_smallest_overflowing_enumeration_is_an_error(capsys):
@@ -487,12 +490,63 @@ def test_parser_is_built_once_and_reused(capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_timing_flag(capsys):
-    code, out, _ = run_cli(
-        capsys, "spectrum", "--metric", "1,1,1", "--manifold", "s3", "--max-level", "0", "--timing"
-    )
+#: each subcommand's echoed options: exactly the settable options that act
+#: on it, apart from --metric, --manifold and --grid, which the document
+#: carries elsewhere
+OPTIONS = {
+    "invariants": ("invariants --metric 1,1,1", []),
+    "spectrum": ("spectrum --metric 1,1,1 --manifold s3 --max-level 1", ["format", "max_level"]),
+    "smallest": ("smallest --metric 1,1,1 --manifold s3", ["certify", "max_level"]),
+    "heat-trace": ("heat-trace --metric 1,1,1 --manifold s3 --t 1 --max-level 2", ["lam", "max_level", "t"]),
+    "reconstruct": ("reconstruct --manifold s3 --volume 19.739208802178716 --scal 6 --mu 1.5",
+                    ["a2tilde", "c", "mu", "scal", "volume"]),
+    "verify": ("verify --grid 1:1:1,1:1:1,1:1:1", ["details"]),
+}
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_each_document_echoes_only_its_own_options(capsys, command):
+    argv, keys = OPTIONS[command]
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
     doc = json.loads(out)
-    assert doc["timing_seconds"] > 0
+    assert (doc["schema_version"], doc["command"], list(doc["options"])) == (5, command, keys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("spectrum --metric 0,1,1 --manifold s3 --max-level 2",
+     "argument --metric: metric parameter a must be a positive finite real, got 0.0"),
+    ("smallest --metric 1,1,-1 --manifold s3",
+     "argument --metric: metric parameter c must be a positive finite real, got -1.0"),
+    ("invariants --metric 1,1", "argument --metric: metric must have three components, got '1,1'"),
+    ("verify --grid 1:2:0,1:1:1,1:1:1", "argument --grid: bad axis '1:2:0'"),
+    ("verify --grid 1:1:1,1:1:1", "argument --grid: grid must have three axes, got '1:1:1,1:1:1'"),
+])
+def test_bad_metric_or_grid_is_a_usage_error_of_its_subcommand(capsys, argv, message):
+    # argparse reads both, so the subcommand's parser refuses them with the parse error's message
+    command = argv.split()[0]
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith(f"usage: dirac3sphere {command} ")
+    assert err.splitlines()[-1] == f"dirac3sphere {command}: error: {message}"
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    ("spectrum --metric 1,1,1 --manifold s3 --max-level 0 --timing", "unrecognized arguments: --timing"),
+    ("invariants --metric 1,1,1 --timing", "unrecognized arguments: --timing"),
+    ("invariants --metric 1,1,1 --format json", "unrecognized arguments: --format json"),
+    ("verify --grid 1:1:1,1:1:1,1:1:1 --format json", "unrecognized arguments: --format json"),
+    ("smallest --metric 1,1,1 --manifold s3 --certify off", "argument --certify: invalid choice: 'off'"),
+])
+def test_removed_options_are_usage_errors(capsys, argv, refusal):
+    # --timing, --format outside spectrum and --certify off are gone
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert refusal in err
 
 
 def test_entry_point_subprocess():

@@ -16,13 +16,13 @@ from dirac3sphere.blocks import _raw_rows
 
 from _oracles import (
     einsum_representation,
+    grid_identity,
     random_metrics,
     random_metrics_with_sign,
     reference_block,
     reference_verify_point,
     scal_zero_metrics,
 )
-from test_certificate import _grid_identity
 
 
 def _scaled(m, exponent):
@@ -61,7 +61,7 @@ def _prove_band_is_the_recurrences(levels):
             want[[0, 1], [0, 1], 2] = S  # (k + 1, k) is sub entry k
             return want
 
-        _grid_identity(representation, recurrences, 4, 1)
+        grid_identity(representation, recurrences, 4, 1)
 
 
 def test_representation_band_is_the_recurrences_at_every_level():

@@ -12,13 +12,13 @@ from dirac3sphere.metric import shift_C
 from _oracles import (
     direct_row_entries,
     exact_level_bounds,
+    grid_identity,
     paper_Gtilde,
     random_metrics,
     random_metrics_with_sign,
     row_bound,
     squared_row_entries,
 )
-from test_certificate import _grid_identity
 
 
 def test_out_of_range_entries_vanish_by_formula():
@@ -260,8 +260,8 @@ def test_direct_rows_left_endpoint_is_G_for_every_sorted_triple():
         def G(a, b, c, C, n, k, s=s):
             return gershgorin._G(a, b, c, C, n, k if s == 1 else n - k)
 
-        _grid_identity(entries, signed_products, 6, 2)
-        _grid_identity(resolved_endpoint, G, 6, 2)
+        grid_identity(entries, signed_products, 6, 2)
+        grid_identity(resolved_endpoint, G, 6, 2)
 
 
 @pytest.mark.parametrize("triple", [(1.3e160, 0.8e160, 0.9e160), (4e154, 3e154, 1e154), (1e154, 1e154, 0.6e154)])

@@ -37,6 +37,16 @@ def test_cubic_rejects_complex_pair():
         d3s.cubic_positive_roots(1, 1, -1)
 
 
+def test_cubic_refuses_symmetric_polynomials_beyond_the_double_range():
+    # at volume 1e-300 s2^2 overflows, and s1 = inf passed the positivity
+    # gate: the refusal read "cubic root inf is not positive"
+    for sym in ((math.inf, 1.0, 1.0), (1.0, math.nan, 1.0)):
+        with pytest.raises(d3s.Dirac3SphereError, match="^the computation left the double range"):
+            d3s.cubic_positive_roots(*sym)
+    with pytest.raises(d3s.Dirac3SphereError, match="^the computation left the double range"):
+        d3s.reconstruct(d3s.S3, 1e-300, 1.0, mu=1.0)
+
+
 def test_mu_reconstruction_round_point():
     r = d3s.reconstruct_positive_mu(TWO_PI_SQ, 6.0, 1.5, d3s.S3)
     assert r.triple == (1.0, 1.0, 1.0)

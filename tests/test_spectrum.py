@@ -212,11 +212,13 @@ def test_smallest_refuses_an_unknown_manifold():
         d3s.smallest(ROUND, "so3")
 
 
-def test_smallest_certify_off_skips_trace():
-    report = d3s.smallest(ROUND, d3s.S3, certify=False)
-    assert not report.certified
-    assert report.certification_trace is None
-    assert report.value == pytest.approx(1.5, rel=1e-14)
+def test_smallest_without_certify_still_attaches_the_trace():
+    # certify=False (and None, which reads as false) lets the float screen
+    # route; a metric it calls positive is certified all the same
+    for certify in (False, None):
+        report = d3s.smallest(ROUND, d3s.S3, certify=certify)
+        assert (report.method, report.certified, report.value) == ("closed-form", True, 1.5)
+        assert report.certification_trace.passed
 
 
 def test_certify_round_and_near_boundary():
