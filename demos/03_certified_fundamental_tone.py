@@ -31,7 +31,7 @@ def main():
     m = Metric(1, 1, 0.5000000000001)
     trace = d3s.certify_fundamental_tone(m)
     print(f"  (1, 1, 0.5000000000001): sign screen says {d3s.scal_sign_classification(m)!r},"
-          f" certified = {trace.passed}, smallest margin {trace.min_margin:.3e}")
+          f" certified by {len(trace.steps)} steps, smallest margin {trace.min_margin:.3e}")
     for c in (0.5, 0.4999999999999):
         try:
             d3s.certify_fundamental_tone(Metric(1, 1, c))
@@ -55,11 +55,11 @@ def main():
         kinds[step.name.split(":")[0]] = kinds.get(step.name.split(":")[0], 0) + 1
     for kind, count in kinds.items():
         print(f"  {kind:>10}: {count:4d} checks")
-    print(f"  total {len(trace.steps)} steps, smallest strict margin {trace.min_margin:.3e}")
-    print("  (regime: a scal factor, C^2 < a^2+b^2+c^2, mu; level0-4: the explicit small levels;")
+    print(f"  total {len(trace.steps)} steps, smallest margin {trace.min_margin:.3e}")
+    print("  (regime: a scal factor, C^2 < a^2+b^2+c^2, mu; level2-4: the explicit small levels;")
     print("   base and tail: the Gershgorin base cases, each family a quadratic in n;")
     print("   increment: positive at n = 0 with slope 4c^2, so positive at every n;")
-    print("   what holds for every sorted triple, such as level 1 and the slope, is proved once)")
+    print("   what holds for every sorted triple, such as levels 0 and 1 and the slope, is proved once)")
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from .metric import (
 )
 from .spectrum import assemble, certify_fundamental_tone, counting_function, heat_trace, smallest
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -127,7 +127,7 @@ def _spectrum_rows(spec):
 
 def _step_record(step):
     """One certificate step as ``smallest`` and ``verify --details`` print it."""
-    return {"name": step.name, "detail": step.detail, "margin": step.margin, "kind": step.kind}
+    return {"name": step.name, "detail": step.detail, "margin": step.margin}
 
 
 def _trace_payload(trace):
@@ -139,7 +139,6 @@ def _trace_payload(trace):
         "C": trace.C,
         "mu": trace.mu,
         "scal": trace.scal,
-        "passed": trace.passed,
         "checks": len(trace.steps),
         "min_margin": trace.min_margin,
         "steps": [_step_record(s) for s in trace.steps],
@@ -301,7 +300,7 @@ def _build_parser():
     p.add_argument("--grid", type=_usage_errors(parse_grid), required=True,
                    help="three axes lo:hi:count, comma separated")
     p.add_argument("--details", action="store_true",
-                   help="list every certificate step's name, detail, margin and kind for each passing point")
+                   help="list every certificate step's name, detail and margin for each passing point")
     p.set_defaults(func=cmd_verify, metric=None, manifold=None)
 
     return parser

@@ -40,13 +40,14 @@ sorted metric: G is a quadratic in k, so four rows per level, k = 0, n and
 two at its vertex.
 
 ``certify_fundamental_tone`` proves the fundamental tone of one metric with
-scal > 0.  Every condition of the proof that depends on the metric (the
-regime, levels 2 to 4 in closed form, G(5,0) > mu^2, the quadratic tails and
-the increment) is a row of one table (:func:`_conditions`), and one loop
-decides the rows exactly, on the metric's own integers (``Metric._exact``)
-permuted to the sorted order.  The facts that hold for every sorted triple
-are lemmas, proved once in its docstring.  ``base_cases`` decides the
-table's base, tail and increment rows alone.  The closed forms sort the
+scal > 0.  Every condition of the proof that depends on the metric is a row
+of one of two tables: the regime and levels 2 to 4 in closed form
+(:func:`_level_conditions`), then G(5,0) > mu^2, the quadratic tails and the
+increment (:func:`_base_conditions`).  One loop decides the rows exactly, on
+the metric's own integers (``Metric._exact``) permuted to the sorted order,
+and every row is a condition.  The facts that hold for every sorted triple,
+level 0 among them, are lemmas, proved once in its docstring.
+``base_cases`` decides the second table alone.  The closed forms sort the
 metric internally (an isometric relabeling) and record the permutation.
 """
 
@@ -93,13 +94,17 @@ def level_bounds(m, levels):
     :func:`_rounding_allowance` exceeds the sum.  Where a row leaves the
     double range the level's bound is inf or nan, silently; callers must
     not prune on a non-finite bound.  A negative level raises
-    :class:`DomainError`.
+    :class:`DomainError`, and so do levels whose array is not of integer
+    dtype (2.5 or "3" is refused, not truncated).
     """
     ms, _ = m.sorted()
     a, b, c = ms.triple()
-    ns = np.asarray(levels, dtype=np.int64)
+    ns = np.asarray(levels)
     if not len(ns):
         return np.zeros(0)
+    if not np.issubdtype(ns.dtype, np.integer):
+        raise DomainError(f"levels must be integers, got an array of dtype {ns.dtype}")
+    ns = ns.astype(np.int64)
     if ns.min() < 0:
         raise DomainError(f"level must be nonnegative, got {int(ns.min())}")
     far = 2 * int(ns.max()) + 4  # a step beyond it clips both vertex rows to 0 or n
@@ -198,13 +203,12 @@ class CertificationStep:
     condition (see :func:`certify_fundamental_tone`); one that fails raises
     :class:`CertificationError` and leaves no step.  ``margin`` is the
     margin at the normalized scale (largest entry in [1, 2)), rounded to a
-    double, for information only (None for notes).
+    double, for information only.
     """
 
     name: str
     detail: str
     margin: float
-    kind: str = "strict"  # "strict" or "note"
 
 
 @dataclass(frozen=True)
@@ -216,15 +220,13 @@ class CertificationTrace:
     mu: float
     scal: float
     steps: tuple
-    passed: bool
 
     @property
     def min_margin(self):
-        """Smallest margin among the strict inequalities, each a condition
-        that depends on the metric: what holds for every sorted triple is a
-        lemma of :func:`certify_fundamental_tone`, not a step."""
-        margins = [s.margin for s in self.steps if s.kind == "strict"]
-        return min(margins) if margins else float("inf")
+        """Smallest margin among the steps, each a condition that depends
+        on the metric: what holds for every sorted triple is a lemma of
+        :func:`certify_fundamental_tone`, not a step."""
+        return min(s.margin for s in self.steps)
 
 
 def _root_exceeds(u, R, t):
@@ -251,30 +253,28 @@ def _plus_root(t, sign, root, R, margin):
     return margin(t * t - 4 * R, 2) / (margin(t, 1) - sign * root)
 
 
-def _conditions(a, b, c, C, margin, C_rounded):
-    """The certificate as one table, in order: rows
-    (name, detail, value, degree, holds).
+def _level_conditions(a, b, c, C, margin):
+    """The certificate's first table, in order: the regime and levels 2 to
+    4 in closed form, as rows (name, detail, value, degree, holds).
 
     (a, b, c, C) are integers, a positive multiple of the exact values on
-    the sorted metric (see :func:`certify_fundamental_tone`).  An exact row
-    has the integer ``value`` of a condition of degree ``degree`` and
-    holds=None: it holds when the integer is positive, and its margin is
-    ``margin(value, degree)``.  A row with a square root (level 3, the tail
-    roots) has degree None, a double estimate at the normalized scale as
-    ``value`` and its exact decision in ``holds``; the note row (printing
-    ``C_rounded``) has value None.  Only conditions that depend on the
-    metric are rows; the facts that hold for every sorted triple are the
-    lemmas of :func:`certify_fundamental_tone`.  A generator, so no row is
-    evaluated after the first that fails.
+    the sorted metric (see :func:`certify_fundamental_tone`).  A row is one
+    of two kinds.  An integer row has the integer ``value`` of a condition
+    of degree ``degree`` and holds=None: it holds when the integer is
+    positive, and its margin is ``margin(value, degree)``.  A root row (level
+    3, the tail roots of :func:`_base_conditions`) has degree None, a double
+    estimate at the normalized scale as ``value`` and its exact decision in
+    ``holds``.  Only conditions that depend on the metric are rows; the facts
+    that hold for every sorted triple are the lemmas of
+    :func:`certify_fundamental_tone`.  A generator, so no row is evaluated
+    after the first that fails.
     """
-    mu = a + b + c - C
     s1 = a + b + c
 
     # 1. regime
     yield "regime:scal>0:3", "factor of the scal product form", scal_factors(a, b, c)[2], 2, None
     yield "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C, 2, None
-    yield "regime:mu>0", "mu", mu, 1, None
-    yield "level0", f"sole eigenvalue -C = {-C_rounded!r} with multiplicity 2", None, None, True
+    yield "regime:mu>0", "mu", s1 - C, 1, None
 
     # 2. explicit small levels; levels 2 and 4 at x = 2C (at x = 0 their signs are lemmas)
     yield ("level2:chi2(2C)<0", "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)",
@@ -293,6 +293,14 @@ def _conditions(a, b, c, C, margin, C_rounded):
            -_polyval(chi4, 2 * C, 2), 3, None)
     yield ("level4:chi4(2C)>0", "level-4 polynomial positive on [0, 2C] (concave there, endpoints suffice)",
            _polyval(chi4, 2 * C), 5, None)
+
+
+def _base_conditions(a, b, c, C, margin):
+    """The certificate's second table, in order: the base case, the
+    quadratic tails and the triangle increment, as rows of
+    :func:`_level_conditions`'s two kinds.  The table :func:`base_cases`
+    decides."""
+    mu = a + b + c - C
 
     # 3. base case, quadratic tails and triangle increment
     value = _G(a, b, c, C, 5, 0)
@@ -317,13 +325,9 @@ def _conditions(a, b, c, C, margin, C_rounded):
     yield "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment, 2, None
 
 
-#: the row-name prefixes of the table that :func:`base_cases` decides
-_BASE_ROWS = ("base:", "tail:", "increment:")
-
-
-def _certificate(m, base_only=False):
-    """Decide the rows of :func:`_conditions` for ``m`` (with ``base_only``,
-    its base, tail and increment rows alone) and return the trace."""
+def _certificate(m, *tables):
+    """Decide the rows of ``tables`` for ``m``, in order, and return the
+    trace."""
     ex = m._exact
     p, q, r, P, _, _, _, S2, _ = ex.integers
     if min(scal_factors(p, q, r)) <= 0:
@@ -338,15 +342,14 @@ def _certificate(m, base_only=False):
         return _approx(value, powers[degree])
 
     steps = []
-    for name, detail, value, degree, holds in _conditions(a, b, c, S2, margin, ex.C):
-        if base_only and not name.startswith(_BASE_ROWS):
-            continue
-        if degree is not None:
-            holds = value > 0
-            value = margin(value, degree)
-        if not holds:
-            raise CertificationError(f"{name} fails: margin {value:.3e} ({detail})")
-        steps.append(CertificationStep(name, detail, value, "note" if value is None else "strict"))
+    for table in tables:
+        for name, detail, value, degree, holds in table(a, b, c, S2, margin):
+            if degree is not None:
+                holds = value > 0
+                value = margin(value, degree)
+            if not holds:
+                raise CertificationError(f"{name} fails: margin {value:.3e} ({detail})")
+            steps.append(CertificationStep(name, detail, value))
     return CertificationTrace(
         metric=m.triple(),
         sorted_triple=ms.triple(),
@@ -355,7 +358,6 @@ def _certificate(m, base_only=False):
         mu=ex.mu,
         scal=ex.scal,
         steps=tuple(steps),
-        passed=True,
     )
 
 
@@ -363,15 +365,17 @@ def certify_fundamental_tone(m):
     """Prove, for one metric, that the fundamental tone is mu (sphere, odd
     quotient structure) and C (even structure).
 
-    A fixed table of closed-form conditions (:func:`_conditions`), the same
-    for every metric with scal > 0, each decided exactly on the stored
-    doubles with no tolerance, in one loop.  The integers are the metric's
-    own (``m._exact``, which also reports C, mu and scal): (a, b, c) =
-    (p, q, r) 2^e with the shared power of two stripped, permuted to
-    a >= b >= c.  With D = 2pqr, (pD, qD, rD, p^2 q^2 + q^2 r^2 + r^2 p^2)
-    are D/2^e times the exact (a, b, c, C).  A condition homogeneous of
-    degree d in (a, b, c, C) is (D/2^e)^d > 0 times its value on these
-    integers, so they decide its sign exactly.  Its margin is the integer
+    A fixed list of closed-form conditions in two tables
+    (:func:`_level_conditions`, :func:`_base_conditions`), the same for
+    every metric with scal > 0, each decided exactly on the stored doubles
+    with no tolerance, in one loop; each step of the trace is one of them.
+    The integers are the metric's own (``m._exact``, which also reports C,
+    mu and scal): (a, b, c) = (p, q, r) 2^e with the shared power of two
+    stripped, permuted to a >= b >= c.  With D = 2pqr,
+    (pD, qD, rD, p^2 q^2 + q^2 r^2 + r^2 p^2) are D/2^e times the exact
+    (a, b, c, C).  A condition homogeneous of degree d in (a, b, c, C) is
+    (D/2^e)^d > 0 times its value on these integers, so they decide its
+    sign exactly.  Its margin is the integer
     over (D 2^(L-1))^d, L the bit length of max(p, q, r), rounded once: its
     value on the metric normalized to a largest entry in [1, 2), where
     C^2 < a^2+b^2+c^2 < 12, so that no margin overflows and a factor 2^j
@@ -389,7 +393,8 @@ def certify_fundamental_tone(m):
        squaring);
     3. the base case G(5,0) > mu^2, the quadratic tails (each family minus
        C^2 has no real root at or beyond its n_min) and the triangle
-       increment at n = 0 (the rows :func:`base_cases` decides).
+       increment at n = 0 (the second table, which :func:`base_cases`
+       decides alone).
 
     Lemmas.  The rest of the argument holds for every triple a >= b >= c > 0
     (s1 = a + b + c, C = (a^2 b^2 + b^2 c^2 + c^2 a^2)/(2abc),
@@ -401,6 +406,11 @@ def certify_fundamental_tone(m):
       ab - bc + ca = b(a - c) + ca > 0;
     - C > max(a, b, c) = a: 2abc(C - a) = a^2 (b - c)^2 + b^2 c^2 > 0.  With
       b >= c this resolves the absolute values of :func:`_G`;
+    - level 0: both blocks are the 1x1 matrix (-C), and
+      2abc(2C - s1) = 2(a^2 b^2 + b^2 c^2 + c^2 a^2) - 2abc(a + b + c)
+      = (ab - bc)^2 + (bc - ca)^2 + (ca - ab)^2 >= 0, so |-C| = C >= mu,
+      with equality exactly on the round line a = b = c (where ``smallest``
+      reports multiplicity 4);
     - level 1: the eigenvalues are mu and e_x = 2x - s1 - C for x = a, b, c,
       and e_x = -(C - x) - (s1 - x) < 0, so the gaps |e_x| - mu are
       2(C - a), 2(C - b) and 2(C - c), all > 0;
@@ -415,20 +425,19 @@ def certify_fundamental_tone(m):
       for every k, so it grows by 4c^2 > 0 per level and its row at n = 0
       decides it at every level.
 
-    The trace's C, mu and scal, and the -C of the level-0 note, are exact
-    in the metric's units and rounded once, as :func:`invariants` reports
-    them.  A failed condition raises :class:`CertificationError` naming the
-    first row that fails; a metric without positive scalar curvature raises
-    :class:`UncertifiableError`.
+    The trace's C, mu and scal are exact in the metric's units and rounded
+    once, as :func:`invariants` reports them.  A failed condition raises
+    :class:`CertificationError` naming the first row that fails; a metric
+    without positive scalar curvature raises :class:`UncertifiableError`.
     """
-    return _certificate(m)
+    return _certificate(m, _level_conditions, _base_conditions)
 
 
 def base_cases(m):
     """Decide the base cases and the triangle increment for every level.
 
-    The base, tail and increment rows of the certificate's table, decided
-    as :func:`certify_fundamental_tone` decides them: G(5,0) > mu^2; each
+    The certificate's second table (:func:`_base_conditions`), decided as
+    :func:`certify_fundamental_tone` decides it: G(5,0) > mu^2; each
     family minus C^2, a quadratic q(n), has no real root at or beyond n_min
     (negative discriminant, or q(n_min) > 0 and q'(n_min) > 0); the
     increment G(2,1) - G(0,0) is positive.  G(0,0) = C^2, G(1,0) = mu^2,
@@ -439,7 +448,7 @@ def base_cases(m):
     Raises :class:`UncertifiableError` unless scal > 0, and
     :class:`CertificationError` naming a check that fails.
     """
-    return _certificate(m, base_only=True)
+    return _certificate(m, _base_conditions)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ silently.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -156,7 +157,9 @@ class _Exact:
 
 @dataclass(frozen=True)
 class Metric:
-    """Positive triple (a, b, c) of inverse frame lengths."""
+    """Positive triple (a, b, c) of inverse frame lengths: any reals but
+    bools, each stored as its nearest double (a ``Fraction`` is rounded
+    once); anything else raises :class:`DomainError`."""
 
     a: float
     b: float
@@ -165,9 +168,14 @@ class Metric:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
-                raise DomainError(f"metric parameter {name} must be a positive finite real, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            try:
+                x = float(v) if real else math.nan
+            except OverflowError:
+                raise DomainError(f"metric parameter {name} lies beyond the double range") from None
+            if not math.isfinite(x) or x <= 0:
+                raise DomainError(f"metric parameter {name} must be a positive finite real, got {(x if real else v)!r}")
+            object.__setattr__(self, name, x)
 
     def triple(self):
         return (self.a, self.b, self.c)

@@ -40,6 +40,7 @@ from their values on a small grid.
 import functools
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -55,7 +56,7 @@ from dirac3sphere.blocks import (
 )
 from dirac3sphere.eigen import _min_abs_rows, _row_norms, _sturm_counts, _tolerance, default_tolerance
 from dirac3sphere.errors import ConsistencyError
-from dirac3sphere.gershgorin import CertificationStep, _families, _G, _rounding_allowance
+from dirac3sphere.gershgorin import _families, _G, _rounding_allowance
 from dirac3sphere.metric import scal_factors, shift_C
 from dirac3sphere.spectrum import COINCIDENCE_RTOL
 
@@ -427,12 +428,17 @@ def rounded_scalars(m):
     return out
 
 
+#: one step of ``fraction_certificate``: the library's step record, with
+#: margin None for the level-0 note
+FractionStep = namedtuple("FractionStep", "name detail margin")
+
+
 def _fraction_step(steps, name, detail, margin, kind="strict", holds=None):
     if holds is None:
         holds = margin == 0 if kind == "eq" else margin > 0
     if not holds:
         raise d3s.CertificationError(f"{name} fails: margin {_fraction_float(margin):.3e} ({detail})")
-    steps.append(CertificationStep(name, detail, _fraction_float(margin), kind))
+    steps.append(FractionStep(name, detail, _fraction_float(margin)))
 
 
 def _fraction_root_exceeds(u, R, t):
@@ -451,13 +457,13 @@ def _fraction_plus_root(t, sign, R):
 
 
 def fraction_certificate(m):
-    """The steps of ``certify_fundamental_tone(m)`` and the 16 conditions
-    that its lemmas prove for every sorted triple (35 conditions and the
-    level-0 note, in the order of the proof), each condition decided
-    on the exact rationals of the stored doubles (``Fraction``) divided by
-    the power of two that puts the largest entry in [1, 2), and each margin
-    the exact rational at that scale rounded to a double; raises the
-    library's errors with the library's messages."""
+    """The steps of ``certify_fundamental_tone(m)`` and what its lemmas
+    prove for every sorted triple (35 conditions and the level-0 note, in
+    the order of the proof), as :data:`FractionStep` records.  Each
+    condition is decided on the exact rationals of the stored doubles
+    (``Fraction``) divided by the power of two that puts the largest entry
+    in [1, 2), and each margin is the exact rational at that scale rounded
+    to a double; raises the library's errors with the library's messages."""
     ms, _ = m.sorted()
     unit = Fraction(2) ** (math.frexp(ms.a)[1] - 1)
     a, b, c = (Fraction(x) / unit for x in ms.triple())
@@ -472,8 +478,8 @@ def fraction_certificate(m):
     _fraction_step(steps, "regime:C>max", "C - max(a,b,c)", C - a)
     _fraction_step(steps, "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C)
     _fraction_step(steps, "regime:mu>0", "mu", mu)
-    steps.append(CertificationStep("level0", f"sole eigenvalue -C = {-_fraction_float(C * unit)!r} with multiplicity 2",
-                                   None, "note"))
+    steps.append(FractionStep("level0", f"sole eigenvalue -C = {-_fraction_float(C * unit)!r} with multiplicity 2",
+                              None))
 
     e1 = [a + b + c - C, a - b - c - C, -a + b - c - C, -a - b + c - C]  # level 1 in closed form
     _fraction_step(steps, "level1:mu", "first closed-form eigenvalue equals mu", e1[0] - mu, "eq")
@@ -582,9 +588,7 @@ def reference_verify_point(metric, details=False):
         trace = d3s.certify_fundamental_tone(metric)
         point.update(status="pass", reason=None, checks=len(trace.steps), min_margin=trace.min_margin)
         if details:
-            point["steps"] = [
-                {"name": s.name, "detail": s.detail, "margin": s.margin, "kind": s.kind} for s in trace.steps
-            ]
+            point["steps"] = [{"name": s.name, "detail": s.detail, "margin": s.margin} for s in trace.steps]
     except d3s.UncertifiableError:
         point.update(status="skipped", reason="certification needs scal > 0", checks=0, min_margin=None)
     except d3s.Dirac3SphereError as exc:

@@ -1,13 +1,16 @@
 import json
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import dirac3sphere as d3s
-from dirac3sphere import Metric
+from dirac3sphere import Metric, cli
 from dirac3sphere.cli import main, parse_grid, parse_metric
+from dirac3sphere.gershgorin import CertificationStep
 
 from _oracles import dense_min_abs
 
@@ -42,7 +45,7 @@ def test_spectrum_json_document(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == 6
     assert doc["command"] == "spectrum"
     assert doc["metric"] == [1, 1, 1]
     assert list(doc) == ["schema_version", "command", "options", "metric", "manifold", "results"]
@@ -163,7 +166,7 @@ def test_verify_calls_the_round_point_at_1e_200_positive(capsys):
     # at the metric's own scale its level-3 margins read -1e-200 and its
     # degree-5 margins 0.0; at the normalized scale every one is positive
     assert point["min_margin"] > 0
-    assert all(step["margin"] > 0 for step in point["steps"] if step["kind"] == "strict")
+    assert all(step["margin"] > 0 for step in point["steps"])
 
 
 @pytest.mark.parametrize("triple", [(1.3e-200, 0.8e-200, 0.9e-200), tuple(x * 2.0 ** -600 for x in (1.3, 0.8, 0.9))])
@@ -176,7 +179,7 @@ def test_verify_far_below_unit_scale_reports_no_negative_margin(capsys, triple):
     (point,) = json.loads(out)["results"]["points"]
     assert point["status"] == "pass"
     assert point["min_margin"] > 0
-    assert all(step["margin"] > 0 for step in point["steps"] if step["kind"] == "strict")
+    assert all(step["margin"] > 0 for step in point["steps"])
 
 
 def test_truncation_warning_is_one_line(capsys):
@@ -274,7 +277,10 @@ def test_smallest_round(capsys):
     assert res["value"] == pytest.approx(1.5)
     assert res["multiplicity_d_squared"] == 4
     assert res["certified"] is True
-    assert res["certification"]["passed"] is True
+    assert list(res["certification"]) == [
+        "sorted_metric", "permutation", "C", "mu", "scal", "checks", "min_margin", "steps",
+    ]
+    assert res["certification"]["checks"] == 19
     assert res["certification"]["min_margin"] > 0
 
 
@@ -294,7 +300,7 @@ def test_smallest_certify_on_is_decided_by_the_certificate(capsys):
     )
     assert code == 0 and err == ""
     res = json.loads(out)["results"]
-    assert (res["method"], res["certified"], res["certification"]["passed"]) == ("closed-form", True, True)
+    assert (res["method"], res["certified"], res["certification"]["checks"]) == ("closed-form", True, 19)
 
 
 def test_smallest_certify_on_negative_scal_fails(capsys):
@@ -429,7 +435,7 @@ def test_verify_far_above_unit_scale_passes(capsys, grid):
         code, out, err = run_cli(capsys, "verify", "--grid", grid)
     assert (code, err) == (0, "")
     points = json.loads(out)["results"]["points"]
-    assert [(p["scal_sign"], p["status"], p["checks"]) for p in points] == [("positive", "pass", 20)] * len(points)
+    assert [(p["scal_sign"], p["status"], p["checks"]) for p in points] == [("positive", "pass", 19)] * len(points)
     assert all(p["min_margin"] > 0 for p in points)
 
 
@@ -451,7 +457,18 @@ def test_smallest_and_verify_print_the_same_step_records(capsys):
     _, out, _ = run_cli(capsys, "verify", "--grid", "1.3:1.3:1,0.8:0.8:1,0.9:0.9:1", "--details")
     (point,) = json.loads(out)["results"]["points"]
     assert point["steps"] == steps
-    assert len(steps) == 20 and all(list(step) == ["name", "detail", "margin", "kind"] for step in steps)
+    assert len(steps) == 19 and all(list(step) == ["name", "detail", "margin"] for step in steps)
+
+
+def test_readme_schema_and_step_record_match_the_code():
+    # the README's schema block pins the version, and every step record it
+    # names is the one the CLI prints
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^### JSON document schema\n.*?^```\n(.*?)^```", text, re.S | re.M).group(1)
+    assert int(re.search(r'"schema_version": (\d+)', block).group(1)) == cli.SCHEMA_VERSION
+    records = re.findall(r"`\{(name,\s*detail,\s*margin[^}]*)\}`", text)
+    printed = list(cli._step_record(CertificationStep("name", "detail", 1.0)))
+    assert records and all(re.split(r",\s*", record) == printed for record in records), records
 
 
 def test_spectrum_without_admissible_levels_is_empty(capsys):
@@ -510,7 +527,7 @@ def test_each_document_echoes_only_its_own_options(capsys, command):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     doc = json.loads(out)
-    assert (doc["schema_version"], doc["command"], list(doc["options"])) == (5, command, keys)
+    assert (doc["schema_version"], doc["command"], list(doc["options"])) == (6, command, keys)
 
 
 @pytest.mark.parametrize("argv, message", [

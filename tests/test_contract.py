@@ -107,6 +107,10 @@ def test_object_layer_refusals_are_domain_errors():
         (d3s.build_block, (m, 2, "X")),
         (d3s.build_from_representation, (m, -1)),
         (d3s.level_bounds, (m, [-2])),
+        # levels that are not integers: once truncated to 2, 3 and 0
+        (d3s.level_bounds, (m, [2.5])),
+        (d3s.level_bounds, (m, ["3"])),
+        (d3s.level_bounds, (m, [-0.5])),
         (d3s.min_row_bound, (m, -1)),
         (d3s.level_lines, (m, -1)),
         (d3s.gershgorin_table, (m, -1)),

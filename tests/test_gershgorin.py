@@ -146,11 +146,11 @@ def test_triangle_increment_positive_for_positive_scal():
 def test_base_cases_round_and_generic():
     report = d3s.base_cases(Metric(1, 1, 1))
     # G(0,0) = C^2, G(1,0) = mu^2, the leading coefficients and the slope
-    # are lemmas, not rows; every row is a strict inequality
+    # are lemmas, not rows; every row is a condition with its margin
     assert [c.name for c in report.steps] == [
         "base:G(5,0)>mu^2", "tail:G(n,n)-C^2:root", "tail:G(n,0)-C^2:root", "tail:G(n,1)-C^2:root", "increment:n=0",
     ]
-    assert {c.kind for c in report.steps} == {"strict"}
+    assert all(c.margin > 0 for c in report.steps)
     assert "value 22.25 vs 2.25" in report.steps[0].detail
     assert report.min_margin > 0
 

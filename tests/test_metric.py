@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,10 +79,23 @@ def test_scal_sign_matches_scal_value():
             assert m.scal < 0
 
 
-@pytest.mark.parametrize("bad", [(0, 1, 1), (1, -2, 1), (1, 1, float("nan")), (1, float("inf"), 1)])
+@pytest.mark.parametrize("bad", [
+    (0, 1, 1), (1, -2, 1), (1, 1, float("nan")), (1, float("inf"), 1),
+    # an int beyond the double range once raised a raw OverflowError, and True was taken as 1
+    (1, 10 ** 400, 1), (1, Fraction(10 ** 400, 3), 1), (True, 1, 1), (np.bool_(True), 1, 1), ("1", 1, 1),
+])
 def test_domain_errors(bad):
     with pytest.raises(d3s.DomainError):
         Metric(*bad)
+
+
+@pytest.mark.parametrize("entry, stored", [
+    (np.int64(2), 2.0), (np.float32(1.5), 1.5), (np.float64(0.3), 0.3), (Fraction(12, 5), 2.4), (3, 3.0),
+], ids=["int64", "float32", "float64", "Fraction", "int"])
+def test_metric_takes_any_real_as_its_nearest_double(entry, stored):
+    # numpy scalars were refused as not "a positive finite real"
+    m = Metric(1, entry, 1)
+    assert type(m.b) is float and m.b == stored
 
 
 def test_sorted_returns_permutation_without_mutating():
