@@ -53,8 +53,10 @@ _CLIFFORD = np.array(CLIFFORD)
 
 def _level(n, what="level"):
     """``n`` as a nonnegative int, for a level or an index into one;
-    anything else raises :class:`DomainError`."""
+    anything else, a bool included, raises :class:`DomainError`."""
     try:
+        if isinstance(n, bool):
+            raise TypeError
         n = operator.index(n)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {n!r}") from None
@@ -247,7 +249,7 @@ def char_poly_small_n(m, n):
     chi_2(x) = x^3 - 4(a^2+b^2+c^2) x - 16 abc; chi_4 is the degree-5
     analogue.  Both blocks of a level have the same polynomial at n = 2, 4.
     """
-    return np.array(_char_poly_coeffs(*m.triple(), n), dtype=float)
+    return np.array(_char_poly_coeffs(*m.triple(), _level(n)), dtype=float)
 
 
 def _level3_radicals(a, b, c):
@@ -273,6 +275,7 @@ def closed_form_eigs(m, n):
     Level 3: eight radical expressions, each shifted by -C; the first four
     belong to the A block, the last four to the B block.
     """
+    n = _level(n)
     a, b, c = m.triple()
     C = m.C
     if n == 1:

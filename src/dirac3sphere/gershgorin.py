@@ -32,9 +32,10 @@ positive for positive scalar curvature, which propagates the base cases
     G(1,0) = mu^2           G(5,0) > mu^2
 
 to every level: each of the three families minus C^2 is a quadratic in n,
-and the increment is linear in n with slope 4c^2.  The two equalities, the
-positive leading coefficient of the families and the positive slope hold for
-every sorted triple; the four inequalities depend on the metric.
+and the increment is linear in n with slope 4c^2.  The two equalities,
+G(n,n) > C^2, the positive leading coefficient of the families and the
+positive slope hold for every sorted triple; the other three inequalities
+are rows of the certificate.
 ``level_bounds`` bounds every level from G too, for any ordering, from the
 sorted metric: G is a quadratic in k, so four rows per level, k = 0, n and
 two at its vertex.
@@ -43,10 +44,12 @@ two at its vertex.
 scal > 0.  Every condition of the proof that depends on the metric is a row
 of one of two tables: the regime and levels 2 to 4 in closed form
 (:func:`_level_conditions`), then G(5,0) > mu^2, the quadratic tails and the
-increment (:func:`_base_conditions`).  One loop decides the rows exactly, on
-the metric's own integers (``Metric._exact``) permuted to the sorted order,
-and every row is a condition.  The facts that hold for every sorted triple,
-level 0 among them, are lemmas, proved once in its docstring.
+increment (:func:`_base_conditions`).  Each row is one value, homogeneous of
+a stated degree in (a, b, c, C) and built with +, - and x alone, that holds
+when positive: one loop decides it exactly on the metric's own integers
+(``Metric._exact``), and the tests run the same tables on polynomials and
+prove every row on the whole scal > 0 region.  What holds for every sorted
+triple, level 0 among it, is a lemma, proved once in its docstring.
 ``base_cases`` decides the second table alone.  The closed forms sort the
 metric internally (an isometric relabeling) and record the permutation.
 """
@@ -229,13 +232,6 @@ class CertificationTrace:
         return min(s.margin for s in self.steps)
 
 
-def _root_exceeds(u, R, t):
-    """Decide u * sqrt(R) > t exactly, for integers (or rationals) u, t and R >= 0."""
-    if u >= 0:
-        return t < 0 or u * u * R > t * t
-    return t < 0 and u * u * R < t * t
-
-
 def _polyval(coeffs, x, derivative=0):
     """Exact value at x of a derivative of the polynomial with descending ``coeffs`` (Horner)."""
     degree = len(coeffs) - 1
@@ -245,84 +241,69 @@ def _polyval(coeffs, x, derivative=0):
     return value
 
 
-def _plus_root(t, sign, root, R, margin):
-    """t + sign root at the scale of ``margin``, t and R >= 0 integers of degrees 1 and 2, root = 2 sqrt(R)
-    in doubles; for terms of opposite signs, as (t^2 - 4R)/(t - sign root), whose numerator is exact."""
-    if sign * t >= 0:
-        return margin(t, 1) + sign * root
-    return margin(t * t - 4 * R, 2) / (margin(t, 1) - sign * root)
+def _level3_pairs(a, b, c, C):
+    """(alpha, alpha^2 - 16 (p - C)^2 R), alpha = (p - C)^2 + 4R - mu^2, for
+    each level-3 pair (p, R) of :func:`_level3_radicals`: the half-sum and
+    the product of l^2 - mu^2 over its shifted eigenvalues l (degrees 2, 4)."""
+    mu = a + b + c - C
+    pairs = []
+    for p, R in _level3_radicals(a, b, c):
+        alpha = (p - C) * (p - C) + 4 * R - mu * mu
+        pairs.append((alpha, alpha * alpha - 16 * (p - C) * (p - C) * R))
+    return pairs
 
 
-def _level_conditions(a, b, c, C, margin):
+def _level_conditions(a, b, c, C):
     """The certificate's first table, in order: the regime and levels 2 to
-    4 in closed form, as rows (name, detail, value, degree, holds).
+    4 in closed form, as rows (name, detail, value, degree).
 
-    (a, b, c, C) are integers, a positive multiple of the exact values on
-    the sorted metric (see :func:`certify_fundamental_tone`).  A row is one
-    of two kinds.  An integer row has the integer ``value`` of a condition
-    of degree ``degree`` and holds=None: it holds when the integer is
-    positive, and its margin is ``margin(value, degree)``.  A root row (level
-    3, the tail roots of :func:`_base_conditions`) has degree None, a double
-    estimate at the normalized scale as ``value`` and its exact decision in
-    ``holds``.  Only conditions that depend on the metric are rows; the facts
-    that hold for every sorted triple are the lemmas of
+    (a, b, c, C) are a positive multiple of the exact values on the sorted
+    metric: integers in the certificate (see
+    :func:`certify_fundamental_tone`), polynomials in the tests.  Every row
+    is of one kind: ``value`` is homogeneous of degree ``degree`` in
+    (a, b, c, C), built with +, - and x alone, and the row holds when it is
+    positive.  Only conditions that depend on the metric are rows; the
+    facts that hold for every sorted triple are the lemmas of
     :func:`certify_fundamental_tone`.  A generator, so no row is evaluated
     after the first that fails.
     """
-    s1 = a + b + c
-
     # 1. regime
-    yield "regime:scal>0:3", "factor of the scal product form", scal_factors(a, b, c)[2], 2, None
-    yield "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C, 2, None
-    yield "regime:mu>0", "mu", s1 - C, 1, None
+    yield "regime:scal>0:3", "factor of the scal product form", scal_factors(a, b, c)[2], 2
+    yield "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C, 2
+    yield "regime:mu>0", "mu", a + b + c - C, 1
 
     # 2. explicit small levels; levels 2 and 4 at x = 2C (at x = 0 their signs are lemmas)
     yield ("level2:chi2(2C)<0", "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)",
-           -_polyval(_char_poly_coeffs(a, b, c, 2), 2 * C), 3, None)
+           -_polyval(_char_poly_coeffs(a, b, c, 2), 2 * C), 3)
 
-    lo = 2 * C - s1
-    for i, (p, R) in enumerate(_level3_radicals(a, b, c)):
-        root = 2 * math.sqrt(margin(R, 2))
-        for j, sign in enumerate((-1, 1)):
-            outside = max(_plus_root(lo - p, -sign, root, R, margin), _plus_root(p - s1, sign, root, R, margin))
-            yield (f"level3:outside:{2 * i + j + 1}", "distance of unshifted eigenvalue to [2C-s1, s1]", outside,
-                   None, _root_exceeds(2 * sign, R, s1 - p) or _root_exceeds(-2 * sign, R, p - lo))
+    pairs = _level3_pairs(a, b, c, C)
+    for i in (1, 2, 4):  # every alpha, and the product of pair 3, are lemmas
+        yield (f"level3:pair:{i}", "product of l^2 - mu^2 over the pair's two shifted eigenvalues l",
+               pairs[i - 1][1], 4)
 
     chi4 = _char_poly_coeffs(a, b, c, 4)
     yield ("level4:chi4''(2C)<0", "second derivative negative on [0, 2C] (convex, endpoints suffice)",
-           -_polyval(chi4, 2 * C, 2), 3, None)
+           -_polyval(chi4, 2 * C, 2), 3)
     yield ("level4:chi4(2C)>0", "level-4 polynomial positive on [0, 2C] (concave there, endpoints suffice)",
-           _polyval(chi4, 2 * C), 5, None)
+           _polyval(chi4, 2 * C), 5)
 
 
-def _base_conditions(a, b, c, C, margin):
+def _base_conditions(a, b, c, C):
     """The certificate's second table, in order: the base case, the
     quadratic tails and the triangle increment, as rows of
-    :func:`_level_conditions`'s two kinds.  The table :func:`base_cases`
+    :func:`_level_conditions`'s one kind.  The table :func:`base_cases`
     decides."""
     mu = a + b + c - C
 
     # 3. base case, quadratic tails and triangle increment
-    value = _G(a, b, c, C, 5, 0)
-    detail = f"n=5, k=0: value {margin(value, 2)!r} vs {margin(mu * mu, 2)!r}"
-    yield "base:G(5,0)>mu^2", detail, value - mu * mu, 2, None
+    yield "base:G(5,0)>mu^2", "G(5,0) - mu^2", _G(a, b, c, C, 5, 0) - mu * mu, 2
 
-    for name, n_min, (A, B, D0) in _families(a, b, c, C):
-        disc = B * B - 4 * A * D0
-        q, t = (A * n_min + B) * n_min + D0, 2 * A * n_min + B
-        # the largest root as vertex plus half-width, and n_min minus it as
-        # (t - sqrt(disc))/2A, or for t > 0 as 2q/(t + sqrt(disc)), whose
-        # numerator is exact; every ratio free of the metric's scale
-        largest, below = -math.inf, math.inf
-        if disc >= 0:
-            half = math.sqrt(_approx(disc, 4 * A * A))
-            largest = _approx(-B, 2 * A) + half
-            below = _approx(q, A) / (_approx(t, 2 * A) + half) if t > 0 else _approx(t, 2 * A) - half
-        yield (f"tail:{name}:root", f"n_min - largest real root (largest root {largest!r})",
-               min(below, float(n_min)), None, disc < 0 or (q > 0 and t > 0))
+    for name, n_min, (A, B, D) in _families(a, b, c, C)[1:]:  # the G(n,n) family is a lemma
+        yield f"tail:{name}:q({n_min})>0", "A n^2 + B n + D at n_min", (A * n_min + B) * n_min + D, 2
+        yield f"tail:{name}:q'({n_min})>0", "2A n + B at n_min (A > 0, so q grows from there)", 2 * A * n_min + B, 2
 
     increment = _G(a, b, c, C, 2, 1) - _G(a, b, c, C, 0, 0)
-    yield "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment, 2, None
+    yield "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment, 2
 
 
 def _certificate(m, *tables):
@@ -336,20 +317,14 @@ def _certificate(m, *tables):
     D = 2 * P
     a, b, c = ((p, q, r)[i] * D for i in perm)
     unit = D << (max(p, q, r).bit_length() - 1)  # the largest entry over the unit is in [1, 2)
-    powers = [unit ** d for d in range(6)]
-
-    def margin(value, degree):
-        return _approx(value, powers[degree])
 
     steps = []
     for table in tables:
-        for name, detail, value, degree, holds in table(a, b, c, S2, margin):
-            if degree is not None:
-                holds = value > 0
-                value = margin(value, degree)
-            if not holds:
-                raise CertificationError(f"{name} fails: margin {value:.3e} ({detail})")
-            steps.append(CertificationStep(name, detail, value))
+        for name, detail, value, degree in table(a, b, c, S2):
+            margin = _approx(value, unit ** degree)
+            if value <= 0:
+                raise CertificationError(f"{name} fails: margin {margin:.3e} ({detail})")
+            steps.append(CertificationStep(name, detail, margin))
     return CertificationTrace(
         metric=m.triple(),
         sorted_triple=ms.triple(),
@@ -375,8 +350,9 @@ def certify_fundamental_tone(m):
     (pD, qD, rD, p^2 q^2 + q^2 r^2 + r^2 p^2) are D/2^e times the exact
     (a, b, c, C).  A condition homogeneous of degree d in (a, b, c, C) is
     (D/2^e)^d > 0 times its value on these integers, so they decide its
-    sign exactly.  Its margin is the integer
-    over (D 2^(L-1))^d, L the bit length of max(p, q, r), rounded once: its
+    sign exactly, and every row is such a condition.  Its margin is the
+    integer over (D 2^(L-1))^d, L the bit length of max(p, q, r), rounded
+    once: its
     value on the metric normalized to a largest entry in [1, 2), where
     C^2 < a^2+b^2+c^2 < 12, so that no margin overflows and a factor 2^j
     on the metric changes none.  On the sorted metric the rows decide:
@@ -389,18 +365,25 @@ def certify_fundamental_tone(m):
        chi_4(2C) > 0.  With the lemmas at x = 0 and convexity on [0, 2C]
        (chi_2'' = 6x >= 0, chi_4'''' = 120x >= 0), the level-2 polynomial
        is negative there and the level-4 one, concave there, positive.
-       Every level-3 eigenvalue keeps its distance (the radicals decided by
-       squaring);
-    3. the base case G(5,0) > mu^2, the quadratic tails (each family minus
-       C^2 has no real root at or beyond its n_min) and the triangle
+       Level 3: the pair (p, R) of :func:`_level3_radicals` has the shifted
+       eigenvalues l+- = (p - C) +- 2 sqrt(R), and l+-^2 - mu^2 =
+       alpha +- 4(p - C) sqrt(R) with alpha = (p - C)^2 + 4R - mu^2.  Both
+       lie outside [-mu, mu] exactly when the half-sum alpha and the
+       product alpha^2 - 16(p - C)^2 R are positive
+       (:func:`_level3_pairs`); the rows are the products of pairs 1, 2
+       and 4;
+    3. the base case G(5,0) > mu^2, the quadratic tails and the triangle
        increment at n = 0 (the second table, which :func:`base_cases`
-       decides alone).
+       decides alone).  For the G(n,0) and G(n,1) families, each a
+       quadratic q(n) = A n^2 + B n + D, the rows are q(n_min) > 0 and
+       q'(n_min) = 2A n_min + B > 0: with A > 0, q' and then q stay
+       positive for every n >= n_min.
 
     Lemmas.  The rest of the argument holds for every triple a >= b >= c > 0
     (s1 = a + b + c, C = (a^2 b^2 + b^2 c^2 + c^2 a^2)/(2abc),
     mu = s1 - C), so it is proved once, not decided per metric;
-    ``tests/test_certificate.py`` checks every identity below exactly, as
-    integer polynomials:
+    ``tests/test_certificate.py`` checks every lemma below exactly, as
+    integer polynomials, on the library's own code:
 
     - two scal factors: ab + bc - ca = a(b - c) + bc > 0 and
       ab - bc + ca = b(a - c) + ca > 0;
@@ -419,11 +402,23 @@ def certify_fundamental_tone(m):
     - the base identities G(0,0) = C^2 and G(1,0) = (a + b + c - C)^2 = mu^2;
     - the tails: along k = n, 0 and 1, G - C^2 is A n^2 + B n + D with
       A = a^2 - b^2 + c^2 = (a - b)(a + b) + c^2 > 0, one lemma per family.
-      The tail-root decisions rely on it: they divide by A, and a quadratic
-      that opens upwards stays positive beyond its largest root;
+      The tail rows rely on it;
     - the increment: G(n+2, k+1) - G(n, k) = 4(c^2 n - bC + ac + b^2 + c^2)
       for every k, so it grows by 4c^2 > 0 per level and its row at n = 0
-      decides it at every level.
+      decides it at every level;
+    - by their coefficients: alpha > 0 for all four level-3 pairs, the
+      product of pair 3 (p = -s1), and q(1) > 0 and q'(1) > 0 for the
+      G(n,n) family, so that G(n,n) > C^2 at every n >= 1.  Each is a
+      polynomial with no negative coefficient and a positive constant term
+      in x, z >= 0, where (a, b, c) = (1 + x + z, 1 + z, 1) is every sorted
+      triple up to scale.
+
+    Theorem.  The tests run both tables the same way on (a, b, c) =
+    (1 + x, 1, (1 + x + w)/(2 + x)), w = 1/(1 + z), which for x, z >= 0 is
+    every sorted triple with scal > 0 up to scale, and find every row
+    positive.  So every metric with scal > 0 passes: its fundamental tone
+    is mu on the sphere and the odd quotient structure and C on the even
+    one.  The table still re-decides each metric, to report its margins.
 
     The trace's C, mu and scal are exact in the metric's units and rounded
     once, as :func:`invariants` reports them.  A failed condition raises
@@ -437,14 +432,14 @@ def base_cases(m):
     """Decide the base cases and the triangle increment for every level.
 
     The certificate's second table (:func:`_base_conditions`), decided as
-    :func:`certify_fundamental_tone` decides it: G(5,0) > mu^2; each
-    family minus C^2, a quadratic q(n), has no real root at or beyond n_min
-    (negative discriminant, or q(n_min) > 0 and q'(n_min) > 0); the
-    increment G(2,1) - G(0,0) is positive.  G(0,0) = C^2, G(1,0) = mu^2,
-    the leading coefficient A > 0 of each q and the growth of the increment
-    by 4c^2 per level are lemmas of every sorted triple, not rows.
-    Every quantity is of degree 2 in (a, b, c, C), and a root position is a
-    ratio of two.  Returns a :class:`CertificationTrace` of those rows.
+    :func:`certify_fundamental_tone` decides it, in six rows: G(5,0) > mu^2;
+    q(n_min) > 0 and q'(n_min) > 0 for the G(n,0) and G(n,1) families minus
+    C^2, each a quadratic q(n); the increment G(2,1) - G(0,0) is positive.
+    G(0,0) = C^2, G(1,0) = mu^2, the leading coefficient A > 0 of each q,
+    the whole G(n,n) family and the growth of the increment by 4c^2 per
+    level are lemmas of every sorted triple, not rows.  Every row is of
+    degree 2 in (a, b, c, C).  Returns a :class:`CertificationTrace` of
+    those rows.
     Raises :class:`UncertifiableError` unless scal > 0, and
     :class:`CertificationError` naming a check that fails.
     """

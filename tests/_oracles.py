@@ -34,12 +34,16 @@ reference is ``exact_scalars``: each one in ``Fraction`` arithmetic on the
 stored doubles, from the sigma polynomials and the product form of scal,
 which the library's integer evaluator does not use; ``rounded_scalars``
 rounds them once.  ``grid_identity`` proves two integer polynomials equal
-from their values on a small grid.
+from their values on a small grid, for code that is not generic (numpy
+arrays, ``abs``); ``Poly`` is a sparse integer polynomial that generic code
+runs on unchanged, so the certificate's rows and lemmas are proved as
+polynomials (``tests/test_certificate.py``).
 """
 
 import functools
 import itertools
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -442,28 +446,23 @@ def _fraction_step(steps, name, detail, margin, kind="strict", holds=None):
 
 
 def _fraction_root_exceeds(u, R, t):
+    """u sqrt(R) > t, exactly, for rationals u, t and R >= 0."""
     if u >= 0:
         return t < 0 or u * u * R > t * t
     return t < 0 and u * u * R < t * t
 
 
-def _fraction_plus_root(t, sign, R):
-    """t + 2 sign sqrt(R) as the library estimates it in doubles: rationalized
-    where the two terms have opposite signs."""
-    root = 2 * sign * math.sqrt(_fraction_float(R))
-    if sign * t >= 0:
-        return _fraction_float(t) + root
-    return _fraction_float(t * t - 4 * R) / (_fraction_float(t) - root)
-
-
 def fraction_certificate(m):
     """The steps of ``certify_fundamental_tone(m)`` and what its lemmas
-    prove for every sorted triple (35 conditions and the level-0 note, in
+    prove for every sorted triple (38 conditions and the level-0 note, in
     the order of the proof), as :data:`FractionStep` records.  Each
     condition is decided on the exact rationals of the stored doubles
     (``Fraction``) divided by the power of two that puts the largest entry
     in [1, 2), and each margin is the exact rational at that scale rounded
-    to a double; raises the library's errors with the library's messages."""
+    to a double; raises the library's errors with the library's messages.
+    A level-3 pair is decided by what it states, both shifted eigenvalues
+    (p - C) +- 2 sqrt(R) outside [-mu, mu] with the radicals compared
+    exactly, and its margin is the library's product."""
     ms, _ = m.sorted()
     unit = Fraction(2) ** (math.frexp(ms.a)[1] - 1)
     a, b, c = (Fraction(x) / unit for x in ms.triple())
@@ -471,7 +470,6 @@ def fraction_certificate(m):
         raise d3s.UncertifiableError("certification requires positive scalar curvature; only enumerated minima exist")
     C = shift_C(a, b, c)
     mu = a + b + c - C
-    s1 = a + b + c
     steps = []
     for i, factor in enumerate(scal_factors(a, b, c), start=1):
         _fraction_step(steps, f"regime:scal>0:{i}", "factor of the scal product form", factor)
@@ -491,13 +489,14 @@ def fraction_certificate(m):
         _fraction_step(steps, f"level2:chi2({label})<0",
                        "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)", -np.polyval(chi2, x))
 
-    lo = 2 * C - s1
-    for i, (p, R) in enumerate(_level3_radicals(a, b, c)):
-        for j, sign in enumerate((-1, 1)):
-            _fraction_step(steps, f"level3:outside:{2 * i + j + 1}", "distance of unshifted eigenvalue to [2C-s1, s1]",
-                           max(_fraction_plus_root(lo - p, -sign, R), _fraction_plus_root(p - s1, sign, R)),
-                           holds=_fraction_root_exceeds(2 * sign, R, s1 - p)
-                           or _fraction_root_exceeds(-2 * sign, R, p - lo))
+    for i, (p, R) in enumerate(_level3_radicals(a, b, c), start=1):
+        t = p - C
+        alpha = t * t + 4 * R - mu * mu
+        _fraction_step(steps, f"level3:alpha:{i}", "half-sum of l^2 - mu^2 over the pair", alpha)
+        outside = all(_fraction_root_exceeds(2 * sign, R, mu - t) or _fraction_root_exceeds(-2 * sign, R, t + mu)
+                      for sign in (-1, 1))
+        _fraction_step(steps, f"level3:pair:{i}", "product of l^2 - mu^2 over the pair's two shifted eigenvalues l",
+                       alpha * alpha - 16 * t * t * R, holds=outside)
 
     chi4 = np.array(_char_poly_coeffs(a, b, c, 4), dtype=object)
     chi4dd = np.polyder(chi4, 2)
@@ -509,26 +508,15 @@ def fraction_certificate(m):
                        "level-4 polynomial positive on [0, 2C] (concave there, endpoints suffice)",
                        np.polyval(chi4, x))
 
-    for name, n, reference, kind in (
-        ("base:G(0,0)=C^2", 0, C * C, "eq"),
-        ("base:G(1,0)=mu^2", 1, mu * mu, "eq"),
-        ("base:G(5,0)>mu^2", 5, mu * mu, "strict"),
-    ):
-        value = _G(a, b, c, C, n, 0)
-        detail = f"n={n}, k=0: value {_fraction_float(value)!r} vs {_fraction_float(reference)!r}"
-        _fraction_step(steps, name, detail, value - reference, kind)
+    _fraction_step(steps, "base:G(0,0)=C^2", "G(0,0) - C^2", _G(a, b, c, C, 0, 0) - C * C, "eq")
+    _fraction_step(steps, "base:G(1,0)=mu^2", "G(1,0) - mu^2", _G(a, b, c, C, 1, 0) - mu * mu, "eq")
+    _fraction_step(steps, "base:G(5,0)>mu^2", "G(5,0) - mu^2", _G(a, b, c, C, 5, 0) - mu * mu)
     for name, n_min, (A, B, D) in _families(a, b, c, C):
         _fraction_step(steps, f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A)
-        disc = B * B - 4 * A * D
-        q, t = (A * n_min + B) * n_min + D, 2 * A * n_min + B
-        largest, below = -math.inf, math.inf
-        if disc >= 0:  # n_min - largest rationalized where its two terms have opposite signs
-            half = math.sqrt(_fraction_float(disc / (4 * A * A)))
-            largest = _fraction_float(-B / (2 * A)) + half
-            below = (_fraction_float(q / A) / (_fraction_float(t / (2 * A)) + half) if t > 0
-                     else _fraction_float(t / (2 * A)) - half)
-        _fraction_step(steps, f"tail:{name}:root", f"n_min - largest real root (largest root {largest!r})",
-                       min(below, n_min), holds=disc < 0 or (q > 0 and t > 0))
+        _fraction_step(steps, f"tail:{name}:q({n_min})>0", "A n^2 + B n + D at n_min",
+                       A * n_min * n_min + B * n_min + D)
+        _fraction_step(steps, f"tail:{name}:q'({n_min})>0", "2A n + B at n_min (A > 0, so q grows from there)",
+                       2 * A * n_min + B)
     increment = _G(a, b, c, C, 2, 1) - _G(a, b, c, C, 0, 0)
     _fraction_step(steps, "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment)
     _fraction_step(steps, "increment:slope", "4c^2, the growth of the increment per level", 4 * c * c)
@@ -605,3 +593,78 @@ def grid_identity(lhs, rhs, variables, degree):
     side may be an array, of integers or of floats that hold them exactly."""
     for point in itertools.product(range(degree + 1), repeat=variables):
         assert np.array_equal(lhs(*point), rhs(*point)), point
+
+
+class Poly:
+    """A polynomial with integer coefficients in ``k`` unknowns: a dict from
+    exponent tuples to nonzero ints, with +, - and x (ints mix in as
+    constants) and powers by a nonnegative int.  Library code that uses
+    only these operations runs on it unchanged and returns its polynomial
+    exactly, so two sides are equal as polynomials exactly when ``==``
+    holds."""
+
+    __slots__ = ("k", "terms")
+
+    def __init__(self, k, terms):
+        self.k, self.terms = k, {e: v for e, v in terms.items() if v}
+
+    @classmethod
+    def symbols(cls, k):
+        return [cls(k, {tuple(int(i == j) for i in range(k)): 1}) for j in range(k)]
+
+    def _lift(self, x):
+        return x if isinstance(x, Poly) else Poly(self.k, {(0,) * self.k: x})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, v in self._lift(other).terms.items():
+            terms[e] = terms.get(e, 0) + v
+        return Poly(self.k, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(self.k, {e: -v for e, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = {}
+        for f, w in self._lift(other).terms.items():
+            for e, v in self.terms.items():
+                g = tuple(map(operator.add, e, f))
+                terms[g] = terms.get(g, 0) + v * w
+        return Poly(self.k, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = self._lift(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.terms == self._lift(other).terms
+
+    def degrees(self):
+        """The total degrees of the terms."""
+        return {sum(e) for e in self.terms}
+
+    def positive(self):
+        """No negative coefficient and a positive constant term: then the
+        polynomial is positive wherever every unknown is >= 0."""
+        return min(self.terms.values()) >= 0 and self.terms.get((0,) * self.k, 0) > 0
+
+
+def certificate_unknowns(p, q, r):
+    """(a, b, c, C) as the certificate builds them from the metric's
+    integers, for p, q, r in any number type: (pD, qD, rD,
+    p^2 q^2 + q^2 r^2 + r^2 p^2) with D = 2pqr, which is D times the exact
+    (p, q, r, C)."""
+    D = 2 * p * q * r
+    return p * D, q * D, r * D, p * p * q * q + q * q * r * r + r * r * p * p

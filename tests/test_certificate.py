@@ -1,10 +1,9 @@
-"""The integer certificate against the Fraction oracle, and its mutations."""
+"""The integer certificate against the Fraction oracle, its mutations, and
+its lemmas and rows proved as integer polynomials."""
 
 import itertools
 import math
 import re
-from decimal import Decimal, localcontext
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,10 +12,10 @@ import pytest
 import dirac3sphere as d3s
 from dirac3sphere import Metric
 from dirac3sphere.blocks import _char_poly_coeffs
-from dirac3sphere.gershgorin import _G, _families, _polyval
-from dirac3sphere.metric import scal_factors, shift_C
+from dirac3sphere.gershgorin import _G, _base_conditions, _families, _level3_pairs, _level_conditions, _polyval
+from dirac3sphere.metric import scal_factors
 
-from _oracles import fraction_certificate, grid_identity, random_metrics_with_sign
+from _oracles import Poly, certificate_unknowns, fraction_certificate, random_metrics_with_sign
 
 
 def _outcome(certify, m):
@@ -31,9 +30,9 @@ def _library(m):
     return d3s.certify_fundamental_tone(m).steps
 
 
-#: the oracle's rows that hold for every sorted triple: the library proves
-#: them once (``test_every_lemma_is_an_identity_of_integer_polynomials``)
-LEMMA_ROWS = frozenset({
+#: the oracle's rows that hold for every sorted triple by an identity of
+#: integer polynomials (``test_every_lemma_is_an_identity_of_integer_polynomials``)
+IDENTITY_LEMMAS = frozenset({
     "regime:scal>0:1", "regime:scal>0:2", "regime:C>max", "level0",
     "level1:mu", "level1:gap:1", "level1:gap:2", "level1:gap:3",
     "level2:chi2(0)<0", "level4:chi4''(0)<0", "level4:chi4(0)>0",
@@ -41,6 +40,14 @@ LEMMA_ROWS = frozenset({
     "tail:G(n,n)-C^2:leading", "tail:G(n,0)-C^2:leading", "tail:G(n,1)-C^2:leading",
     "increment:slope",
 })
+#: and those positive on every sorted triple by their coefficients
+#: (``test_the_inequality_lemmas_hold_for_every_sorted_triple``)
+SORTED_LEMMAS = frozenset({
+    "level3:alpha:1", "level3:alpha:2", "level3:alpha:3", "level3:alpha:4", "level3:pair:3",
+    "tail:G(n,n)-C^2:q(1)>0", "tail:G(n,n)-C^2:q'(1)>0",
+})
+#: the library proves both kinds once and leaves them out of its table
+LEMMA_ROWS = IDENTITY_LEMMAS | SORTED_LEMMAS
 
 
 def _assert_equal_to_oracle(metrics):
@@ -83,31 +90,18 @@ def test_certificate_equals_the_fraction_oracle_far_from_unit_scale():
                 Metric(1.0, 1e-150, 1e-150),  # its integers overflow a double
                 Metric(4.149515568880993e180, 1.0, 1.0)]
     _assert_equal_to_oracle(metrics)
-    # one entry dwarfs the other two: p + 2 sqrt(R) - s1 cancels in doubles
-    # unless it is rationalized
-    assert min(s.margin for s in _library(metrics[-1]) if s.name.startswith("level3:")) > 0
+    # one entry dwarfs the other two (b/a = c/a = 2.4e-181): the product of
+    # pair 4 is of order (b/a)^2 at the normalized scale, below the double
+    # range, and the exact decision still passes it; its margin is that
+    # value rounded once, 0.0, while pairs 1 and 2 keep theirs
+    margins = {s.name: s.margin for s in _library(metrics[-1])}
+    assert len(margins) == 15 and margins["level3:pair:4"] == 0.0
+    assert margins["level3:pair:1"] == margins["level3:pair:2"] == 16.0
     # at the normalized scale no strict margin overflows (1e62's degree-5
     # margins once did) or underflows (1e-200's once did)
     for t in ((1e62, 1e62, 1e62), (1e-200, 1e-200, 1e-200), tuple(x * 2.0 ** -600 for x in (1.3, 0.8, 0.9))):
         margins = [s.margin for s in _library(Metric(*t))]
         assert all(0 < x < math.inf for x in margins), t
-
-
-def test_tail_root_margins_keep_their_digits():
-    # n_min minus the largest root of A n^2 + B n + D cancels in doubles when
-    # one entry dwarfs the others; against a 40-digit decimal evaluation
-    def dec(x):
-        return Decimal(x.numerator) / Decimal(x.denominator)
-
-    for t in ((50, 1, 1), (1e4, 1, 1), (1e8, 1, 1)):
-        a, b, c = (Fraction(x) for x in t)  # sorted already
-        margins = {s.name: s.margin for s in _library(Metric(*t))}
-        with localcontext() as ctx:
-            ctx.prec = 40
-            for name, n_min, (A, B, D) in _families(a, b, c, shift_C(a, b, c)):
-                largest = (-dec(B) + dec(B * B - 4 * A * D).sqrt()) / (2 * dec(A))
-                want = float(min(n_min - largest, n_min))
-                assert margins[f"tail:{name}:root"] == pytest.approx(want, rel=1e-15, abs=0), (t, name)
 
 
 def test_certificate_catches_an_error_of_one_part_in_L(monkeypatch):
@@ -136,15 +130,16 @@ def test_every_lemma_is_an_identity_of_integer_polynomials():
     # The rows the certificate leaves out hold for every a >= b >= c > 0 with
     # C = (a^2 b^2 + b^2 c^2 + c^2 a^2)/(2abc) (the lemmas of
     # certify_fundamental_tone).  Each is an identity whose right side is
-    # visibly positive there.  C is a free unknown where the identity holds
-    # for every C.
+    # visibly positive there, proved by running the library's code on free
+    # unknowns and comparing coefficients.  C is a free unknown where the
+    # identity holds for every C.
     def chi(a, b, c, n, derivative=0):
         return _polyval(_char_poly_coeffs(a, b, c, n), 0, derivative)
 
     def level1_gaps(a, b, c, C):
         # the first eigenvalue is mu; each other one e_x = -(C - x) - (s1 - x)
         # is negative since C > a >= x, and |e_x| - mu = -e_x - mu
-        e = [int(v) for v in d3s.closed_form_eigs(SimpleNamespace(triple=lambda: (a, b, c), C=C), 1)]
+        e = list(d3s.closed_form_eigs(SimpleNamespace(triple=lambda: (a, b, c), C=C), 1))
         return [e[0]] + [-v - e[0] for v in e[1:]] + e[1:]
 
     def tails(a, b, c, C, n):
@@ -155,38 +150,98 @@ def test_every_lemma_is_an_identity_of_integer_polynomials():
         return [A * n * n + B * n + D for *_, (A, B, D) in _families(a, b, c, C)] + [(a - b) * (a + b) + c * c] * 3
 
     lemmas = [
-        # (rows proved, unknowns, degree bound, left side, right side)
-        ({"regime:scal>0:1"}, 3, 2, lambda a, b, c: scal_factors(a, b, c)[0], lambda a, b, c: a * (b - c) + b * c),
-        ({"regime:scal>0:2"}, 3, 2, lambda a, b, c: scal_factors(a, b, c)[1], lambda a, b, c: b * (a - c) + c * a),
-        ({"regime:C>max"}, 3, 4, lambda a, b, c: a * a * b * b + b * b * c * c + c * c * a * a - 2 * a * b * c * a,
+        # (rows proved, unknowns, left side, right side)
+        ({"regime:scal>0:1"}, 3, lambda a, b, c: scal_factors(a, b, c)[0], lambda a, b, c: a * (b - c) + b * c),
+        ({"regime:scal>0:2"}, 3, lambda a, b, c: scal_factors(a, b, c)[1], lambda a, b, c: b * (a - c) + c * a),
+        ({"regime:C>max"}, 3, lambda a, b, c: a * a * b * b + b * b * c * c + c * c * a * a - 2 * a * b * c * a,
          lambda a, b, c: a * a * (b - c) ** 2 + b * b * c * c),  # 2abc(C - a)
         # both level-0 blocks are (-C), and C >= mu: 2abc(2C - s1)
-        ({"level0"}, 3, 2,
+        ({"level0"}, 3,
          lambda a, b, c: 2 * (a * a * b * b + b * b * c * c + c * c * a * a) - 2 * a * b * c * (a + b + c),
          lambda a, b, c: (a * b - b * c) ** 2 + (b * c - c * a) ** 2 + (c * a - a * b) ** 2),
-        ({"level1:mu", "level1:gap:1", "level1:gap:2", "level1:gap:3"}, 4, 1, level1_gaps,
+        ({"level1:mu", "level1:gap:1", "level1:gap:2", "level1:gap:3"}, 4, level1_gaps,
          lambda a, b, c, C: [a + b + c - C, 2 * (C - a), 2 * (C - b), 2 * (C - c)]
          + [-(C - x) - (a + b + c - x) for x in (a, b, c)]),
-        ({"level2:chi2(0)<0"}, 3, 3, lambda a, b, c: chi(a, b, c, 2), lambda a, b, c: -16 * a * b * c),
-        ({"level4:chi4''(0)<0"}, 3, 3, lambda a, b, c: chi(a, b, c, 4, 2), lambda a, b, c: -160 * a * b * c),
-        ({"level4:chi4(0)>0"}, 3, 5, lambda a, b, c: chi(a, b, c, 4),
+        ({"level2:chi2(0)<0"}, 3, lambda a, b, c: chi(a, b, c, 2), lambda a, b, c: -16 * a * b * c),
+        ({"level4:chi4''(0)<0"}, 3, lambda a, b, c: chi(a, b, c, 4, 2), lambda a, b, c: -160 * a * b * c),
+        ({"level4:chi4(0)>0"}, 3, lambda a, b, c: chi(a, b, c, 4),
          lambda a, b, c: 768 * a * b * c * (a * a + b * b + c * c)),
-        ({"base:G(0,0)=C^2", "base:G(1,0)=mu^2"}, 4, 2,
+        ({"base:G(0,0)=C^2", "base:G(1,0)=mu^2"}, 4,
          lambda a, b, c, C: [_G(a, b, c, C, 0, 0), _G(a, b, c, C, 1, 0)],
          lambda a, b, c, C: [C * C, (a + b + c - C) ** 2]),
-        ({"tail:G(n,n)-C^2:leading", "tail:G(n,0)-C^2:leading", "tail:G(n,1)-C^2:leading"}, 5, 4,
-         tails, quadratics),
-        ({"increment:slope"}, 6, 4,
+        ({"tail:G(n,n)-C^2:leading", "tail:G(n,0)-C^2:leading", "tail:G(n,1)-C^2:leading"}, 5, tails, quadratics),
+        ({"increment:slope"}, 6,
          lambda a, b, c, C, n, k: _G(a, b, c, C, n + 2, k + 1) - _G(a, b, c, C, n, k),
          lambda a, b, c, C, n, k: 4 * (c * c * n - b * C + a * c + b * b + c * c)),  # slope 4c^2 in n
     ]
-    assert set().union(*(rows for rows, *_ in lemmas)) == LEMMA_ROWS
-    for _, variables, degree, lhs, rhs in lemmas:
-        grid_identity(lhs, rhs, variables, degree)
-    # the library decides the other 19 conditions, and nothing else
+    assert set().union(*(rows for rows, *_ in lemmas)) == IDENTITY_LEMMAS
+    for rows, variables, lhs, rhs in lemmas:
+        unknowns = Poly.symbols(variables)
+        assert lhs(*unknowns) == rhs(*unknowns), rows
+    # the library decides the other 15 conditions, and nothing else
     steps = _library(Metric(1.3, 0.8, 0.9))
-    assert len(steps) == 19 and all(s.margin > 0 for s in steps)
+    assert len(steps) == 15 and all(s.margin > 0 for s in steps)
     assert not {s.name for s in steps} & LEMMA_ROWS
+
+
+def _rows(a, b, c, C):
+    return [*_level_conditions(a, b, c, C), *_base_conditions(a, b, c, C)]
+
+
+def test_every_row_has_its_declared_degree():
+    # on four free unknowns each row's value is homogeneous of its degree,
+    # so a factor t on (a, b, c, C) multiplies it by t^degree: the exact
+    # decision and the margin at the normalized scale rest on that
+    rows = _rows(*Poly.symbols(4))
+    assert len(rows) == 15
+    for name, _, value, degree in rows:
+        assert value.degrees() == {degree}, name
+
+
+def test_the_inequality_lemmas_hold_for_every_sorted_triple():
+    # Up to scale, (p, q, r) = (1 + x + z, 1 + z, 1) with x, z >= 0 is every
+    # a >= b >= c > 0.  On the certificate's unknowns built from them, each
+    # lemma below is a polynomial in (x, z) with no negative coefficient and
+    # a positive constant term, so it is positive on every sorted triple:
+    # alpha > 0 for all four level-3 pairs, the product of pair 3, and the
+    # G(n,n) family's q(1) and q'(1)
+    x, z = Poly.symbols(2)
+    a, b, c, C = certificate_unknowns(1 + x + z, 1 + z, Poly(2, {(0, 0): 1}))
+    pairs = _level3_pairs(a, b, c, C)
+    (name, n_min, (A, B, D)), *_ = _families(a, b, c, C)
+    lemmas = {f"level3:alpha:{i}": alpha for i, (alpha, _) in enumerate(pairs, start=1)}
+    lemmas["level3:pair:3"] = pairs[2][1]
+    lemmas[f"tail:{name}:q({n_min})>0"] = (A * n_min + B) * n_min + D
+    lemmas[f"tail:{name}:q'({n_min})>0"] = 2 * A * n_min + B
+    assert set(lemmas) == SORTED_LEMMAS
+    for row, value in lemmas.items():
+        assert value.positive(), row
+
+
+def test_every_row_holds_on_the_whole_scal_positive_region():
+    """Theorem: for every left-invariant metric on S^3 or SO(3) with scal > 0,
+    every row of the certificate holds, so with its lemmas the smallest
+    |eigenvalue| of the Dirac operator is mu on S^3 and the odd quotient
+    structure and C on the even one.
+
+    Proof.  Sorting is an isometry and every row is homogeneous
+    (``test_every_row_has_its_declared_degree``), so take b = 1 <= a and
+    c <= 1.  Of the three scal factors two are lemmas, so scal > 0 exactly
+    when c(a + 1) > a.  With a = 1 + x and c = (a + w)/(a + 1),
+    w = 1/(1 + z), the points x, z >= 0 are every such triple: c runs over
+    (a/(a + 1), 1] as w runs over (0, 1].  Clearing the denominators,
+    (p, q, r) = ((1+x)(2+x)(1+z), (2+x)(1+z), (1+x)(1+z) + 1) is a positive
+    multiple of (a, b, c).  The library's own two tables, run on the
+    unknowns the certificate builds from (p, q, r), give every row as a
+    polynomial in (x, z) with no negative coefficient and a positive
+    constant term, positive wherever x, z >= 0.
+    """
+    x, z = Poly.symbols(2)
+    unknowns = certificate_unknowns((1 + x) * (2 + x) * (1 + z), (2 + x) * (1 + z), (1 + x) * (1 + z) + 1)
+    rows = _rows(*unknowns)
+    assert len(rows) == 15
+    for name, _, value, _ in rows:
+        assert value.positive(), name
 
 
 def _steps(trace):
@@ -197,8 +252,8 @@ def test_base_cases_are_the_certificates_base_tail_and_increment_rows():
     rng = np.random.default_rng(418)
     for m in random_metrics_with_sign(rng, 40, d3s.POSITIVE, lo=0.25, hi=4.0):
         steps = _steps(d3s.certify_fundamental_tone(m))
-        assert _steps(d3s.base_cases(m)) == steps[-5:], m.triple()
-        assert [name.split(":")[0] for name, *_ in steps[-5:]] == ["base", "tail", "tail", "tail", "increment"]
+        assert _steps(d3s.base_cases(m)) == steps[-6:], m.triple()
+        assert [name.split(":")[0] for name, *_ in steps[-6:]] == ["base"] + ["tail"] * 4 + ["increment"]
 
 
 def test_certificate_is_covariant_under_permutation():

@@ -280,7 +280,7 @@ def test_smallest_round(capsys):
     assert list(res["certification"]) == [
         "sorted_metric", "permutation", "C", "mu", "scal", "checks", "min_margin", "steps",
     ]
-    assert res["certification"]["checks"] == 19
+    assert res["certification"]["checks"] == 15
     assert res["certification"]["min_margin"] > 0
 
 
@@ -300,7 +300,7 @@ def test_smallest_certify_on_is_decided_by_the_certificate(capsys):
     )
     assert code == 0 and err == ""
     res = json.loads(out)["results"]
-    assert (res["method"], res["certified"], res["certification"]["checks"]) == ("closed-form", True, 19)
+    assert (res["method"], res["certified"], res["certification"]["checks"]) == ("closed-form", True, 15)
 
 
 def test_smallest_certify_on_negative_scal_fails(capsys):
@@ -435,7 +435,7 @@ def test_verify_far_above_unit_scale_passes(capsys, grid):
         code, out, err = run_cli(capsys, "verify", "--grid", grid)
     assert (code, err) == (0, "")
     points = json.loads(out)["results"]["points"]
-    assert [(p["scal_sign"], p["status"], p["checks"]) for p in points] == [("positive", "pass", 19)] * len(points)
+    assert [(p["scal_sign"], p["status"], p["checks"]) for p in points] == [("positive", "pass", 15)] * len(points)
     assert all(p["min_margin"] > 0 for p in points)
 
 
@@ -457,7 +457,7 @@ def test_smallest_and_verify_print_the_same_step_records(capsys):
     _, out, _ = run_cli(capsys, "verify", "--grid", "1.3:1.3:1,0.8:0.8:1,0.9:0.9:1", "--details")
     (point,) = json.loads(out)["results"]["points"]
     assert point["steps"] == steps
-    assert len(steps) == 19 and all(list(step) == ["name", "detail", "margin"] for step in steps)
+    assert len(steps) == 15 and all(list(step) == ["name", "detail", "margin"] for step in steps)
 
 
 def test_readme_schema_and_step_record_match_the_code():

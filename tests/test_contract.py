@@ -128,6 +128,16 @@ def test_object_layer_refusals_are_domain_errors():
         (d3s.closed_form_G, (m, 3, 0.5)),
         (d3s.triangle_increment, (m, 2.5, 1)),
         (d3s.triangle_increment, (m, 3, 1.5)),
+        # a bool is not a level, as it is not a metric entry
+        (d3s.build_block, (m, True, "A")),
+        (d3s.assemble, (m, d3s.S3, True)),
+        (d3s.closed_form_G, (m, True, False)),
+        (d3s.closed_form_G, (m, 1, False)),
+        (d3s.level_bounds, (m, [True])),
+        (d3s.min_row_bound, (m, np.True_)),
+        (d3s.closed_form_eigs, (m, True)),
+        (d3s.closed_form_eigs, (m, 3.0)),
+        (d3s.char_poly_small_n, (m, 2.0)),
         (d3s.volume, (m, "t3")),
         (d3s.reconstruct, (d3s.S3, 19.7, 6.0)),
         (d3s.reconstruct, (d3s.S3, 19.7, 6.0, 1.5, 1.5)),
@@ -147,6 +157,8 @@ INTEGER_LEVEL_CALLS = [
     (d3s.enumerated_min_abs, (d3s.S3, 5)),
     (d3s.closed_form_G, (5, 2)),
     (d3s.triangle_increment, (5, 2)),
+    (d3s.closed_form_eigs, (3,)),
+    (d3s.char_poly_small_n, (4,)),
 ]
 
 

@@ -145,13 +145,15 @@ def test_triangle_increment_positive_for_positive_scal():
 
 def test_base_cases_round_and_generic():
     report = d3s.base_cases(Metric(1, 1, 1))
-    # G(0,0) = C^2, G(1,0) = mu^2, the leading coefficients and the slope
-    # are lemmas, not rows; every row is a condition with its margin
+    # G(0,0) = C^2, G(1,0) = mu^2, the leading coefficients, the G(n,n)
+    # family and the slope are lemmas, not rows; every row is a condition
+    # with its margin
     assert [c.name for c in report.steps] == [
-        "base:G(5,0)>mu^2", "tail:G(n,n)-C^2:root", "tail:G(n,0)-C^2:root", "tail:G(n,1)-C^2:root", "increment:n=0",
+        "base:G(5,0)>mu^2", "tail:G(n,0)-C^2:q(6)>0", "tail:G(n,0)-C^2:q'(6)>0",
+        "tail:G(n,1)-C^2:q(4)>0", "tail:G(n,1)-C^2:q'(4)>0", "increment:n=0",
     ]
     assert all(c.margin > 0 for c in report.steps)
-    assert "value 22.25 vs 2.25" in report.steps[0].detail
+    assert report.steps[0].margin == 20.0  # G(5,0) = 22.25, mu^2 = 2.25
     assert report.min_margin > 0
 
     report2 = d3s.base_cases(Metric(1, 2, 1))
@@ -168,14 +170,14 @@ def test_base_cases_requires_positive_scal():
 
 
 def test_base_cases_margin_rule_can_fail(monkeypatch):
-    # a family whose largest root reaches n_min must fail, by name
+    # a family negative at its n_min must fail, by the name of its row
     from dirac3sphere import gershgorin
 
     def families(a, b, c, C):
-        return [("G(n,n)-C^2", 1, (a, -4 * a, 0))]  # roots 0 and 4 >= 1
+        return [("G(n,n)-C^2", 1, (a, 0, a)), ("G(n,0)-C^2", 6, (a, -14 * a, 0))]  # roots 0 and 14 >= 6
 
     monkeypatch.setattr(gershgorin, "_families", families)
-    with pytest.raises(d3s.CertificationError, match=r"tail:G\(n,n\)-C\^2:root"):
+    with pytest.raises(d3s.CertificationError, match=r"^tail:G\(n,0\)-C\^2:q\(6\)>0 fails"):
         d3s.base_cases(Metric(1, 1, 1))
 
 
