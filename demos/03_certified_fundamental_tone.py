@@ -2,9 +2,10 @@
 
 For scal > 0 the smallest absolute eigenvalue is mu = a+b+c-C on the sphere
 and on the odd quotient structure, and C on the even structure.  The package
-proves that statement for each concrete metric by deciding a fixed list of
-15 closed-form conditions in exact rational arithmetic on the stored doubles,
-each an integer polynomial in (a, b, c, C) that holds when it is positive;
+proves that statement for each concrete metric: an exact gate decides
+scal > 0, then it decides a fixed list of 13 closed-form conditions in exact
+rational arithmetic on the stored doubles, each an integer polynomial in
+(a, b, c, C) that holds when it is positive;
 the Gershgorin base cases and the triangle increment hold for every level at
 once, so no level is replayed.  The tests run the same list on polynomials
 and prove every condition for every metric with scal > 0; the run here
@@ -59,12 +60,12 @@ def main():
     for kind, count in kinds.items():
         print(f"  {kind:>10}: {count:4d} checks")
     print(f"  total {len(trace.steps)} steps, smallest margin {trace.min_margin:.3e}")
-    print("  (regime: a scal factor, C^2 < a^2+b^2+c^2, mu; level2-4: the explicit small levels,")
+    print("  (regime: mu > 0, as scal > 0 is the gate before the table; level2-4: the explicit small levels,")
     print("   level 3 as one product per pair of eigenvalues; base: G(5,0) > mu^2;")
     print("   tail: q(n_min) > 0 and q'(n_min) > 0 for the G(n,0) and G(n,1) quadratics in n;")
     print("   increment: positive at n = 0 with slope 4c^2, so positive at every n;")
-    print("   what holds for every sorted triple, such as levels 0 and 1, the G(n,n) family")
-    print("   and the slope, is proved once)")
+    print("   what holds for every sorted triple, such as levels 0 and 1, the G(n,n) family,")
+    print("   the level-3 radicands R >= 0 and the slope, is proved once)")
 
 
 if __name__ == "__main__":

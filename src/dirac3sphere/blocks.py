@@ -255,8 +255,10 @@ def char_poly_small_n(m, n):
 def _level3_radicals(a, b, c):
     """Level-3 unshifted eigenvalues as pairs (p, R) for p -+ 2 sqrt(R).
 
-    Every R >= 0 when scal > 0: the third is half a sum of squares, each
-    other one is a^2+b^2+c^2 plus a positive scal factor.
+    Every R >= 0, a lemma of ``certify_fundamental_tone`` that needs no
+    scal > 0: the third is ((a - b)^2 + (b - c)^2 + (c - a)^2)/2, and each
+    other one is x^2 - xy + y^2 > 0 for two of the entries plus the
+    positive rest.
     """
     s = a * a + b * b + c * c
     ab, bc, ca = a * b, b * c, c * a

@@ -32,9 +32,11 @@ visiting a row after its last entry.  The kernel serves three ways:
    Sturm-count bisection inside its Gershgorin bracket (``_bisect_range``),
    which is certified by construction.
 
-The block-object API, ``eigenvalues``, ``count_below`` and
-``min_abs_eigenvalue``, runs the same row kernels on the block as one row
-(``_one_row``).  Either way every returned value lies within tol of the truth.
+The block-object API, ``eigenvalues``, ``count_below``,
+``min_abs_eigenvalue`` and ``default_tolerance``, takes a ``DiracBlock`` or
+its ``SymmetrizedTridiagonal`` alike and runs the same row kernels on it as
+one row (``_one_row``, which symmetrizes the former).  Either way every
+returned value lies within tol of the truth.
 """
 
 import itertools
@@ -65,13 +67,6 @@ class SymmetrizedTridiagonal:
     @property
     def size(self):
         return len(self.diag)
-
-    def infnorm(self):
-        r = np.abs(self.diag).copy()
-        if self.size > 1:
-            r[1:] += self.offdiag
-            r[:-1] += self.offdiag
-        return float(r.max())
 
     def to_dense(self):
         M = np.diag(self.diag)
@@ -107,8 +102,9 @@ def _tolerance(norm):
 
 
 def default_tolerance(t):
-    """Scale-aware absolute tolerance 1e-12 * (1 + max-norm)."""
-    return _tolerance(t.infnorm())
+    """Scale-aware absolute tolerance 1e-12 * (1 + max-norm) of the
+    symmetrized block (:func:`_one_row`)."""
+    return float(_one_row(t)[3][0])
 
 
 def _sturm_counts(D, E2, X, sizes):
@@ -177,9 +173,9 @@ def _solve(D, E, sizes):
 
 
 def _row_norms(D, E):
-    """Infinity norm of every packed row, each row summed as
-    :meth:`SymmetrizedTridiagonal.infnorm` sums it; a row with a non-finite
-    entry raises :class:`Dirac3SphereError`."""
+    """Infinity norm of every packed row: the largest sum of |d_i| and the
+    couplings beside it; a row with a non-finite entry raises
+    :class:`Dirac3SphereError`."""
     R = np.abs(D)
     R[:, 1:] += E
     R[:, :-1] += E
@@ -190,9 +186,11 @@ def _row_norms(D, E):
 
 
 def _one_row(t, tol=None):
-    """Block ``t`` as one solver row (D, E, sizes, tols), checked by
-    :func:`_row_norms`; ``tol`` defaults to :func:`default_tolerance` and
-    must be positive."""
+    """Block ``t``, a :class:`SymmetrizedTridiagonal` or a block that
+    :func:`symmetrize` takes, as one solver row (D, E, sizes, tols),
+    checked by :func:`_row_norms`; ``tol`` defaults to
+    :func:`default_tolerance` and must be positive."""
+    t = t if isinstance(t, SymmetrizedTridiagonal) else symmetrize(t)
     D = np.asarray(t.diag, dtype=float)[None, :]
     E = np.asarray(t.offdiag, dtype=float)[None, :]
     norms = _row_norms(D, E)
@@ -296,8 +294,8 @@ def _proved_min_abs(D, E, sizes, tols, v, windows):
 def min_abs_eigenvalue(block, tol=None):
     """Smallest absolute eigenvalue of a block, within ``tol``.
 
-    The block is symmetrized and solved as one row by :func:`_min_abs_rows`;
-    ``tol`` defaults to :func:`default_tolerance` and must be positive.  A
-    block with a non-finite entry raises :class:`Dirac3SphereError`.
+    Solved as one row (:func:`_one_row`) by :func:`_min_abs_rows`; ``tol``
+    defaults to :func:`default_tolerance` and must be positive.  A block
+    with a non-finite entry raises :class:`Dirac3SphereError`.
     """
-    return float(_min_abs_rows(*_one_row(symmetrize(block), tol))[0])
+    return float(_min_abs_rows(*_one_row(block, tol))[0])

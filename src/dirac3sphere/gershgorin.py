@@ -24,8 +24,8 @@ signs and G~(n, k) = G(n, n-k) for the flipped ones.
 integer polynomials; the direct rows stay in ``tests/_oracles.py`` as the
 tests' independent oracle against the dense squared blocks.
 
-The increment G(n+2, k+1) - G(n, k) is independent of k and strictly
-positive for positive scalar curvature, which propagates the base cases
+The increment G(n+2, k+1) - G(n, k) is independent of k, and the row
+``increment:n=0`` decides that it is positive; it propagates the base cases
 
     G(0,0) = C^2            G(n,n) > C^2  (n >= 1)
     G(n,0) > C^2  (n >= 6)  G(n,1) > C^2  (n >= 4)
@@ -41,8 +41,9 @@ sorted metric: G is a quadratic in k, so four rows per level, k = 0, n and
 two at its vertex.
 
 ``certify_fundamental_tone`` proves the fundamental tone of one metric with
-scal > 0.  Every condition of the proof that depends on the metric is a row
-of one of two tables: the regime and levels 2 to 4 in closed form
+scal > 0.  An exact gate decides scal > 0, once, before any row.  Every
+other condition of the proof that depends on the metric is a row of one of
+two tables: mu > 0 and levels 2 to 4 in closed form
 (:func:`_level_conditions`), then G(5,0) > mu^2, the quadratic tails and the
 increment (:func:`_base_conditions`).  Each row is one value, homogeneous of
 a stated degree in (a, b, c, C) and built with +, - and x alone, that holds
@@ -185,17 +186,22 @@ def triangle_increment(m, n, k):
     return 4.0 * (c * c * n - b * ms.C + a * c + b * b + c * c)
 
 
-def _families(a, b, c, C):
-    """The base-case families minus C^2 as records (name, n_min, (A, B, D)):
-    A n^2 + B n + D, G(n, k) - C^2 along k = n, 0 or 1, must stay positive
-    for every level n >= n_min.  A = a^2 - b^2 + c^2, and D and B are read
-    off G at n = 0 and n = 1 (exactly on exact input)."""
+_FAMILIES = (("G(n,n)-C^2", 1, 0, 1), ("G(n,0)-C^2", 6, 0, 0), ("G(n,1)-C^2", 4, 1, 1))
+
+
+def _family(a, b, c, C, k0, k1):
+    """(A, B, D) of the quadratic A n^2 + B n + D in n that is one
+    base-case family, G(n, k) - C^2 along k = n, 0 or 1, where k is k0 at
+    n = 0 and k1 at n = 1.
+
+    ``_FAMILIES`` lists the three as records (name, n_min, k0, k1): each
+    must stay positive for every level n >= n_min.  The G(n,n) family is a
+    lemma of :func:`certify_fundamental_tone`; the other two are rows.
+    A = a^2 - b^2 + c^2, and D and B are read off G at n = 0 and n = 1
+    (exactly on exact input)."""
     A = a * a - b * b + c * c
-    records = []
-    for name, n_min, k0, k1 in (("G(n,n)-C^2", 1, 0, 1), ("G(n,0)-C^2", 6, 0, 0), ("G(n,1)-C^2", 4, 1, 1)):
-        D = _G(a, b, c, C, 0, k0) - C * C
-        records.append((name, n_min, (A, _G(a, b, c, C, 1, k1) - C * C - A - D, D)))
-    return records
+    D = _G(a, b, c, C, 0, k0) - C * C
+    return A, _G(a, b, c, C, 1, k1) - C * C - A - D, D
 
 
 @dataclass(frozen=True)
@@ -226,9 +232,11 @@ class CertificationTrace:
 
     @property
     def min_margin(self):
-        """Smallest margin among the steps, each a condition that depends
-        on the metric: what holds for every sorted triple is a lemma of
-        :func:`certify_fundamental_tone`, not a step."""
+        """Smallest margin among the steps: the tightest condition of the
+        proof for this metric.  Every step depends on the metric; what
+        holds for every sorted triple is a lemma of
+        :func:`certify_fundamental_tone`, and scal > 0 is its gate, decided
+        before any step, so neither sets this value."""
         return min(s.margin for s in self.steps)
 
 
@@ -241,45 +249,42 @@ def _polyval(coeffs, x, derivative=0):
     return value
 
 
-def _level3_pairs(a, b, c, C):
+def _level3_pair(p, R, C, mu):
     """(alpha, alpha^2 - 16 (p - C)^2 R), alpha = (p - C)^2 + 4R - mu^2, for
-    each level-3 pair (p, R) of :func:`_level3_radicals`: the half-sum and
+    one level-3 pair (p, R) of :func:`_level3_radicals`: the half-sum and
     the product of l^2 - mu^2 over its shifted eigenvalues l (degrees 2, 4)."""
-    mu = a + b + c - C
-    pairs = []
-    for p, R in _level3_radicals(a, b, c):
-        alpha = (p - C) * (p - C) + 4 * R - mu * mu
-        pairs.append((alpha, alpha * alpha - 16 * (p - C) * (p - C) * R))
-    return pairs
+    t2 = (p - C) * (p - C)
+    alpha = t2 + 4 * R - mu * mu
+    return alpha, alpha * alpha - 16 * t2 * R
 
 
 def _level_conditions(a, b, c, C):
-    """The certificate's first table, in order: the regime and levels 2 to
-    4 in closed form, as rows (name, detail, value, degree).
+    """The certificate's first table, in order: mu > 0 and levels 2 to 4
+    in closed form, as rows (name, detail, value, degree).
 
     (a, b, c, C) are a positive multiple of the exact values on the sorted
     metric: integers in the certificate (see
     :func:`certify_fundamental_tone`), polynomials in the tests.  Every row
     is of one kind: ``value`` is homogeneous of degree ``degree`` in
     (a, b, c, C), built with +, - and x alone, and the row holds when it is
-    positive.  Only conditions that depend on the metric are rows; the
-    facts that hold for every sorted triple are the lemmas of
+    positive.  Only conditions that depend on the metric are rows: scal > 0
+    is the gate that :func:`_certificate` decides before the first row, and
+    the facts that hold for every sorted triple are the lemmas of
     :func:`certify_fundamental_tone`.  A generator, so no row is evaluated
     after the first that fails.
     """
-    # 1. regime
-    yield "regime:scal>0:3", "factor of the scal product form", scal_factors(a, b, c)[2], 2
-    yield "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C, 2
-    yield "regime:mu>0", "mu", a + b + c - C, 1
+    # 1. regime: scal > 0 is the gate; mu > 0 is a row
+    mu = a + b + c - C
+    yield "regime:mu>0", "mu", mu, 1
 
     # 2. explicit small levels; levels 2 and 4 at x = 2C (at x = 0 their signs are lemmas)
     yield ("level2:chi2(2C)<0", "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)",
            -_polyval(_char_poly_coeffs(a, b, c, 2), 2 * C), 3)
 
-    pairs = _level3_pairs(a, b, c, C)
+    radicals = _level3_radicals(a, b, c)
     for i in (1, 2, 4):  # every alpha, and the product of pair 3, are lemmas
         yield (f"level3:pair:{i}", "product of l^2 - mu^2 over the pair's two shifted eigenvalues l",
-               pairs[i - 1][1], 4)
+               _level3_pair(*radicals[i - 1], C, mu)[1], 4)
 
     chi4 = _char_poly_coeffs(a, b, c, 4)
     yield ("level4:chi4''(2C)<0", "second derivative negative on [0, 2C] (convex, endpoints suffice)",
@@ -298,7 +303,8 @@ def _base_conditions(a, b, c, C):
     # 3. base case, quadratic tails and triangle increment
     yield "base:G(5,0)>mu^2", "G(5,0) - mu^2", _G(a, b, c, C, 5, 0) - mu * mu, 2
 
-    for name, n_min, (A, B, D) in _families(a, b, c, C)[1:]:  # the G(n,n) family is a lemma
+    for name, n_min, k0, k1 in _FAMILIES[1:]:  # the G(n,n) family is a lemma
+        A, B, D = _family(a, b, c, C, k0, k1)
         yield f"tail:{name}:q({n_min})>0", "A n^2 + B n + D at n_min", (A * n_min + B) * n_min + D, 2
         yield f"tail:{name}:q'({n_min})>0", "2A n + B at n_min (A > 0, so q grows from there)", 2 * A * n_min + B, 2
 
@@ -352,32 +358,28 @@ def certify_fundamental_tone(m):
     (D/2^e)^d > 0 times its value on these integers, so they decide its
     sign exactly, and every row is such a condition.  Its margin is the
     integer over (D 2^(L-1))^d, L the bit length of max(p, q, r), rounded
-    once: its
-    value on the metric normalized to a largest entry in [1, 2), where
-    C^2 < a^2+b^2+c^2 < 12, so that no margin overflows and a factor 2^j
-    on the metric changes none.  On the sorted metric the rows decide:
+    once: its value on the metric normalized to a largest entry in [1, 2),
+    where C^2 < a^2+b^2+c^2 < 12 (the first by the gate, below), so that no
+    margin overflows and a factor 2^j on the metric changes none.
 
-    1. the regime: the third scal factor -ab + bc + ca, a^2+b^2+c^2 - C^2
-       (scal/8) and mu are positive.  Each holds once the check of
-       scal > 0 that precedes the table has passed; they stay rows so that
-       the table can be decided without that check;
+    The gate.  Before the first row, ``_certificate`` requires the three
+    scal factors of (p, q, r) (:func:`~dirac3sphere.metric.scal_factors`)
+    to be positive, which is scal > 0: the one decision of scal > 0.  On a
+    sorted triple the first two factors f1, f2 are lemmas, so the gate is
+    the third, f3 = -ab + bc + ca > 0, and by the identity
+    4a^2 b^2 c^2 (a^2 + b^2 + c^2 - C^2) = f1 f2 f3 (ab + bc + ca) it gives
+    C^2 < a^2 + b^2 + c^2 (scal/8 > 0) too.  Neither condition is a row.
+
+    Rows, on the sorted metric:
+
+    1. mu > 0;
     2. levels 2 to 4 in closed form: chi_2(2C) < 0, chi_4''(2C) < 0 and
-       chi_4(2C) > 0.  With the lemmas at x = 0 and convexity on [0, 2C]
-       (chi_2'' = 6x >= 0, chi_4'''' = 120x >= 0), the level-2 polynomial
-       is negative there and the level-4 one, concave there, positive.
-       Level 3: the pair (p, R) of :func:`_level3_radicals` has the shifted
-       eigenvalues l+- = (p - C) +- 2 sqrt(R), and l+-^2 - mu^2 =
-       alpha +- 4(p - C) sqrt(R) with alpha = (p - C)^2 + 4R - mu^2.  Both
-       lie outside [-mu, mu] exactly when the half-sum alpha and the
-       product alpha^2 - 16(p - C)^2 R are positive
-       (:func:`_level3_pairs`); the rows are the products of pairs 1, 2
-       and 4;
-    3. the base case G(5,0) > mu^2, the quadratic tails and the triangle
-       increment at n = 0 (the second table, which :func:`base_cases`
-       decides alone).  For the G(n,0) and G(n,1) families, each a
-       quadratic q(n) = A n^2 + B n + D, the rows are q(n_min) > 0 and
-       q'(n_min) = 2A n_min + B > 0: with A > 0, q' and then q stay
-       positive for every n >= n_min.
+       chi_4(2C) > 0; at level 3, for pairs 1, 2 and 4, the product
+       alpha^2 - 16(p - C)^2 R of :func:`_level3_pair`;
+    3. the base case G(5,0) > mu^2; for the G(n,0) and G(n,1) families, each
+       a quadratic q(n) = A n^2 + B n + D, q(n_min) > 0 and
+       q'(n_min) = 2A n_min + B > 0; the triangle increment at n = 0 (the
+       second table, which :func:`base_cases` decides alone).
 
     Lemmas.  The rest of the argument holds for every triple a >= b >= c > 0
     (s1 = a + b + c, C = (a^2 b^2 + b^2 c^2 + c^2 a^2)/(2abc),
@@ -387,12 +389,10 @@ def certify_fundamental_tone(m):
 
     - two scal factors: ab + bc - ca = a(b - c) + bc > 0 and
       ab - bc + ca = b(a - c) + ca > 0;
-    - C > max(a, b, c) = a: 2abc(C - a) = a^2 (b - c)^2 + b^2 c^2 > 0.  With
-      b >= c this resolves the absolute values of :func:`_G`;
-    - level 0: both blocks are the 1x1 matrix (-C), and
-      2abc(2C - s1) = 2(a^2 b^2 + b^2 c^2 + c^2 a^2) - 2abc(a + b + c)
-      = (ab - bc)^2 + (bc - ca)^2 + (ca - ab)^2 >= 0, so |-C| = C >= mu,
-      with equality exactly on the round line a = b = c (where ``smallest``
+    - C > max(a, b, c) = a: 2abc(C - a) = a^2 (b - c)^2 + b^2 c^2 > 0;
+    - level 0: 2abc(2C - s1) = 2(a^2 b^2 + b^2 c^2 + c^2 a^2) - 2abc(a + b + c)
+      = (ab - bc)^2 + (bc - ca)^2 + (ca - ab)^2 >= 0, so C >= mu, with
+      equality exactly on the round line a = b = c (where ``smallest``
       reports multiplicity 4);
     - level 1: the eigenvalues are mu and e_x = 2x - s1 - C for x = a, b, c,
       and e_x = -(C - x) - (s1 - x) < 0, so the gaps |e_x| - mu are
@@ -401,17 +401,55 @@ def certify_fundamental_tone(m):
       chi_4(0) = 768abc(a^2 + b^2 + c^2) > 0;
     - the base identities G(0,0) = C^2 and G(1,0) = (a + b + c - C)^2 = mu^2;
     - the tails: along k = n, 0 and 1, G - C^2 is A n^2 + B n + D with
-      A = a^2 - b^2 + c^2 = (a - b)(a + b) + c^2 > 0, one lemma per family.
-      The tail rows rely on it;
+      A = a^2 - b^2 + c^2 = (a - b)(a + b) + c^2 > 0, one lemma per family;
     - the increment: G(n+2, k+1) - G(n, k) = 4(c^2 n - bC + ac + b^2 + c^2)
-      for every k, so it grows by 4c^2 > 0 per level and its row at n = 0
-      decides it at every level;
-    - by their coefficients: alpha > 0 for all four level-3 pairs, the
-      product of pair 3 (p = -s1), and q(1) > 0 and q'(1) > 0 for the
-      G(n,n) family, so that G(n,n) > C^2 at every n >= 1.  Each is a
-      polynomial with no negative coefficient and a positive constant term
-      in x, z >= 0, where (a, b, c) = (1 + x + z, 1 + z, 1) is every sorted
-      triple up to scale.
+      for every k, so it grows by 4c^2 > 0 per level;
+    - by their coefficients: R >= 0 for all four level-3 pairs (the third
+      is 0 exactly on the round line, the others are > 0), alpha > 0 for
+      all four, the product of pair 3 (p = -s1), and q(1) > 0 and
+      q'(1) > 0 for the G(n,n) family.  Each is a polynomial with no
+      negative coefficient (and, but for the third R, a positive constant
+      term) in x, z >= 0, where (a, b, c) = (1 + x + z, 1 + z, 1) is every
+      sorted triple up to scale.
+
+    The argument, part by part, with the rows and lemmas each uses.  l is
+    an eigenvalue of the level-n operator and x = l + C one of its
+    unshifted block, so |l| <= C exactly when x lies in [0, 2C]:
+
+    - level 0: both blocks are the 1x1 matrix (-C); the lemma C >= mu;
+    - level 1: the level-1 lemma; the row mu > 0 makes mu = |mu| the
+      smallest |l|;
+    - level 2: the lemmas chi_2(0) < 0 and chi_2'' = 6x >= 0 on [0, 2C],
+      the row chi_2(2C) < 0: chi_2 is negative on [0, 2C], so every |l| > C;
+    - level 3: the lemma R >= 0 makes the pair's shifted eigenvalues
+      l = (p - C) +- 2 sqrt(R) real, with l^2 - mu^2 =
+      alpha +- 4(p - C) sqrt(R).  Both are positive exactly when the
+      half-sum alpha and the product alpha^2 - 16(p - C)^2 R are: the
+      lemmas on every alpha and on the product of pair 3, the rows on
+      pairs 1, 2 and 4.  The row mu > 0 then gives |l| > mu;
+    - level 4: the lemmas chi_4''(0) < 0, chi_4(0) > 0 and
+      chi_4'''' = 120x >= 0 on [0, 2C], the rows chi_4''(2C) < 0 and
+      chi_4(2C) > 0: chi_4'' is negative on [0, 2C], so chi_4 is concave
+      there and positive, and every |l| > C;
+    - levels n >= 5, the Gershgorin sign resolution: the lemma C > a, with
+      b >= c from the sort, resolves the absolute values of :func:`_G`, so
+      every l^2 is at least the smallest G(n, k), 0 <= k <= n;
+    - the base cases: the lemmas G(0,0) = C^2 and G(1,0) = mu^2, the row
+      G(5,0) > mu^2;
+    - the tails: the lemma A > 0 with the rows q(n_min) > 0 and
+      q'(n_min) > 0 keeps q' and then q positive for every n >= n_min, for
+      G(n,0) from n = 6 and G(n,1) from n = 4; the G(n,n) lemmas do the
+      same from n = 1;
+    - the increment: the row at n = 0 and the slope lemma make it positive
+      at every n, so G grows along (n, k) -> (n + 2, k + 1).  That line
+      keeps j = n - 2k and, below a level n >= 5, passes G(j, 0) for j in
+      {0, 1, 5}, G(j + 2, 1) for j in 2..4, the G(n,0) tail for j >= 6 and
+      the G(n,n) tail for j < 0.  So G(n, k) > C^2 at even n and > mu^2 at
+      odd n, and as C >= mu > 0 every |l| > C at even n and > mu at odd n.
+
+    Neither scal > 0 nor C^2 < a^2 + b^2 + c^2 appears in any part: the
+    gate is their one decision, and the margin scale above their one other
+    use.
 
     Theorem.  The tests run both tables the same way on (a, b, c) =
     (1 + x, 1, (1 + x + w)/(2 + x)), w = 1/(1 + z), which for x, z >= 0 is

@@ -123,9 +123,18 @@ def _require(cond, message):
 
 
 def _abc(vol, manifold):
-    """abc from the volume: 2 pi^2 / vol on the sphere, pi^2 / vol on SO(3)."""
+    """abc from the volume: 2 pi^2 / vol on the sphere, pi^2 / vol on SO(3).
+
+    A volume that is not positive and finite raises
+    :class:`InconsistentInputError`; one whose abc is 0 or inf in doubles
+    raises :class:`Dirac3SphereError`, as :func:`cubic_positive_roots` does.
+    """
     _require(vol > 0, "volume must be positive")
-    return (2.0 * _PI2 if manifold == S3 else _PI2) / vol
+    _require(vol < math.inf, f"volume must be finite, got {vol!r}")
+    abc = (2.0 * _PI2 if manifold == S3 else _PI2) / vol
+    if not 0 < abc < math.inf:
+        raise Dirac3SphereError(f"the computation left the double range: abc {abc!r} from volume {vol!r}")
+    return abc
 
 
 def _result(triple, manifold, branch, sym_polys, vol, scal, datum, value, degree):

@@ -9,9 +9,9 @@ library itself solves full spectra with LAPACK's dense symmetric solver, so
 reference is ``reference_block``: the entry recurrences written out for one
 block, apart from the library's one writer ``blocks._raw_rows``.  The
 certificate's reference is ``fraction_certificate``: the whole argument,
-the library's rows and the conditions its lemmas prove for every sorted
-triple, decided in ``Fraction`` arithmetic on the stored doubles, with no
-integer scaling.  The representation construction's reference is
+the library's rows, the conditions its lemmas prove for every sorted
+triple and the two that restate its scal > 0 gate, decided in
+``Fraction`` arithmetic on the stored doubles, with no integer scaling.  The representation construction's reference is
 ``einsum_representation``: the operator applied to every basis matrix unit
 as a dense einsum, with the representation matrices built by ``np.diag``.
 ``reference_verify_point`` is ``verify``'s grid point written out.  The
@@ -60,7 +60,7 @@ from dirac3sphere.blocks import (
 )
 from dirac3sphere.eigen import _min_abs_rows, _row_norms, _sturm_counts, _tolerance, default_tolerance
 from dirac3sphere.errors import ConsistencyError
-from dirac3sphere.gershgorin import _families, _G, _rounding_allowance
+from dirac3sphere.gershgorin import _FAMILIES, _G, _family, _rounding_allowance
 from dirac3sphere.metric import scal_factors, shift_C
 from dirac3sphere.spectrum import COINCIDENCE_RTOL
 
@@ -452,14 +452,22 @@ def _fraction_root_exceeds(u, R, t):
     return t < 0 and u * u * R < t * t
 
 
+def families(a, b, c, C):
+    """Every family of ``gershgorin._FAMILIES``, the G(n,n) lemma family
+    included, as (name, n_min, (A, B, D)): what the library's table
+    evaluates only for the two families that are rows."""
+    return [(name, n_min, _family(a, b, c, C, k0, k1)) for name, n_min, k0, k1 in _FAMILIES]
+
+
 def fraction_certificate(m):
-    """The steps of ``certify_fundamental_tone(m)`` and what its lemmas
-    prove for every sorted triple (38 conditions and the level-0 note, in
-    the order of the proof), as :data:`FractionStep` records.  Each
-    condition is decided on the exact rationals of the stored doubles
-    (``Fraction``) divided by the power of two that puts the largest entry
-    in [1, 2), and each margin is the exact rational at that scale rounded
-    to a double; raises the library's errors with the library's messages.
+    """The steps of ``certify_fundamental_tone(m)``, what its lemmas prove
+    for every sorted triple and what its scal > 0 gate implies (38
+    conditions and the level-0 note, in the order of the proof), as
+    :data:`FractionStep` records.  Each condition is decided on the exact
+    rationals of the stored doubles (``Fraction``) divided by the power of
+    two that puts the largest entry in [1, 2), and each margin is the exact
+    rational at that scale rounded to a double; raises the library's errors
+    with the library's messages.
     A level-3 pair is decided by what it states, both shifted eigenvalues
     (p - C) +- 2 sqrt(R) outside [-mu, mu] with the radicals compared
     exactly, and its margin is the library's product."""
@@ -511,7 +519,7 @@ def fraction_certificate(m):
     _fraction_step(steps, "base:G(0,0)=C^2", "G(0,0) - C^2", _G(a, b, c, C, 0, 0) - C * C, "eq")
     _fraction_step(steps, "base:G(1,0)=mu^2", "G(1,0) - mu^2", _G(a, b, c, C, 1, 0) - mu * mu, "eq")
     _fraction_step(steps, "base:G(5,0)>mu^2", "G(5,0) - mu^2", _G(a, b, c, C, 5, 0) - mu * mu)
-    for name, n_min, (A, B, D) in _families(a, b, c, C):
+    for name, n_min, (A, B, D) in families(a, b, c, C):
         _fraction_step(steps, f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A)
         _fraction_step(steps, f"tail:{name}:q({n_min})>0", "A n^2 + B n + D at n_min",
                        A * n_min * n_min + B * n_min + D)
@@ -655,10 +663,15 @@ class Poly:
         """The total degrees of the terms."""
         return {sum(e) for e in self.terms}
 
+    def nonnegative(self):
+        """No negative coefficient: then the polynomial is >= 0 wherever
+        every unknown is >= 0."""
+        return min(self.terms.values(), default=0) >= 0
+
     def positive(self):
         """No negative coefficient and a positive constant term: then the
         polynomial is positive wherever every unknown is >= 0."""
-        return min(self.terms.values()) >= 0 and self.terms.get((0,) * self.k, 0) > 0
+        return self.nonnegative() and self.terms.get((0,) * self.k, 0) > 0
 
 
 def certificate_unknowns(p, q, r):

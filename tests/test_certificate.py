@@ -11,11 +11,11 @@ import pytest
 
 import dirac3sphere as d3s
 from dirac3sphere import Metric
-from dirac3sphere.blocks import _char_poly_coeffs
-from dirac3sphere.gershgorin import _G, _base_conditions, _families, _level3_pairs, _level_conditions, _polyval
+from dirac3sphere.blocks import _char_poly_coeffs, _level3_radicals
+from dirac3sphere.gershgorin import _G, _base_conditions, _level3_pair, _level_conditions, _polyval
 from dirac3sphere.metric import scal_factors
 
-from _oracles import Poly, certificate_unknowns, fraction_certificate, random_metrics_with_sign
+from _oracles import Poly, certificate_unknowns, families, fraction_certificate, random_metrics_with_sign
 
 
 def _outcome(certify, m):
@@ -48,21 +48,27 @@ SORTED_LEMMAS = frozenset({
 })
 #: the library proves both kinds once and leaves them out of its table
 LEMMA_ROWS = IDENTITY_LEMMAS | SORTED_LEMMAS
+#: the oracle's rows that restate scal > 0, which the library's gate alone
+#: decides (``test_the_gate_is_the_one_decision_of_scal_positive``)
+GATE_ROWS = frozenset({"regime:scal>0:3", "regime:C^2<sigma1"})
+#: what the library's table leaves out of the oracle's
+SET_ASIDE = LEMMA_ROWS | GATE_ROWS
 
 
 def _assert_equal_to_oracle(metrics):
-    """The library's outcome is the oracle's with its lemma rows set aside;
-    every lemma row the oracle decides holds (it raises at the first row
-    that fails, so a failure must name a row the library decides too)."""
+    """The library's outcome is the oracle's with its lemma and gate rows
+    set aside; every such row the oracle decides holds (it raises at the
+    first row that fails, so a failure must name a row the library decides
+    too)."""
     outcomes = []
     for m in metrics:
         got = _outcome(_library, m)
         want = _outcome(fraction_certificate, m)
         if isinstance(want, list):
-            assert {name for name, *_ in want} >= LEMMA_ROWS, m.triple()
-            want = [step for step in want if step[0] not in LEMMA_ROWS]
+            assert {name for name, *_ in want} >= SET_ASIDE, m.triple()
+            want = [step for step in want if step[0] not in SET_ASIDE]
         else:
-            assert want[1].split(" fails")[0] not in LEMMA_ROWS, m.triple()
+            assert want[1].split(" fails")[0] not in SET_ASIDE, m.triple()
         assert got == want, m.triple()
         outcomes.append(isinstance(got, list))
     return outcomes
@@ -95,7 +101,7 @@ def test_certificate_equals_the_fraction_oracle_far_from_unit_scale():
     # range, and the exact decision still passes it; its margin is that
     # value rounded once, 0.0, while pairs 1 and 2 keep theirs
     margins = {s.name: s.margin for s in _library(metrics[-1])}
-    assert len(margins) == 15 and margins["level3:pair:4"] == 0.0
+    assert len(margins) == 13 and margins["level3:pair:4"] == 0.0
     assert margins["level3:pair:1"] == margins["level3:pair:2"] == 16.0
     # at the normalized scale no strict margin overflows (1e62's degree-5
     # margins once did) or underflows (1e-200's once did)
@@ -144,10 +150,10 @@ def test_every_lemma_is_an_identity_of_integer_polynomials():
 
     def tails(a, b, c, C, n):
         # along k = n, 0 and 1, G - C^2 and the leading coefficient of its quadratic
-        return [_G(a, b, c, C, n, k) - C * C for k in (n, 0, 1)] + [A for *_, (A, _, _) in _families(a, b, c, C)]
+        return [_G(a, b, c, C, n, k) - C * C for k in (n, 0, 1)] + [A for *_, (A, _, _) in families(a, b, c, C)]
 
     def quadratics(a, b, c, C, n):
-        return [A * n * n + B * n + D for *_, (A, B, D) in _families(a, b, c, C)] + [(a - b) * (a + b) + c * c] * 3
+        return [A * n * n + B * n + D for *_, (A, B, D) in families(a, b, c, C)] + [(a - b) * (a + b) + c * c] * 3
 
     lemmas = [
         # (rows proved, unknowns, left side, right side)
@@ -178,10 +184,10 @@ def test_every_lemma_is_an_identity_of_integer_polynomials():
     for rows, variables, lhs, rhs in lemmas:
         unknowns = Poly.symbols(variables)
         assert lhs(*unknowns) == rhs(*unknowns), rows
-    # the library decides the other 15 conditions, and nothing else
+    # the library decides the other 13 conditions, and nothing else
     steps = _library(Metric(1.3, 0.8, 0.9))
-    assert len(steps) == 15 and all(s.margin > 0 for s in steps)
-    assert not {s.name for s in steps} & LEMMA_ROWS
+    assert len(steps) == 13 and all(s.margin > 0 for s in steps)
+    assert not {s.name for s in steps} & SET_ASIDE
 
 
 def _rows(a, b, c, C):
@@ -193,7 +199,7 @@ def test_every_row_has_its_declared_degree():
     # so a factor t on (a, b, c, C) multiplies it by t^degree: the exact
     # decision and the margin at the normalized scale rest on that
     rows = _rows(*Poly.symbols(4))
-    assert len(rows) == 15
+    assert len(rows) == 13
     for name, _, value, degree in rows:
         assert value.degrees() == {degree}, name
 
@@ -206,9 +212,10 @@ def test_the_inequality_lemmas_hold_for_every_sorted_triple():
     # alpha > 0 for all four level-3 pairs, the product of pair 3, and the
     # G(n,n) family's q(1) and q'(1)
     x, z = Poly.symbols(2)
-    a, b, c, C = certificate_unknowns(1 + x + z, 1 + z, Poly(2, {(0, 0): 1}))
-    pairs = _level3_pairs(a, b, c, C)
-    (name, n_min, (A, B, D)), *_ = _families(a, b, c, C)
+    one = Poly(2, {(0, 0): 1})
+    a, b, c, C = certificate_unknowns(1 + x + z, 1 + z, one)
+    pairs = [_level3_pair(p, R, C, a + b + c - C) for p, R in _level3_radicals(a, b, c)]
+    (name, n_min, (A, B, D)), *_ = families(a, b, c, C)
     lemmas = {f"level3:alpha:{i}": alpha for i, (alpha, _) in enumerate(pairs, start=1)}
     lemmas["level3:pair:3"] = pairs[2][1]
     lemmas[f"tail:{name}:q({n_min})>0"] = (A * n_min + B) * n_min + D
@@ -216,6 +223,25 @@ def test_the_inequality_lemmas_hold_for_every_sorted_triple():
     assert set(lemmas) == SORTED_LEMMAS
     for row, value in lemmas.items():
         assert value.positive(), row
+    # R >= 0 for every level-3 pair, so its shifted eigenvalues are real:
+    # positive for pairs 1, 2 and 4; the third has no constant term and is 0
+    # exactly on the round line x = z = 0, and >= 0 on every sorted triple
+    R1, R2, R3, R4 = (R for _, R in _level3_radicals(1 + x + z, 1 + z, one))
+    assert R1.positive() and R2.positive() and R4.positive()
+    assert R3.nonnegative() and (0, 0) not in R3.terms
+
+
+def test_the_gate_is_the_one_decision_of_scal_positive():
+    # The gate of the certificate requires every scal factor f1, f2, f3 of
+    # the metric's integers to be positive, and no row restates it.  The
+    # two conditions that once were rows follow from it: f3 itself, and
+    # sigma1 - C^2 = scal/8 by the identity
+    # 4 a^2 b^2 c^2 (sigma1 - C^2) = f1 f2 f3 (ab + bc + ca), proved here at
+    # the certificate's unknowns (f1 and f2 are lemmas on sorted triples,
+    # so each has the sign of the gate there)
+    a, b, c, C = certificate_unknowns(*Poly.symbols(3))
+    f1, f2, f3 = scal_factors(a, b, c)
+    assert 4 * a * a * b * b * c * c * (a * a + b * b + c * c - C * C) == f1 * f2 * f3 * (a * b + b * c + c * a)
 
 
 def test_every_row_holds_on_the_whole_scal_positive_region():
@@ -239,7 +265,7 @@ def test_every_row_holds_on_the_whole_scal_positive_region():
     x, z = Poly.symbols(2)
     unknowns = certificate_unknowns((1 + x) * (2 + x) * (1 + z), (2 + x) * (1 + z), (1 + x) * (1 + z) + 1)
     rows = _rows(*unknowns)
-    assert len(rows) == 15
+    assert len(rows) == 13
     for name, _, value, _ in rows:
         assert value.positive(), name
 

@@ -224,6 +224,7 @@ def test_non_finite_document_is_an_error(capsys):
     ("reconstruct --manifold s3 --volume 19.74 --scal -6 --a2tilde nan", 2),
     ("smallest --metric 1,1,0.3 --manifold so3-nontrivial --max-level 0", 1),
     ("reconstruct --manifold s3 --volume 1e-300 --scal 1 --mu 1", 1),
+    ("reconstruct --manifold s3 --volume 1e-310 --scal 6 --mu 1.5", 1),
     ("invariants --metric 1e400,1,1", 2),
     ("verify --grid 1:1e400:2,1:1:1,1:1:1", 2),
 ])
@@ -243,6 +244,8 @@ def test_out_of_range_arguments_are_refused(capsys, argv, want):
         assert "must be finite" in err  # the value reaches its check
     if "1e-300" in argv:
         assert err.startswith("error: the computation left the double range")  # s2^2 overflows
+    if "1e-310" in argv:
+        assert err.startswith("error: the computation left the double range: abc inf")  # 2 pi^2 / volume overflows
 
 
 def test_smallest_overflowing_enumeration_is_an_error(capsys):
@@ -280,7 +283,7 @@ def test_smallest_round(capsys):
     assert list(res["certification"]) == [
         "sorted_metric", "permutation", "C", "mu", "scal", "checks", "min_margin", "steps",
     ]
-    assert res["certification"]["checks"] == 15
+    assert res["certification"]["checks"] == 13
     assert res["certification"]["min_margin"] > 0
 
 
@@ -300,7 +303,7 @@ def test_smallest_certify_on_is_decided_by_the_certificate(capsys):
     )
     assert code == 0 and err == ""
     res = json.loads(out)["results"]
-    assert (res["method"], res["certified"], res["certification"]["checks"]) == ("closed-form", True, 15)
+    assert (res["method"], res["certified"], res["certification"]["checks"]) == ("closed-form", True, 13)
 
 
 def test_smallest_certify_on_negative_scal_fails(capsys):
@@ -435,7 +438,7 @@ def test_verify_far_above_unit_scale_passes(capsys, grid):
         code, out, err = run_cli(capsys, "verify", "--grid", grid)
     assert (code, err) == (0, "")
     points = json.loads(out)["results"]["points"]
-    assert [(p["scal_sign"], p["status"], p["checks"]) for p in points] == [("positive", "pass", 15)] * len(points)
+    assert [(p["scal_sign"], p["status"], p["checks"]) for p in points] == [("positive", "pass", 13)] * len(points)
     assert all(p["min_margin"] > 0 for p in points)
 
 
@@ -457,7 +460,7 @@ def test_smallest_and_verify_print_the_same_step_records(capsys):
     _, out, _ = run_cli(capsys, "verify", "--grid", "1.3:1.3:1,0.8:0.8:1,0.9:0.9:1", "--details")
     (point,) = json.loads(out)["results"]["points"]
     assert point["steps"] == steps
-    assert len(steps) == 15 and all(list(step) == ["name", "detail", "margin"] for step in steps)
+    assert len(steps) == 13 and all(list(step) == ["name", "detail", "margin"] for step in steps)
 
 
 def test_readme_schema_and_step_record_match_the_code():

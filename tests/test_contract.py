@@ -3,6 +3,7 @@ the object layer refuses bad arguments with the package's own error type."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -91,10 +92,17 @@ PUBLIC_NAMES = [
 
 
 def test_benchmark_boundaries_and_exports_resolve():
+    # the names bench/spans.py wraps, and the oracle check bench/run.py makes
+    # before its first operation: a renamed name or a changed representation
+    # fails here, not only in a traced benchmark run
     boundaries = _boundaries()
     assert boundaries
     for module, func, _ in boundaries:
         assert callable(getattr(importlib.import_module(f"dirac3sphere.{module}"), func, None)), (module, func)
+    spec = importlib.util.spec_from_file_location("bench_oracle", SPANS.with_name("oracle.py"))
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    oracle.check_representation((1.3, 0.8, 0.6))
     assert sorted(d3s.__all__) == PUBLIC_NAMES
     for name in d3s.__all__:
         assert hasattr(d3s, name), name

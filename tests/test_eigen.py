@@ -61,6 +61,20 @@ def test_dense_oracle_all_blocks_up_to_level8():
                 assert np.abs(mine - lapack_eigs(blk)).max() <= 1e-10 * (1 + blk.infnorm())
 
 
+def test_block_solvers_take_a_block_or_its_symmetrization_alike():
+    # each of the four once failed or differed on the raw block: eigenvalues
+    # and count_below had no offdiag, min_abs_eigenvalue symmetrized twice,
+    # and default_tolerance summed the unsymmetrized couplings
+    m = Metric(1.3, 0.8, 0.6)
+    for n, tag in ((0, "A"), (3, "A"), (3, "B"), (8, "A")):
+        b = d3s.build_block(m, n, tag)
+        t = d3s.symmetrize(b)
+        assert np.array_equal(d3s.eigenvalues(b), d3s.eigenvalues(t))
+        assert d3s.count_below(b, 0.0) == d3s.count_below(t, 0.0)
+        assert d3s.min_abs_eigenvalue(b) == d3s.min_abs_eigenvalue(t)
+        assert default_tolerance(b) == default_tolerance(t)
+
+
 def test_custom_tolerance_honored():
     m = Metric(1.7, 1.1, 0.4)
     blk = d3s.build_block(m, 9, "A")

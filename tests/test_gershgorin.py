@@ -12,6 +12,7 @@ from dirac3sphere.metric import shift_C
 from _oracles import (
     direct_row_entries,
     exact_level_bounds,
+    families,
     grid_identity,
     paper_Gtilde,
     random_metrics,
@@ -173,10 +174,10 @@ def test_base_cases_margin_rule_can_fail(monkeypatch):
     # a family negative at its n_min must fail, by the name of its row
     from dirac3sphere import gershgorin
 
-    def families(a, b, c, C):
-        return [("G(n,n)-C^2", 1, (a, 0, a)), ("G(n,0)-C^2", 6, (a, -14 * a, 0))]  # roots 0 and 14 >= 6
+    def family(a, b, c, C, k0, k1):
+        return a, -14 * a, 0  # roots 0 and 14 >= 6
 
-    monkeypatch.setattr(gershgorin, "_families", families)
+    monkeypatch.setattr(gershgorin, "_family", family)
     with pytest.raises(d3s.CertificationError, match=r"^tail:G\(n,0\)-C\^2:q\(6\)>0 fails"):
         d3s.base_cases(Metric(1, 1, 1))
 
@@ -190,8 +191,7 @@ def test_family_quadratics_match_direct_values():
         p, q, r, P, _, _, _, S2, _ = ms._exact.integers
         exact = [Fraction(x) for x in ms.triple()]
         for a, b, c, C in ((2 * P * p, 2 * P * q, 2 * P * r, S2), (*exact, shift_C(*exact))):
-            families = gershgorin._families(a, b, c, C)
-            for (name, n_min, (A, B, D)), k in zip(families, (lambda n: n, lambda n: 0, lambda n: 1)):
+            for (name, n_min, (A, B, D)), k in zip(families(a, b, c, C), (lambda n: n, lambda n: 0, lambda n: 1)):
                 assert A == a * a - b * b + c * c
                 for n in range(40):
                     assert A * n * n + B * n + D == gershgorin._G(a, b, c, C, n, k(n)) - C * C, (m.triple(), name, n)

@@ -47,6 +47,18 @@ def test_cubic_refuses_symmetric_polynomials_beyond_the_double_range():
         d3s.reconstruct(d3s.S3, 1e-300, 1.0, mu=1.0)
 
 
+def test_volume_beyond_the_double_range_is_refused_on_every_route():
+    # abc = 2 pi^2 / volume overflows at 1e-310 and is 0 at an infinite
+    # volume; each once raised a raw ZeroDivisionError on the mu route and on
+    # the a2~ route respectively
+    routes = [(d3s.S3, 6.0, {"mu": 1.5}), (d3s.SO3_TRIVIAL, 6.0, {"C": 1.5}), (d3s.S3, -6.0, {"a2_tilde": 100.0})]
+    for manifold, scal, datum in routes:
+        with pytest.raises(d3s.InconsistentInputError, match="^volume must be finite, got inf$"):
+            d3s.reconstruct(manifold, math.inf, scal, **datum)
+        with pytest.raises(d3s.Dirac3SphereError, match="^the computation left the double range: abc inf"):
+            d3s.reconstruct(manifold, 1e-310, scal, **datum)
+
+
 def test_mu_reconstruction_round_point():
     r = d3s.reconstruct_positive_mu(TWO_PI_SQ, 6.0, 1.5, d3s.S3)
     assert r.triple == (1.0, 1.0, 1.0)
