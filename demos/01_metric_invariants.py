@@ -2,10 +2,13 @@
 
 Walks a handful of metrics through the closed-form invariants: the shift C,
 the tone mu = a+b+c-C, scalar curvature, sectional curvatures, and the
-heat-trace coefficients.  Each one is the exact value for the stored doubles,
-computed in integers and rounded once, so scal keeps its digits right up to
-the scal = 0 wall.
+heat-trace coefficients.  Each one is the exact value for the metric as
+written (a ``Fraction`` entry exactly, a float as its double), computed in
+integers and rounded once, so scal keeps its digits right up to the
+scal = 0 wall, and its sign is decided exactly.
 """
+
+from fractions import Fraction
 
 import dirac3sphere as d3s
 from dirac3sphere import Metric
@@ -43,7 +46,10 @@ def main():
     print(f"  scal = {m.scal!r},  a1 = {d3s.heat_invariants(m, d3s.S3).a1!r}")
     m = Metric(2, 1, 0.6666666666666676)
     print("Nine ulps off the wall (2, 1, 2/3), where 8*(sigma1 - C^2) in floats reads 4.97e-14:")
-    print(f"  exact scal = {m.scal!r}, classified {d3s.scal_sign_classification(m)!r} (relative 1e-12 band)")
+    print(f"  exact scal = {m.scal!r}, classified {d3s.scal_sign_classification(m)!r} (the exact sign)")
+    print("The wall (6, 4, 12/5) as written, and as its nearest doubles:")
+    for m in (Metric(6, 4, Fraction(12, 5)), Metric(6, 4, 2.4)):
+        print(f"  {m.triple()}: scal = {m.scal!r}, classified {d3s.scal_sign_classification(m)!r}")
 
 
 if __name__ == "__main__":

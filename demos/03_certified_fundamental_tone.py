@@ -4,7 +4,7 @@ For scal > 0 the smallest absolute eigenvalue is mu = a+b+c-C on the sphere
 and on the odd quotient structure, and C on the even structure.  The package
 proves that statement for each concrete metric: an exact gate decides
 scal > 0, then it decides a fixed list of 13 closed-form conditions in exact
-rational arithmetic on the stored doubles, each an integer polynomial in
+rational arithmetic on the metric as written, each an integer polynomial in
 (a, b, c, C) that holds when it is positive;
 the Gershgorin base cases and the triangle increment hold for every level at
 once, so no level is replayed.  The tests run the same list on polynomials
@@ -34,7 +34,7 @@ def main():
     print("\nNext to the wall the exact decision needs no tolerance:")
     m = Metric(1, 1, 0.5000000000001)
     trace = d3s.certify_fundamental_tone(m)
-    print(f"  (1, 1, 0.5000000000001): sign screen says {d3s.scal_sign_classification(m)!r},"
+    print(f"  (1, 1, 0.5000000000001): exact sign {d3s.scal_sign_classification(m)!r},"
           f" certified by {len(trace.steps)} steps, smallest margin {trace.min_margin:.3e}")
     for c in (0.5, 0.4999999999999):
         try:

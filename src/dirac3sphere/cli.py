@@ -66,16 +66,21 @@ _FINITE = _checked(float, math.isfinite, "finite")
 
 
 def _real(text, what):
-    """A decimal or rational ("1/2") as a double; ValueError when it is not
-    one or lies beyond the double range."""
+    """A decimal as its nearest double, as Python reads a float literal, or
+    a ratio ("12/5") as that exact ``Fraction``; ValueError when it is
+    neither or lies beyond the double range."""
     try:
-        return float(Fraction(text.strip()))
+        value = Fraction(text.strip())
+        x = float(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"bad {what} {text!r}: {exc}") from exc
+    return value if "/" in text else x
 
 
 def parse_metric(text):
-    """Parse "a,b,c" with decimal or rational components ("1/2")."""
+    """Parse "a,b,c" with decimal or rational components ("1/2"): a ratio
+    stays exact (:class:`~dirac3sphere.metric.Metric`), so "6,4,12/5" lies
+    on the wall scal = 0."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"metric must have three components, got {text!r}")
@@ -92,7 +97,7 @@ def parse_grid(text):
         fields = axis.split(":")
         if len(fields) != 3:
             raise ValueError(f"axis must be lo:hi:count, got {axis!r}")
-        lo, hi = _real(fields[0], "axis bound"), _real(fields[1], "axis bound")
+        lo, hi = (float(_real(field, "axis bound")) for field in fields[:2])
         count = int(fields[2])
         if count < 1 or hi < lo or lo <= 0:
             raise ValueError(f"bad axis {axis!r}")
@@ -214,8 +219,8 @@ def cmd_reconstruct(args):
 
 def _verify_point(metric, details=False):
     """One grid point: the certificate decides whether it passes (exact
-    scal > 0) or is skipped; ``scal_sign`` reports the sign screen.  A
-    passing point's ``checks`` counts the certificate's steps."""
+    scal > 0) or is skipped, by the exact sign that ``scal_sign`` reports.
+    A passing point's ``checks`` counts the certificate's steps."""
     point = {"metric": list(metric.triple()), "scal_sign": scal_sign_classification(metric)}
     try:
         trace = certify_fundamental_tone(metric)
@@ -276,7 +281,7 @@ def _build_parser():
     add_common(p)
     p.add_argument("--max-level", type=_LEVEL, default=25, help="enumeration level cutoff when scal <= 0")
     p.add_argument("--certify", default="auto", choices=["auto", "on"],
-                   help="on: the exact certificate alone decides the regime, or refuses")
+                   help="auto: certified when scal > 0, else enumerated; on: certified or refused")
     p.set_defaults(func=cmd_smallest)
 
     p = sub.add_parser("heat-trace", help="truncated heat trace with tail estimate")

@@ -62,7 +62,7 @@ import numpy as np
 
 from .blocks import _char_poly_coeffs, _level, _level3_radicals
 from .errors import CertificationError, ConsistencyError, DomainError, UncertifiableError
-from .metric import _approx, _integers, scal_factors
+from .metric import POSITIVE, _approx, _integers
 
 
 def level_bounds(m, levels):
@@ -316,9 +316,9 @@ def _certificate(m, *tables):
     """Decide the rows of ``tables`` for ``m``, in order, and return the
     trace."""
     ex = m._exact
-    p, q, r, P, _, _, _, S2, _ = ex.integers
-    if min(scal_factors(p, q, r)) <= 0:
+    if ex.sign != POSITIVE:
         raise UncertifiableError("certification requires positive scalar curvature; only enumerated minima exist")
+    p, q, r, P, _, _, _, S2, _ = ex.integers
     ms, perm = m.sorted()
     D = 2 * P
     a, b, c = ((p, q, r)[i] * D for i in perm)
@@ -348,26 +348,31 @@ def certify_fundamental_tone(m):
 
     A fixed list of closed-form conditions in two tables
     (:func:`_level_conditions`, :func:`_base_conditions`), the same for
-    every metric with scal > 0, each decided exactly on the stored doubles
-    with no tolerance, in one loop; each step of the trace is one of them.
-    The integers are the metric's own (``m._exact``, which also reports C,
-    mu and scal): (a, b, c) = (p, q, r) 2^e with the shared power of two
-    stripped, permuted to a >= b >= c.  With D = 2pqr,
-    (pD, qD, rD, p^2 q^2 + q^2 r^2 + r^2 p^2) are D/2^e times the exact
+    every metric with scal > 0, each decided exactly on the metric as
+    written (:class:`~dirac3sphere.metric.Metric`) with no tolerance, in
+    one loop; each step of the trace is one of them.  The integers are the
+    metric's own (``m._exact``, which also reports C, mu and scal):
+    (a, b, c) = (p, q, r) s with s > 0 rational (a power of two for
+    doubles), permuted to a >= b >= c by the exact order of
+    :meth:`~dirac3sphere.metric.Metric.sorted`.  With D = 2pqr,
+    (pD, qD, rD, p^2 q^2 + q^2 r^2 + r^2 p^2) are D/s times the exact
     (a, b, c, C).  A condition homogeneous of degree d in (a, b, c, C) is
-    (D/2^e)^d > 0 times its value on these integers, so they decide its
+    (D/s)^d > 0 times its value on these integers, so they decide its
     sign exactly, and every row is such a condition.  Its margin is the
     integer over (D 2^(L-1))^d, L the bit length of max(p, q, r), rounded
-    once: its value on the metric normalized to a largest entry in [1, 2),
+    once: its value on the metric scaled to a largest entry in [1, 2),
     where C^2 < a^2+b^2+c^2 < 12 (the first by the gate, below), so that no
     margin overflows and a factor 2^j on the metric changes none.
 
-    The gate.  Before the first row, ``_certificate`` requires the three
-    scal factors of (p, q, r) (:func:`~dirac3sphere.metric.scal_factors`)
-    to be positive, which is scal > 0: the one decision of scal > 0.  On a
-    sorted triple the first two factors f1, f2 are lemmas, so the gate is
-    the third, f3 = -ab + bc + ca > 0, and by the identity
-    4a^2 b^2 c^2 (a^2 + b^2 + c^2 - C^2) = f1 f2 f3 (ab + bc + ca) it gives
+    The gate.  Before the first row, ``_certificate`` requires the exact
+    sign of scal, ``m._exact.sign`` (the sign
+    :func:`~dirac3sphere.metric.scal_sign_classification` reports), to be
+    positive: the one decision of scal > 0.  That sign is the sign of
+    F = 4P^2 (X + Y + Z) - S2^2 (:class:`~dirac3sphere.metric._Exact`), and
+    F = f1 f2 f3 (pq + qr + rp) for the three scal factors
+    f1 = pq + qr - rp, f2 = pq - qr + rp, f3 = -pq + qr + rp.  On a sorted
+    triple f1 and f2 are lemmas, so the gate is f3 = -ab + bc + ca > 0,
+    and as F/(4P^2) = X + Y + Z - C^2 at the integers' scale it gives
     C^2 < a^2 + b^2 + c^2 (scal/8 > 0) too.  Neither condition is a row.
 
     Rows, on the sorted metric:

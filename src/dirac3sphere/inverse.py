@@ -23,6 +23,12 @@ cubic with them (square roots of the roots for the sigma_i).  One shared
 tail builds the result: it recomputes volume, scal and the route's datum
 from the recovered metric's exact scalars and attaches the relative
 residuals.
+
+Two slacks stay, stated: ``_ROOT_RTOL = 1e-9``, within which the cubic's
+roots count as real and positive, and the band |scal| <= 1e-10 sigma3^(1/3)
+that names the branch "a2tilde-zero".  They act on spectral data the user
+measured, which carries its own error, not on a metric: the sign of scal
+of a metric is decided exactly (``metric.scal_sign_classification``).
 """
 
 import math

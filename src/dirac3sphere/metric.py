@@ -11,10 +11,12 @@ Two scalars appear everywhere downstream:
     C  = (ab/c + bc/a + ca/b) / 2      (diagonal shift of every level block)
     mu = a + b + c - C                 (fundamental tone when scal > 0)
 
-Every reported scalar is exact: evaluated in integers on the stored doubles
-and rounded once (a volume or heat coefficient: its rational factor, times
-pi^2).  The one float formula left is :attr:`Metric.C`, the diagonal shift
-every block row and Gershgorin bound is built from.
+Every reported scalar is exact: evaluated in integers on the metric as
+written (an entry given as a rational exactly, any other as its double) and
+rounded once (a volume or heat coefficient: its rational factor, times
+pi^2).  The sign of scal is decided there too, once, with no tolerance.
+The one float formula left is :attr:`Metric.C`, the diagonal shift every
+block row and Gershgorin bound is built from.
 
 Permuting (a, b, c) gives an isometric metric; nothing here sorts the triple
 silently.
@@ -24,6 +26,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DomainError
 
@@ -56,18 +59,13 @@ def shift_C(a, b, c):
     return (a * b / c + b * c / a + c * a / b) / 2
 
 
-def scal_factors(a, b, c):
-    """ab+bc-ca, ab-bc+ca, -ab+bc+ca: scal > 0 exactly when all three are positive."""
-    ab, bc, ca = a * b, b * c, c * a
-    return ab + bc - ca, ab - bc + ca, -ab + bc + ca
-
-
 def _integers(*xs):
-    """The doubles ``xs`` scaled to integers by one power of two: every
-    double is p / 2^q, so with 2^Q the largest 2^q, x 2^Q = p 2^(Q-q) is an
-    integer for each.  Returns (the integers, 2^Q)."""
+    """The exact rationals ``xs`` (doubles, ints or ``Fraction``s) over one
+    denominator, the lcm Q of theirs: each x = p/q, so x Q = p (Q/q) is an
+    integer.  Returns (the integers, Q); for doubles Q is the largest power
+    of two among their denominators."""
     ratios = [x.as_integer_ratio() for x in xs]
-    den = max(q for _, q in ratios)
+    den = math.lcm(*(q for _, q in ratios))
     return [p * (den // q) for p, q in ratios], den
 
 
@@ -84,33 +82,43 @@ def _approx(value, scale=1):
 
 
 class _Exact:
-    """Every closed-form scalar of the stored doubles, exact and rounded once.
+    """Every closed-form scalar of the metric as written, exact and rounded
+    once, and the sign of scal.
 
-    With (a, b, c) = (p, q, r) 2^e (:func:`_integers`, the shared power of
-    two moved into e), P = pqr and (X, Y, Z) = (p^2, q^2, r^2), a scalar of
-    degree d in (a, b, c) is an integer over a monomial in P, times 2^(de):
-    C = (XY + YZ + ZX) / 2P, scal = 2(4P^2 (X + Y + Z) - (XY + YZ + ZX)^2) / P^2,
+    With (a, b, c) = (p, q, r) 2^e / v (:func:`_integers`, the shared power
+    of two of the integers and of their denominator moved into e, v the odd
+    part of the denominator; v = 1 for doubles), P = pqr and
+    (X, Y, Z) = (p^2, q^2, r^2), a scalar of degree d in (a, b, c) is an
+    integer over a monomial in P, times (2^e / v)^d:
+    C = (XY + YZ + ZX) / 2P, scal = 2F / P^2 with
+    F = 4P^2 (X + Y + Z) - (XY + YZ + ZX)^2,
     K12 = (2(X + Y - Z) XYZ + Y^2 Z^2 + Z^2 X^2 - 3X^2 Y^2) / P^2 and
-    cyclically, |Ric|^2 and |Riem|^2 over P^4, the sphere's volume 2/P 2^(-3e)
-    times pi^2.  ``scal_ratio`` is the smallest scal factor over
-    ab + bc + ca, free of the scale.  C, mu, scal and scal_ratio are
-    evaluated at once, the rest (``full``) on first use.
+    cyclically, |Ric|^2 and |Riem|^2 over P^4, the sphere's volume
+    2/P (2^e / v)^(-3) times pi^2.  ``sign`` is the sign of F, which is the
+    sign of scal: the one decision of it, with "zero" exactly when scal = 0.
+    C, mu, scal and the sign are evaluated at once, the rest (``full``) on
+    first use.
     """
 
     def __init__(self, a, b, c):
-        (p, q, r), unit = _integers(a, b, c)
+        (p, q, r), den = _integers(a, b, c)
         t = min((x & -x).bit_length() for x in (p, q, r)) - 1
-        p, q, r, self.e = p >> t, q >> t, r >> t, t + 1 - unit.bit_length()
+        k = (den & -den).bit_length() - 1
+        p, q, r, self.e, self.v = p >> t, q >> t, r >> t, t - k, den >> k
         P, X, Y, Z = p * q * r, p * p, q * q, r * r
         S2 = X * Y + Y * Z + Z * X
         F = 4 * P * P * (X + Y + Z) - S2 * S2
         self.integers = p, q, r, P, X, Y, Z, S2, F
+        self.sign = POSITIVE if F > 0 else ZERO if F == 0 else NEGATIVE
         self.C = self.rounded(S2, 2 * P, 1)
         self.mu = self.rounded(2 * P * (p + q + r) - S2, 2 * P, 1)
         self.scal = self.rounded(2 * F, P * P, 2)
-        self.scal_ratio = _approx(min(scal_factors(p, q, r)), p * q + q * r + r * p)
 
     def rounded(self, num, den, degree):
+        if degree > 0:
+            den *= self.v ** degree
+        else:
+            num *= self.v ** -degree
         shift = degree * self.e
         return _approx(num << shift, den) if shift >= 0 else _approx(num, den << -shift)
 
@@ -155,17 +163,27 @@ class _Exact:
         return invariants, heat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
     """Positive triple (a, b, c) of inverse frame lengths: any reals but
-    bools, each stored as its nearest double (a ``Fraction`` is rounded
-    once); anything else raises :class:`DomainError`."""
+    bools; anything else, or an entry whose double is not positive and
+    finite, raises :class:`DomainError`.
+
+    ``a``, ``b`` and ``c`` are the nearest doubles, and every float layer
+    (blocks, solver, level bounds) uses them.  The metric as written is
+    kept too, for the exact scalars (``_exact``): an entry given as a
+    :class:`numbers.Rational` (a ``Fraction``, an int, a numpy integer) as
+    that rational, any other as its double, which is exact already.  So
+    (6, 4, Fraction(12, 5)) lies on the wall scal = 0 although its doubles
+    do not.  :meth:`sorted`, :meth:`is_round`, equality and hashing follow
+    the exact values."""
 
     a: float
     b: float
     c: float
 
     def __post_init__(self):
+        written = []
         for name in ("a", "b", "c"):
             v = getattr(self, name)
             real = isinstance(v, numbers.Real) and not isinstance(v, bool)
@@ -176,13 +194,22 @@ class Metric:
             if not math.isfinite(x) or x <= 0:
                 raise DomainError(f"metric parameter {name} must be a positive finite real, got {(x if real else v)!r}")
             object.__setattr__(self, name, x)
+            exact = not isinstance(v, float) and isinstance(v, numbers.Rational)
+            written.append(Fraction(int(v.numerator), int(v.denominator)) if exact else x)
+        object.__setattr__(self, "_written", tuple(written))
+
+    def __eq__(self, other):
+        return self._written == other._written if isinstance(other, Metric) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._written)
 
     def triple(self):
         return (self.a, self.b, self.c)
 
     @functools.cached_property
     def _exact(self):
-        return _Exact(self.a, self.b, self.c)
+        return _Exact(*self._written)
 
     @property
     def C(self):
@@ -202,28 +229,31 @@ class Metric:
     def sorted(self):
         """Return (metric with a >= b >= c, permutation p).
 
-        p[i] is the index in the original triple of the i-th sorted entry.
-        Sorting is an isometric relabeling of the frame; it is exposed, never
-        applied implicitly.
+        The order and the entries are the exact ones: two rationals that
+        round to one double keep their order and their values.  p[i] is the
+        index in the original triple of the i-th sorted entry.  Sorting is
+        an isometric relabeling of the frame; it is exposed, never applied
+        implicitly.
         """
-        t = self.triple()
-        order = sorted(range(3), key=lambda i: -t[i])
-        return Metric(t[order[0]], t[order[1]], t[order[2]]), tuple(order)
+        w = self._written
+        order = sorted(range(3), key=lambda i: -w[i])
+        return Metric(w[order[0]], w[order[1]], w[order[2]]), tuple(order)
 
     def is_round(self):
-        """True when a = b = c exactly.
+        """True when a = b = c exactly, as written.
 
         Off the round line 2C - (a + b + c) = ((ab-bc)^2 + (bc-ca)^2 +
         (ca-ab)^2) / (2abc) > 0, so C > mu however close the entries are.
         """
-        return self.a == self.b == self.c
+        w = self._written
+        return w[0] == w[1] == w[2]
 
 
 @dataclass(frozen=True)
 class MetricInvariants:
     """Every closed-form scalar attached to one metric.
 
-    Each field is the exact value for the stored doubles, rounded once
+    Each field is the exact value for the metric as written, rounded once
     (volumes: the exact 2/(abc) or 1/(abc), rounded, times pi^2); the squared
     tensor norms come from the sectional curvatures.
     """
@@ -270,15 +300,14 @@ def sectional_curvatures(m):
 
 
 def scal_sign_classification(m):
-    """Classify the sign of the scalar curvature.
+    """The sign of the scalar curvature of the metric as written, decided
+    exactly: "zero" only when scal = 0 exactly.
 
-    scal > 0 exactly when ab+bc-ca, ab-bc+ca and -ab+bc+ca are all positive;
-    at most one of them can be negative.  "zero" is declared when the minimal
-    factor, exact and rounded once, is below 1e-12 (ab+bc+ca) in absolute
-    value.
+    It is the sign that the certificate's gate reads (``m._exact.sign``),
+    so a metric is "positive" exactly when
+    :func:`~dirac3sphere.gershgorin.certify_fundamental_tone` takes it.
     """
-    ratio = m._exact.scal_ratio
-    return ZERO if abs(ratio) < 1e-12 else POSITIVE if ratio > 0 else NEGATIVE
+    return m._exact.sign
 
 
 def invariants(m):

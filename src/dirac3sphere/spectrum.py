@@ -24,19 +24,10 @@ import numpy as np
 
 from .blocks import TAG_A, TAG_B, _level, _raw_rows
 from .eigen import _min_abs_candidates, _proved_min_abs, _proved_values, _row_norms, _tolerance, _windows
-from .errors import DomainError, TruncationWarning
+from .errors import DomainError, TruncationWarning, UncertifiableError
 from .gershgorin import CertificationTrace, certify_fundamental_tone, level_bounds  # noqa: F401 (re-exported)
 from .gershgorin import _rounding_allowance
-from .metric import (
-    POSITIVE,
-    S3,
-    SO3_NONTRIVIAL,
-    SO3_TRIVIAL,
-    SPECTRUM_MANIFOLDS,
-    Metric,
-    _volume_space,
-    scal_sign_classification,
-)
+from .metric import S3, SO3_NONTRIVIAL, SO3_TRIVIAL, SPECTRUM_MANIFOLDS, Metric, _volume_space
 
 #: relative slack of the multiplicity count in :func:`enumerated_min_abs`:
 #: eigenvalues within it of the minimum count towards its multiplicity
@@ -467,30 +458,34 @@ class SmallestEigenvalueReport:
 def smallest(m, manifold, certify=False, max_level=25):
     """Smallest absolute eigenvalue of the chosen operator.
 
-    With positive scalar curvature the value is mu (sphere and odd
-    structure) or C (even structure), with squared-operator multiplicity 4
-    exactly on the round line of the sphere and 2 otherwise, always
-    certified: the report carries the full verification trace, with
-    ``certify=False`` too.
+    The certificate (:func:`certify_fundamental_tone`) decides first, by
+    the exact sign of scal (:func:`~dirac3sphere.metric.scal_sign_classification`).
+    With scal > 0 the value is mu (sphere and odd structure) or C (even
+    structure), with squared-operator multiplicity 4 exactly on the round
+    line of the sphere and 2 otherwise, always certified: the report
+    carries the full verification trace, with ``certify=False`` too.
 
-    Otherwise the value is the enumerated minimum over levels <= max_level,
-    never certified.  With ``certify`` false (the default) the regime is
-    the float screen :func:`scal_sign_classification`; with ``certify``
-    true the certificate alone decides, proving scal > 0 next to the wall
-    where the screen says "zero", or raising :class:`UncertifiableError`.
-    An unknown manifold raises :class:`DomainError`.
+    Otherwise the certificate refuses with :class:`UncertifiableError`.
+    With ``certify`` true that refusal is raised ("certified or refused");
+    with ``certify`` false (the default) the value is the enumerated minimum
+    over levels <= max_level, never certified.  An unknown manifold raises
+    :class:`DomainError`.
     """
     if manifold not in SPECTRUM_MANIFOLDS:
         raise DomainError(f"unknown manifold {manifold!r}; expected one of {SPECTRUM_MANIFOLDS}")
-    if certify or scal_sign_classification(m) == POSITIVE:
+    try:
         trace = certify_fundamental_tone(m)
+    except UncertifiableError:
+        if certify:
+            raise
+        trace = None
+    if trace is None:
+        value, mult, _ = enumerated_min_abs(m, manifold, max_level=max_level)
+        method, cutoff = "enumeration", int(max_level)
+    else:
         value = m._exact.C if manifold == SO3_TRIVIAL else m.mu
         mult = 4 if manifold == S3 and m.is_round() else 2
         method, cutoff = "closed-form", None
-    else:
-        trace = None
-        value, mult, _ = enumerated_min_abs(m, manifold, max_level=max_level)
-        method, cutoff = "enumeration", int(max_level)
     return SmallestEigenvalueReport(
         manifold=manifold,
         metric=m.triple(),

@@ -61,8 +61,16 @@ from dirac3sphere.blocks import (
 from dirac3sphere.eigen import _min_abs_rows, _row_norms, _sturm_counts, _tolerance, default_tolerance
 from dirac3sphere.errors import ConsistencyError
 from dirac3sphere.gershgorin import _FAMILIES, _G, _family, _rounding_allowance
-from dirac3sphere.metric import scal_factors, shift_C
+from dirac3sphere.metric import shift_C
 from dirac3sphere.spectrum import COINCIDENCE_RTOL
+
+
+def scal_factors(a, b, c):
+    """ab+bc-ca, ab-bc+ca, -ab+bc+ca: scal > 0 exactly when all three are
+    positive, since (ab + bc + ca) times their product is
+    4a^2 b^2 c^2 (a^2 + b^2 + c^2 - C^2) = a^2 b^2 c^2 scal / 2."""
+    ab, bc, ca = a * b, b * c, c * a
+    return ab + bc - ca, ab - bc + ca, -ab + bc + ca
 
 
 def reference_block(m, n, tag):
@@ -281,10 +289,19 @@ def random_metrics(rng, count, lo=0.3, hi=2.5):
     return [d3s.Metric(*t) for t in random_triples(rng, count, lo, hi)]
 
 
+#: draws per requested metric after which a sampler gives up: a scal sign
+#: that never comes up fails with a message instead of hanging the suite
+MAX_DRAWS_PER_METRIC = 50
+
+
 def random_metrics_with_sign(rng, count, sign, lo=0.3, hi=2.5):
-    """Rejection-sample metrics whose factored scal classification is ``sign``."""
-    out = []
+    """Rejection-sample metrics whose exact scal sign is ``sign``, within
+    ``MAX_DRAWS_PER_METRIC`` draws per metric."""
+    out, draws = [], 0
     while len(out) < count:
+        if draws == MAX_DRAWS_PER_METRIC * count:
+            raise AssertionError(f"{len(out)} of {count} metrics with scal sign {sign!r} in {draws} draws")
+        draws += 1
         m = d3s.Metric(*rng.uniform(lo, hi, 3))
         if d3s.scal_sign_classification(m) == sign:
             out.append(m)
@@ -292,13 +309,17 @@ def random_metrics_with_sign(rng, count, sign, lo=0.3, hi=2.5):
 
 
 def scal_zero_metrics(rng, count, lo=0.3, hi=2.0):
-    """Metrics on the scal = 0 boundary: c = ab/(a+b) kills one factor."""
+    """Metrics exactly on the scal = 0 wall: (a, b, ab/(a+b)) with a and b
+    random doubles and the third entry the exact ``Fraction``, which kills
+    the factor ab - bc - ca; the sign is checked, so a wrong one fails with a
+    message."""
     out = []
-    while len(out) < count:
-        a, b = rng.uniform(lo, hi, 2)
+    for _ in range(count):
+        a, b = (Fraction(x) for x in rng.uniform(lo, hi, 2))
         m = d3s.Metric(a, b, a * b / (a + b))
-        if d3s.scal_sign_classification(m) == d3s.ZERO:
-            out.append(m)
+        if d3s.scal_sign_classification(m) != d3s.ZERO:
+            raise AssertionError(f"the wall metric {m.triple()} has scal sign {d3s.scal_sign_classification(m)!r}")
+        out.append(m)
     return out
 
 
@@ -383,7 +404,7 @@ def _fraction_float(x):
 
 
 def exact_scalars(m):
-    """Every reported metric scalar of ``m`` as an exact ``Fraction``, by
+    """Every reported metric scalar of ``m``, as written, as an exact ``Fraction``, by
     other formulas than the library's: the symmetric polynomials sigma_i of
     the squares for |Ric|^2 and |Riem|^2, the product form
     2 (ab+bc+ca)(ab+bc-ca)(ab-bc+ca)(-ab+bc+ca) / (abc)^2 for scal, and the
@@ -392,7 +413,7 @@ def exact_scalars(m):
     pi^2.  Keys: the ``MetricInvariants`` fields, ``("heat", space)`` for
     (a0, a1, a2) and ``"scal_factor"``, the smallest scal factor over
     ab + bc + ca."""
-    a, b, c = (Fraction(x) for x in m.triple())
+    a, b, c = (Fraction(x) for x in m._written)
     s1, s2, s3 = a + b + c, a * b + b * c + c * a, a * b * c
     a2, b2, c2 = a * a, b * b, c * c
     sigma1, sigma2, sigma3 = a2 + b2 + c2, a2 * b2 + b2 * c2 + c2 * a2, a2 * b2 * c2

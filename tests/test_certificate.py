@@ -4,6 +4,7 @@ its lemmas and rows proved as integer polynomials."""
 import itertools
 import math
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,9 +14,8 @@ import dirac3sphere as d3s
 from dirac3sphere import Metric
 from dirac3sphere.blocks import _char_poly_coeffs, _level3_radicals
 from dirac3sphere.gershgorin import _G, _base_conditions, _level3_pair, _level_conditions, _polyval
-from dirac3sphere.metric import scal_factors
 
-from _oracles import Poly, certificate_unknowns, families, fraction_certificate, random_metrics_with_sign
+from _oracles import Poly, certificate_unknowns, families, fraction_certificate, random_metrics_with_sign, scal_factors
 
 
 def _outcome(certify, m):
@@ -232,16 +232,27 @@ def test_the_inequality_lemmas_hold_for_every_sorted_triple():
 
 
 def test_the_gate_is_the_one_decision_of_scal_positive():
-    # The gate of the certificate requires every scal factor f1, f2, f3 of
-    # the metric's integers to be positive, and no row restates it.  The
-    # two conditions that once were rows follow from it: f3 itself, and
-    # sigma1 - C^2 = scal/8 by the identity
+    # The gate of the certificate requires the exact sign of scal,
+    # ``m._exact.sign``, the sign of F = 4P^2 (X + Y + Z) - S2^2 on the
+    # metric's integers, to be positive, and no row restates it.  F is
+    # f1 f2 f3 (pq + qr + rp) with the scal factors f1, f2, f3, so the gate
+    # is f3 > 0 on a sorted triple (f1 and f2 are lemmas there), and it
+    # gives sigma1 - C^2 = scal/8 > 0 by the identity
     # 4 a^2 b^2 c^2 (sigma1 - C^2) = f1 f2 f3 (ab + bc + ca), proved here at
-    # the certificate's unknowns (f1 and f2 are lemmas on sorted triples,
-    # so each has the sign of the gate there)
+    # the certificate's unknowns and as polynomials in the integers
     a, b, c, C = certificate_unknowns(*Poly.symbols(3))
     f1, f2, f3 = scal_factors(a, b, c)
     assert 4 * a * a * b * b * c * c * (a * a + b * b + c * c - C * C) == f1 * f2 * f3 * (a * b + b * c + c * a)
+    p, q, r = Poly.symbols(3)
+    P, X, Y, Z = p * q * r, p * p, q * q, r * r
+    S2 = X * Y + Y * Z + Z * X
+    f1, f2, f3 = scal_factors(p, q, r)
+    assert 4 * P * P * (X + Y + Z) - S2 * S2 == f1 * f2 * f3 * (p * q + q * r + r * p)
+    # and the library's F is that polynomial at its integers
+    for m in (Metric(1.3, 0.8, 0.6), Metric(6, 4, Fraction(12, 5)), Metric(1, 1, 0.4)):
+        p, q, r, *_, F = m._exact.integers
+        f1, f2, f3 = scal_factors(p, q, r)
+        assert F == f1 * f2 * f3 * (p * q + q * r + r * p)
 
 
 def test_every_row_holds_on_the_whole_scal_positive_region():

@@ -3,6 +3,7 @@ import math
 import pathlib
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -261,16 +262,61 @@ def test_smallest_overflowing_enumeration_is_an_error(capsys):
 
 
 def test_smallest_huge_entry_answers_without_warnings(capsys):
-    # the level bounds overflow at even levels; those levels are examined, not pruned
+    # scal < 0 and every level bound overflows to inf: each level is
+    # examined, not pruned, and nothing warns
+    m = Metric(1e200, 1, 0.5)
+    assert d3s.scal_sign_classification(m) == d3s.NEGATIVE
+    assert np.isinf(d3s.level_bounds(m, np.arange(26))).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "smallest", "--metric", "1e200,1,1", "--manifold", "s3")
-    assert code == 0
-    assert err == ""
+        code, out, err = run_cli(capsys, "smallest", "--metric", "1e200,1,0.5", "--manifold", "s3")
+    assert (code, err) == (0, "")
     res = json.loads(out)["results"]
-    assert res["value"] == 2.0
-    assert res["multiplicity_d_squared"] == 4
-    assert dense_min_abs(Metric(1e200, 1, 1), "s3", 25)[:2] == (2.0, 4)
+    assert (res["method"], res["certified"]) == ("enumeration", False)
+    assert (res["value"], res["multiplicity_d_squared"]) == dense_min_abs(m, "s3", 25)[:2]
+
+
+@pytest.mark.parametrize("metric", ["1e20,1,1", "1e200,1,1", "1,1,0.5000000000001"])
+def test_smallest_auto_and_on_agree_next_to_the_wall(capsys, metric):
+    # within relative 1e-12 of the wall but off it: one verdict, the
+    # certificate's (a float band once enumerated these under auto, and
+    # counted multiplicity 4 at (1e20, 1, 1))
+    results = []
+    for certify in ("auto", "on"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "smallest", "--metric", metric, "--manifold", "s3", "--certify", certify)
+        assert (code, err) == (0, "")
+        results.append(json.loads(out)["results"])
+    assert results[0] == results[1]
+    res = results[0]
+    assert (res["certified"], res["multiplicity_d_squared"], res["certification"]["checks"]) == (True, 2, 13)
+    if metric == "1e20,1,1":
+        assert res["value"] == 2.0
+
+
+def test_exact_walls_are_scal_zero_and_enumerated(capsys):
+    # all 81 walls (p, q, pq/(p+q)), p, q in 1..9: through Metric and as
+    # written on the command line, scal is 0 exactly and smallest enumerates
+    for p in range(1, 10):
+        for q in range(1, 10):
+            m = Metric(p, q, Fraction(p * q, p + q))
+            assert (m.scal, d3s.scal_sign_classification(m)) == (0.0, d3s.ZERO), (p, q)
+            assert not d3s.smallest(m, d3s.S3, max_level=8).certified
+            metric = f"{p},{q},{p * q}/{p + q}"
+            code, out, _ = run_cli(capsys, "invariants", "--metric", metric)
+            res = json.loads(out)["results"]
+            assert (code, res["scal"], res["scal_sign"]) == (0, 0.0, "zero"), metric
+            code, out, _ = run_cli(capsys, "smallest", "--metric", metric, "--manifold", "s3", "--max-level", "8")
+            res = json.loads(out)["results"]
+            assert (code, res["certified"], res["method"]) == (0, False, "enumeration"), metric
+
+
+def test_a_written_ratio_stays_exact_and_a_decimal_is_its_double():
+    assert parse_metric("6,4,12/5")._written == (6.0, 4.0, Fraction(12, 5))
+    assert parse_metric("6,4,2.4")._written == (6.0, 4.0, 2.4)
+    assert parse_metric("6,4,12/5").triple() == parse_metric("6,4,2.4").triple()
+    assert d3s.scal_sign_classification(parse_metric("6,4,2.4")) == d3s.NEGATIVE
 
 
 def test_smallest_round(capsys):
@@ -294,16 +340,6 @@ def test_smallest_multiplicity_four_only_on_the_exact_round_line(capsys):
         assert code == 0
         res = json.loads(out)["results"]
         assert (res["multiplicity_d_squared"], res["certified"]) == (want, True), metric
-
-
-def test_smallest_certify_on_is_decided_by_the_certificate(capsys):
-    # the float screen calls this metric "zero"; the certificate proves scal > 0
-    code, out, err = run_cli(
-        capsys, "smallest", "--metric", "1,1,0.5000000000001", "--manifold", "s3", "--certify", "on"
-    )
-    assert code == 0 and err == ""
-    res = json.loads(out)["results"]
-    assert (res["method"], res["certified"], res["certification"]["checks"]) == ("closed-form", True, 13)
 
 
 def test_smallest_certify_on_negative_scal_fails(capsys):
@@ -405,15 +441,27 @@ def test_verify_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_verify_routes_by_the_certificate(capsys):
-    # the float sign screen calls both points "zero"; the exact certificate
-    # proves the first and refuses the second
-    for c, status in (("0.5000000000001", "pass"), ("0.5", "skipped")):
-        code, out, _ = run_cli(capsys, "verify", "--grid", f"1:1:1,1:1:1,{c}:{c}:1")
+def test_verify_scal_sign_is_the_certificate_s_sign(capsys):
+    # one exact sign: "positive" passes, "zero" and "negative" are skipped,
+    # also within relative 1e-12 of the wall
+    cases = (("1:1:1,1:1:1,0.5000000000001:0.5000000000001:1", "positive", "pass"),
+             ("1e20:1e20:1,1:1:1,1:1:1", "positive", "pass"),
+             ("1:1:1,1:1:1,0.5:0.5:1", "zero", "skipped"),
+             ("1:1:1,1:1:1,0.4999999999999:0.4999999999999:1", "negative", "skipped"))
+    for grid, sign, status in cases:
+        code, out, _ = run_cli(capsys, "verify", "--grid", grid)
         assert code == 0
         (point,) = json.loads(out)["results"]["points"]
-        assert point["scal_sign"] == "zero"
-        assert point["status"] == status
+        assert (point["scal_sign"], point["status"]) == (sign, status), grid
+
+
+def test_verify_readme_grid_sign_agrees_with_status(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--grid", "0.5:2:5,0.5:2:5,0.5:2:5")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["summary"] == {"pass": 71, "fail": 0, "skipped": 54}
+    for point in res["points"]:
+        assert (point["scal_sign"] == "positive") == (point["status"] == "pass"), point["metric"]
 
 
 def _around(triple, exponent):

@@ -9,7 +9,7 @@ import pytest
 import dirac3sphere as d3s
 from dirac3sphere import Metric
 
-from _oracles import random_triples, rounded_scalars
+from _oracles import exact_scalars, random_triples, rounded_scalars
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
@@ -66,6 +66,29 @@ def test_scal_sign_classification():
     assert d3s.scal_sign_classification(Metric(1, 1, 0.5)) == d3s.ZERO
     assert d3s.scal_sign_classification(Metric(1, 1, 0.4)) == d3s.NEGATIVE
     assert d3s.scal_sign_classification(Metric(2, 1, 1)) == d3s.POSITIVE
+    # "zero" means scal = 0 exactly: these lie within relative 1e-12 of the
+    # wall (a former float band called them "zero") but off it
+    for t in ((1, 1, 0.5000000000001), (1e20, 1, 1), (1e200, 1, 1)):
+        assert d3s.scal_sign_classification(Metric(*t)) == d3s.POSITIVE, t
+    assert d3s.scal_sign_classification(Metric(1, 1, 0.4999999999999)) == d3s.NEGATIVE
+    # the wall as written, and the double nearest to it
+    assert d3s.scal_sign_classification(Metric(6, 4, Fraction(12, 5))) == d3s.ZERO
+    assert d3s.scal_sign_classification(Metric(6, 4, 2.4)) == d3s.NEGATIVE
+
+
+def test_scal_sign_is_the_sign_the_certificate_gate_reads():
+    # one exact sign: "positive" exactly when the certificate takes the metric
+    rng = np.random.default_rng(11)
+    metrics = [Metric(*t) for t in random_triples(rng, 60)]
+    metrics += [Metric(p, q, Fraction(p * q, p + q) * f) for p, q in ((1, 1), (6, 4), (9, 2))
+                for f in (1, Fraction(10 ** 20 + 1, 10 ** 20), Fraction(10 ** 20 - 1, 10 ** 20))]
+    for m in metrics:
+        try:
+            d3s.certify_fundamental_tone(m)
+            certified = True
+        except d3s.UncertifiableError:
+            certified = False
+        assert certified == (d3s.scal_sign_classification(m) == d3s.POSITIVE), m
 
 
 def test_scal_sign_matches_scal_value():
@@ -96,6 +119,63 @@ def test_metric_takes_any_real_as_its_nearest_double(entry, stored):
     # numpy scalars were refused as not "a positive finite real"
     m = Metric(1, entry, 1)
     assert type(m.b) is float and m.b == stored
+
+
+@pytest.mark.parametrize("entry, exact", [
+    (Fraction(12, 5), Fraction(12, 5)), (10 ** 20 + 1, Fraction(10 ** 20 + 1)),
+    (np.int64(2 ** 62 + 1), Fraction(2 ** 62 + 1)), (np.uint8(7), Fraction(7)), (0.1, Fraction(0.1)),
+], ids=["Fraction", "int", "int64", "uint8", "float"])
+def test_metric_keeps_a_rational_entry_exact(entry, exact):
+    # the doubles feed the float layers; the exact scalars see the entry as written
+    m = Metric(entry, 1, 1)
+    assert m.a == float(exact)
+    assert m._written[0] == exact
+    want = rounded_scalars(m)
+    assert (m.mu, m.scal, d3s.invariants(m).C) == (want["mu"], want["scal"], want["C"])
+
+
+def test_integers_use_the_lcm_of_the_denominators():
+    from dirac3sphere.metric import _integers
+
+    assert _integers(Fraction(1, 6), Fraction(3, 4), 0.5) == ([2, 9, 6], 12)
+    assert _integers(0.5, 0.25, 3.0) == ([2, 1, 12], 4)
+    # (1/2, 1/3, 1/5) is a wall metric whose doubles are not; the largest
+    # denominator, 5, is not a common one
+    m = Metric(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    assert (m.scal, d3s.scal_sign_classification(m)) == (0.0, d3s.ZERO)
+    assert (m.mu, d3s.invariants(m).C) == (0.4, float(Fraction(19, 30)))
+
+
+def test_equality_and_hash_follow_the_exact_values():
+    half = Metric(Fraction(1, 2), 1, 1)
+    assert half == Metric(0.5, 1.0, 1) and hash(half) == hash(Metric(0.5, 1, 1))
+    third = Metric(Fraction(1, 3), 1, 1)
+    assert third != Metric(1 / 3, 1, 1) and third.triple() == Metric(1 / 3, 1, 1).triple()
+    assert len({third, Metric(1 / 3, 1, 1), Metric(Fraction(2, 6), 1, 1)}) == 2
+
+
+def test_is_round_is_exact():
+    assert Metric(Fraction(1, 3), Fraction(1, 3), Fraction(2, 6)).is_round()
+    assert not Metric(Fraction(1, 3), 1 / 3, 1 / 3).is_round()
+    near = Metric(1, 1, 1 + Fraction(1, 10 ** 20))  # its doubles are (1.0, 1.0, 1.0)
+    assert near.triple() == (1.0, 1.0, 1.0) and not near.is_round()
+    # so the round line's multiplicity 4 is not claimed for it
+    assert d3s.smallest(near, d3s.S3).multiplicity_d_squared == 2
+    assert d3s.smallest(Metric(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), d3s.S3).multiplicity_d_squared == 4
+
+
+def test_sorted_orders_by_the_exact_values():
+    # two rationals that round to one double keep their exact order and values
+    x, y, c = 1 + Fraction(1, 10 ** 20), 1 + Fraction(2, 10 ** 20), Fraction(3, 4)
+    m = Metric(x, y, c)
+    assert m.a == m.b == 1.0
+    ms, perm = m.sorted()
+    assert (ms._written, perm) == ((y, x, c), (1, 0, 2))
+    # the certificate's lemmas need a >= b >= c exactly, and it certifies the exact mu
+    report = d3s.smallest(m, d3s.S3, certify=True)
+    mu = x + y + c - (x * y / c + y * c / x + c * x / y) / 2
+    assert (report.certified, report.value) == (True, float(mu))
+    assert report.certification_trace.permutation == (1, 0, 2)
 
 
 def test_sorted_returns_permutation_without_mutating():
@@ -165,8 +245,8 @@ def test_reported_scalars_are_the_exact_values_rounded_once():
         assert tuple(map(repr, d3s.sectional_curvatures(m))) == (want["K12"], want["K23"], want["K31"])
         for manifold, key in ((d3s.S3, "vol_s3"), (d3s.SO3, "vol_so3"), (d3s.SO3_TRIVIAL, "vol_so3")):
             assert repr(d3s.volume(m, manifold)) == want[key]
-        ratio = rounded["scal_factor"]
-        sign = d3s.ZERO if abs(ratio) < 1e-12 else d3s.POSITIVE if ratio > 0 else d3s.NEGATIVE
+        factor = exact_scalars(m)["scal_factor"]
+        sign = d3s.ZERO if factor == 0 else d3s.POSITIVE if factor > 0 else d3s.NEGATIVE
         assert d3s.scal_sign_classification(m) == sign
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -194,17 +195,19 @@ def test_smallest_negative_scal_uncertified():
         d3s.smallest(m, d3s.S3, certify=True)
 
 
-def test_smallest_certify_on_is_decided_by_the_certificate():
-    # the float screen calls this metric "zero": auto routes to enumeration,
-    # certify=True lets the certificate prove scal > 0
+def test_smallest_is_decided_by_the_certificate_with_or_without_certify():
+    # next to the wall, on either side of it, and on it: the exact sign
+    # routes, so certify=True changes only a refusal into an error
     m = Metric(1, 1, 0.5000000000001)
-    assert d3s.scal_sign_classification(m) == d3s.ZERO
-    report = d3s.smallest(m, d3s.S3, certify=True)
-    assert (report.method, report.certified, report.value) == ("closed-form", True, m.mu)
-    assert len(report.certification_trace.steps) == 13
-    assert d3s.smallest(m, d3s.S3, max_level=10).method == "enumeration"
-    with pytest.raises(d3s.UncertifiableError):
-        d3s.smallest(Metric(1, 1, 0.5), d3s.S3, certify=True)
+    assert d3s.scal_sign_classification(m) == d3s.POSITIVE
+    for certify in (False, True):
+        report = d3s.smallest(m, d3s.S3, certify=certify, max_level=10)
+        assert (report.method, report.certified, report.value) == ("closed-form", True, m.mu)
+        assert len(report.certification_trace.steps) == 13
+    for wall in (Metric(1, 1, 0.5), Metric(1, 1, 0.4999999999999), Metric(6, 4, Fraction(12, 5))):
+        assert d3s.smallest(wall, d3s.S3, max_level=10).method == "enumeration"
+        with pytest.raises(d3s.UncertifiableError):
+            d3s.smallest(wall, d3s.S3, certify=True)
 
 
 def test_smallest_refuses_an_unknown_manifold():
@@ -213,8 +216,8 @@ def test_smallest_refuses_an_unknown_manifold():
 
 
 def test_smallest_without_certify_still_attaches_the_trace():
-    # certify=False (and None, which reads as false) lets the float screen
-    # route; a metric it calls positive is certified all the same
+    # certify=False (and None, which reads as false) still runs the
+    # certificate; a metric with scal > 0 is certified all the same
     for certify in (False, None):
         report = d3s.smallest(ROUND, d3s.S3, certify=certify)
         assert (report.method, report.certified, report.value) == ("closed-form", True, 1.5)
@@ -237,9 +240,9 @@ def test_certify_rejects_boundary_point():
 
 
 def test_certify_decides_next_to_the_wall():
-    # the float sign screen calls this metric "zero"; the exact test proves scal > 0
+    # within relative 1e-12 of the wall, and on its positive side exactly
     m = Metric(1, 1, 0.5000000000001)
-    assert d3s.scal_sign_classification(m) == d3s.ZERO
+    assert d3s.scal_sign_classification(m) == d3s.POSITIVE
     trace = d3s.certify_fundamental_tone(m)
     # the tightest row vanishes at the wall along (1, 1, c): G(5,0) = mu^2 at c = 1/2
     tightest = min(trace.steps, key=lambda s: s.margin)
