@@ -7,23 +7,16 @@ block that fails the proof), bounds their squares through
 Gershgorin row estimates, certifies the fundamental tone in the positive
 scalar curvature regime, and inverts (volume, scal, discriminator) data back
 to the metric.
+
+The exact layers (``metric``, ``inverse`` and the certificate in
+``gershgorin``, ``smallest`` included) need only the standard library, and
+importing the package loads nothing else.  The float layers (``blocks``,
+``eigen`` and ``spectrum``) import numpy; their names here are resolved on
+first access, so numpy loads with the first of them that is used.
 """
 
-from .blocks import (
-    DiracBlock,
-    RepresentationOperator,
-    build_block,
-    build_from_representation,
-    char_poly_small_n,
-    closed_form_eigs,
-)
-from .eigen import (
-    SymmetrizedTridiagonal,
-    count_below,
-    eigenvalues,
-    min_abs_eigenvalue,
-    symmetrize,
-)
+import importlib
+
 from .errors import (
     CertificationError,
     ConsistencyError,
@@ -38,12 +31,14 @@ from .errors import (
 from .gershgorin import (
     CertificationTrace,
     GershgorinTable,
+    SmallestEigenvalueReport,
     base_cases,
     certify_fundamental_tone,
     closed_form_G,
     gershgorin_table,
     level_bounds,
     min_row_bound,
+    smallest,
     triangle_increment,
 )
 from .inverse import (
@@ -72,20 +67,55 @@ from .metric import (
     sectional_curvatures,
     volume,
 )
-from .spectrum import (
-    HeatTraceResult,
-    SmallestEigenvalueReport,
-    SpectralLine,
-    Spectrum,
-    admissible_levels,
-    assemble,
-    counting_function,
-    enumerated_min_abs,
-    heat_trace,
-    level_lines,
-    smallest,
-    weyl_count_estimate,
-)
+
+#: the float layers' public names, by module: imported on first access
+_LAZY = {
+    "blocks": (
+        "DiracBlock",
+        "RepresentationOperator",
+        "build_block",
+        "build_from_representation",
+        "char_poly_small_n",
+        "closed_form_eigs",
+    ),
+    "eigen": (
+        "SymmetrizedTridiagonal",
+        "count_below",
+        "eigenvalues",
+        "min_abs_eigenvalue",
+        "symmetrize",
+    ),
+    "spectrum": (
+        "HeatTraceResult",
+        "SpectralLine",
+        "Spectrum",
+        "admissible_levels",
+        "assemble",
+        "counting_function",
+        "enumerated_min_abs",
+        "heat_trace",
+        "level_lines",
+        "weyl_count_estimate",
+    ),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    """A float layer's public name, or the module itself, imported on first
+    access and then bound here like an eager import (PEP 562)."""
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY_HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

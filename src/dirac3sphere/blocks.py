@@ -25,16 +25,19 @@ of a, b, c and C, so the two agree for every metric once they agree on the
 16 points {0, 1}^4; ``tests/test_cross_check.py`` proves it that way at
 every level 0..300, and nothing compares them at run time.  Closed forms
 for the small levels (characteristic polynomials at n = 2, 4 and explicit
-eigenvalues at n = 1, 3) round out the module.
+eigenvalues at n = 1, 3) round out the module; their exact formulas,
+``_char_poly_coeffs`` and ``_level3_radicals``, live in
+:mod:`~dirac3sphere.gershgorin`, whose certificate decides them in integers
+without numpy.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, UnsupportedLevelError
+from .gershgorin import _char_poly_coeffs, _level, _level3_radicals
 
 TAG_A = "A"
 TAG_B = "B"
@@ -49,20 +52,6 @@ CLIFFORD = (
     np.array([[0.0, 1j], [1j, 0.0]]),
 )
 _CLIFFORD = np.array(CLIFFORD)
-
-
-def _level(n, what="level"):
-    """``n`` as a nonnegative int, for a level or an index into one;
-    anything else, a bool included, raises :class:`DomainError`."""
-    try:
-        if isinstance(n, bool):
-            raise TypeError
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {n!r}") from None
-    if n < 0:
-        raise DomainError(f"{what} must be nonnegative, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -230,18 +219,6 @@ def build_from_representation(m, n):
     return RepresentationOperator(level=n, matrix=matrix)
 
 
-def _char_poly_coeffs(a, b, c, n):
-    """chi_2 or chi_4 coefficients (descending), for floats or exact rationals."""
-    s = a * a + b * b + c * c
-    abc = a * b * c
-    if n == 2:
-        return [1, 0, -4 * s, -16 * abc]
-    if n == 4:
-        quart = a ** 4 + b ** 4 + c ** 4 + 4 * (a * a * b * b + b * b * c * c + c * c * a * a)
-        return [1, 0, -20 * s, -80 * abc, 64 * quart, 768 * abc * s]
-    raise UnsupportedLevelError(f"characteristic polynomial in closed form only at n = 2, 4 (got {n})")
-
-
 def char_poly_small_n(m, n):
     """Coefficients (descending) of the shared characteristic polynomial of
     the unshifted level-2 or level-4 blocks.
@@ -250,24 +227,6 @@ def char_poly_small_n(m, n):
     analogue.  Both blocks of a level have the same polynomial at n = 2, 4.
     """
     return np.array(_char_poly_coeffs(*m.triple(), _level(n)), dtype=float)
-
-
-def _level3_radicals(a, b, c):
-    """Level-3 unshifted eigenvalues as pairs (p, R) for p -+ 2 sqrt(R).
-
-    Every R >= 0, a lemma of ``certify_fundamental_tone`` that needs no
-    scal > 0: the third is ((a - b)^2 + (b - c)^2 + (c - a)^2)/2, and each
-    other one is x^2 - xy + y^2 > 0 for two of the entries plus the
-    positive rest.
-    """
-    s = a * a + b * b + c * c
-    ab, bc, ca = a * b, b * c, c * a
-    return [
-        (a + b - c, s - ab + bc + ca),
-        (a - b + c, s + ab + bc - ca),
-        (-a - b - c, s - ab - bc - ca),
-        (-a + b + c, s + ab - bc + ca),
-    ]
 
 
 def closed_form_eigs(m, n):

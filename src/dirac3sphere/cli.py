@@ -10,9 +10,14 @@ emits one line per row.  Each subcommand has only the options that act on
 it, and argparse reads every argument once: a malformed ``--metric`` or
 ``--grid`` is refused by the subcommand's own parser.  Exit codes: 0
 success, 1 verification or computation failure (including a result that is
-not finite), 2 usage error (an argument out of its range included).  A
-warning, such as a ``TruncationWarning``, is one ``warning: ...`` line on
-stderr.
+not finite, and one that does not fit in memory), 2 usage error (an
+argument out of its range included).  A warning, such as a
+``TruncationWarning``, is one ``warning: ...`` line on stderr.
+
+Importing this module loads only the standard library, and so do the
+commands decided in exact arithmetic: ``invariants``, ``reconstruct``,
+``verify`` and a certified or refused ``smallest``.  ``spectrum``,
+``heat-trace`` and an enumerated ``smallest`` import numpy when they run.
 """
 
 import argparse
@@ -35,7 +40,7 @@ from .metric import (
     invariants,
     scal_sign_classification,
 )
-from .spectrum import assemble, certify_fundamental_tone, counting_function, heat_trace, smallest
+from .gershgorin import certify_fundamental_tone, smallest
 
 SCHEMA_VERSION = 6
 
@@ -163,6 +168,8 @@ def cmd_invariants(args):
 
 
 def cmd_spectrum(args):
+    from .spectrum import assemble
+
     spec = assemble(args.metric, args.manifold, args.max_level)
     results = {
         "max_level": spec.max_level,
@@ -187,6 +194,8 @@ def cmd_smallest(args):
 
 
 def cmd_heat_trace(args):
+    from .spectrum import assemble, counting_function, heat_trace
+
     spec = assemble(args.metric, args.manifold, args.max_level)
     result = heat_trace(spec, args.t)
     results = {
@@ -372,6 +381,9 @@ def main(argv=None):
         return EXIT_FAILURE
     except ArithmeticError as exc:  # float overflow or underflow to a zero divisor
         print(f"error: the computation left the double range ({exc!r})", file=sys.stderr)
+        return EXIT_FAILURE
+    except MemoryError:  # a level cutoff whose arrays cannot be allocated
+        print("error: the computation ran out of memory", file=sys.stderr)
         return EXIT_FAILURE
     sys.stdout.write(text)
     return code

@@ -53,16 +53,35 @@ prove every row on the whole scal > 0 region.  What holds for every sorted
 triple, level 0 among it, is a lemma, proved once in its docstring.
 ``base_cases`` decides the second table alone.  The closed forms sort the
 metric internally (an isometric relabeling) and record the permutation.
+
+``smallest`` dispatches to the certificate and lives here with it.  The
+module imports no numpy at load time: the certificate, ``base_cases``,
+``closed_form_G``, ``triangle_increment`` and ``smallest`` on a metric the
+certificate decides run on the standard library alone.  ``level_bounds``
+(so ``min_row_bound``), ``gershgorin_table`` and the enumerated branch of
+``smallest`` import numpy when they run.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
-import numpy as np
+from .errors import CertificationError, ConsistencyError, DomainError, UncertifiableError, UnsupportedLevelError
+from .metric import POSITIVE, S3, SO3_TRIVIAL, SPECTRUM_MANIFOLDS, _approx, _integers
 
-from .blocks import _char_poly_coeffs, _level, _level3_radicals
-from .errors import CertificationError, ConsistencyError, DomainError, UncertifiableError
-from .metric import POSITIVE, _approx, _integers
+
+def _level(n, what="level"):
+    """``n`` as a nonnegative int, for a level or an index into one;
+    anything else, a bool included, raises :class:`DomainError`."""
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {n!r}") from None
+    if n < 0:
+        raise DomainError(f"{what} must be nonnegative, got {n}")
+    return n
 
 
 def level_bounds(m, levels):
@@ -98,9 +117,12 @@ def level_bounds(m, levels):
     :func:`_rounding_allowance` exceeds the sum.  Where a row leaves the
     double range the level's bound is inf or nan, silently; callers must
     not prune on a non-finite bound.  A negative level raises
-    :class:`DomainError`, and so do levels whose array is not of integer
-    dtype (2.5 or "3" is refused, not truncated).
+    :class:`DomainError`, and so do a level of 2^26 or more (the rounding
+    above is proved below it only) and levels whose array is not of
+    integer dtype (2.5 or "3" is refused, not truncated).
     """
+    import numpy as np
+
     ms, _ = m.sorted()
     a, b, c = ms.triple()
     ns = np.asarray(levels)
@@ -111,6 +133,8 @@ def level_bounds(m, levels):
     ns = ns.astype(np.int64)
     if ns.min() < 0:
         raise DomainError(f"level must be nonnegative, got {int(ns.min())}")
+    if ns.max() >= 2 ** 26:
+        raise DomainError(f"level must be below 2^26 for a proved rounding allowance, got {int(ns.max())}")
     far = 2 * int(ns.max()) + 4  # a step beyond it clips both vertex rows to 0 or n
     g = -far
     if a > b and math.isfinite(ms.C):
@@ -124,6 +148,8 @@ def level_bounds(m, levels):
 def _rounding_allowance(m, levels):
     """(2^-24 sqrt(S_n))^2 + 2^-1060 (n + 1)^2 for each n in ``levels``: more
     than the rounding of :func:`level_bounds`, its own rounding included."""
+    import numpy as np
+
     ms, _ = m.sorted()
     a, b, c = ms.triple()
     n = np.asarray(levels, dtype=float)
@@ -247,6 +273,36 @@ def _polyval(coeffs, x, derivative=0):
     for i, coeff in enumerate(coeffs[: len(coeffs) - derivative]):
         value = value * x + coeff * math.perm(degree - i, derivative)
     return value
+
+
+def _char_poly_coeffs(a, b, c, n):
+    """chi_2 or chi_4 coefficients (descending), for floats or exact rationals."""
+    s = a * a + b * b + c * c
+    abc = a * b * c
+    if n == 2:
+        return [1, 0, -4 * s, -16 * abc]
+    if n == 4:
+        quart = a ** 4 + b ** 4 + c ** 4 + 4 * (a * a * b * b + b * b * c * c + c * c * a * a)
+        return [1, 0, -20 * s, -80 * abc, 64 * quart, 768 * abc * s]
+    raise UnsupportedLevelError(f"characteristic polynomial in closed form only at n = 2, 4 (got {n})")
+
+
+def _level3_radicals(a, b, c):
+    """Level-3 unshifted eigenvalues as pairs (p, R) for p -+ 2 sqrt(R).
+
+    Every R >= 0, a lemma of ``certify_fundamental_tone`` that needs no
+    scal > 0: the third is ((a - b)^2 + (b - c)^2 + (c - a)^2)/2, and each
+    other one is x^2 - xy + y^2 > 0 for two of the entries plus the
+    positive rest.
+    """
+    s = a * a + b * b + c * c
+    ab, bc, ca = a * b, b * c, c * a
+    return [
+        (a + b - c, s - ab + bc + ca),
+        (a - b + c, s + ab + bc - ca),
+        (-a - b - c, s - ab - bc - ca),
+        (-a + b + c, s + ab - bc + ca),
+    ]
 
 
 def _level3_pair(p, R, C, mu):
@@ -490,6 +546,72 @@ def base_cases(m):
 
 
 @dataclass(frozen=True)
+class SmallestEigenvalueReport:
+    """Smallest |eigenvalue| of one operator, with provenance.
+
+    ``certified`` is True only when the full verification chain ran and
+    passed, which requires positive scalar curvature.  ``max_level`` is the
+    enumeration level cutoff when the value is numerical, None for closed forms.
+    """
+
+    manifold: str
+    metric: tuple
+    value: float
+    multiplicity_d_squared: int
+    certified: bool
+    certification_trace: object
+    method: str
+    max_level: object
+
+
+def smallest(m, manifold, certify=False, max_level=25):
+    """Smallest absolute eigenvalue of the chosen operator.
+
+    The certificate (:func:`certify_fundamental_tone`) decides first, by
+    the exact sign of scal (:func:`~dirac3sphere.metric.scal_sign_classification`).
+    With scal > 0 the value is mu (sphere and odd structure) or C (even
+    structure), with squared-operator multiplicity 4 exactly on the round
+    line of the sphere and 2 otherwise, always certified: the report
+    carries the full verification trace, with ``certify=False`` too.
+
+    Otherwise the certificate refuses with :class:`UncertifiableError`.
+    With ``certify`` true that refusal is raised ("certified or refused");
+    with ``certify`` false (the default) the value is the enumerated minimum
+    over levels <= max_level
+    (:func:`~dirac3sphere.spectrum.enumerated_min_abs`), never certified.
+    Only that branch imports the float layers, numpy among them.  An
+    unknown manifold raises :class:`DomainError`.
+    """
+    if manifold not in SPECTRUM_MANIFOLDS:
+        raise DomainError(f"unknown manifold {manifold!r}; expected one of {SPECTRUM_MANIFOLDS}")
+    try:
+        trace = certify_fundamental_tone(m)
+    except UncertifiableError:
+        if certify:
+            raise
+        trace = None
+    if trace is None:
+        from .spectrum import enumerated_min_abs
+
+        value, mult, _ = enumerated_min_abs(m, manifold, max_level=max_level)
+        method, cutoff = "enumeration", int(max_level)
+    else:
+        value = m._exact.C if manifold == SO3_TRIVIAL else m.mu
+        mult = 4 if manifold == S3 and m.is_round() else 2
+        method, cutoff = "closed-form", None
+    return SmallestEigenvalueReport(
+        manifold=manifold,
+        metric=m.triple(),
+        value=value,
+        multiplicity_d_squared=mult,
+        certified=trace is not None,
+        certification_trace=trace,
+        method=method,
+        max_level=cutoff,
+    )
+
+
+@dataclass(frozen=True)
 class GershgorinTable:
     """The left endpoints G and G~ of one level, and the row bounds of both
     blocks.
@@ -503,10 +625,10 @@ class GershgorinTable:
     sorted_triple: tuple
     permutation: tuple
     level: int
-    G: np.ndarray
-    Gtilde: np.ndarray
-    row_bounds_A: np.ndarray
-    row_bounds_B: np.ndarray
+    G: "numpy.ndarray"
+    Gtilde: "numpy.ndarray"
+    row_bounds_A: "numpy.ndarray"
+    row_bounds_B: "numpy.ndarray"
 
 
 def gershgorin_table(m, n):
@@ -516,6 +638,8 @@ def gershgorin_table(m, n):
     a row that leaves the double range raises :class:`ConsistencyError`,
     since inf or nan bounds nothing.
     """
+    import numpy as np
+
     n = _level(n)
     ms, perm = m.sorted()
     a, b, c = ms.triple()

@@ -11,8 +11,11 @@ sphere and on the nontrivial quotient structure, and C on the trivial one;
 deciding one table of closed-form conditions exactly, in integers, and
 records every margin; it lives with the Gershgorin bounds it rests on
 (:mod:`~dirac3sphere.gershgorin`) and is re-exported here, with
-``CertificationTrace``.  Outside that regime only enumerated minima up to a
-level cutoff are reported, clearly flagged as uncertified.
+``CertificationTrace``.  So are ``smallest`` and ``SmallestEigenvalueReport``,
+which live next to the certificate they dispatch to, so that a certified
+answer needs no numpy.  Outside that regime only enumerated minima up to a
+level cutoff are reported (:func:`enumerated_min_abs`, which ``smallest``
+calls), clearly flagged as uncertified.
 """
 
 import functools
@@ -22,11 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import TAG_A, TAG_B, _level, _raw_rows
+from .blocks import TAG_A, TAG_B, _raw_rows
 from .eigen import _min_abs_candidates, _proved_min_abs, _proved_values, _row_norms, _tolerance, _windows
-from .errors import DomainError, TruncationWarning, UncertifiableError
-from .gershgorin import CertificationTrace, certify_fundamental_tone, level_bounds  # noqa: F401 (re-exported)
-from .gershgorin import _rounding_allowance
+from .errors import DomainError, TruncationWarning
+from .gershgorin import (  # noqa: F401 (re-exported)
+    CertificationTrace,
+    SmallestEigenvalueReport,
+    certify_fundamental_tone,
+    smallest,
+)
+from .gershgorin import _level, _rounding_allowance, level_bounds
 from .metric import S3, SO3_NONTRIVIAL, SO3_TRIVIAL, SPECTRUM_MANIFOLDS, Metric, _volume_space
 
 #: relative slack of the multiplicity count in :func:`enumerated_min_abs`:
@@ -434,68 +442,6 @@ def enumerated_min_abs(m, manifold, max_level=25):
     keep = within(u)[at[counted]]
     mult = int(np.dot(counts[keep, 2], ((n + 1) * (2 - n % 2))[keep]))
     return value, mult, levels[screened].tolist()
-
-
-@dataclass(frozen=True)
-class SmallestEigenvalueReport:
-    """Smallest |eigenvalue| of one operator, with provenance.
-
-    ``certified`` is True only when the full verification chain ran and
-    passed, which requires positive scalar curvature.  ``max_level`` is the
-    enumeration level cutoff when the value is numerical, None for closed forms.
-    """
-
-    manifold: str
-    metric: tuple
-    value: float
-    multiplicity_d_squared: int
-    certified: bool
-    certification_trace: object
-    method: str
-    max_level: object
-
-
-def smallest(m, manifold, certify=False, max_level=25):
-    """Smallest absolute eigenvalue of the chosen operator.
-
-    The certificate (:func:`certify_fundamental_tone`) decides first, by
-    the exact sign of scal (:func:`~dirac3sphere.metric.scal_sign_classification`).
-    With scal > 0 the value is mu (sphere and odd structure) or C (even
-    structure), with squared-operator multiplicity 4 exactly on the round
-    line of the sphere and 2 otherwise, always certified: the report
-    carries the full verification trace, with ``certify=False`` too.
-
-    Otherwise the certificate refuses with :class:`UncertifiableError`.
-    With ``certify`` true that refusal is raised ("certified or refused");
-    with ``certify`` false (the default) the value is the enumerated minimum
-    over levels <= max_level, never certified.  An unknown manifold raises
-    :class:`DomainError`.
-    """
-    if manifold not in SPECTRUM_MANIFOLDS:
-        raise DomainError(f"unknown manifold {manifold!r}; expected one of {SPECTRUM_MANIFOLDS}")
-    try:
-        trace = certify_fundamental_tone(m)
-    except UncertifiableError:
-        if certify:
-            raise
-        trace = None
-    if trace is None:
-        value, mult, _ = enumerated_min_abs(m, manifold, max_level=max_level)
-        method, cutoff = "enumeration", int(max_level)
-    else:
-        value = m._exact.C if manifold == SO3_TRIVIAL else m.mu
-        mult = 4 if manifold == S3 and m.is_round() else 2
-        method, cutoff = "closed-form", None
-    return SmallestEigenvalueReport(
-        manifold=manifold,
-        metric=m.triple(),
-        value=value,
-        multiplicity_d_squared=mult,
-        certified=trace is not None,
-        certification_trace=trace,
-        method=method,
-        max_level=cutoff,
-    )
 
 
 def weyl_count_estimate(m, manifold, lam):

@@ -50,17 +50,10 @@ from fractions import Fraction
 import numpy as np
 
 import dirac3sphere as d3s
-from dirac3sphere.blocks import (
-    CLIFFORD,
-    TAGS,
-    DiracBlock,
-    RepresentationOperator,
-    _char_poly_coeffs,
-    _level3_radicals,
-)
+from dirac3sphere.blocks import CLIFFORD, TAGS, DiracBlock, RepresentationOperator
 from dirac3sphere.eigen import _min_abs_rows, _row_norms, _sturm_counts, _tolerance, default_tolerance
 from dirac3sphere.errors import ConsistencyError
-from dirac3sphere.gershgorin import _FAMILIES, _G, _family, _rounding_allowance
+from dirac3sphere.gershgorin import _FAMILIES, _G, _char_poly_coeffs, _family, _level3_radicals, _rounding_allowance
 from dirac3sphere.metric import shift_C
 from dirac3sphere.spectrum import COINCIDENCE_RTOL
 

@@ -12,8 +12,15 @@ import pytest
 
 import dirac3sphere as d3s
 from dirac3sphere import Metric
-from dirac3sphere.blocks import _char_poly_coeffs, _level3_radicals
-from dirac3sphere.gershgorin import _G, _base_conditions, _level3_pair, _level_conditions, _polyval
+from dirac3sphere.gershgorin import (
+    _G,
+    _base_conditions,
+    _char_poly_coeffs,
+    _level3_pair,
+    _level3_radicals,
+    _level_conditions,
+    _polyval,
+)
 
 from _oracles import Poly, certificate_unknowns, families, fraction_certificate, random_metrics_with_sign, scal_factors
 

@@ -249,6 +249,18 @@ def test_out_of_range_arguments_are_refused(capsys, argv, want):
         assert err.startswith("error: the computation left the double range: abc inf")  # 2 pi^2 / volume overflows
 
 
+@pytest.mark.parametrize("argv", [
+    "spectrum --metric 1.3,0.8,0.6 --manifold s3",
+    "smallest --metric 1.3,0.8,0.3 --manifold s3",
+])
+def test_a_cutoff_beyond_memory_is_one_error_line(capsys, argv):
+    # 10^18 levels are refused on the requested size (a list or an array of
+    # 10^18 entries), before anything is allocated: exit 1, no traceback
+    code, out, err = run_cli(capsys, *argv.split(), "--max-level", str(10 ** 18))
+    assert (code, out) == (1, "")
+    assert err == "error: the computation ran out of memory\n"
+
+
 def test_smallest_overflowing_enumeration_is_an_error(capsys):
     # scal < 0 at the scale 2^600: C overflows, so the level blocks are not finite
     metric = ",".join(repr(2.0 ** 600 * x) for x in (1.3, 0.8, 0.3))

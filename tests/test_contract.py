@@ -4,6 +4,10 @@ the object layer refuses bad arguments with the package's own error type."""
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +16,8 @@ import pytest
 import dirac3sphere as d3s
 from dirac3sphere import Metric
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _boundaries():
@@ -177,3 +182,64 @@ def test_levels_of_any_integer_type_answer_as_int(func, args):
     first = d3s.S3 if func is d3s.admissible_levels else Metric(1.3, 0.8, 0.6)
     as_numpy = tuple(np.int64(x) if type(x) is int else x for x in args)
     assert repr(func(first, *as_numpy)) == repr(func(first, *args))
+
+
+#: runs each argument through ``cli.main`` in one fresh interpreter, then
+#: prints the exit codes and whether numpy was imported
+_CLI_PROBE = """
+import contextlib, io, json, sys
+import dirac3sphere.cli as cli
+codes = []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv.split()))
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+
+#: every command decided in exact arithmetic: invariants, the certified
+#: smallest on each manifold, a --certify on refusal, verify and the three
+#: reconstruct routes
+EXACT_COMMANDS = [
+    ("invariants --metric 1.3,0.8,0.6", 0),
+    *((f"smallest --metric 1.3,0.8,0.6 --manifold {manifold}", 0) for manifold in ("s3", "so3-trivial", "so3-nontrivial")),
+    ("smallest --metric 1.3,0.8,0.3 --manifold s3 --certify on", 1),
+    ("verify --grid 0.5:2:3,0.5:2:3,0.5:2:3 --details", 0),
+    ("reconstruct --manifold s3 --volume 9.869604401089358 --scal 7.5 --mu 1.75", 0),
+    ("reconstruct --manifold so3-trivial --volume 4.934802200544679 --scal 7.5 --c 2.25", 0),
+    ("reconstruct --manifold s3 --volume 21.932454224643017 --scal -1.6128e2 --a2tilde 3587278.2336000004", 0),
+]
+
+FLOAT_COMMANDS = [
+    "spectrum --metric 1.3,0.8,0.6 --manifold s3 --max-level 4",
+    "heat-trace --metric 1.3,0.8,0.6 --manifold s3 --t 1 --max-level 4",
+    "smallest --metric 1.3,0.8,0.3 --manifold s3 --max-level 4",
+]
+
+
+def _fresh(code, *args):
+    # ``code`` in a fresh interpreter on this checkout's sources: its stdout
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    return proc.stdout
+
+
+def test_exact_commands_load_no_numpy():
+    # the package and every command decided in exact arithmetic need only
+    # the standard library; numpy is the first float command's import
+    assert _fresh("import sys, dirac3sphere; print('numpy' in sys.modules)") == "False\n"
+    codes, numpy_loaded = json.loads(_fresh(_CLI_PROBE, *(argv for argv, _ in EXACT_COMMANDS)))
+    assert codes == [code for _, code in EXACT_COMMANDS]
+    assert not numpy_loaded
+    for argv in FLOAT_COMMANDS:
+        assert json.loads(_fresh(_CLI_PROBE, argv)) == [[0], True], argv
+
+
+def test_float_names_resolve_on_first_access():
+    # the float layers' names, and their modules, are bound on the package
+    # when first read, as the same objects their modules define
+    code = ("import sys, dirac3sphere as d3s; print('numpy' in sys.modules, 'assemble' in vars(d3s)); "
+            "print(d3s.spectrum.assemble is d3s.assemble, 'assemble' in vars(d3s), 'assemble' in dir(d3s))")
+    assert _fresh(code) == "False False\nTrue True True\n"
+    with pytest.raises(AttributeError):
+        d3s.no_such_name

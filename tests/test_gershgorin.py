@@ -288,3 +288,15 @@ def test_min_row_bound_is_the_exact_minimum_of_row_bounds():
                 low = d3s.min_row_bound(m, n)
                 assert low == min(d3s.closed_form_G(m, n, k) for k in range(n + 1))
                 assert abs(Fraction(low) - want) <= Fraction(allow)
+
+
+def test_level_bounds_refuse_levels_beyond_the_rounding_lemma():
+    # the rounding allowance is proved for n < 2^26 only, where every integer
+    # factor of G is exact in a double; a larger level is refused, not bounded
+    m = Metric(1.3, 0.8, 0.6)
+    assert math.isfinite(d3s.min_row_bound(m, 2 ** 26 - 1))
+    for n in (2 ** 26, 2 ** 40):
+        with pytest.raises(d3s.DomainError, match=r"below 2\^26"):
+            d3s.min_row_bound(m, n)
+    with pytest.raises(d3s.DomainError, match=r"below 2\^26"):
+        d3s.level_bounds(m, [3, 2 ** 62])
