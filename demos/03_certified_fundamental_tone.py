@@ -8,10 +8,13 @@ rational arithmetic on the metric as written, each an integer polynomial in
 (a, b, c, C) that holds when it is positive;
 the Gershgorin base cases and the triangle increment hold for every level at
 once, so no level is replayed.  The tests run the same list on polynomials
-and prove every condition for every metric with scal > 0; the run here
-re-decides them for one metric and shows its margins.  This demo sweeps a family approaching the
-scal = 0 wall and watches the margins shrink, cross-checks against plain
-numerical enumeration, and decides metrics one rounding step from the wall.
+and prove every condition for every metric with scal > 0, so ``smallest``
+answers by that theorem after the gate alone; ``certify_fundamental_tone``
+re-decides the list for one metric and shows its margins, each the
+degree-th root of its condition at the normalized scale.  This demo sweeps
+a family approaching the scal = 0 wall and watches the margins shrink,
+cross-checks against plain numerical enumeration, and decides metrics one
+rounding step from the wall.
 """
 
 import dirac3sphere as d3s
@@ -25,7 +28,7 @@ def main():
         m = Metric(1, 1, c)
         report = d3s.smallest(m, d3s.S3)
         value, mult, _ = d3s.enumerated_min_abs(m, d3s.S3, 25)
-        margin = report.certification_trace.min_margin
+        margin = d3s.certify_fundamental_tone(m).min_margin
         print(
             f"{c:6.2f} {m.scal:9.4f} {report.value:8.5f} {value:11.8f} {mult:5d}"
             f" {str(report.certified):>10} {margin:11.3e}"

@@ -42,7 +42,7 @@ from .metric import (
 )
 from .gershgorin import certify_fundamental_tone, smallest
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -136,23 +136,20 @@ def _spectrum_rows(spec):
 
 
 def _step_record(step):
-    """One certificate step as ``smallest`` and ``verify --details`` print it."""
+    """One certificate step as ``verify --details`` prints it."""
     return {"name": step.name, "detail": step.detail, "margin": step.margin}
 
 
-def _trace_payload(trace):
-    if trace is None:
-        return None
-    return {
-        "sorted_metric": list(trace.sorted_triple),
-        "permutation": list(trace.permutation),
-        "C": trace.C,
-        "mu": trace.mu,
-        "scal": trace.scal,
-        "checks": len(trace.steps),
-        "min_margin": trace.min_margin,
-        "steps": [_step_record(s) for s in trace.steps],
-    }
+#: what certifies a ``smallest`` with scal > 0 once the exact gate passes
+_THEOREM = ("scal > 0 certifies mu (s3, so3-nontrivial) and C (so3-trivial): every certificate row holds on the "
+            "whole scal > 0 region (tests/test_certificate.py::test_every_row_holds_on_the_whole_scal_positive_region)")
+
+
+def _certification(m):
+    """A certified ``smallest``'s sorted metric, exact C, mu and scal, and theorem."""
+    (ms, perm), ex = m.sorted(), m._exact
+    return {"sorted_metric": list(ms.triple()), "permutation": list(perm),
+            "C": ex.C, "mu": ex.mu, "scal": ex.scal, "theorem": _THEOREM}
 
 
 def cmd_invariants(args):
@@ -188,7 +185,7 @@ def cmd_smallest(args):
         "certified": report.certified,
         "method": report.method,
         "max_level": report.max_level,
-        "certification": _trace_payload(report.certification_trace),
+        "certification": _certification(args.metric) if report.certified else None,
     }
     return results, EXIT_OK
 

@@ -41,25 +41,16 @@ sorted metric: G is a quadratic in k, so four rows per level, k = 0, n and
 two at its vertex.
 
 ``certify_fundamental_tone`` proves the fundamental tone of one metric with
-scal > 0.  An exact gate decides scal > 0, once, before any row.  Every
-other condition of the proof that depends on the metric is a row of one of
-two tables: mu > 0 and levels 2 to 4 in closed form
-(:func:`_level_conditions`), then G(5,0) > mu^2, the quadratic tails and the
-increment (:func:`_base_conditions`).  Each row is one value, homogeneous of
-a stated degree in (a, b, c, C) and built with +, - and x alone, that holds
-when positive: one loop decides it exactly on the metric's own integers
-(``Metric._exact``), and the tests run the same tables on polynomials and
-prove every row on the whole scal > 0 region.  What holds for every sorted
-triple, level 0 among it, is a lemma, proved once in its docstring.
-``base_cases`` decides the second table alone.  The closed forms sort the
-metric internally (an isometric relabeling) and record the permutation.
+scal > 0: an exact gate, then the rows of two tables, each decided exactly
+on the metric's own integers; its docstring holds the proof, and the tests
+prove every row on the whole scal > 0 region.  ``base_cases`` decides the
+second table alone.  The closed forms sort the metric internally (an
+isometric relabeling) and record the permutation.
 
-``smallest`` dispatches to the certificate and lives here with it.  The
-module imports no numpy at load time: the certificate, ``base_cases``,
-``closed_form_G``, ``triangle_increment`` and ``smallest`` on a metric the
-certificate decides run on the standard library alone.  ``level_bounds``
-(so ``min_row_bound``), ``gershgorin_table`` and the enumerated branch of
-``smallest`` import numpy when they run.
+``smallest`` answers scal > 0 by the certificate's theorem after its gate
+alone, and lives here with it.  The module imports no numpy at load time;
+``level_bounds`` (so ``min_row_bound``), ``gershgorin_table`` and the
+enumerated branch of ``smallest`` import it when they run.
 """
 
 import math
@@ -67,7 +58,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import CertificationError, ConsistencyError, DomainError, UncertifiableError, UnsupportedLevelError
-from .metric import POSITIVE, S3, SO3_TRIVIAL, SPECTRUM_MANIFOLDS, _approx, _integers
+from .metric import POSITIVE, S3, SO3_TRIVIAL, SPECTRUM_MANIFOLDS, _integers
 
 
 def _level(n, what="level"):
@@ -81,6 +72,13 @@ def _level(n, what="level"):
         raise DomainError(f"{what} must be an integer, got {n!r}") from None
     if n < 0:
         raise DomainError(f"{what} must be nonnegative, got {n}")
+    return n
+
+
+def _below_level_limit(n, what="level"):
+    """``n`` (an int) below 2^26, where :func:`level_bounds` proves its rounding; else :class:`DomainError`."""
+    if n >= 2 ** 26:
+        raise DomainError(f"{what} must be below 2^26 for a proved rounding allowance, got {n}")
     return n
 
 
@@ -133,9 +131,7 @@ def level_bounds(m, levels):
     ns = ns.astype(np.int64)
     if ns.min() < 0:
         raise DomainError(f"level must be nonnegative, got {int(ns.min())}")
-    if ns.max() >= 2 ** 26:
-        raise DomainError(f"level must be below 2^26 for a proved rounding allowance, got {int(ns.max())}")
-    far = 2 * int(ns.max()) + 4  # a step beyond it clips both vertex rows to 0 or n
+    far = 2 * _below_level_limit(int(ns.max())) + 4  # a step beyond it clips both vertex rows to 0 or n
     g = -far
     if a > b and math.isfinite(ms.C):
         (p, q, r, P), _ = _integers(a, b, c, ms.C)
@@ -237,8 +233,9 @@ class CertificationStep:
     It is decided exactly, on integers that are a positive multiple of the
     condition (see :func:`certify_fundamental_tone`); one that fails raises
     :class:`CertificationError` and leaves no step.  ``margin`` is the
-    margin at the normalized scale (largest entry in [1, 2)), rounded to a
-    double, for information only.
+    degree-th root of the condition's value at the normalized scale
+    (largest entry in [1, 2)), within an ulp or two (:func:`_margin`), for
+    information only: a length, so that rows of degrees 1 to 5 compare.
     """
 
     name: str
@@ -258,11 +255,9 @@ class CertificationTrace:
 
     @property
     def min_margin(self):
-        """Smallest margin among the steps: the tightest condition of the
-        proof for this metric.  Every step depends on the metric; what
-        holds for every sorted triple is a lemma of
-        :func:`certify_fundamental_tone`, and scal > 0 is its gate, decided
-        before any step, so neither sets this value."""
+        """Smallest margin among the steps, every one a length at one
+        scale: the relatively tightest row for this metric.  Neither the
+        lemmas of :func:`certify_fundamental_tone` nor its gate sets it."""
         return min(s.margin for s in self.steps)
 
 
@@ -368,34 +363,51 @@ def _base_conditions(a, b, c, C):
     yield "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment, 2
 
 
-def _certificate(m, *tables):
-    """Decide the rows of ``tables`` for ``m``, in order, and return the
-    trace."""
+def _margin(value, den, degree):
+    """The real degree-th root of value / den (ints, den > 0), its sign kept,
+    within two ulps: the quotient rounded once, its root taken in doubles.
+    Outside (2^-16, 2^16) the quotient is first scaled by 2^(degree k) into
+    (2^-(degree+1), 2) and the root back by 2^-k, so that the rounding of
+    1/degree stays below an ulp and nothing underflows before the root."""
+    if value <= 0:
+        return -_margin(-value, den, degree) if value else 0.0
+    x = value / den
+    if 2.0 ** -16 < x < 2.0 ** 16:
+        return x ** (1 / degree)
+    k = (den.bit_length() - value.bit_length()) // degree
+    x = (value << degree * k) / den if k >= 0 else value / (den << -degree * k)
+    return math.ldexp(x ** (1 / degree), -k)
+
+
+def _gate(m):
+    """``m._exact`` once its exact sign of scal is positive, for the
+    certificate and :func:`smallest`; :class:`UncertifiableError` otherwise."""
     ex = m._exact
     if ex.sign != POSITIVE:
         raise UncertifiableError("certification requires positive scalar curvature; only enumerated minima exist")
+    return ex
+
+
+def _certificate(m, *tables):
+    """Decide the rows of ``tables`` for ``m``, in order, after the gate,
+    and return the trace."""
+    ex = _gate(m)
     p, q, r, P, _, _, _, S2, _ = ex.integers
     ms, perm = m.sorted()
     D = 2 * P
     a, b, c = ((p, q, r)[i] * D for i in perm)
     unit = D << (max(p, q, r).bit_length() - 1)  # the largest entry over the unit is in [1, 2)
+    powers = [unit ** d for d in range(6)]  # every row is of degree 1 to 5
 
     steps = []
     for table in tables:
         for name, detail, value, degree in table(a, b, c, S2):
-            margin = _approx(value, unit ** degree)
+            margin = _margin(value, powers[degree], degree)
             if value <= 0:
                 raise CertificationError(f"{name} fails: margin {margin:.3e} ({detail})")
             steps.append(CertificationStep(name, detail, margin))
-    return CertificationTrace(
-        metric=m.triple(),
-        sorted_triple=ms.triple(),
-        permutation=perm,
-        C=ex.C,
-        mu=ex.mu,
-        scal=ex.scal,
-        steps=tuple(steps),
-    )
+    return CertificationTrace(metric=m.triple(), sorted_triple=ms.triple(), permutation=perm,
+                              C=ex.C, mu=ex.mu, scal=ex.scal, steps=tuple(steps))
 
 
 def certify_fundamental_tone(m):
@@ -415,15 +427,16 @@ def certify_fundamental_tone(m):
     (a, b, c, C).  A condition homogeneous of degree d in (a, b, c, C) is
     (D/s)^d > 0 times its value on these integers, so they decide its
     sign exactly, and every row is such a condition.  Its margin is the
-    integer over (D 2^(L-1))^d, L the bit length of max(p, q, r), rounded
-    once: its value on the metric scaled to a largest entry in [1, 2),
-    where C^2 < a^2+b^2+c^2 < 12 (the first by the gate, below), so that no
-    margin overflows and a factor 2^j on the metric changes none.
+    d-th root of the integer over (D 2^(L-1))^d, L the bit length of
+    max(p, q, r), in doubles (:func:`_margin`): the root of its value on
+    the metric scaled to a largest entry in [1, 2), where
+    C^2 < a^2+b^2+c^2 < 12 (the first by the gate, below), so that no
+    margin overflows, a factor 2^j on the metric changes none, and the
+    smallest names the relatively tightest row.
 
-    The gate.  Before the first row, ``_certificate`` requires the exact
-    sign of scal, ``m._exact.sign`` (the sign
-    :func:`~dirac3sphere.metric.scal_sign_classification` reports), to be
-    positive: the one decision of scal > 0.  That sign is the sign of
+    The gate.  Before the first row, :func:`_gate` requires the exact sign
+    of scal, ``m._exact.sign`` (as ``scal_sign_classification`` reports
+    it), to be positive: the one decision of scal > 0.  It is the sign of
     F = 4P^2 (X + Y + Z) - S2^2 (:class:`~dirac3sphere.metric._Exact`), and
     F = f1 f2 f3 (pq + qr + rp) for the three scal factors
     f1 = pq + qr - rp, f2 = pq - qr + rp, f3 = -pq + qr + rp.  On a sorted
@@ -517,7 +530,8 @@ def certify_fundamental_tone(m):
     every sorted triple with scal > 0 up to scale, and find every row
     positive.  So every metric with scal > 0 passes: its fundamental tone
     is mu on the sphere and the odd quotient structure and C on the even
-    one.  The table still re-decides each metric, to report its margins.
+    one, and :func:`smallest` answers by this theorem after the gate alone.
+    This function decides the rows for one metric, to report its margins.
 
     The trace's C, mu and scal are exact in the metric's units and rounded
     once, as :func:`invariants` reports them.  A failed condition raises
@@ -531,15 +545,11 @@ def base_cases(m):
     """Decide the base cases and the triangle increment for every level.
 
     The certificate's second table (:func:`_base_conditions`), decided as
-    :func:`certify_fundamental_tone` decides it, in six rows: G(5,0) > mu^2;
-    q(n_min) > 0 and q'(n_min) > 0 for the G(n,0) and G(n,1) families minus
-    C^2, each a quadratic q(n); the increment G(2,1) - G(0,0) is positive.
-    G(0,0) = C^2, G(1,0) = mu^2, the leading coefficient A > 0 of each q,
-    the whole G(n,n) family and the growth of the increment by 4c^2 per
-    level are lemmas of every sorted triple, not rows.  Every row is of
-    degree 2 in (a, b, c, C).  Returns a :class:`CertificationTrace` of
-    those rows.
-    Raises :class:`UncertifiableError` unless scal > 0, and
+    :func:`certify_fundamental_tone` decides it, in six rows of degree 2:
+    G(5,0) > mu^2; q(n_min) > 0 and q'(n_min) > 0 for the G(n,0) and G(n,1)
+    families minus C^2, each a quadratic q(n); the increment
+    G(2,1) - G(0,0) > 0.  Returns a :class:`CertificationTrace` of those
+    rows; raises :class:`UncertifiableError` unless scal > 0, and
     :class:`CertificationError` naming a check that fails.
     """
     return _certificate(m, _base_conditions)
@@ -549,9 +559,9 @@ def base_cases(m):
 class SmallestEigenvalueReport:
     """Smallest |eigenvalue| of one operator, with provenance.
 
-    ``certified`` is True only when the full verification chain ran and
-    passed, which requires positive scalar curvature.  ``max_level`` is the
-    enumeration level cutoff when the value is numerical, None for closed forms.
+    ``certified`` is True exactly when scal > 0, where the theorem of
+    :func:`certify_fundamental_tone` proves the closed-form value.
+    ``max_level`` is the enumeration cutoff of a numerical value, else None.
     """
 
     manifold: str
@@ -559,7 +569,6 @@ class SmallestEigenvalueReport:
     value: float
     multiplicity_d_squared: int
     certified: bool
-    certification_trace: object
     method: str
     max_level: object
 
@@ -567,48 +576,38 @@ class SmallestEigenvalueReport:
 def smallest(m, manifold, certify=False, max_level=25):
     """Smallest absolute eigenvalue of the chosen operator.
 
-    The certificate (:func:`certify_fundamental_tone`) decides first, by
-    the exact sign of scal (:func:`~dirac3sphere.metric.scal_sign_classification`).
-    With scal > 0 the value is mu (sphere and odd structure) or C (even
-    structure), with squared-operator multiplicity 4 exactly on the round
-    line of the sphere and 2 otherwise, always certified: the report
-    carries the full verification trace, with ``certify=False`` too.
+    The certificate's gate decides first, by the exact sign of scal.  With
+    scal > 0 the theorem of :func:`certify_fundamental_tone` gives the
+    value, certified with no row decided: mu (sphere and odd structure) or
+    C (even structure), with squared-operator multiplicity 4 exactly on the
+    round line of the sphere and 2 otherwise, with ``certify=False`` too.
 
-    Otherwise the certificate refuses with :class:`UncertifiableError`.
-    With ``certify`` true that refusal is raised ("certified or refused");
-    with ``certify`` false (the default) the value is the enumerated minimum
-    over levels <= max_level
-    (:func:`~dirac3sphere.spectrum.enumerated_min_abs`), never certified.
-    Only that branch imports the float layers, numpy among them.  An
-    unknown manifold raises :class:`DomainError`.
+    Otherwise the gate refuses with :class:`UncertifiableError`, which is
+    raised with ``certify`` true ("certified or refused"); with ``certify``
+    false (the default) the value is the enumerated minimum over levels
+    <= max_level (:func:`~dirac3sphere.spectrum.enumerated_min_abs`), never
+    certified, and only then are the float layers, numpy among them,
+    imported.  An unknown manifold raises :class:`DomainError`.
     """
     if manifold not in SPECTRUM_MANIFOLDS:
         raise DomainError(f"unknown manifold {manifold!r}; expected one of {SPECTRUM_MANIFOLDS}")
     try:
-        trace = certify_fundamental_tone(m)
+        ex = _gate(m)
     except UncertifiableError:
         if certify:
             raise
-        trace = None
-    if trace is None:
+        ex = None
+    if ex is None:
         from .spectrum import enumerated_min_abs
 
         value, mult, _ = enumerated_min_abs(m, manifold, max_level=max_level)
         method, cutoff = "enumeration", int(max_level)
     else:
-        value = m._exact.C if manifold == SO3_TRIVIAL else m.mu
+        value = ex.C if manifold == SO3_TRIVIAL else ex.mu
         mult = 4 if manifold == S3 and m.is_round() else 2
         method, cutoff = "closed-form", None
-    return SmallestEigenvalueReport(
-        manifold=manifold,
-        metric=m.triple(),
-        value=value,
-        multiplicity_d_squared=mult,
-        certified=trace is not None,
-        certification_trace=trace,
-        method=method,
-        max_level=cutoff,
-    )
+    return SmallestEigenvalueReport(manifold=manifold, metric=m.triple(), value=value, multiplicity_d_squared=mult,
+                                    certified=ex is not None, method=method, max_level=cutoff)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ deciding one table of closed-form conditions exactly, in integers, and
 records every margin; it lives with the Gershgorin bounds it rests on
 (:mod:`~dirac3sphere.gershgorin`) and is re-exported here, with
 ``CertificationTrace``.  So are ``smallest`` and ``SmallestEigenvalueReport``,
-which live next to the certificate they dispatch to, so that a certified
-answer needs no numpy.  Outside that regime only enumerated minima up to a
-level cutoff are reported (:func:`enumerated_min_abs`, which ``smallest``
-calls), clearly flagged as uncertified.
+which live next to the certificate whose gate and theorem they answer by,
+so that a certified answer needs no numpy.  Outside that regime only
+enumerated minima up to a level cutoff are reported
+(:func:`enumerated_min_abs`, which ``smallest`` calls), clearly flagged as
+uncertified.
 """
 
 import functools
@@ -34,7 +35,7 @@ from .gershgorin import (  # noqa: F401 (re-exported)
     certify_fundamental_tone,
     smallest,
 )
-from .gershgorin import _level, _rounding_allowance, level_bounds
+from .gershgorin import _below_level_limit, _level, _rounding_allowance, level_bounds
 from .metric import S3, SO3_NONTRIVIAL, SO3_TRIVIAL, SPECTRUM_MANIFOLDS, Metric, _volume_space
 
 #: relative slack of the multiplicity count in :func:`enumerated_min_abs`:
@@ -375,9 +376,12 @@ def enumerated_min_abs(m, manifold, max_level=25):
     The float-built rows that are counted differ from that operator by the
     rounding of their entries, far below tol, and each candidate is proved
     within tol (steps 4 and 5).  A block with a non-finite entry raises
-    :class:`~dirac3sphere.errors.Dirac3SphereError`.
+    :class:`~dirac3sphere.errors.Dirac3SphereError`; a cutoff of 2^26 or
+    more (beyond ``level_bounds``) raises :class:`DomainError` before any array.
     """
-    levels = np.array(admissible_levels(manifold, max_level))
+    levels = admissible_levels(manifold, max_level)
+    _below_level_limit(levels.stop - 1, "level cutoff")
+    levels = np.array(levels)
     if not len(levels):
         raise DomainError("no admissible levels below the requested cutoff")
     ms, _ = m.sorted()

@@ -40,6 +40,7 @@ runs on unchanged, so the certificate's rows and lemmas are proved as
 polynomials (``tests/test_certificate.py``).
 """
 
+import decimal
 import functools
 import itertools
 import math
@@ -450,13 +451,32 @@ def rounded_scalars(m):
 #: margin None for the level-0 note
 FractionStep = namedtuple("FractionStep", "name detail margin")
 
+#: 80 significant digits, far beyond a double, and an exponent range far
+#: beyond any margin
+_ROOTS = decimal.Context(prec=80, Emin=-10 ** 6, Emax=10 ** 6)
 
-def _fraction_step(steps, name, detail, margin, kind="strict", holds=None):
+
+def fraction_root(x, degree):
+    """The real degree-th root of the rational ``x``, its sign kept, rounded
+    to a double: exp(ln(x)/degree) in 80-digit decimal arithmetic, then
+    rounded once more, which can differ from the exact root's rounding only
+    within 1e-60 relative of a tie."""
+    if x <= 0:
+        return -fraction_root(-x, degree) if x else 0.0
+    x = Fraction(x)
+    value = _ROOTS.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+    return float(_ROOTS.exp(_ROOTS.divide(_ROOTS.ln(value), degree)))
+
+
+def _fraction_step(steps, name, detail, margin, degree, kind="strict", holds=None):
+    """Decide one condition of degree ``degree`` in (a, b, c, C) and record
+    its margin, the degree-th root of its value correctly rounded (the
+    library's is within an ulp or two of it)."""
     if holds is None:
         holds = margin == 0 if kind == "eq" else margin > 0
     if not holds:
-        raise d3s.CertificationError(f"{name} fails: margin {_fraction_float(margin):.3e} ({detail})")
-    steps.append(FractionStep(name, detail, _fraction_float(margin)))
+        raise d3s.CertificationError(f"{name} fails: margin {fraction_root(margin, degree):.3e} ({detail})")
+    steps.append(FractionStep(name, detail, fraction_root(margin, degree)))
 
 
 def _fraction_root_exceeds(u, R, t):
@@ -479,12 +499,13 @@ def fraction_certificate(m):
     conditions and the level-0 note, in the order of the proof), as
     :data:`FractionStep` records.  Each condition is decided on the exact
     rationals of the stored doubles (``Fraction``) divided by the power of
-    two that puts the largest entry in [1, 2), and each margin is the exact
-    rational at that scale rounded to a double; raises the library's errors
-    with the library's messages.
+    two that puts the largest entry in [1, 2), and the margin of a
+    condition of degree d in (a, b, c, C) is the d-th root of the exact
+    rational at that scale, rounded to a double (:func:`fraction_root`);
+    raises the library's errors with the library's messages.
     A level-3 pair is decided by what it states, both shifted eigenvalues
     (p - C) +- 2 sqrt(R) outside [-mu, mu] with the radicals compared
-    exactly, and its margin is the library's product."""
+    exactly, and its margin is the root of the library's product."""
     ms, _ = m.sorted()
     unit = Fraction(2) ** (math.frexp(ms.a)[1] - 1)
     a, b, c = (Fraction(x) / unit for x in ms.triple())
@@ -494,54 +515,54 @@ def fraction_certificate(m):
     mu = a + b + c - C
     steps = []
     for i, factor in enumerate(scal_factors(a, b, c), start=1):
-        _fraction_step(steps, f"regime:scal>0:{i}", "factor of the scal product form", factor)
-    _fraction_step(steps, "regime:C>max", "C - max(a,b,c)", C - a)
-    _fraction_step(steps, "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C)
-    _fraction_step(steps, "regime:mu>0", "mu", mu)
+        _fraction_step(steps, f"regime:scal>0:{i}", "factor of the scal product form", factor, 2)
+    _fraction_step(steps, "regime:C>max", "C - max(a,b,c)", C - a, 1)
+    _fraction_step(steps, "regime:C^2<sigma1", "a^2+b^2+c^2 - C^2 (equals scal/8)", a * a + b * b + c * c - C * C, 2)
+    _fraction_step(steps, "regime:mu>0", "mu", mu, 1)
     steps.append(FractionStep("level0", f"sole eigenvalue -C = {-_fraction_float(C * unit)!r} with multiplicity 2",
                               None))
 
     e1 = [a + b + c - C, a - b - c - C, -a + b - c - C, -a - b + c - C]  # level 1 in closed form
-    _fraction_step(steps, "level1:mu", "first closed-form eigenvalue equals mu", e1[0] - mu, "eq")
+    _fraction_step(steps, "level1:mu", "first closed-form eigenvalue equals mu", e1[0] - mu, 1, "eq")
     for i, v in enumerate(e1[1:], start=1):
-        _fraction_step(steps, f"level1:gap:{i}", f"|eigenvalue {i}| - mu", abs(v) - mu)
+        _fraction_step(steps, f"level1:gap:{i}", f"|eigenvalue {i}| - mu", abs(v) - mu, 1)
 
     chi2 = np.array(_char_poly_coeffs(a, b, c, 2), dtype=object)
     for x, label in ((0, "0"), (2 * C, "2C")):
         _fraction_step(steps, f"level2:chi2({label})<0",
-                       "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)", -np.polyval(chi2, x))
+                       "level-2 polynomial negative on [0, 2C] (convex, endpoints suffice)", -np.polyval(chi2, x), 3)
 
     for i, (p, R) in enumerate(_level3_radicals(a, b, c), start=1):
         t = p - C
         alpha = t * t + 4 * R - mu * mu
-        _fraction_step(steps, f"level3:alpha:{i}", "half-sum of l^2 - mu^2 over the pair", alpha)
+        _fraction_step(steps, f"level3:alpha:{i}", "half-sum of l^2 - mu^2 over the pair", alpha, 2)
         outside = all(_fraction_root_exceeds(2 * sign, R, mu - t) or _fraction_root_exceeds(-2 * sign, R, t + mu)
                       for sign in (-1, 1))
         _fraction_step(steps, f"level3:pair:{i}", "product of l^2 - mu^2 over the pair's two shifted eigenvalues l",
-                       alpha * alpha - 16 * t * t * R, holds=outside)
+                       alpha * alpha - 16 * t * t * R, 4, holds=outside)
 
     chi4 = np.array(_char_poly_coeffs(a, b, c, 4), dtype=object)
     chi4dd = np.polyder(chi4, 2)
     for x, label in ((0, "0"), (2 * C, "2C")):
         _fraction_step(steps, f"level4:chi4''({label})<0",
-                       "second derivative negative on [0, 2C] (convex, endpoints suffice)", -np.polyval(chi4dd, x))
+                       "second derivative negative on [0, 2C] (convex, endpoints suffice)", -np.polyval(chi4dd, x), 3)
     for x, label in ((0, "0"), (2 * C, "2C")):
         _fraction_step(steps, f"level4:chi4({label})>0",
                        "level-4 polynomial positive on [0, 2C] (concave there, endpoints suffice)",
-                       np.polyval(chi4, x))
+                       np.polyval(chi4, x), 5)
 
-    _fraction_step(steps, "base:G(0,0)=C^2", "G(0,0) - C^2", _G(a, b, c, C, 0, 0) - C * C, "eq")
-    _fraction_step(steps, "base:G(1,0)=mu^2", "G(1,0) - mu^2", _G(a, b, c, C, 1, 0) - mu * mu, "eq")
-    _fraction_step(steps, "base:G(5,0)>mu^2", "G(5,0) - mu^2", _G(a, b, c, C, 5, 0) - mu * mu)
+    _fraction_step(steps, "base:G(0,0)=C^2", "G(0,0) - C^2", _G(a, b, c, C, 0, 0) - C * C, 2, "eq")
+    _fraction_step(steps, "base:G(1,0)=mu^2", "G(1,0) - mu^2", _G(a, b, c, C, 1, 0) - mu * mu, 2, "eq")
+    _fraction_step(steps, "base:G(5,0)>mu^2", "G(5,0) - mu^2", _G(a, b, c, C, 5, 0) - mu * mu, 2)
     for name, n_min, (A, B, D) in families(a, b, c, C):
-        _fraction_step(steps, f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A)
+        _fraction_step(steps, f"tail:{name}:leading", "quadratic-in-n leading coefficient a^2-b^2+c^2", A, 2)
         _fraction_step(steps, f"tail:{name}:q({n_min})>0", "A n^2 + B n + D at n_min",
-                       A * n_min * n_min + B * n_min + D)
+                       A * n_min * n_min + B * n_min + D, 2)
         _fraction_step(steps, f"tail:{name}:q'({n_min})>0", "2A n + B at n_min (A > 0, so q grows from there)",
-                       2 * A * n_min + B)
+                       2 * A * n_min + B, 2)
     increment = _G(a, b, c, C, 2, 1) - _G(a, b, c, C, 0, 0)
-    _fraction_step(steps, "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment)
-    _fraction_step(steps, "increment:slope", "4c^2, the growth of the increment per level", 4 * c * c)
+    _fraction_step(steps, "increment:n=0", "G(2,1) - G(0,0) = 4*(-bC + ac + b^2 + c^2)", increment, 2)
+    _fraction_step(steps, "increment:slope", "4c^2, the growth of the increment per level", 4 * c * c, 2)
     return tuple(steps)
 
 

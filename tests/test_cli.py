@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -46,7 +47,7 @@ def test_spectrum_json_document(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 6
+    assert doc["schema_version"] == 7
     assert doc["command"] == "spectrum"
     assert doc["metric"] == [1, 1, 1]
     assert list(doc) == ["schema_version", "command", "options", "metric", "manifold", "results"]
@@ -249,16 +250,37 @@ def test_out_of_range_arguments_are_refused(capsys, argv, want):
         assert err.startswith("error: the computation left the double range: abc inf")  # 2 pi^2 / volume overflows
 
 
-@pytest.mark.parametrize("argv", [
-    "spectrum --metric 1.3,0.8,0.6 --manifold s3",
-    "smallest --metric 1.3,0.8,0.3 --manifold s3",
+@pytest.mark.parametrize("argv, message", [
+    pytest.param("spectrum --metric 1.3,0.8,0.6 --manifold s3", "the computation ran out of memory",
+                 id="spectrum --metric 1.3,0.8,0.6 --manifold s3"),
+    pytest.param("smallest --metric 1.3,0.8,0.3 --manifold s3",
+                 f"level cutoff must be below 2^26 for a proved rounding allowance, got {10 ** 18}",
+                 id="smallest --metric 1.3,0.8,0.3 --manifold s3"),
 ])
-def test_a_cutoff_beyond_memory_is_one_error_line(capsys, argv):
-    # 10^18 levels are refused on the requested size (a list or an array of
-    # 10^18 entries), before anything is allocated: exit 1, no traceback
+def test_a_cutoff_beyond_memory_is_one_error_line(capsys, argv, message):
+    # 10^18 levels are refused before anything is allocated: exit 1, no
+    # traceback.  spectrum is refused on the requested size (a list or an
+    # array of 10^18 entries); an enumerated smallest on the level bounds'
+    # limit of 2^26, before it builds its array of levels
     code, out, err = run_cli(capsys, *argv.split(), "--max-level", str(10 ** 18))
     assert (code, out) == (1, "")
-    assert err == "error: the computation ran out of memory\n"
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("manifold", ["s3", "so3-trivial", "so3-nontrivial"])
+def test_an_enumerated_cutoff_of_2_26_is_refused_before_any_array(capsys, manifold):
+    # the cutoff itself is the first one refused, on every manifold, with
+    # the level bounds' own message and no large allocation on the way
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "smallest", "--metric", "1.3,0.8,0.3", "--manifold", manifold,
+                                 "--max-level", str(2 ** 26))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == f"error: level cutoff must be below 2^26 for a proved rounding allowance, got {2 ** 26}\n"
+    assert peak < 10 ** 7
 
 
 def test_smallest_overflowing_enumeration_is_an_error(capsys):
@@ -302,7 +324,7 @@ def test_smallest_auto_and_on_agree_next_to_the_wall(capsys, metric):
         results.append(json.loads(out)["results"])
     assert results[0] == results[1]
     res = results[0]
-    assert (res["certified"], res["multiplicity_d_squared"], res["certification"]["checks"]) == (True, 2, 13)
+    assert (res["certified"], res["multiplicity_d_squared"], res["certification"]["theorem"]) == (True, 2, cli._THEOREM)
     if metric == "1e20,1,1":
         assert res["value"] == 2.0
 
@@ -338,11 +360,11 @@ def test_smallest_round(capsys):
     assert res["value"] == pytest.approx(1.5)
     assert res["multiplicity_d_squared"] == 4
     assert res["certified"] is True
-    assert list(res["certification"]) == [
-        "sorted_metric", "permutation", "C", "mu", "scal", "checks", "min_margin", "steps",
-    ]
-    assert res["certification"]["checks"] == 13
-    assert res["certification"]["min_margin"] > 0
+    assert list(res["certification"]) == ["sorted_metric", "permutation", "C", "mu", "scal", "theorem"]
+    # the certificate is the theorem, named with the test that proves it
+    test = re.search(r"tests/(test_\w+)\.py::(test_\w+)", res["certification"]["theorem"])
+    source = (pathlib.Path(__file__).resolve().parent / f"{test.group(1)}.py").read_text()
+    assert f"\ndef {test.group(2)}(" in source
 
 
 def test_smallest_multiplicity_four_only_on_the_exact_round_line(capsys):
@@ -514,12 +536,83 @@ def test_verify_has_no_rep_level(capsys):
     assert code == 0 and "rep_level" not in out
 
 
-def test_smallest_and_verify_print_the_same_step_records(capsys):
-    _, out, _ = run_cli(capsys, "smallest", "--metric", "1.3,0.8,0.9", "--manifold", "s3")
-    steps = json.loads(out)["results"]["certification"]["steps"]
+def test_smallest_answers_by_the_theorem_without_the_row_table(capsys, monkeypatch):
+    # a certified smallest rests on the exact gate alone: with the row table
+    # made to fail, it still certifies on every manifold, in the library and
+    # in the CLI, while the certificate itself fails
+    from dirac3sphere import gershgorin
+
+    def broken(m, *tables):
+        raise d3s.CertificationError("the row table ran")
+
+    monkeypatch.setattr(gershgorin, "_certificate", broken)
+    m = Metric(1.3, 0.8, 0.9)
+    for manifold, want in (("s3", m.mu), ("so3-trivial", d3s.invariants(m).C), ("so3-nontrivial", m.mu)):
+        for certify in (False, True):
+            report = d3s.smallest(m, manifold, certify=certify)
+            assert (report.certified, report.method, report.value) == (True, "closed-form", want)
+        code, out, err = run_cli(capsys, "smallest", "--metric", "1.3,0.8,0.9", "--manifold", manifold)
+        assert (code, err, json.loads(out)["results"]["value"]) == (0, "", want)
+    with pytest.raises(d3s.CertificationError, match="the row table ran"):
+        d3s.certify_fundamental_tone(m)
+
+
+def _gate_metrics():
+    """Log-uniform metrics on [1/4, 4]^3, then metrics on the scal = 0 wall
+    (the third entry an exact ratio) and one relative 1e-13 either side of
+    it, then the first ten scaled by 2^600 and by 2^-600."""
+    rng = np.random.default_rng(51)
+    log_uniform = np.exp(rng.uniform(math.log(0.25), math.log(4.0), (72, 3)))
+    metrics = [Metric(*t) for t in log_uniform[:60]]
+    for p, q in log_uniform[60:, :2]:
+        wall = Fraction(p) * Fraction(q) / (Fraction(p) + Fraction(q))
+        metrics += [Metric(p, q, wall)] + [Metric(p, q, float(wall) * f) for f in (1 - 1e-13, 1 + 1e-13)]
+    return metrics + [Metric(*(math.ldexp(x, e) for x in t)) for t in log_uniform[:10] for e in (600, -600)]
+
+
+def _written(m):
+    return ",".join(f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else repr(x) for x in m._written)
+
+
+def test_certified_smallest_is_the_certificate_s_verdict_with_its_values(capsys):
+    # certified exactly where the certificate passes, and the payload's
+    # values are the trace's, on random metrics, at the wall and far from
+    # unit scale
+    outcomes = set()
+    for m in _gate_metrics():
+        try:
+            trace = d3s.certify_fundamental_tone(m)
+        except d3s.UncertifiableError:
+            trace = None
+        outcomes.add(trace is not None)
+        for manifold in ("s3", "so3-trivial", "so3-nontrivial"):
+            try:
+                certified = d3s.smallest(m, manifold, certify=True).certified
+            except d3s.UncertifiableError:
+                certified = False
+            assert certified == (trace is not None), (m.triple(), manifold)
+            if max(m.triple()) < 1e100:  # at 2^600 an enumeration overflows, and scal does
+                assert d3s.smallest(m, manifold, max_level=4).certified == certified, (m.triple(), manifold)
+        if trace is None:
+            continue
+        want = {"sorted_metric": list(trace.sorted_triple), "permutation": list(trace.permutation),
+                "C": trace.C, "mu": trace.mu, "scal": trace.scal, "theorem": cli._THEOREM}
+        assert cli._certification(m) == want, m.triple()
+        if max(m.triple()) < 1e100:
+            code, out, _ = run_cli(capsys, "smallest", "--metric", _written(m), "--manifold", "s3", "--certify", "on")
+            assert (code, json.loads(out)["results"]["certification"]) == (0, want), m.triple()
+    assert outcomes == {True, False}
+
+
+def test_verify_details_prints_the_certificate_s_step_records(capsys):
+    # a one-point grid prints one metric's rows: what smallest printed up to
+    # schema 6, now in verify alone
+    steps = [{"name": s.name, "detail": s.detail, "margin": s.margin}
+             for s in d3s.certify_fundamental_tone(Metric(1.3, 0.8, 0.9)).steps]
     _, out, _ = run_cli(capsys, "verify", "--grid", "1.3:1.3:1,0.8:0.8:1,0.9:0.9:1", "--details")
     (point,) = json.loads(out)["results"]["points"]
     assert point["steps"] == steps
+    assert point["min_margin"] == min(step["margin"] for step in steps)
     assert len(steps) == 13 and all(list(step) == ["name", "detail", "margin"] for step in steps)
 
 
@@ -590,7 +683,7 @@ def test_each_document_echoes_only_its_own_options(capsys, command):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     doc = json.loads(out)
-    assert (doc["schema_version"], doc["command"], list(doc["options"])) == (6, command, keys)
+    assert (doc["schema_version"], doc["command"], list(doc["options"])) == (7, command, keys)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -154,7 +154,7 @@ def test_base_cases_round_and_generic():
         "tail:G(n,1)-C^2:q(4)>0", "tail:G(n,1)-C^2:q'(4)>0", "increment:n=0",
     ]
     assert all(c.margin > 0 for c in report.steps)
-    assert report.steps[0].margin == 20.0  # G(5,0) = 22.25, mu^2 = 2.25
+    assert report.steps[0].margin == math.sqrt(20.0)  # G(5,0) = 22.25, mu^2 = 2.25, degree 2
     assert report.min_margin > 0
 
     report2 = d3s.base_cases(Metric(1, 2, 1))
