@@ -586,8 +586,10 @@ def smallest(m, manifold, certify=False, max_level=25):
     raised with ``certify`` true ("certified or refused"); with ``certify``
     false (the default) the value is the enumerated minimum over levels
     <= max_level (:func:`~dirac3sphere.spectrum.enumerated_min_abs`), never
-    certified, and only then are the float layers, numpy among them,
-    imported.  An unknown manifold raises :class:`DomainError`.
+    certified, computed at the normalized scale (largest entry in [1, 2))
+    and scaled back once, so it is covariant under 2^j bit for bit; only
+    then are the float layers, numpy among them, imported.  An unknown
+    manifold raises :class:`DomainError`.
     """
     if manifold not in SPECTRUM_MANIFOLDS:
         raise DomainError(f"unknown manifold {manifold!r}; expected one of {SPECTRUM_MANIFOLDS}")

@@ -231,13 +231,16 @@ class Metric:
 
         The order and the entries are the exact ones: two rationals that
         round to one double keep their order and their values.  p[i] is the
-        index in the original triple of the i-th sorted entry.  Sorting is
+        index in the original triple of the i-th sorted entry; a sorted
+        metric is returned itself, with p = (0, 1, 2).  Sorting is
         an isometric relabeling of the frame; it is exposed, never applied
         implicitly.
         """
         w = self._written
-        order = sorted(range(3), key=lambda i: -w[i])
-        return Metric(w[order[0]], w[order[1]], w[order[2]]), tuple(order)
+        order = tuple(sorted(range(3), key=lambda i: -w[i]))
+        if order == (0, 1, 2):
+            return self, order  # frozen, so the metric itself is its sorted form
+        return Metric(w[order[0]], w[order[1]], w[order[2]]), order
 
     def is_round(self):
         """True when a = b = c exactly, as written.
@@ -247,6 +250,27 @@ class Metric:
         """
         w = self._written
         return w[0] == w[1] == w[2]
+
+
+def _normalized(m):
+    """(the sorted metric's doubles times 2^-k, k), k the exponent that
+    puts the largest entry in [1, 2): the unit scale of the certificate
+    (``gershgorin._certificate``), for the float layers.
+
+    The scaling is exact: every entry survives the round trip back by 2^k.
+    Where it would round an entry into the subnormal range (entries more
+    than about 2^1021 apart) it raises :class:`DomainError`.  Eigenvalues
+    are homogeneous of degree 1 in (a, b, c), so a level spectrum of m is
+    2^k times that of the normalized metric.
+    """
+    ms, _ = m.sorted()
+    k = math.frexp(ms.a)[1] - 1
+    if k == 0:
+        return ms, 0
+    scaled = [math.ldexp(x, -k) for x in ms.triple()]
+    if any(math.ldexp(y, k) != x for x, y in zip(ms.triple(), scaled)):
+        raise DomainError(f"metric entries {ms.triple()} are too far apart to scale to unit size exactly")
+    return Metric(*scaled), k
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .gershgorin import (  # noqa: F401 (re-exported)
     smallest,
 )
 from .gershgorin import _below_level_limit, _level, _rounding_allowance, level_bounds
-from .metric import S3, SO3_NONTRIVIAL, SO3_TRIVIAL, SPECTRUM_MANIFOLDS, Metric, _volume_space
+from .metric import S3, SO3_NONTRIVIAL, SO3_TRIVIAL, SPECTRUM_MANIFOLDS, Metric, _normalized, _volume_space
 
 #: relative slack of the multiplicity count in :func:`enumerated_min_abs`:
 #: eigenvalues within it of the minimum count towards its multiplicity
@@ -260,6 +260,33 @@ def _lines_of_levels(m, levels):
     return tuple(x[order] for x in (centre, radius, level, code, weight))
 
 
+#: the most entries, rows times width, of the padded solver rows that
+#: :func:`assemble` builds (:func:`_affordable`).  At the last cutoffs it
+#: admits, 647 on s3, 1024 on so3-nontrivial and 1447 on so3-trivial, a
+#: whole ``spectrum`` run took 9, 13 and 50 s and peaked at 154, 198 and
+#: 294 MB (2 cores, Python 3.11, numpy 2.4)
+MAX_SOLVER_ENTRIES = 2 ** 20
+
+
+def _solver_entries(levels):
+    """Entries of the padded solver rows of :func:`_level_rows` for
+    ``levels`` (a range), from the range alone: an even level n is one row
+    of n + 1, an odd one four halves of (n + 1)/2, all padded to the
+    widest, which the top two levels set."""
+    odd = len(range(levels.start | 1, levels.stop, 2)) if levels.step == 1 else len(levels) * (levels.start % 2)
+    return (len(levels) + 3 * odd) * max([(n + 1) // (1 + n % 2) for n in levels[-2:]], default=0)
+
+
+def _affordable(levels):
+    """``levels`` (a range) when their solver rows hold at most
+    ``MAX_SOLVER_ENTRIES`` entries (:func:`_solver_entries`), else
+    :class:`DomainError`, before any array."""
+    entries = _solver_entries(levels)
+    if entries > MAX_SOLVER_ENTRIES:
+        raise DomainError(f"levels up to {levels[-1]} need {entries} solver entries, above the cap of 2^20")
+    return levels
+
+
 def level_lines(m, n):
     """Spectral lines of one level (an even one solved once, from A); see
     :func:`assemble`.  A level that is not a nonnegative integer raises
@@ -279,9 +306,11 @@ def assemble(m, manifold, max_level):
     line, with a proved radius and count (see :class:`SpectralLine` for the
     proof).  No two lines of a level overlap, and a line of one value
     carries that value unchanged.  The lines stay columns of the
-    :class:`Spectrum`.
+    :class:`Spectrum`.  A cutoff whose solver rows would hold more than
+    ``MAX_SOLVER_ENTRIES`` entries raises :class:`DomainError` before any
+    array (:func:`_affordable`).
     """
-    columns = _lines_of_levels(m, list(admissible_levels(manifold, max_level)))
+    columns = _lines_of_levels(m, list(_affordable(admissible_levels(manifold, max_level))))
     return Spectrum(manifold, m.triple(), int(max_level), *columns)
 
 
@@ -310,15 +339,19 @@ def enumerated_min_abs(m, manifold, max_level=25):
     """Numerically smallest |eigenvalue| over the admissible levels.
 
     Returns (value, multiplicity of the squared operator, levels solved or
-    screened, ascending); the value lies within tol, each block's
-    :func:`~dirac3sphere.eigen.default_tolerance`, of the true minimum over
-    the levels up to ``max_level``.
+    screened, ascending); the value lies within 2^k tol, tol the normalized
+    block's :func:`~dirac3sphere.eigen.default_tolerance`, of the true
+    minimum over the levels up to ``max_level``.
 
-    1. The metric is replaced by its sorted form a >= b >= c.  A permutation
-       of (a, b, c) is an inner automorphism of SU(2): an orientation-keeping
-       isometry that commutes with -1, so it keeps both spin structures of
-       SO(3) and every level spectrum, and the result is the same in every
-       ordering.
+    1. The metric is replaced by its sorted form a >= b >= c, times 2^-k
+       with the largest entry in [1, 2) (``metric._normalized``, exact).  A
+       permutation of (a, b, c) is an inner automorphism of SU(2): an
+       orientation-keeping isometry that commutes with -1, so it keeps both
+       spin structures of SO(3) and every level spectrum, and the result is
+       the same in every ordering.  Eigenvalues are homogeneous of degree 1
+       in (a, b, c), so steps 2 to 5 run on the normalized metric and the
+       value is scaled back by 2^k once: at 2^j m the result is 2^j times
+       that at m, bit for bit, while neither rounds.
     2. :func:`~dirac3sphere.gershgorin.level_bounds` bounds lambda^2 from
        below on every admissible level: the least G(n, k) of the level, at
        k = 0, n and G's vertex.  Pruning takes each bound less its rounding
@@ -375,16 +408,19 @@ def enumerated_min_abs(m, manifold, max_level=25):
     has |lambda| <= best; with u for best, none is left out of the count.
     The float-built rows that are counted differ from that operator by the
     rounding of their entries, far below tol, and each candidate is proved
-    within tol (steps 4 and 5).  A block with a non-finite entry raises
-    :class:`~dirac3sphere.errors.Dirac3SphereError`; a cutoff of 2^26 or
-    more (beyond ``level_bounds``) raises :class:`DomainError` before any array.
+    within tol (steps 4 and 5), all at the normalized scale.  A block with
+    a non-finite entry raises :class:`~dirac3sphere.errors.Dirac3SphereError`,
+    and a value beyond the double range once scaled back ``OverflowError``;
+    entries too far apart to normalize exactly, and a cutoff of 2^26 or
+    more (beyond ``level_bounds``), raise :class:`DomainError`, the cutoff
+    before any array.
     """
     levels = admissible_levels(manifold, max_level)
     _below_level_limit(levels.stop - 1, "level cutoff")
     levels = np.array(levels)
     if not len(levels):
         raise DomainError("no admissible levels below the requested cutoff")
-    ms, _ = m.sorted()
+    ms, k = _normalized(m)
     bounds = level_bounds(ms, levels)
     with np.errstate(invalid="ignore"):  # inf - inf
         low = bounds - _rounding_allowance(ms, levels)
@@ -445,7 +481,7 @@ def enumerated_min_abs(m, manifold, max_level=25):
     n = rows[4][counted]
     keep = within(u)[at[counted]]
     mult = int(np.dot(counts[keep, 2], ((n + 1) * (2 - n % 2))[keep]))
-    return value, mult, levels[screened].tolist()
+    return math.ldexp(value, k), mult, levels[screened].tolist()
 
 
 def weyl_count_estimate(m, manifold, lam):

@@ -21,8 +21,8 @@ direct pentadiagonal rows of the squared blocks
 check against dense ``T @ T``; ``tests/test_gershgorin.py`` proves once, in
 integers, that it equals the library's one formula ``gershgorin._G``.  The
 enumeration's reference is ``reference_enumerated_min_abs``: the search on
-block objects (``_level_blocks``, from ``reference_block``)
-seeded with the globally lowest level bound, pruned by
+block objects at the library's normalized scale (``_level_blocks``, from
+``reference_block``) seeded with the globally lowest level bound, pruned by
 ``reference_level_bounds`` (``gershgorin._G`` at every (n, k) row of the
 sorted metric) less the rounding allowance of ``level_bounds``, and solved
 on block objects packed into solver rows by ``pack_blocks``
@@ -55,7 +55,7 @@ from dirac3sphere.blocks import CLIFFORD, TAGS, DiracBlock, RepresentationOperat
 from dirac3sphere.eigen import _min_abs_rows, _row_norms, _sturm_counts, _tolerance, default_tolerance
 from dirac3sphere.errors import ConsistencyError
 from dirac3sphere.gershgorin import _FAMILIES, _G, _char_poly_coeffs, _family, _level3_radicals, _rounding_allowance
-from dirac3sphere.metric import shift_C
+from dirac3sphere.metric import _normalized, shift_C
 from dirac3sphere.spectrum import COINCIDENCE_RTOL
 
 
@@ -217,11 +217,13 @@ def reference_enumerated_min_abs(m, manifold, max_level=25):
     lowest finite bound over all admissible levels: the seed solved with
     ``min_abs_blocks``, every other level its bound cannot rule out screened
     by one ``count_below_blocks`` at -best and best, the blocks with an
-    eigenvalue inside solved, and the multiplicity one count in [-u, u)."""
+    eigenvalue inside solved, and the multiplicity one count in [-u, u).
+    It runs on the metric normalized by ``metric._normalized`` and scales
+    the value back by 2^k once."""
     levels = np.array(d3s.admissible_levels(manifold, max_level))
     if not len(levels):
         raise d3s.DomainError("no admissible levels below the requested cutoff")
-    ms, _ = m.sorted()
+    ms, k = _normalized(m)
     bounds = reference_level_bounds(ms, levels)
     with np.errstate(invalid="ignore"):
         low = bounds - _rounding_allowance(ms, levels)
@@ -243,7 +245,7 @@ def reference_enumerated_min_abs(m, manifold, max_level=25):
     counted = [(n, t, w) for n in within(u) for _, t, w in level_blocks(n)]
     counts = count_below_blocks([t for _, t, _ in counted], [-u, u])
     mult = int(np.dot(counts[:, 1] - counts[:, 0], [(n + 1) * w for n, _, w in counted]))
-    return best, mult, sorted([first] + screened)
+    return math.ldexp(best, k), mult, sorted([first] + screened)
 
 
 def berger_spectrum(a, b, n):

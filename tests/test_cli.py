@@ -251,7 +251,9 @@ def test_out_of_range_arguments_are_refused(capsys, argv, want):
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param("spectrum --metric 1.3,0.8,0.6 --manifold s3", "the computation ran out of memory",
+    pytest.param("spectrum --metric 1.3,0.8,0.6 --manifold s3",
+                 f"levels up to {10 ** 18} need {(10 ** 18 + 1 + 3 * 5 * 10 ** 17) * (10 ** 18 + 1)} solver entries, "
+                 "above the cap of 2^20",
                  id="spectrum --metric 1.3,0.8,0.6 --manifold s3"),
     pytest.param("smallest --metric 1.3,0.8,0.3 --manifold s3",
                  f"level cutoff must be below 2^26 for a proved rounding allowance, got {10 ** 18}",
@@ -259,9 +261,9 @@ def test_out_of_range_arguments_are_refused(capsys, argv, want):
 ])
 def test_a_cutoff_beyond_memory_is_one_error_line(capsys, argv, message):
     # 10^18 levels are refused before anything is allocated: exit 1, no
-    # traceback.  spectrum is refused on the requested size (a list or an
-    # array of 10^18 entries); an enumerated smallest on the level bounds'
-    # limit of 2^26, before it builds its array of levels
+    # traceback.  spectrum is refused by the cost cap on its solver rows; an
+    # enumerated smallest on the level bounds' limit of 2^26, before it
+    # builds its array of levels
     code, out, err = run_cli(capsys, *argv.split(), "--max-level", str(10 ** 18))
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"
@@ -283,13 +285,47 @@ def test_an_enumerated_cutoff_of_2_26_is_refused_before_any_array(capsys, manifo
     assert peak < 10 ** 7
 
 
-def test_smallest_overflowing_enumeration_is_an_error(capsys):
-    # scal < 0 at the scale 2^600: C overflows, so the level blocks are not finite
-    metric = ",".join(repr(2.0 ** 600 * x) for x in (1.3, 0.8, 0.3))
+@pytest.mark.parametrize("manifold, cap", [("s3", 647), ("so3-trivial", 1447), ("so3-nontrivial", 1024)])
+@pytest.mark.parametrize("command", [["spectrum"], ["heat-trace", "--t", "0.1"]])
+def test_a_cutoff_above_the_cost_cap_is_refused_before_any_array(capsys, manifold, cap, command):
+    # the first cutoff past the cap of spectrum.MAX_SOLVER_ENTRIES, with no
+    # large allocation on the way (its rows would take some 8 MB as doubles)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *command, "--metric", "1.3,0.8,0.3", "--manifold", manifold,
+                                 "--max-level", str(cap + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: levels up to {cap + 1} need ") and err.endswith("above the cap of 2^20\n")
+    assert peak < 10 ** 6
+
+
+def test_smallest_enumeration_at_2_to_the_600_is_the_unit_result_scaled(capsys):
+    # scal < 0 at the scales 2^+-600, where C overflows or every eigenvalue
+    # lies below the unit-scale tol: the enumeration runs at the normalized
+    # scale, so each prints 2^+-600 times the unit value, with its multiplicity
+    for manifold in ("s3", "so3-trivial", "so3-nontrivial"):
+        code, out, _ = run_cli(capsys, "smallest", "--metric", "1.3,0.8,0.3", "--manifold", manifold)
+        unit = json.loads(out)["results"]
+        for j in (-600, 600):
+            metric = ",".join(repr(math.ldexp(x, j)) for x in (1.3, 0.8, 0.3))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "smallest", "--metric", metric, "--manifold", manifold)
+            assert (code, err) == (0, "")
+            res = json.loads(out)["results"]
+            assert res["value"] == math.ldexp(unit["value"], j)
+            assert res["multiplicity_d_squared"] == unit["multiplicity_d_squared"]
+
+
+def test_smallest_with_non_finite_normalized_blocks_is_an_error(capsys):
+    # (1, 1, 1e-310) is at unit scale already and its C overflows there
     for manifold in ("s3", "so3-trivial", "so3-nontrivial"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "smallest", "--metric", metric, "--manifold", manifold)
+            code, out, err = run_cli(capsys, "smallest", "--metric", "1,1,1e-310", "--manifold", manifold)
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "not finite" in err

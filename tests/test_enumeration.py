@@ -2,6 +2,7 @@
 the proved min-|eigenvalue| solves."""
 
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
@@ -188,11 +189,64 @@ def test_enumeration_reruns_its_passes_on_bisected_values(monkeypatch):
         assert abs(value - want) <= 1e-9 * max(1.0, want) and mult == want_mult, case
 
 
-def test_non_finite_block_is_a_package_error():
-    m = Metric(*(2.0 ** 600 * x for x in (1.3, 0.8, 0.3)))
+def test_non_finite_normalized_block_is_a_package_error():
+    # (1, 1, 1e-310) is at unit scale already, and its C = 1/(2e-310) + ...
+    # overflows there: the blocks are not finite at any scale
+    m = Metric(1.0, 1.0, 1e-310)
+    assert d3s.metric._normalized(m) == (m, 0)
     for manifold in MANIFOLDS:
         with np.errstate(all="raise"), pytest.raises(d3s.Dirac3SphereError, match="not finite"):
             d3s.enumerated_min_abs(m, manifold, 40)
+
+
+def test_normalized_metric_is_sorted_and_exact():
+    rng = np.random.default_rng(36)
+    for m in random_metrics(rng, 20):
+        for j in (-1000, -600, -1, 0, 1, 600, 1000):
+            scaled = Metric(*(math.ldexp(x, j) for x in m.triple()))
+            ms, k = d3s.metric._normalized(scaled)
+            assert 1.0 <= ms.a < 2.0 and ms.a >= ms.b >= ms.c
+            assert tuple(math.ldexp(x, k) for x in ms.triple()) == scaled.sorted()[0].triple()
+            assert (ms, k - j) == d3s.metric._normalized(m)
+
+
+def test_normalization_that_would_round_an_entry_is_refused():
+    # 2^-1100 1.1 and 2^-1050 1.1 lie below the normal range: the first
+    # rounds to zero, the second to a subnormal with fewer bits; both refused
+    for c in (1.1 * 2.0 ** -500, 1.1 * 2.0 ** -450):
+        m = Metric(1.3 * 2.0 ** 600, 1.0, c)
+        with pytest.raises(d3s.DomainError, match="too far apart"):
+            d3s.metric._normalized(m)
+        with pytest.raises(d3s.DomainError, match="too far apart"):
+            d3s.enumerated_min_abs(m, d3s.S3, 10)
+    # an entry that lands on a subnormal exactly is kept
+    ms, k = d3s.metric._normalized(Metric(2.0 ** 600, 1.0, 2.0 ** -460))
+    assert (ms.triple(), k) == ((1.0, 2.0 ** -600, 2.0 ** -1060), 600)
+
+
+def test_a_minimum_beyond_the_double_range_overflows_once_scaled_back():
+    # normalized to (1.5, 1.5, 2^-23), whose blocks are finite; the minimum
+    # times 2^1022 is not a double
+    m = Metric(0.75 * 2.0 ** 1023, 0.75 * 2.0 ** 1023, 2.0 ** 1000)
+    with pytest.raises(OverflowError):
+        d3s.enumerated_min_abs(m, d3s.S3, 10)
+
+
+def test_enumeration_is_covariant_under_powers_of_two():
+    # the enumeration runs at the normalized scale, so at 2^j m it returns
+    # 2^j times the value at m bit for bit, with the same multiplicity and
+    # levels: scal < 0 and exact-wall metrics, every manifold
+    rng = np.random.default_rng(37)
+    metrics = random_metrics_with_sign(rng, 4, d3s.NEGATIVE, 0.25, 4.0) + _wall_metrics(rng, 3)
+    for i, m in enumerate(metrics):
+        for manifold in MANIFOLDS:
+            max_level = (40, 80, 120)[i % 3]
+            value, mult, levels = d3s.enumerated_min_abs(m, manifold, max_level)
+            for j in (-1000, -600, -1, 1, 600, 1000):
+                scaled = Metric(*(math.ldexp(x, j) for x in m.triple()))
+                with np.errstate(all="raise"):
+                    got = d3s.enumerated_min_abs(scaled, manifold, max_level)
+                assert got == (math.ldexp(value, j), mult, levels), (m.triple(), manifold, j)
 
 
 def _wall_metrics(rng, count):
@@ -215,22 +269,25 @@ def _outcome(enumerate_min_abs, m, manifold, max_level):
 def test_enumeration_equals_the_object_path_reference():
     # the packed rows and the low-level seed return the reference's value and
     # multiplicity exactly: on scal < 0, exact-wall and Berger metrics, on
-    # every manifold, up to level 200; and on a metric whose bounds are all
-    # nan, whose blocks overflow above level 25 (the same error either way)
+    # every manifold, up to level 200; on (1e155, 1e153, 1), whose bounds
+    # are all nan and whose blocks overflow above level 25 at its own scale
+    # but not at the normalized one; and on (1, 1, 1e-310), whose blocks
+    # overflow at every level and scale (the same error either way)
     rng = np.random.default_rng(35)
     metrics = (random_metrics_with_sign(rng, 6, d3s.NEGATIVE, 0.25, 4.0) + _wall_metrics(rng, 6)
                + [Metric(a, b, b) for a, b in ((1.3, 0.9), (0.4, 2.0), (3.0, 0.2), (0.3, 1.7))]
                + [Metric(4, 3.5, 0.25)])
     cases = [(m, manifold, (200, 120, 60, 25)[(i + j) % 4])
              for i, m in enumerate(metrics) for j, manifold in enumerate(MANIFOLDS)]
-    cases += [(Metric(1e155, 1e153, 1.0), manifold, max_level) for manifold in MANIFOLDS for max_level in (10, 25, 200)]
+    cases += [(Metric(*t), manifold, max_level) for t in ((1e155, 1e153, 1.0), (1.0, 1.0, 1e-310))
+              for manifold in MANIFOLDS for max_level in (10, 25, 200)]
     raised = []
     for m, manifold, max_level in cases:
         got = _outcome(d3s.enumerated_min_abs, m, manifold, max_level)
         assert got == _outcome(reference_enumerated_min_abs, m, manifold, max_level), (m.triple(), manifold, max_level)
         if isinstance(got[0], type):
-            raised.append(max_level)
-    assert raised == [200] * 3
+            raised.append(m.triple())
+    assert raised == [(1.0, 1.0, 1e-310)] * 9
 
 
 def test_seed_is_a_low_level(monkeypatch):

@@ -186,6 +186,15 @@ def test_sorted_returns_permutation_without_mutating():
     assert m.triple() == (0.7, 2.0, 1.1)
 
 
+def test_sorted_form_of_a_sorted_metric_is_itself():
+    for m in (Metric(2.0, 1.1, 0.7), Metric(1, 1, Fraction(1, 2)), Metric(1, 1, 1)):
+        ms, perm = m.sorted()
+        assert ms is m and perm == (0, 1, 2)
+        assert m.sorted()[0].sorted()[0] is m
+    ms, perm = Metric(0.7, 2.0, 1.1).sorted()
+    assert ms.sorted() == (ms, (0, 1, 2)) and ms.sorted()[0] is ms
+
+
 def test_scalar_inequality_suite_vectorized():
     # C^2 >= pairwise sums of squares; 2C >= a+b+c with equality iff a=b=c;
     # the three equivalent characterizations of scal > 0

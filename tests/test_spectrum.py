@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dirac3sphere as d3s
-from dirac3sphere import Metric
+from dirac3sphere import Metric, spectrum
 from dirac3sphere.eigen import _bisect_range, default_tolerance
 
 from _oracles import (
@@ -17,6 +17,42 @@ from _oracles import (
 )
 
 ROUND = Metric(1, 1, 1)
+
+
+#: the largest cutoff under ``spectrum.MAX_SOLVER_ENTRIES`` on each manifold
+CAP_CUTOFFS = {d3s.S3: 647, d3s.SO3_TRIVIAL: 1447, d3s.SO3_NONTRIVIAL: 1024}
+
+
+def test_the_cost_model_is_the_size_of_the_solver_rows():
+    # the entries predicted from the cutoff alone are those of the padded rows
+    m = Metric(1.3, 0.8, 0.6)
+    for manifold in CAP_CUTOFFS:
+        for max_level in [*range(12), 40, 81]:
+            levels = d3s.admissible_levels(manifold, max_level)
+            D = spectrum._level_rows(m, list(levels))[0] if len(levels) else np.zeros(0)
+            assert spectrum._solver_entries(levels) == D.size, (manifold, max_level)
+
+
+@pytest.mark.parametrize("manifold", list(CAP_CUTOFFS))
+def test_the_cost_cap_admits_its_cutoff_and_refuses_the_next(monkeypatch, manifold):
+    # the cap's own cutoff reaches the solver rows (stopped there: a full
+    # solve at the cap takes seconds to a minute), the next is refused before
+    cap = CAP_CUTOFFS[manifold]
+    levels = d3s.admissible_levels(manifold, cap)
+    assert spectrum._solver_entries(levels) <= spectrum.MAX_SOLVER_ENTRIES
+    assert spectrum._solver_entries(d3s.admissible_levels(manifold, cap + 1)) > spectrum.MAX_SOLVER_ENTRIES
+    reached, lines_of_levels = [], spectrum._lines_of_levels
+
+    def stop(m, solved):
+        reached.append(solved)
+        return lines_of_levels(m, [])
+
+    monkeypatch.setattr(spectrum, "_lines_of_levels", stop)
+    d3s.assemble(ROUND, manifold, cap)
+    assert reached == [list(levels)]
+    with pytest.raises(d3s.DomainError, match="above the cap of 2\\^20"):
+        d3s.assemble(ROUND, manifold, cap + 1)
+    assert len(reached) == 1
 
 
 def test_admissible_levels():
